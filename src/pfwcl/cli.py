@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -159,30 +157,6 @@ def _open_output(args):
     return open(args.output, "w", encoding="utf-8"), True
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("PF_WCL_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"PF_WCL_JOBS must be an integer, got {env!r}") from exc
-    return 1
-
-
-def _run_rows(tasks, worker, jobs: int, writer: RowWriter):
-    """Evaluate row tasks on a pool; rows are written in input order."""
-    if jobs == 1:
-        for task in tasks:
-            writer.write_row(worker(task))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for row in pool.map(worker, tasks):
-                writer.write_row(row)
-    writer.finish()
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -256,21 +230,19 @@ def _cmd_cutoff_scan(args) -> int:
         raise ConfigError("cutoff values must be positive")
     resolved["params"]["lambdas"] = lambdas
 
-    def worker(lam):
-        e = cutoff_energy_3d(lam)
-        row = {"lambda": lam, "kappa": 1.0, "p": 0.0, "calE": e,
-               "E_over_lambda_1p5": e / lam**1.5, "I1": None, "I2": None}
-        if lam > 1.0:
-            i1, i2 = cutoff_split_I1_I2(lam)
-            row["I1"], row["I2"] = i1, i2
-        return row
-
     stream, close = _open_output(args)
     try:
         writer = RowWriter(stream, resolved["format"],
                            ["lambda", "kappa", "p", "calE",
                             "E_over_lambda_1p5", "I1", "I2"], resolved)
-        _run_rows(lambdas, worker, _jobs(args), writer)
+        for lam in lambdas:
+            e = cutoff_energy_3d(lam)
+            row = {"lambda": lam, "kappa": 1.0, "p": 0.0, "calE": e,
+                   "E_over_lambda_1p5": e / lam**1.5, "I1": None, "I2": None}
+            if lam > 1.0:
+                row["I1"], row["I2"] = cutoff_split_I1_I2(lam)
+            writer.write_row(row)
+        writer.finish()
     finally:
         if close:
             stream.close()
@@ -446,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path; '-' writes data to stdout (default)")
         sp.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default csv)")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="worker pool size (default: PF_WCL_JOBS or 1)")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for randomized checks")
 

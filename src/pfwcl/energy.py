@@ -20,6 +20,9 @@ Bogoliubov oracles directly comparable).  The log-spectral pipeline
     (1/2 pi) int_R log(1 + kappa^2 rho_hat(t)) dt = (kappa^2 / pi) int_R G(t) dt
 
 is an exact identity and is computed independently as a cross-check.
+
+Each spectral function is one sum over the measure's radial rule
+(``RadialMeasure.rule``) and takes an array of t as well as a scalar.
 """
 
 from __future__ import annotations
@@ -29,50 +32,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeasureError
-from .formfactor import (GaussianProfile, PointMasses, RadialMeasure,
-                         SharpCutoff, Tabulated, moment_report)
+from .formfactor import RadialMeasure, moment_report
 from .quadrature import adaptive_quad, adaptive_quad_0inf, adaptive_quad_sym_line
 
 DEFAULT_REL_TOL = 1e-11
 
 
-def measure_integral(ff: RadialMeasure, weight, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """pf * int weight(omega) |phi(k)|^2 dk, radially reduced.
+def measure_integral(ff: RadialMeasure, weight, t):
+    """pf * int weight(omega, t) |phi(k)|^2 dk for every entry of ``t``.
 
-    ``weight`` must accept a numpy array of radii.  For PointMasses the atom
-    weights are used directly (polarization already absorbed).
+    A sum over the measure's radial rule: ``weight`` gets the rule's radii
+    along a last axis and ``t`` with a trailing unit axis, so the result has
+    the shape of ``t``.
     """
-    p = ff.profile
-    if isinstance(p, PointMasses):
-        if not p.atoms:
-            return 0.0
-        omegas = np.array([a[0] for a in p.atoms])
-        weights = np.array([a[1] for a in p.atoms])
-        return float(weights @ np.asarray(weight(omegas), dtype=float))
-    pref = ff.polarization_factor * ff.sphere_area()
-    d = ff.dimension
-    if isinstance(p, SharpCutoff):
-        def f(r):
-            return weight(r) * r ** (d - 1)
-        val, _ = adaptive_quad(f, 0.0, p.lam, rel_tol=rel_tol)
-        return pref * val
-    if isinstance(p, GaussianProfile):
-        inv_s2 = 1.0 / p.sigma**2
-
-        def f(r):
-            return np.exp(-r * r * inv_s2) * weight(r) * r ** (d - 1)
-        val, _ = adaptive_quad_0inf(f, split=4.0 * p.sigma, rel_tol=rel_tol)
-        return pref * val
-    if isinstance(p, Tabulated):
-        def f(r):
-            return p(r) ** 2 * weight(r) * r ** (d - 1)
-        total = 0.0
-        for lo, hi in zip(p.radii[:-1], p.radii[1:]):
-            seg, _ = adaptive_quad(f, lo, hi, rel_tol=rel_tol)
-            total += seg
-        return pref * total
-    raise MeasureError(f"unsupported profile {type(p).__name__}")
+    r, w = ff.rule()
+    return weight(r, np.asarray(t, dtype=float)[..., None]) @ w
 
 
 @dataclass(frozen=True)
@@ -81,39 +55,31 @@ class SpectralFunctions:
 
     ff: RadialMeasure
     kappa: float = 1.0
-    rel_tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self):
         if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
             raise ValueError(f"kappa must be a nonnegative real, got {self.kappa}")
 
-    def rho(self, t: float) -> float:
-        at = abs(t)
+    def rho(self, t):
         k2 = self.kappa**2
         return measure_integral(
-            self.ff, lambda r: np.exp(-at * k2 * r) / (2.0 * r), self.rel_tol)
+            self.ff, lambda r, t: np.exp(-np.abs(t) * k2 * r) / (2.0 * r), t)
 
-    def rho_hat(self, t: float) -> float:
+    def rho_hat(self, t):
         k2 = self.kappa**2
-        t2 = t * t
-        return measure_integral(
-            self.ff, lambda r: k2 / (k2 * k2 * r * r + t2), self.rel_tol)
+        return measure_integral(self.ff, lambda r, t: k2 / (k2 * k2 * r * r + t * t), t)
 
 
-def dispersion_parts(ff: RadialMeasure, t: float,
-                     rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
+def dispersion_parts(ff: RadialMeasure, t):
     """The two integrals entering G: (pf*||t phi/(t^2+w^2)||^2, pf*||phi/sqrt(t^2+w^2)||^2)."""
-    t2 = t * t
-    num = measure_integral(ff, lambda r: t2 / (t2 + r * r) ** 2, rel_tol)
-    den = measure_integral(ff, lambda r: 1.0 / (t2 + r * r), rel_tol)
+    num = measure_integral(ff, lambda r, t: t * t / (t * t + r * r) ** 2, t)
+    den = measure_integral(ff, lambda r, t: 1.0 / (t * t + r * r), t)
     return num, den
 
 
-def G_function(ff: RadialMeasure, t: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def G_function(ff: RadialMeasure, t):
     """G(t) >= 0, even, with G(0) = 0 for measures without a zero-frequency atom."""
-    if t == 0.0:
-        return 0.0
-    num, den = dispersion_parts(ff, t, rel_tol)
+    num, den = dispersion_parts(ff, t)
     return num / (1.0 + den)
 
 
@@ -137,22 +103,13 @@ def ground_energy(ff: RadialMeasure, rel_tol: float = DEFAULT_REL_TOL) -> Energy
     (2/d_eff) * calE up to the reported error.
     """
     d_eff = _effective_component_count(ff)
-    inner_tol = rel_tol / 10.0
-
-    def g_vals(ts):
-        ts = np.atleast_1d(ts)
-        return np.array([G_function(ff, t, inner_tol) for t in ts])
-
-    i_g, err_g = adaptive_quad_sym_line(g_vals, rel_tol=rel_tol, abs_tol=1e-14)
+    i_g, err_g = adaptive_quad_sym_line(lambda ts: G_function(ff, ts),
+                                        rel_tol=rel_tol, abs_tol=1e-14)
     cal_e = d_eff / (2.0 * math.pi) * i_g
 
-    sf1 = SpectralFunctions(ff, kappa=1.0, rel_tol=inner_tol)
-
-    def log_vals(ts):
-        ts = np.atleast_1d(ts)
-        return np.array([math.log1p(sf1.rho_hat(t)) for t in ts])
-
-    i_log, err_log = adaptive_quad_sym_line(log_vals, rel_tol=rel_tol, abs_tol=1e-14)
+    sf1 = SpectralFunctions(ff, kappa=1.0)
+    i_log, err_log = adaptive_quad_sym_line(lambda ts: np.log1p(sf1.rho_hat(ts)),
+                                            rel_tol=rel_tol, abs_tol=1e-14)
     log_spectral = i_log / (2.0 * math.pi)
 
     propagated = d_eff / (2.0 * math.pi) * err_g + err_log / (2.0 * math.pi)
@@ -168,14 +125,10 @@ def log_spectral_energy(ff: RadialMeasure, kappa: float,
     Scales exactly as kappa^2 times the kappa = 1 value (change of variables
     t -> kappa^2 t), and equals (2 kappa^2 / d_eff) * calE.
     """
-    sf = SpectralFunctions(ff, kappa=kappa, rel_tol=rel_tol / 10.0)
+    sf = SpectralFunctions(ff, kappa=kappa)
     k2 = kappa * kappa
-
-    def log_vals(ts):
-        ts = np.atleast_1d(ts)
-        return np.array([math.log1p(k2 * sf.rho_hat(t)) for t in ts])
-
-    val, _ = adaptive_quad_sym_line(log_vals, rel_tol=rel_tol, abs_tol=1e-14)
+    val, _ = adaptive_quad_sym_line(lambda ts: np.log1p(k2 * sf.rho_hat(ts)),
+                                    rel_tol=rel_tol, abs_tol=1e-14)
     return val / (2.0 * math.pi)
 
 

@@ -5,6 +5,11 @@ the same rule on its two halves; the refined (two-half) value is kept.  Panels
 are split worst-first until the summed error estimate meets the target.
 Unbounded upper limits are mapped by u = 1/r; whole-line integrals of even
 integrands are folded onto [0, inf) or mapped by t = tan(theta).
+
+The package uses it for two jobs only: the outer t-integrals over G and
+log(1 + kappa^2 rho_hat) in the energy module, and the independent E(Lambda)
+route ``cutoff_energy_3d``.  Integrals against a form-factor measure run on
+the measure's fixed radial rule instead (``RadialMeasure.rule``).
 """
 
 from __future__ import annotations
@@ -17,15 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
-
-#: integrals whose estimate grows past ``DIVERGENCE_FACTOR * first_estimate``
-#: while refining are declared divergent by callers that opt in.
-DIVERGENCE_FACTOR = 1e12
-
-
-class DivergentIntegral(ArithmeticError):
-    """Raised internally when the growth guard trips."""
-
 
 @lru_cache(maxsize=None)
 def _gl_rule(order: int):
@@ -53,14 +49,11 @@ def adaptive_quad(
     order: int = 12,
     max_panels: int = 4000,
     initial_panels: int = 4,
-    growth_guard: bool = False,
 ) -> tuple[float, float]:
     """Integrate ``f`` over the finite interval [a, b].
 
     Returns ``(value, error_estimate)``.  Raises :class:`QuadratureError` when
-    the panel budget is exhausted above tolerance, and
-    :class:`DivergentIntegral` when ``growth_guard`` is set and the running
-    estimate grows past ``DIVERGENCE_FACTOR`` times the first estimate.
+    the panel budget is exhausted above tolerance.
     """
     if not (b > a):
         return 0.0, 0.0
@@ -77,7 +70,6 @@ def adaptive_quad(
     heap = []
     counter = 0
     edges = np.linspace(a, b, initial_panels + 1)
-    first_estimate = None
     for lo, hi in zip(edges[:-1], edges[1:]):
         coarse = _panel_value(f, lo, hi, x, w)
         err, lo, hi, val, lv, rv = make(lo, hi, coarse)
@@ -87,10 +79,6 @@ def adaptive_quad(
     while True:
         total = math.fsum(item[4] for item in heap)
         err_total = math.fsum(-item[0] for item in heap)
-        if first_estimate is None:
-            first_estimate = abs(total)
-        if growth_guard and abs(total) > DIVERGENCE_FACTOR * max(first_estimate, 1e-300):
-            raise DivergentIntegral
         if err_total <= max(abs_tol, rel_tol * abs(total)):
             return total, err_total
         if len(heap) + 1 > max_panels:
@@ -114,12 +102,10 @@ def adaptive_quad_0inf(
     abs_tol: float = 0.0,
     order: int = 12,
     max_panels: int = 4000,
-    growth_guard: bool = False,
 ) -> tuple[float, float]:
     """Integrate ``f`` over [0, inf); the tail beyond ``split`` uses u = 1/r."""
     v1, e1 = adaptive_quad(f, 0.0, split, rel_tol=rel_tol, abs_tol=abs_tol,
-                           order=order, max_panels=max_panels,
-                           growth_guard=growth_guard)
+                           order=order, max_panels=max_panels)
 
     def tail(u):
         u = np.asarray(u, dtype=float)
@@ -127,7 +113,7 @@ def adaptive_quad_0inf(
 
     v2, e2 = adaptive_quad(tail, 0.0, 1.0 / split, rel_tol=rel_tol,
                            abs_tol=abs_tol, order=order,
-                           max_panels=max_panels, growth_guard=growth_guard)
+                           max_panels=max_panels)
     return v1 + v2, e1 + e2
 
 

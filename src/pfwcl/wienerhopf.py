@@ -1,9 +1,15 @@
 """Nystrom discretization of the truncated Wiener-Hopf operator C_T.
 
 (C_T u)(t) = int_0^T rho(s - t) u(s) ds with the difference kernel rho from
-the energy module.  The kernel matrix is symmetrized as
-M_ij = sqrt(w_i) rho(t_i - t_j) sqrt(w_j) so determinants and quadratic forms
-come from a symmetric eigenproblem / Cholesky solve.
+the energy module, the exact sum over the measure's radial rule
+
+    rho(tau) = sum_k w_k / (2 r_k) exp(-kappa^2 r_k |tau|).
+
+The kernel matrix is symmetrized as M_ij = sqrt(w_i) rho(t_i - t_j) sqrt(w_j)
+so determinants and quadratic forms come from a symmetric eigenproblem /
+Cholesky solve.  The panels have equal width, so M is block Toeplitz: rho is
+evaluated once per panel distance and node pair, and each block is written
+together with its transpose, which makes M exactly symmetric.
 
 Verified limits (both as T -> infinity):
 
@@ -22,15 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
 from .energy import SpectralFunctions, log_spectral_energy
 from .errors import NumericalError
-from .formfactor import PointMasses, RadialMeasure, moment_report
+from .formfactor import RadialMeasure, moment_report
 from .quadrature import _gl_rule
 
 PANEL_ORDER = 8
@@ -45,48 +49,27 @@ def default_node_count(T: float) -> int:
 
 
 def composite_gauss_nodes(T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule with >= n nodes on [0, T]; sum(w) = T."""
+    """Equal-width composite Gauss-Legendre rule with >= n nodes on [0, T]; sum(w) = T."""
     panels = max(1, math.ceil(n / PANEL_ORDER))
+    h = T / panels
     x, w = _gl_rule(PANEL_ORDER)
-    edges = np.linspace(0.0, T, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    weights = (halfs[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) * h).ravel()
+    return nodes, np.tile(0.5 * h * w, panels)
 
 
-def _kernel_evaluator(ff: RadialMeasure, kappa: float, T: float) -> Callable:
-    """Vectorized tau -> rho_kappa(|tau|) on [-T, T].
+def _kernel_blocks(ff: RadialMeasure, kappa: float, h: float, panels: int) -> np.ndarray:
+    """rho_kappa between the nodes of two panels m = 0..panels-1 apart.
 
-    Discrete measures use the exact atom sum; continuum measures sample
-    rho on a dense grid in |tau| once and interpolate with a cubic spline
-    (rho is smooth on [0, T]; the |tau| cusp sits at the fold).
+    Entry [m, i, j] is rho((m + (x_i - x_j)/2) h) for the panel's Gauss nodes
+    x; one panel distance at a time keeps the work array at 64 rule sums.
     """
-    if isinstance(ff.profile, PointMasses):
-        atoms = ff.profile.atoms
-
-        def rho(tau):
-            tau = np.abs(np.asarray(tau, dtype=float))
-            out = np.zeros_like(tau)
-            for omega, weight in atoms:
-                out += weight / (2.0 * omega) * np.exp(-tau * kappa**2 * omega)
-            return out
-
-        return rho
-
-    sf = SpectralFunctions(ff, kappa=kappa, rel_tol=1e-12)
-    m = 2000
-    # cluster samples near 0 where the kernel varies fastest
-    s = T * np.linspace(0.0, 1.0, m) ** 2
-    vals = np.array([sf.rho(si) for si in s])
-    spline = CubicSpline(s, vals)
-
-    def rho(tau):
-        tau = np.abs(np.asarray(tau, dtype=float))
-        return spline(np.minimum(tau, T))
-
-    return rho
+    x, _ = _gl_rule(PANEL_ORDER)
+    local = 0.5 * (x[:, None] - x[None, :])
+    sf = SpectralFunctions(ff, kappa=kappa)
+    blocks = np.array([sf.rho((m + local) * h) for m in range(panels)])
+    # rho is even, so the m = 0 block is symmetric; mirror it so it is exactly
+    blocks[0] = np.triu(blocks[0]) + np.triu(blocks[0], 1).T
+    return blocks
 
 
 @dataclass(eq=False)
@@ -125,11 +108,16 @@ def build_grid(ff: RadialMeasure, kappa: float, T: float, n: int | None = None) 
     if n < PANEL_ORDER:
         raise ValueError(f"need at least {PANEL_ORDER} nodes, got {n}")
     nodes, weights = composite_gauss_nodes(T, n)
-    rho = _kernel_evaluator(ff, kappa, T)
-    sqw = np.sqrt(weights)
-    diff = nodes[:, None] - nodes[None, :]
-    M = sqw[:, None] * rho(diff) * sqw[None, :]
-    M = 0.5 * (M + M.T)  # symmetrize away interpolation round-off
+    panels = len(nodes) // PANEL_ORDER
+    sqw = np.sqrt(weights[:PANEL_ORDER])
+    blocks = np.outer(sqw, sqw) * _kernel_blocks(ff, kappa, T / panels, panels)
+    # ladder[panels - 1 + p - q] is block (p, q): B_{p-q} below the diagonal,
+    # B_{q-p}^T above it
+    ladder = np.concatenate((blocks[:0:-1].transpose(0, 2, 1), blocks))
+    M = np.empty((len(nodes), len(nodes)))
+    rows = M.reshape(panels, PANEL_ORDER, panels, PANEL_ORDER)
+    for p in range(panels):
+        rows[p] = ladder[p:p + panels][::-1].transpose(1, 0, 2)
     return WienerHopfGrid(ff=ff, kappa=kappa, T=T, n=len(nodes),
                           nodes=nodes, weights=weights, M=M)
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import pfwcl
 
 from pfwcl.cli import run
 
@@ -75,14 +80,6 @@ class TestCutoffScan:
 
     def test_nonpositive_lambda_rejected(self, tmp_path):
         assert run(["cutoff-scan", "--lambda", "0,-3"]) == 2
-
-    def test_jobs_flag_matches_serial(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert run(["cutoff-scan", "--lambda", "1,2,4", "--output", str(a)]) == 0
-        assert run(["cutoff-scan", "--lambda", "1,2,4", "--jobs", "3",
-                    "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestWienerHopf:
@@ -189,3 +186,13 @@ class TestDeterminism:
         assert set(doc) == {"config", "rows"}
         assert [row["lambda"] for row in doc["rows"]] == [1.0, 10.0]
         assert doc["rows"][0]["calE"] == pytest.approx(1.6774049184, rel=1e-9)
+
+
+def test_cli_import_skips_scipy_interpolate():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(pfwcl.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, pfwcl.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

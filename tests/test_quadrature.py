@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 
 from pfwcl.errors import QuadratureError
-from pfwcl.quadrature import (DivergentIntegral, adaptive_quad,
-                              adaptive_quad_0inf, adaptive_quad_sym_line)
+from pfwcl.quadrature import (adaptive_quad, adaptive_quad_0inf,
+                              adaptive_quad_sym_line)
 
 
 def test_polynomial_exact():
@@ -47,12 +47,6 @@ def test_whole_line_tan_map():
 def test_zero_integrand():
     val, err = adaptive_quad(lambda x: np.zeros_like(x), 0.0, 5.0)
     assert val == 0.0 and err == 0.0
-
-
-def test_growth_guard_trips_on_power_divergence():
-    with pytest.raises((DivergentIntegral, QuadratureError)):
-        adaptive_quad(lambda r: r**-3.0, 0.0, 1.0, growth_guard=True,
-                      max_panels=100000)
 
 
 def test_panel_exhaustion_reports_residual():
