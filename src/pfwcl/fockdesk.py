@@ -18,23 +18,29 @@ match the PointMasses convention of the formfactor module, so all continuum
 cross-checks line up: the exact ground energy of (1/2) A^2 + H_f is the
 rank-one Bogoliubov value (1/2) sum_i (sqrt(mu_i) - omega_i) with mu_i the
 eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j).
+
+Every ground state comes from ``ground_state``: dense ``eigh`` up to the measured
+crossover DENSE_DIM_LIMIT, seeded Lanczos with a residual check above it.  Only the
+matrix functions (semigroup, dressing) stay dense, up to DENSE_EXPM_LIMIT states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, expm
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, aslinearoperator, eigsh, svds
 
 from .errors import BasisSizeError, NumericalError
 
 BASIS_SIZE_GUARD = 200_000
-DENSE_DIM_LIMIT = 2000
+DENSE_DIM_LIMIT = 500      # ground states: dense eigh at or below, Lanczos above
+DENSE_EXPM_LIMIT = 2000    # dense matrix functions: semigroup and dressing
 
 
 @dataclass(frozen=True)
@@ -55,13 +61,7 @@ class Mode:
 
 
 def as_modes(modes) -> tuple[Mode, ...]:
-    out = []
-    for m in modes:
-        if isinstance(m, Mode):
-            out.append(m)
-        else:
-            out.append(Mode(*m))
-    return tuple(out)
+    return tuple(m if isinstance(m, Mode) else Mode(*m) for m in modes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +156,11 @@ class FiberOperators:
     def half_A2_plus_Hf(self) -> sp.csr_matrix:
         return (0.5 * (self.A @ self.A) + self.Hf).tocsr()
 
+    @cached_property
+    def ground_vector(self) -> np.ndarray:
+        """Ground eigenvector of (1/2) A^2 + H_f (kappa-independent)."""
+        return ground_state(self.half_A2_plus_Hf())[1]
+
 
 def build_operators(basis: FockBasis) -> FiberOperators:
     occ = basis.states.astype(float)
@@ -189,26 +194,34 @@ def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,
     return H.tocsr()
 
 
-def ground_energy(matrix, tol: float = 1e-9) -> float:
-    """Smallest eigenvalue: dense for dim <= 2000, else Lanczos with a
-    residual check at ``tol``."""
+def _start_vector(dim: int) -> np.ndarray:
+    """Fixed Krylov start vector, so ARPACK results repeat byte for byte."""
+    return np.random.default_rng(0).standard_normal(dim)
+
+
+def ground_state(matrix, tol: float = 1e-9) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (lam, vec): dense ``eigh`` for dim <= DENSE_DIM_LIMIT,
+    else Lanczos from a fixed start vector with a residual check at ``tol``."""
     dim = matrix.shape[0]
     if dim <= DENSE_DIM_LIMIT:
         dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-        vals = eigh(dense, eigvals_only=True, subset_by_index=[0, 0])
-        return float(vals[0])
+        vals, vecs = eigh(dense, subset_by_index=[0, 0])
+        return float(vals[0]), vecs[:, 0]
     A = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(matrix)
     try:
-        vals, vecs = eigsh(A, k=1, which="SA", maxiter=20000)
+        vals, vecs = eigsh(A, k=1, which="SA", maxiter=20000, v0=_start_vector(dim))
     except Exception as exc:
         raise NumericalError(f"Lanczos eigensolver failed: {exc}") from exc
-    lam = float(vals[0])
-    v = vecs[:, 0]
+    lam, v = float(vals[0]), vecs[:, 0]
     residual = float(np.linalg.norm(A @ v - lam * v))
     if residual > tol * max(1.0, abs(lam)):
-        raise NumericalError(
-            f"eigensolver residual {residual:.3e} exceeds {tol:.0e}")
-    return lam
+        raise NumericalError(f"eigensolver residual {residual:.3e} exceeds {tol:.0e}")
+    return lam, v
+
+
+def ground_energy(matrix, tol: float = 1e-9) -> float:
+    """Smallest eigenvalue: ``ground_state(matrix, tol)[0]``."""
+    return ground_state(matrix, tol)[0]
 
 
 def bogoliubov_energy(modes) -> float:
@@ -242,16 +255,15 @@ def conjugation_residual(ops: FiberOperators, kappa: float, p: float) -> float:
         raise ValueError("the dressing needs kappa > 0")
     m_star = ops.m_eff()
     dim = ops.dim
-    if dim > DENSE_DIM_LIMIT:
-        raise NumericalError(f"dense dressing needs dim <= {DENSE_DIM_LIMIT}, got {dim}")
+    if dim > DENSE_EXPM_LIMIT:
+        raise NumericalError(f"dense dressing needs dim <= {DENSE_EXPM_LIMIT}, got {dim}")
     U = expm((p / (kappa * m_star)) * ops.shift_generator.toarray())
     H_dip = fiber_hamiltonian(ops, kappa, p, eps=0.0).toarray()
     target = (p * p / (2.0 * m_star)) * np.eye(dim) \
         + kappa**2 * ops.half_A2_plus_Hf().toarray()
     R = U.T @ H_dip @ U - target
     low = ops.basis.states.sum(axis=1) <= ops.basis.n_tot // 2
-    sub = R[np.ix_(low, low)]
-    return float(np.linalg.norm(sub, 2))
+    return float(np.linalg.norm(R[np.ix_(low, low)], 2))
 
 
 def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float,
@@ -288,29 +300,18 @@ def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float,
 
 def diamagnetic_check(ops: FiberOperators, kappa: float, p_list,
                       eps: float = 1.0, allowance: float = 1e-6) -> list[dict]:
-    """Monitor E_kappa(0) <= E_kappa(p) up to the truncation allowance.
+    """Monitor E_kappa(0) <= E_kappa(p) up to the truncation allowance, on
+    the ``wcl_scan`` rows for this one kappa.
 
     Violations are reported (flagged, never raised) and attributed to the
     truncation plus eigensolver residual.
     """
-    e0 = ground_energy(fiber_hamiltonian(ops, kappa, 0.0, eps))
-    rows = []
-    for p in p_list:
-        ep = e0 if p == 0.0 else ground_energy(fiber_hamiltonian(ops, kappa, p, eps))
-        excess = e0 - ep
-        rows.append({
-            "kappa": kappa, "p": p, "epsilon": eps,
-            "E_0": e0, "E_p": ep, "excess": excess,
-            "ok": excess <= allowance,
-        })
+    rows = [{key: row[key] for key in ("kappa", "p", "epsilon", "E_0", "E_p")}
+            for row in wcl_scan(ops, [kappa], p_list, eps)]
+    for row in rows:
+        row["excess"] = row["E_0"] - row["E_p"]
+        row["ok"] = row["excess"] <= allowance
     return rows
-
-
-def _dense_semigroup(H: np.ndarray, T: float, shift: float) -> np.ndarray:
-    """exp(-T (H - shift)) by symmetric eigendecomposition."""
-    lam, Q = np.linalg.eigh(H)
-    expo = np.clip(-T * (lam - shift), -745.0, 50.0)
-    return (Q * np.exp(expo)) @ Q.T
 
 
 def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
@@ -318,24 +319,23 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
     """Operator norm of exp(-T(H_kappa(p) - kappa^2 E_disc))
     - P_g exp(-T (p - P_f)^2 / (2 m_eff_disc)).
 
-    E_disc is the Bogoliubov value and P_g projects on the ground
-    eigenvector of (1/2) A^2 + H_f; dense matrix exponentials, so the
-    dimension must stay at or below 2000.
+    E_disc is the Bogoliubov value and P_g projects on the cached
+    ``ops.ground_vector``.  One dense ``eigh`` of H gives the exponential,
+    so dim <= DENSE_EXPM_LIMIT; ``svds`` takes the norm matrix-free.
     """
     dim = ops.dim
-    if dim > DENSE_DIM_LIMIT:
-        raise NumericalError(
-            f"dense exponentials need dim <= {DENSE_DIM_LIMIT}, got {dim}")
+    if dim > DENSE_EXPM_LIMIT:
+        raise NumericalError(f"dense exponentials need dim <= {DENSE_EXPM_LIMIT}, got {dim}")
     e_disc = bogoliubov_energy(ops.basis.modes)
-    H = fiber_hamiltonian(ops, kappa, p, eps=1.0).toarray()
-    left = _dense_semigroup(H, T, kappa**2 * e_disc)
-
-    half = ops.half_A2_plus_Hf().toarray()
-    lam, Q = np.linalg.eigh(half)
-    ground_vec = Q[:, 0]
-    P_g = np.outer(ground_vec, ground_vec)
-    pf_diag = ops.Pf.diagonal()
-    free = np.exp(np.clip(-T * (p - pf_diag) ** 2 / (2.0 * ops.m_eff()),
+    lam, Q = eigh(fiber_hamiltonian(ops, kappa, p, eps=1.0).toarray(), driver="evd")
+    decay = np.exp(np.clip(-T * (lam - kappa**2 * e_disc), -745.0, 50.0))
+    g = ops.ground_vector
+    free = np.exp(np.clip(-T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()),
                           -745.0, 50.0))
-    target = P_g * free[None, :]   # P_g @ diag(free)
-    return float(np.linalg.norm(left - target, 2))
+    L = aslinearoperator
+    X = L(Q) @ L(sp.diags(decay)) @ L(Q.T) - L(g[:, None]) @ L((g * free)[None, :])
+    try:
+        top = svds(X, k=1, return_singular_vectors=False, v0=_start_vector(dim))
+    except ArpackError as exc:
+        raise NumericalError(f"semigroup operator norm (svds) failed: {exc}") from exc
+    return float(top[0])

@@ -20,6 +20,15 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def run_python(args) -> bytes:
+    """Stdout of a fresh interpreter that imports this checkout's pfwcl."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(pfwcl.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True).stdout
+
+
 class TestValidate:
     def test_atom_measure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
@@ -178,6 +187,14 @@ class TestDeterminism:
         assert run(["cutoff-scan", "--config", cfg, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_lanczos_fock_byte_identical_across_processes(self):
+        # dim C(92, 2) = 4186 runs on the Lanczos path; its start vector is
+        # seeded, so two fresh interpreters print the same bytes
+        argv = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "90",
+                "--kappa-list", "1,2", "--p-list", "0,0.2"]
+        outs = [run_python(["-m", "pfwcl.cli", *argv]) for _ in range(2)]
+        assert outs[0] == outs[1]
+
     def test_json_format_mirror(self, tmp_path):
         out = tmp_path / "scan.json"
         assert run(["cutoff-scan", "--lambda", "1,10", "--format", "json",
@@ -189,10 +206,6 @@ class TestDeterminism:
 
 
 def test_cli_import_skips_scipy_interpolate():
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(pfwcl.__file__))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = "import sys, pfwcl.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = run_python(["-c", code]).decode()
     assert out.strip() == "False"

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from pfwcl import fockdesk
 from pfwcl.energy import ground_energy as continuum_ground_energy
 from pfwcl.energy import log_spectral_energy
-from pfwcl.errors import BasisSizeError
+from pfwcl.errors import BasisSizeError, NumericalError
 from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
                             conjugation_residual, diamagnetic_check,
-                            fiber_hamiltonian, ground_energy,
+                            fiber_hamiltonian, ground_energy, ground_state,
                             semigroup_wcl_residual, wcl_scan)
 from pfwcl.formfactor import PointMasses, RadialMeasure
 from pfwcl.wienerhopf import build_grid, log_det
+
+TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 
 
 class TestBasis:
@@ -106,6 +111,81 @@ class TestGroundEnergy:
         ops = build_operators(build_basis(modes, 50))
         dense = ground_energy(ops.half_A2_plus_Hf())
         assert dense == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
+
+
+class TestGroundState:
+    @pytest.mark.parametrize("n_tot", [30, 44])   # dim 496 dense, 1035 Lanczos
+    def test_matches_dense_eigh(self, n_tot):
+        ops = build_operators(build_basis(TWO_MODE, n_tot))
+        assert (ops.dim <= fockdesk.DENSE_DIM_LIMIT) == (n_tot == 30)
+        for kappa, p in ((1.0, 0.0), (4.0, 0.2)):
+            H = fiber_hamiltonian(ops, kappa, p, 1.0)
+            lam, vec = ground_state(H)
+            exact = scipy.linalg.eigh(H.toarray(), eigvals_only=True,
+                                      subset_by_index=[0, 0])[0]
+            assert abs(lam - exact) <= 1e-11 * max(1.0, abs(exact))
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(H @ vec - lam * vec) <= 1e-9 * max(1.0, abs(lam))
+            assert ground_energy(H) == lam
+
+    def test_ground_vector_computed_once(self, monkeypatch):
+        ops = build_operators(build_basis(TWO_MODE, 8))
+        shapes = []
+        real = fockdesk.ground_state
+
+        def counted(matrix, *args):
+            shapes.append(matrix.shape)
+            return real(matrix, *args)
+
+        monkeypatch.setattr(fockdesk, "ground_state", counted)
+        for kappa in (1.0, 2.0):
+            semigroup_wcl_residual(ops, kappa, 0.2, 1.0)
+        assert shapes == [(ops.dim, ops.dim)]
+        assert ops.ground_vector is ops.ground_vector
+
+
+class TestWorkCounts:
+    """Regression on work, not time, on the dim-1953 two-mode model."""
+
+    @staticmethod
+    def _count(monkeypatch, dim):
+        """Record the solver calls fockdesk makes on dim x dim matrices."""
+        calls = []
+
+        def square(a, *args, **kwargs):
+            return np.shape(a) == (dim, dim)
+
+        def matrix_2norm(a, ord=None, *args, **kwargs):
+            return np.ndim(a) == 2 and ord == 2    # a full SVD
+
+        def spy(real, label, counts):
+            def wrapper(*args, **kwargs):
+                if counts is None or counts(*args, **kwargs):
+                    calls.append(label)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for owner, name, label, counts in (
+                (fockdesk, "eigh", "eigh", square),
+                (np.linalg, "eigh", "eigh", square),
+                (fockdesk, "eigsh", "eigsh", None),
+                (fockdesk, "svds", "svds", None),
+                (np.linalg, "svd", "svd", square),
+                (scipy.linalg, "svd", "svd", square),
+                (np.linalg, "norm", "svd", matrix_2norm)):
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name), label, counts))
+        return calls
+
+    def test_scan_is_all_lanczos(self, two_mode_ops, monkeypatch):
+        calls = self._count(monkeypatch, two_mode_ops.dim)
+        wcl_scan(two_mode_ops, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 1.0)
+        assert calls == ["eigsh"] * 8
+
+    def test_semigroup_one_dense_eigh_no_svd(self, two_mode_ops, monkeypatch):
+        two_mode_ops.ground_vector   # the cached kappa-independent projector
+        calls = self._count(monkeypatch, two_mode_ops.dim)
+        semigroup_wcl_residual(two_mode_ops, 1.0, 0.2, 1.0)
+        assert calls == ["eigh", "svds"]
 
 
 class TestBogoliubov:
@@ -216,6 +296,30 @@ class TestSemigroup:
         ops = build_operators(build_basis([(1.0, 0.0, 0.3), (2.0, 0.0, -0.3)], 6))
         res = semigroup_wcl_residual(ops, 1.0, 0.2, 1.0)
         assert 0.0 <= res <= 1.0
+
+    @pytest.mark.parametrize("kappa", [1.0, 4.0])
+    def test_matches_dense_reference(self, kappa):
+        # the full-decomposition formula: both eigh's, dense P_g, full SVD
+        ops = build_operators(build_basis(TWO_MODE, 20))
+        p, T = 0.2, 1.0
+        lam, Q = np.linalg.eigh(fiber_hamiltonian(ops, kappa, p, 1.0).toarray())
+        shift = kappa**2 * bogoliubov_energy(TWO_MODE)
+        left = (Q * np.exp(np.clip(-T * (lam - shift), -745.0, 50.0))) @ Q.T
+        g = np.linalg.eigh(ops.half_A2_plus_Hf().toarray())[1][:, 0]
+        free = np.exp(np.clip(-T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()),
+                              -745.0, 50.0))
+        reference = np.linalg.norm(left - np.outer(g, g) * free[None, :], 2)
+        assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
+            reference, rel=1e-12)
+
+    def test_norm_failure_names_stage(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(fockdesk, "svds", no_convergence)
+        ops = build_operators(build_basis(TWO_MODE, 6))
+        with pytest.raises(NumericalError, match="semigroup operator norm"):
+            semigroup_wcl_residual(ops, 1.0, 0.2, 1.0)
 
     def test_kappa_ladder_small_model(self):
         ops = build_operators(build_basis([(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)], 20))
