@@ -19,9 +19,10 @@ cross-checks line up: the exact ground energy of (1/2) A^2 + H_f is the
 rank-one Bogoliubov value (1/2) sum_i (sqrt(mu_i) - omega_i) with mu_i the
 eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j).
 
-Every ground state comes from ``ground_state``: dense ``eigh`` up to the measured
-crossover DENSE_DIM_LIMIT, seeded Lanczos with a residual check above it.  Only the
-matrix functions (semigroup, dressing) stay dense, up to DENSE_EXPM_LIMIT states.
+Every ground state comes from ``ground_state``: seeded Lanczos with a residual
+check, and dense ``eigh`` for matrices of at most DENSE_DIM_LIMIT states (ARPACK
+cannot run at dim <= 2, and a small matrix gets its exact dense eigenvalue).  Only
+the matrix functions (semigroup, dressing) stay dense, up to DENSE_EXPM_LIMIT states.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from scipy.sparse.linalg import ArpackError, aslinearoperator, eigsh, svds
 from .errors import BasisSizeError, NumericalError
 
 BASIS_SIZE_GUARD = 200_000
-DENSE_DIM_LIMIT = 500      # ground states: dense eigh at or below, Lanczos above
+DENSE_DIM_LIMIT = 350      # ground states: dense eigh at or below, Lanczos above;
+                           # the measured dense/Lanczos crossover at kappa = 1
 DENSE_EXPM_LIMIT = 2000    # dense matrix functions: semigroup and dressing
+LANCZOS_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,13 @@ class Mode:
 
 
 def as_modes(modes) -> tuple[Mode, ...]:
-    return tuple(m if isinstance(m, Mode) else Mode(*m) for m in modes)
+    out = []
+    for m in modes:
+        if isinstance(m, Mode):
+            out.append(m)
+        else:
+            out.append(Mode(*m))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +208,10 @@ def _start_vector(dim: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(dim)
 
 
-def ground_state(matrix, tol: float = 1e-9) -> tuple[float, np.ndarray]:
+def ground_state(matrix) -> tuple[float, np.ndarray]:
     """Lowest eigenpair (lam, vec): dense ``eigh`` for dim <= DENSE_DIM_LIMIT,
-    else Lanczos from a fixed start vector with a residual check at ``tol``."""
+    else Lanczos from a fixed start vector with a relative residual check at
+    LANCZOS_RESIDUAL_TOL."""
     dim = matrix.shape[0]
     if dim <= DENSE_DIM_LIMIT:
         dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
@@ -212,16 +222,18 @@ def ground_state(matrix, tol: float = 1e-9) -> tuple[float, np.ndarray]:
         vals, vecs = eigsh(A, k=1, which="SA", maxiter=20000, v0=_start_vector(dim))
     except Exception as exc:
         raise NumericalError(f"Lanczos eigensolver failed: {exc}") from exc
-    lam, v = float(vals[0]), vecs[:, 0]
+    lam = float(vals[0])
+    v = vecs[:, 0]
     residual = float(np.linalg.norm(A @ v - lam * v))
-    if residual > tol * max(1.0, abs(lam)):
-        raise NumericalError(f"eigensolver residual {residual:.3e} exceeds {tol:.0e}")
+    if residual > LANCZOS_RESIDUAL_TOL * max(1.0, abs(lam)):
+        raise NumericalError(
+            f"eigensolver residual {residual:.3e} exceeds {LANCZOS_RESIDUAL_TOL:.0e}")
     return lam, v
 
 
-def ground_energy(matrix, tol: float = 1e-9) -> float:
-    """Smallest eigenvalue: ``ground_state(matrix, tol)[0]``."""
-    return ground_state(matrix, tol)[0]
+def ground_energy(matrix) -> float:
+    """Smallest eigenvalue: ``ground_state(matrix)[0]``."""
+    return ground_state(matrix)[0]
 
 
 def bogoliubov_energy(modes) -> float:
@@ -263,7 +275,8 @@ def conjugation_residual(ops: FiberOperators, kappa: float, p: float) -> float:
         + kappa**2 * ops.half_A2_plus_Hf().toarray()
     R = U.T @ H_dip @ U - target
     low = ops.basis.states.sum(axis=1) <= ops.basis.n_tot // 2
-    return float(np.linalg.norm(R[np.ix_(low, low)], 2))
+    sub = R[np.ix_(low, low)]
+    return float(np.linalg.norm(sub, 2))
 
 
 def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float,
@@ -325,7 +338,8 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
     """
     dim = ops.dim
     if dim > DENSE_EXPM_LIMIT:
-        raise NumericalError(f"dense exponentials need dim <= {DENSE_EXPM_LIMIT}, got {dim}")
+        raise NumericalError(
+            f"dense exponentials need dim <= {DENSE_EXPM_LIMIT}, got {dim}")
     e_disc = bogoliubov_energy(ops.basis.modes)
     lam, Q = eigh(fiber_hamiltonian(ops, kappa, p, eps=1.0).toarray(), driver="evd")
     decay = np.exp(np.clip(-T * (lam - kappa**2 * e_disc), -745.0, 50.0))

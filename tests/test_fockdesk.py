@@ -107,17 +107,25 @@ class TestGroundEnergy:
         assert e == pytest.approx(0.5, abs=1e-6)
 
     def test_dense_matches_bogoliubov(self):
+        # dim 1326, above DENSE_DIM_LIMIT: the Lanczos branch
         modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
         ops = build_operators(build_basis(modes, 50))
         dense = ground_energy(ops.half_A2_plus_Hf())
         assert dense == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
 
+    def test_dense_branch_matches_bogoliubov(self):
+        modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
+        ops = build_operators(build_basis(modes, 24))     # dim 325
+        assert ops.dim <= fockdesk.DENSE_DIM_LIMIT
+        dense = ground_energy(ops.half_A2_plus_Hf())
+        assert dense == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
+
 
 class TestGroundState:
-    @pytest.mark.parametrize("n_tot", [30, 44])   # dim 496 dense, 1035 Lanczos
+    @pytest.mark.parametrize("n_tot", [24, 30, 44])   # dim 325 dense; 496, 1035 Lanczos
     def test_matches_dense_eigh(self, n_tot):
         ops = build_operators(build_basis(TWO_MODE, n_tot))
-        assert (ops.dim <= fockdesk.DENSE_DIM_LIMIT) == (n_tot == 30)
+        assert (ops.dim <= fockdesk.DENSE_DIM_LIMIT) == (n_tot == 24)
         for kappa, p in ((1.0, 0.0), (4.0, 0.2)):
             H = fiber_hamiltonian(ops, kappa, p, 1.0)
             lam, vec = ground_state(H)
