@@ -1,28 +1,31 @@
 """Command-line driver: reproducible batch runs with JSON config and CSV/JSON output.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (the failing
-operation is named on stderr).  Data goes to stdout only with ``--output -``;
-diagnostics always go to stderr.  Identical config (and seed) yields
-byte-identical output: floats are printed with 17 significant digits and the
-resolved config is echoed into the output header.
+Exit codes: 0 success, 2 configuration error (bad flags, config or arguments),
+3 numerical failure (the failing operation is named on stderr).  Data goes to
+stdout only with ``--output -``; diagnostics always go to stderr.  Identical
+config (and seed) yields byte-identical output: floats are printed with 17
+significant digits and the resolved config is echoed into the output header.
+
+Each subcommand is declared once, in ``COMMANDS``.  A flag's dest is the
+config ``params`` key it overrides.  The Wiener-Hopf and Fock modules, and
+with them scipy, are imported only by the subcommands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
-from . import fockdesk, hermite, wienerhopf
+from . import hermite
 from .energy import (cutoff_energy_3d, cutoff_split_I1_I2, dipole_dispersion,
                      ground_energy, log_spectral_energy)
-from .errors import BasisSizeError, MeasureError, NumericalError, QuadratureError
+from .errors import NumericalError, QuadratureError
 from .formfactor import measure_from_json, moment_report, validate_assumptions
-
-SUBCOMMANDS = ("energy", "cutoff-scan", "wiener-hopf", "fock", "hermite-check", "validate")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,62 +47,24 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _echo_config(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-
-
-class RowWriter:
-    """Streams scan rows to CSV (row-by-row flush) or collects them for JSON."""
-
-    def __init__(self, stream, fmt_kind: str, columns, config: dict):
-        self.stream = stream
-        self.kind = fmt_kind
-        self.columns = list(columns)
-        self.config = config
-        self.rows = []
-        if self.kind == "csv":
-            self.stream.write(f"# config: {_echo_config(config)}\n")
-            self.stream.write(",".join(self.columns) + "\n")
-            self.stream.flush()
-
-    def write_row(self, row: dict):
-        if self.kind == "csv":
-            self.stream.write(",".join(fmt(row.get(c)) for c in self.columns) + "\n")
-            self.stream.flush()
-        else:
-            self.rows.append({c: row.get(c) for c in self.columns})
-
-    def finish(self):
-        if self.kind == "json":
-            json.dump({"config": self.config, "rows": self.rows},
-                      self.stream, sort_keys=True, indent=1)
-            self.stream.write("\n")
-            self.stream.flush()
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects a comma-separated float list, got {text!r}") from exc
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _parse_modes(text: str) -> list[tuple[float, float, float]]:
     modes = []
     for part in text.split(","):
-        fields = part.split(":")
+        fields = [float(v) for v in part.split(":")]
         if len(fields) not in (2, 3):
-            raise ConfigError(f"mode {part!r} must look like omega:weight[:momentum]")
-        try:
-            omega, weight = float(fields[0]), float(fields[1])
-            q = float(fields[2]) if len(fields) == 3 else 0.0
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric mode entry {part!r}") from exc
-        modes.append((omega, weight, q))
-    if not modes:
-        raise ConfigError("at least one mode is required")
+            raise ValueError(f"mode {part!r} must look like omega:weight[:momentum]")
+        modes.append(tuple(fields + [0.0] * (3 - len(fields))))
     return modes
 
+
+#: params whose flag value is text to parse after argparse
+_LIST_PARSERS = {"lambdas": _float_list, "T_ladder": _float_list,
+                 "kappa_list": _float_list, "p_list": _float_list,
+                 "modes": _parse_modes}
 
 _CONFIG_KEYS = {"subcommand", "measure", "params", "output", "format", "seed"}
 
@@ -123,14 +88,23 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _resolve(args, allowed_params: set) -> dict:
-    """Merge file config and CLI flags into the fully-resolved run config."""
+def _dest(option: str, kwargs: dict) -> str:
+    return kwargs.get("dest", option.lstrip("-").replace("-", "_"))
+
+
+def _resolve(args, **defaults) -> dict:
+    """Merge file config and CLI flags into the fully-resolved run config.
+
+    The subcommand's flags in ``COMMANDS`` name the params it accepts; a
+    flag that is given overrides its param, and ``defaults`` fill the rest.
+    """
     cfg = _load_config(args.config) if args.config else {}
     if cfg.get("subcommand", args.subcommand) != args.subcommand:
         raise ConfigError(
             f"config is for subcommand {cfg['subcommand']!r}, not {args.subcommand!r}")
     params = dict(cfg.get("params", {}))
-    unknown = set(params) - allowed_params
+    flags = {_dest(option, kwargs): option for option, kwargs in COMMANDS[args.subcommand][2]}
+    unknown = set(params) - set(flags)
     if unknown:
         raise ConfigError(f"unknown params {sorted(unknown)} for {args.subcommand}")
     resolved = {
@@ -142,6 +116,18 @@ def _resolve(args, allowed_params: set) -> dict:
     }
     if resolved["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {resolved['format']!r}")
+    for key, option in flags.items():
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key in _LIST_PARSERS:
+            try:
+                value = _LIST_PARSERS[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"{option}: {exc}") from exc
+        params[key] = value
+    for key, value in defaults.items():
+        params.setdefault(key, value)
     return resolved
 
 
@@ -151,67 +137,67 @@ def _measure_or_fail(resolved: dict):
     return measure_from_json(resolved["measure"])
 
 
-def _open_output(args):
-    if args.output == "-" or args.output is None:
-        return sys.stdout, False
-    return open(args.output, "w", encoding="utf-8"), True
+@contextlib.contextmanager
+def _output(args):
+    """The data stream: stdout for ``--output -``, else the named file."""
+    if args.output == "-":
+        yield sys.stdout
+        return
+    try:
+        stream = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {args.output}: {exc}") from exc
+    with stream:
+        yield stream
+
+
+def _write_rows(args, resolved: dict, columns, rows) -> None:
+    """Write ``rows`` (dicts; may be a generator) as CSV or as one JSON document.
+
+    CSV streams: the header goes out first and each row is flushed as soon as
+    it is computed.  JSON collects the rows under the echoed config.
+    """
+    with _output(args) as out:
+        if resolved["format"] == "json":
+            table = [{c: row.get(c) for c in columns} for row in rows]
+            json.dump({"config": resolved, "rows": table}, out, sort_keys=True, indent=1)
+            out.write("\n")
+        else:
+            echo = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+            out.write(f"# config: {echo}\n" + ",".join(columns) + "\n")
+            out.flush()
+            for row in rows:
+                out.write(",".join(fmt(row.get(c)) for c in columns) + "\n")
+                out.flush()
+        out.flush()
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
 def _cmd_validate(args) -> int:
-    resolved = _resolve(args, set())
+    resolved = _resolve(args)
     ff = _measure_or_fail(resolved)
     report = moment_report(ff)
     assumptions = validate_assumptions(ff)
-    stream, close = _open_output(args)
-    try:
-        writer = RowWriter(stream, resolved["format"],
-                           ["m_plus1", "m_minus1", "m_minus2", "m_minus3",
-                            "ir_regular", "delta_m", "m_eff", "assumptions_pass",
-                            "failures"],
-                           resolved)
-        writer.write_row({
-            "m_plus1": report.m_plus1, "m_minus1": report.m_minus1,
-            "m_minus2": report.m_minus2, "m_minus3": report.m_minus3,
-            "ir_regular": report.ir_regular, "delta_m": report.delta_m,
-            "m_eff": report.m_eff, "assumptions_pass": assumptions.passed,
-            "failures": ";".join(assumptions.failures),
-        })
-        writer.finish()
-    finally:
-        if close:
-            stream.close()
+    row = {**dataclasses.asdict(report), "assumptions_pass": assumptions.passed,
+           "failures": ";".join(assumptions.failures)}
+    _write_rows(args, resolved, list(row), [row])
     print(f"validate: m_eff={report.m_eff:.12g} ir_regular={report.ir_regular} "
           f"assumptions={'pass' if assumptions.passed else 'FAIL'}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_energy(args) -> int:
-    resolved = _resolve(args, {"kappa", "p"})
+    resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
-    if args.kappa is not None:
-        params["kappa"] = args.kappa
-    if args.p is not None:
-        params["p"] = args.p
-    params.setdefault("kappa", 1.0)
-    params.setdefault("p", 0.0)
     ff = _measure_or_fail(resolved)
     kappa, p = float(params["kappa"]), float(params["p"])
     result = ground_energy(ff)
     ls = log_spectral_energy(ff, kappa)
     disp = dipole_dispersion(ff, kappa, p)
-    stream, close = _open_output(args)
-    try:
-        writer = RowWriter(stream, resolved["format"],
-                           ["kappa", "p", "calE", "log_spectral"], resolved)
-        writer.write_row({"kappa": kappa, "p": p, "calE": result.calE,
-                          "log_spectral": ls})
-        writer.finish()
-    finally:
-        if close:
-            stream.close()
+    row = {"kappa": kappa, "p": p, "calE": result.calE, "log_spectral": ls}
+    _write_rows(args, resolved, list(row), [row])
     print(f"energy: calE={result.calE:.12g} log_spectral={ls:.12g} "
           f"dispersion(p={p},kappa={kappa})={disp:.12g} "
           f"quad_err~{result.estimated_abs_error:.1e}", file=sys.stderr)
@@ -219,51 +205,31 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_cutoff_scan(args) -> int:
-    resolved = _resolve(args, {"lambdas"})
-    if args.lam is not None:
-        resolved["params"]["lambdas"] = _parse_float_list(args.lam, "--lambda")
+    resolved = _resolve(args)
     lambdas = resolved["params"].get("lambdas")
     if not lambdas:
         raise ConfigError("cutoff-scan needs --lambda or params.lambdas")
-    lambdas = [float(v) for v in lambdas]
+    lambdas = resolved["params"]["lambdas"] = [float(v) for v in lambdas]
     if any(v <= 0 for v in lambdas):
         raise ConfigError("cutoff values must be positive")
-    resolved["params"]["lambdas"] = lambdas
 
-    stream, close = _open_output(args)
-    try:
-        writer = RowWriter(stream, resolved["format"],
-                           ["lambda", "kappa", "p", "calE",
-                            "E_over_lambda_1p5", "I1", "I2"], resolved)
+    def rows():
         for lam in lambdas:
             e = cutoff_energy_3d(lam)
-            row = {"lambda": lam, "kappa": 1.0, "p": 0.0, "calE": e,
-                   "E_over_lambda_1p5": e / lam**1.5, "I1": None, "I2": None}
-            if lam > 1.0:
-                row["I1"], row["I2"] = cutoff_split_I1_I2(lam)
-            writer.write_row(row)
-        writer.finish()
-    finally:
-        if close:
-            stream.close()
+            i1, i2 = cutoff_split_I1_I2(lam) if lam > 1.0 else (None, None)
+            yield {"lambda": lam, "kappa": 1.0, "p": 0.0, "calE": e,
+                   "E_over_lambda_1p5": e / lam**1.5, "I1": i1, "I2": i2}
+
+    _write_rows(args, resolved, ["lambda", "kappa", "p", "calE",
+                                 "E_over_lambda_1p5", "I1", "I2"], rows())
     return EXIT_OK
 
 
 def _cmd_wiener_hopf(args) -> int:
-    resolved = _resolve(args, {"T", "nodes", "kappa", "p", "T_ladder"})
+    from . import wienerhopf
+
+    resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
-    if args.T is not None:
-        params["T"] = args.T
-    if args.nodes is not None:
-        params["nodes"] = args.nodes
-    if args.kappa is not None:
-        params["kappa"] = args.kappa
-    if args.p is not None:
-        params["p"] = args.p
-    if args.T_ladder is not None:
-        params["T_ladder"] = _parse_float_list(args.T_ladder, "--T-ladder")
-    params.setdefault("kappa", 1.0)
-    params.setdefault("p", 0.0)
     ff = _measure_or_fail(resolved)
     kappa = float(params["kappa"])
     p = float(params["p"])
@@ -272,25 +238,14 @@ def _cmd_wiener_hopf(args) -> int:
     if ladder is None:
         if "T" not in params:
             raise ConfigError("wiener-hopf needs --T or --T-ladder")
-        ladder = [float(params["T"])]
+        ladder = [params["T"]]
     ladder = [float(v) for v in ladder]
 
     rows = wienerhopf.ak_convergence_report(ff, kappa, ladder, nodes)
-    stream, close = _open_output(args)
-    try:
-        writer = RowWriter(stream, resolved["format"],
-                           ["T", "n", "logdet_per_T", "ak_target", "ak_dev",
-                            "mass_fn", "mass_target", "mass_dev"], resolved)
-        for row in rows:
-            writer.write_row(row)
-        writer.finish()
-    finally:
-        if close:
-            stream.close()
+    _write_rows(args, resolved, ["T", "n", "logdet_per_T", "ak_target", "ak_dev",
+                                 "mass_fn", "mass_target", "mass_dev"], rows)
     if p != 0.0:
-        T = ladder[-1]
-        va = wienerhopf.vacuum_amplitude(ff, kappa, p, T, nodes)
-        rate = -math.log(va) / T
+        rate = wienerhopf.vacuum_rate(ff, p, rows[-1]["logdet_per_T"], rows[-1]["mass_fn"])
         print(f"wiener-hopf: -(1/T) log vacuum_amplitude = {rate:.12g} vs "
               f"dipole dispersion {dipole_dispersion(ff, kappa, p):.12g}",
               file=sys.stderr)
@@ -298,20 +253,10 @@ def _cmd_wiener_hopf(args) -> int:
 
 
 def _cmd_fock(args) -> int:
-    resolved = _resolve(args, {"modes", "ntot", "kappa_list", "p_list", "epsilon", "T"})
+    from . import fockdesk
+
+    resolved = _resolve(args)
     params = resolved["params"]
-    if args.modes is not None:
-        params["modes"] = _parse_modes(args.modes)
-    if args.ntot is not None:
-        params["ntot"] = args.ntot
-    if args.kappa_list is not None:
-        params["kappa_list"] = _parse_float_list(args.kappa_list, "--kappa-list")
-    if args.p_list is not None:
-        params["p_list"] = _parse_float_list(args.p_list, "--p-list")
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
-    if args.T is not None:
-        params["T"] = args.T
     for key in ("modes", "ntot", "kappa_list", "p_list"):
         if key not in params:
             raise ConfigError(f"fock needs {key}")
@@ -327,18 +272,8 @@ def _cmd_fock(args) -> int:
         for row in rows:
             row["semigroup_res"] = fockdesk.semigroup_wcl_residual(
                 ops, row["kappa"], row["p"], float(T))
-    stream, close = _open_output(args)
-    try:
-        writer = RowWriter(stream, resolved["format"],
-                           ["kappa", "p", "epsilon", "E_p", "E_0", "gap",
-                            "target", "gap_dev", "E0_dev", "semigroup_res"],
-                           resolved)
-        for row in rows:
-            writer.write_row(row)
-        writer.finish()
-    finally:
-        if close:
-            stream.close()
+    _write_rows(args, resolved, ["kappa", "p", "epsilon", "E_p", "E_0", "gap",
+                                 "target", "gap_dev", "E0_dev", "semigroup_res"], rows)
     return EXIT_OK
 
 
@@ -348,16 +283,15 @@ def _hermite_checks(seed: int) -> list[dict]:
     checks.append({"name": "generating_function_residual", "value": res,
                    "threshold": 1e-12, "passed": res <= 1e-12})
 
-    grid_ok = True
     worst = None
+    xs = np.arange(-5.0, 5.0 + 1e-9, 0.1)
     for n in range(0, 41):
         for a in (0.25, 1.0, 4.0):
-            for x in np.arange(-5.0, 5.0 + 1e-9, 0.1):
-                if not hermite.bound_check(n, a, float(x)):
-                    grid_ok = False
-                    worst = (n, a, float(x))
-    checks.append({"name": "bound_grid", "value": None if grid_ok else list(worst),
-                   "threshold": None, "passed": grid_ok})
+            ok = hermite.bound_check(n, a, xs)
+            if not ok.all():
+                worst = (n, a, float(xs[~ok][-1]))
+    checks.append({"name": "bound_grid", "value": None if worst is None else list(worst),
+                   "threshold": None, "passed": worst is None})
 
     worst_rel = 0.0
     for n in (0, 1, 5, 17, 33, 48, 60):
@@ -383,18 +317,14 @@ def _hermite_checks(seed: int) -> list[dict]:
 
 
 def _cmd_hermite_check(args) -> int:
-    resolved = _resolve(args, set())
+    resolved = _resolve(args)
     checks = _hermite_checks(int(resolved["seed"]))
     all_pass = all(c["passed"] for c in checks)
     report = {"config": resolved, "checks": checks, "passed": all_pass}
-    stream, close = _open_output(args)
-    try:
-        json.dump(report, stream, sort_keys=True, indent=1, default=fmt)
-        stream.write("\n")
-        stream.flush()
-    finally:
-        if close:
-            stream.close()
+    with _output(args) as out:
+        json.dump(report, out, sort_keys=True, indent=1, default=fmt)
+        out.write("\n")
+        out.flush()
     if not all_pass:
         failed = [c["name"] for c in checks if not c["passed"]]
         print(f"hermite-check: FAILED {failed}", file=sys.stderr)
@@ -405,14 +335,37 @@ def _cmd_hermite_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+_KAPPA = ("--kappa", {"type": float})
+_P = ("--p", {"type": float})
+_T = ("--T", {"type": float})
+
+#: subcommand -> (handler, help, flags), in ``--help`` order.  A flag is its
+#: option string and argparse keywords; its dest is the params key it sets.
+COMMANDS = {
+    "validate": (_cmd_validate, "moment report and assumption check", ()),
+    "energy": (_cmd_energy, "ground energy and log-spectral value", (_KAPPA, _P)),
+    "cutoff-scan": (_cmd_cutoff_scan, "d=3 sharp-cutoff energy asymptotics", (
+        ("--lambda", {"dest": "lambdas", "metavar": "LAM",
+                      "help": "comma-separated cutoff values"}),)),
+    "wiener-hopf": (_cmd_wiener_hopf, "truncated Wiener-Hopf determinant study", (
+        _T, ("--nodes", {"type": int}), _KAPPA, _P,
+        ("--T-ladder", {"help": "comma-separated increasing horizons"}))),
+    "fock": (_cmd_fock, "truncated Fock-space weak-coupling scan", (
+        ("--modes", {"help": "omega:weight:momentum, comma-separated"}),
+        ("--ntot", {"type": int}), ("--kappa-list", {}), ("--p-list", {}),
+        ("--epsilon", {"type": float}), _T)),
+    "hermite-check": (_cmd_hermite_check, "Hermite-polynomial invariant suite", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfwcl",
         description="Spectral quantities of the Pauli-Fierz model in its "
                     "weak-coupling scaling: reproducible batch computations.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
+    for name, (_, help_text, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON run configuration")
         sp.add_argument("--output", default="-",
                         help="output path; '-' writes data to stdout (default)")
@@ -420,64 +373,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default csv)")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for randomized checks")
-
-    sp = sub.add_parser("validate", help="moment report and assumption check")
-    common(sp)
-
-    sp = sub.add_parser("energy", help="ground energy and log-spectral value")
-    common(sp)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--p", type=float)
-
-    sp = sub.add_parser("cutoff-scan", help="d=3 sharp-cutoff energy asymptotics")
-    common(sp)
-    sp.add_argument("--lambda", dest="lam", help="comma-separated cutoff values")
-
-    sp = sub.add_parser("wiener-hopf", help="truncated Wiener-Hopf determinant study")
-    common(sp)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--nodes", type=int)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--T-ladder", dest="T_ladder",
-                    help="comma-separated increasing horizons")
-
-    sp = sub.add_parser("fock", help="truncated Fock-space weak-coupling scan")
-    common(sp)
-    sp.add_argument("--modes", help="omega:weight:momentum, comma-separated")
-    sp.add_argument("--ntot", type=int)
-    sp.add_argument("--kappa-list", dest="kappa_list")
-    sp.add_argument("--p-list", dest="p_list")
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--T", type=float)
-
-    sp = sub.add_parser("hermite-check", help="Hermite-polynomial invariant suite")
-    common(sp)
+        for option, kwargs in flags:
+            sp.add_argument(option, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "energy": _cmd_energy,
-    "cutoff-scan": _cmd_cutoff_scan,
-    "wiener-hopf": _cmd_wiener_hopf,
-    "fock": _cmd_fock,
-    "hermite-check": _cmd_hermite_check,
-}
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.subcommand]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
-    except (ConfigError, MeasureError, BasisSizeError) as exc:
-        print(f"{args.subcommand}: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (QuadratureError, NumericalError, OverflowError) as exc:
+        return COMMANDS[args.subcommand][0](args)
+    except (QuadratureError, NumericalError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"{args.subcommand}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        # ConfigError, MeasureError and BasisSizeError are ValueErrors, as is
+        # every argument check a computation makes
+        print(f"{args.subcommand}: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main() -> None:

@@ -86,15 +86,8 @@ class FockBasis:
     def dim(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
     def position(self, occupation) -> int:
         return self.index[tuple(int(v) for v in occupation)]
-
-    def vacuum_index(self) -> int:
-        return self.position((0,) * self.n_modes)
 
     def annihilator(self, j: int) -> sp.csr_matrix:
         """a_j in the truncated basis: a_j |n> = sqrt(n_j) |n - e_j>."""
@@ -142,15 +135,13 @@ def build_basis(modes, n_tot: int) -> FockBasis:
 
 @dataclass(frozen=True, eq=False)
 class FiberOperators:
-    """Matrices of H_f, P_f, A and N on a FockBasis, plus the dressing generator."""
+    """Matrices of H_f, P_f and A on a FockBasis, plus the dressing generator."""
 
     basis: FockBasis
     Hf: sp.csr_matrix = field(repr=False)
     Pf: sp.csr_matrix = field(repr=False)
     A: sp.csr_matrix = field(repr=False)
-    N: sp.csr_matrix = field(repr=False)
     shift_generator: sp.csr_matrix = field(repr=False)
-    couplings: tuple[float, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -177,7 +168,6 @@ def build_operators(basis: FockBasis) -> FiberOperators:
     qs = np.array([m.momentum for m in basis.modes])
     Hf = sp.diags(occ @ omegas).tocsr()
     Pf = sp.diags(occ @ qs).tocsr()
-    Nop = sp.diags(occ.sum(axis=1)).tocsr()
     dim = basis.dim
     A = sp.csr_matrix((dim, dim))
     G = sp.csr_matrix((dim, dim))
@@ -187,9 +177,8 @@ def build_operators(basis: FockBasis) -> FiberOperators:
         A = A + g / math.sqrt(2.0) * (a + a.T)
         # -i p Pi~ = (p / sqrt(2)) sum_j (g_j/omega_j) (a_j^T - a_j): real antisymmetric
         G = G + g / (mode.omega * math.sqrt(2.0)) * (a.T - a)
-    return FiberOperators(basis=basis, Hf=Hf, Pf=Pf, A=A.tocsr(), N=Nop,
-                          shift_generator=G.tocsr(),
-                          couplings=tuple(m.coupling for m in basis.modes))
+    return FiberOperators(basis=basis, Hf=Hf, Pf=Pf, A=A.tocsr(),
+                          shift_generator=G.tocsr())
 
 
 def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,

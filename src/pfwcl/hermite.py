@@ -32,18 +32,21 @@ def _check_args(n: int, a: float) -> None:
 
 
 def _hermite_ld(n: int, a, x):
-    """Recurrence evaluation in longdouble; raises OverflowError on overflow."""
+    """Recurrence evaluation in longdouble, elementwise over x (a scalar or an
+    array, in the same operation order either way); raises OverflowError on
+    overflow."""
     a = _LD(a)
-    x = _LD(x)
-    h_prev = _LD(1.0)
+    x = np.asarray(x, dtype=_LD)
+    h_prev = np.ones_like(x)
     if n == 0:
         return h_prev
     h = 2.0 * a * x
     for k in range(1, n):
         h, h_prev = 2.0 * a * x * h - 2.0 * a * _LD(k) * h_prev, h
-        if not np.isfinite(h):
-            raise OverflowError(
-                f"H_{k + 1}(a={float(a)}, x={float(x)}) overflowed extended precision")
+        finite = np.isfinite(h)
+        if not finite.all():
+            raise OverflowError(f"H_{k + 1}(a={float(a)}, x={float(x[~finite][0])}) "
+                                "overflowed extended precision")
     return h
 
 
@@ -111,13 +114,14 @@ def hermite_bound(n: int, a: float, x: float) -> float:
             + 0.5 * a * x * x)
 
 
-def bound_check(n: int, a: float, x: float) -> bool:
-    """True iff |H_n(a, x)| <= a^{n/2} sqrt(2^n n!) exp(a x^2 / 2)."""
+def bound_check(n: int, a: float, x):
+    """True iff |H_n(a, x)| <= a^{n/2} sqrt(2^n n!) exp(a x^2 / 2); elementwise
+    for an array x."""
     _check_args(n, a)
-    h = _hermite_ld(n, a, x)
-    if h == 0:
-        return True
-    return float(np.log(abs(h))) <= hermite_bound(n, a, x) * (1.0 + 1e-14) + 1e-14
+    h = np.abs(_hermite_ld(n, a, x))
+    with np.errstate(divide="ignore"):      # h == 0 gives log -inf: within the bound
+        log_h = np.log(h).astype(float)
+    return log_h <= hermite_bound(n, a, np.asarray(x, dtype=float)) * (1.0 + 1e-14) + 1e-14
 
 
 def generating_operator_residual(S: np.ndarray, a: float, x: float,

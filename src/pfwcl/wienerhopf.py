@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
-from .energy import SpectralFunctions, log_spectral_energy
+from .energy import SpectralFunctions, _effective_component_count, log_spectral_energy
 from .errors import NumericalError
 from .formfactor import RadialMeasure, moment_report
 from .quadrature import _gl_rule
@@ -93,10 +93,6 @@ class WienerHopfGrid:
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise NumericalError(f"eigendecomposition failed: {exc}") from exc
         return self._eigs
-
-    def psd_defect(self) -> float:
-        """Most negative eigenvalue of M (should be >= -1e-10 * ||M||)."""
-        return float(self.eigenvalues()[0])
 
 
 def build_grid(ff: RadialMeasure, kappa: float, T: float, n: int | None = None) -> WienerHopfGrid:
@@ -168,19 +164,25 @@ def mass_functional(grid: WienerHopfGrid) -> float:
     return float(grid.weights @ u) / grid.T
 
 
+def vacuum_rate(ff: RadialMeasure, p: float, logdet_per_T: float, mass_fn: float) -> float:
+    """-(1/T) log of the vacuum amplitude from one horizon's two values:
+
+        (d_eff/2) (1/T) log det(1 + kappa^2 C_T) + (p^2/2) mass_functional,
+
+    so a ladder row gives the rate without building its grid again.
+    """
+    return 0.5 * _effective_component_count(ff) * logdet_per_T + 0.5 * p * p * mass_fn
+
+
 def vacuum_amplitude(ff: RadialMeasure, kappa: float, p: float, T: float,
                      n: int | None = None) -> float:
-    """(Omega, exp(-T H_dip,kappa(p)) Omega) from the determinant formula.
-
-    Equals exp(-(d_eff/2) log det(1 + kappa^2 C_T)) *
-    exp(-(1/2) p^2 T * mass_functional) by construction; -(1/T) log of it
-    approaches dipole_dispersion(ff, kappa, p) as T grows.
+    """(Omega, exp(-T H_dip,kappa(p)) Omega) = exp(-T vacuum_rate) from the
+    determinant formula; the rate approaches dipole_dispersion(ff, kappa, p)
+    as T grows.
     """
     grid = build_grid(ff, kappa, T, n)
-    d_eff = 1 if ff.is_discrete else ff.dimension
-    ld = log_det(grid)
-    quad_form = p * p * grid.T * mass_functional(grid)
-    return math.exp(-0.5 * d_eff * ld - 0.5 * quad_form)
+    rate = vacuum_rate(ff, p, log_det(grid) / grid.T, mass_functional(grid))
+    return math.exp(-grid.T * rate)
 
 
 def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list,
@@ -192,6 +194,8 @@ def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list,
     against the log-spectral target and the mass functional against 1/m_eff.
     """
     T_list = list(T_list)
+    if not T_list:
+        raise ValueError("T_list must be nonempty")
     if any(b <= a for a, b in zip(T_list[:-1], T_list[1:])):
         raise ValueError("T_list must be increasing")
     ak_target = log_spectral_energy(ff, kappa)

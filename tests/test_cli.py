@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,7 +207,76 @@ class TestDeterminism:
         assert doc["rows"][0]["calE"] == pytest.approx(1.6774049184, rel=1e-9)
 
 
-def test_cli_import_skips_scipy_interpolate():
-    code = "import sys, pfwcl.cli; print('scipy.interpolate' in sys.modules)"
+def test_cli_import_skips_scipy():
+    # only fock and wiener-hopf need scipy; they import it when they run
+    code = "import sys, pfwcl.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = run_python(["-c", code]).decode()
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, params, key, expected", [
+    (["energy", "--kappa", "2"], {"kappa": 0.5}, "kappa", 2.0),
+    (["cutoff-scan", "--lambda", "3,4"], {"lambdas": [1.0]}, "lambdas", [3.0, 4.0]),
+    (["fock", "--modes", "1:3", "--ntot", "4", "--kappa-list", "1", "--p-list", "0"],
+     {"modes": [[2.0, 1.0, 0.0]]}, "modes", [[1.0, 3.0, 0.0]]),
+])
+def test_flag_overrides_config_param(tmp_path, argv, params, key, expected):
+    cfg = write_config(tmp_path, "cfg.json", {"measure": PM_MEASURE, "params": params})
+    out = tmp_path / "out.json"
+    assert run([*argv, "--config", cfg, "--format", "json", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["params"][key] == expected
+
+
+FOCK_ARGS = ["fock", "--modes", "1:3:0", "--kappa-list", "1", "--p-list", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    FOCK_ARGS + ["--ntot", "0"],
+    FOCK_ARGS + ["--ntot", "4", "--epsilon", "2"],
+    FOCK_ARGS + ["--ntot", "4", "--kappa-list", ","],
+    FOCK_ARGS + ["--ntot", "4", "--kappa-list", "a"],
+    ["wiener-hopf", "--config", "{cfg}", "--T", "-1"],
+    ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "10,5"],
+    ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "5,x"],
+    ["wiener-hopf", "--config", "{cfg}", "--T-ladder", ",", "--p", "1"],
+    ["energy", "--config", "{bad_cfg}"],
+    ["validate", "--config", "{cfg}", "--output", "{missing}"],
+], ids=" ".join)
+def test_bad_input_exits_two(tmp_path, capsys, argv):
+    paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
+             "bad_cfg": write_config(tmp_path, "bad.json",
+                                     {"measure": PM_MEASURE, "params": {"kappa": "abc"}}),
+             "missing": str(tmp_path / "no_such_dir" / "x.csv")}
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if "{missing}" in argv:
+        assert paths["missing"] in err
+
+
+def test_wiener_hopf_vacuum_rate_from_ladder_row(tmp_path, capsys):
+    # the amplitude itself underflows to 0 here; the rate comes from the row
+    cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
+    out = tmp_path / "wh.csv"
+    assert run(["wiener-hopf", "--config", cfg, "--T", "20", "--p", "20",
+                "--output", str(out)]) == 0
+    header, row = out.read_text().splitlines()[1:3]
+    cells = {k: float(v) for k, v in zip(header.split(","), row.split(","))}
+    err = capsys.readouterr().err
+    rate = float(err.split("vacuum_amplitude = ")[1].split()[0])
+    expected = 0.5 * cells["logdet_per_T"] + 0.5 * 20.0**2 * cells["mass_fn"]
+    assert rate == pytest.approx(expected, rel=1e-12)
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("pfwcl ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(
+        section.split("```json", 1)[1].split("```", 1)[0])
+    for argv in commands:
+        assert run(argv) == 0, argv

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,9 +95,20 @@ class TestBound:
         assert bound_check(0, 2.0, 1.5)
 
     def test_full_grid(self):
+        # the array call must agree elementwise with the scalar calls
         xs = np.arange(-5.0, 5.0 + 1e-9, 0.1)
-        assert all(bound_check(n, a, float(x))
-                   for n in range(41) for a in (0.25, 1.0, 4.0) for x in xs)
+        for n in range(41):
+            for a in (0.25, 1.0, 4.0):
+                scalar = [bound_check(n, a, float(x)) for x in xs]
+                assert all(scalar)
+                assert list(bound_check(n, a, xs)) == scalar
+
+    def test_zero_value_without_divide_warning(self):
+        # H_1(a, 0) = H_3(a, 0) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bound_check(1, 1.0, 0.0)
+            assert bound_check(3, 2.0, np.array([0.0, 1.0])).all()
 
     def test_small_case_by_hand(self):
         # |H_1(1,1)| = 2 <= sqrt(2) e^{1/2} ~ 2.33
