@@ -66,7 +66,7 @@ _LIST_PARSERS = {"lambdas": _float_list, "T_ladder": _float_list,
                  "kappa_list": _float_list, "p_list": _float_list,
                  "modes": _parse_modes}
 
-_CONFIG_KEYS = {"subcommand", "measure", "params", "output", "format", "seed"}
+_CONFIG_KEYS = {"subcommand", "measure", "params", "format", "seed"}
 
 
 def _load_config(path: str) -> dict:
@@ -131,6 +131,18 @@ def _resolve(args, **defaults) -> dict:
     return resolved
 
 
+def _param(params: dict, key: str, convert):
+    """``convert(params[key])``; a value it rejects is a ConfigError naming the field."""
+    try:
+        return convert(params[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params.{key}: {exc}") from exc
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
 def _measure_or_fail(resolved: dict):
     if resolved["measure"] is None:
         raise ConfigError("a 'measure' object is required (JSON schema: docs/measure_schema.md)")
@@ -192,7 +204,7 @@ def _cmd_energy(args) -> int:
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
     ff = _measure_or_fail(resolved)
-    kappa, p = float(params["kappa"]), float(params["p"])
+    kappa, p = _param(params, "kappa", float), _param(params, "p", float)
     result = ground_energy(ff)
     ls = log_spectral_energy(ff, kappa)
     disp = dipole_dispersion(ff, kappa, p)
@@ -209,7 +221,7 @@ def _cmd_cutoff_scan(args) -> int:
     lambdas = resolved["params"].get("lambdas")
     if not lambdas:
         raise ConfigError("cutoff-scan needs --lambda or params.lambdas")
-    lambdas = resolved["params"]["lambdas"] = [float(v) for v in lambdas]
+    lambdas = resolved["params"]["lambdas"] = _param(resolved["params"], "lambdas", _floats)
     if any(v <= 0 for v in lambdas):
         raise ConfigError("cutoff values must be positive")
 
@@ -231,19 +243,23 @@ def _cmd_wiener_hopf(args) -> int:
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
     ff = _measure_or_fail(resolved)
-    kappa = float(params["kappa"])
-    p = float(params["p"])
-    nodes = int(params["nodes"]) if "nodes" in params else None
-    ladder = params.get("T_ladder")
-    if ladder is None:
-        if "T" not in params:
-            raise ConfigError("wiener-hopf needs --T or --T-ladder")
-        ladder = [params["T"]]
-    ladder = [float(v) for v in ladder]
+    kappa, p = _param(params, "kappa", float), _param(params, "p", float)
+    nodes = _param(params, "nodes", int) if "nodes" in params else None
+    if params.get("T_ladder") is not None:
+        ladder = _param(params, "T_ladder", _floats)
+    elif "T" in params:
+        ladder = [_param(params, "T", float)]
+    else:
+        raise ConfigError("wiener-hopf needs --T or --T-ladder")
 
     rows = wienerhopf.ak_convergence_report(ff, kappa, ladder, nodes)
     _write_rows(args, resolved, ["T", "n", "logdet_per_T", "ak_target", "ak_dev",
                                  "mass_fn", "mass_target", "mass_dev"], rows)
+    for i, row in enumerate(rows, 1):
+        if nodes is None and row["n"] < wienerhopf.DEFAULT_NODES_PER_UNIT_T * row["T"]:
+            print(f"wiener-hopf: NODE_CAP {wienerhopf.NODE_CAP} binds at rung {i}: "
+                  f"T={row['T']:.12g} has n={row['n']}, below "
+                  f"{wienerhopf.DEFAULT_NODES_PER_UNIT_T} nodes per unit T", file=sys.stderr)
     if p != 0.0:
         rate = wienerhopf.vacuum_rate(ff, p, rows[-1]["logdet_per_T"], rows[-1]["mass_fn"])
         print(f"wiener-hopf: -(1/T) log vacuum_amplitude = {rate:.12g} vs "
@@ -260,18 +276,18 @@ def _cmd_fock(args) -> int:
     for key in ("modes", "ntot", "kappa_list", "p_list"):
         if key not in params:
             raise ConfigError(f"fock needs {key}")
-    modes = [tuple(float(x) for x in m) for m in params["modes"]]
-    eps = float(params.get("epsilon", 1.0))
-    T = params.get("T")
-    basis = fockdesk.build_basis(modes, int(params["ntot"]))
+    modes = _param(params, "modes", lambda ms: [tuple(_floats(m)) for m in ms])
+    eps = _param(params, "epsilon", float) if "epsilon" in params else 1.0
+    T = _param(params, "T", float) if params.get("T") is not None else None
+    kappas = _param(params, "kappa_list", _floats)
+    ps = _param(params, "p_list", _floats)
+    basis = fockdesk.build_basis(modes, _param(params, "ntot", int))
     ops = fockdesk.build_operators(basis)
-    kappas = [float(v) for v in params["kappa_list"]]
-    ps = [float(v) for v in params["p_list"]]
     rows = fockdesk.wcl_scan(ops, kappas, ps, eps)
     if T is not None:
         for row in rows:
             row["semigroup_res"] = fockdesk.semigroup_wcl_residual(
-                ops, row["kappa"], row["p"], float(T))
+                ops, row["kappa"], row["p"], T)
     _write_rows(args, resolved, ["kappa", "p", "epsilon", "E_p", "E_0", "gap",
                                  "target", "gap_dev", "E0_dev", "semigroup_res"], rows)
     return EXIT_OK

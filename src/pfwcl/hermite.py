@@ -11,7 +11,10 @@ since a^{(k+1)/2} H_{k+1}(1, y) = 2 a x * a^{k/2} H_k(1, y)
 
 All scalar evaluation accumulates in 80-bit extended precision with
 compensated summation so the explicit sum and the recurrence agree to 1e-12
-relative on the working box n <= 60, |x| <= 10, a <= 10.
+relative on the working box n <= 60, |x| <= 10, a <= 10.  Where numpy's
+longdouble is plain double (a 52-bit mantissa, as on Windows and macOS/arm64)
+that agreement fails, and the extended-precision routines raise
+NumericalError instead of returning less accurate values.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import NumericalError
 
 _LD = np.longdouble
 
@@ -31,10 +36,20 @@ def _check_args(n: int, a: float) -> None:
         raise ValueError(f"parameter a must be positive, got {a}")
 
 
+def _require_extended() -> None:
+    nmant = np.finfo(_LD).nmant
+    if nmant < 63:
+        raise NumericalError(
+            f"numpy.longdouble has a {nmant}-bit mantissa on this platform; the Hermite "
+            "routines need 80-bit extended precision (63 bits) for the 1e-12 "
+            "recurrence-versus-explicit agreement")
+
+
 def _hermite_ld(n: int, a, x):
     """Recurrence evaluation in longdouble, elementwise over x (a scalar or an
     array, in the same operation order either way); raises OverflowError on
     overflow."""
+    _require_extended()
     a = _LD(a)
     x = np.asarray(x, dtype=_LD)
     h_prev = np.ones_like(x)
@@ -87,6 +102,7 @@ def generating_function_residual(a: float, x: float, t: float, N: int) -> float:
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     _check_args(0, a)
+    _require_extended()
     a_ld, x_ld, t_ld = _LD(a), _LD(x), _LD(t)
     h_prev = _LD(1.0)
     h = 2.0 * a_ld * x_ld

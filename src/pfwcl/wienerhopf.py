@@ -5,11 +5,18 @@ the energy module, the exact sum over the measure's radial rule
 
     rho(tau) = sum_k w_k / (2 r_k) exp(-kappa^2 r_k |tau|).
 
-The kernel matrix is symmetrized as M_ij = sqrt(w_i) rho(t_i - t_j) sqrt(w_j)
-so determinants and quadratic forms come from a symmetric eigenproblem /
-Cholesky solve.  The panels have equal width, so M is block Toeplitz: rho is
-evaluated once per panel distance and node pair, and each block is written
-together with its transpose, which makes M exactly symmetric.
+The kernel matrix is symmetrized as M_ij = sqrt(w_i) rho(t_i - t_j) sqrt(w_j);
+one Cholesky factor U of 1 + kappa^2 M gives log det = 2 sum log diag U and
+the u_T solve.  The panels have equal width, so M is block Toeplitz (rho is
+evaluated once per panel distance and node pair) and exactly symmetric.
+Horizons of one panel width share their leading nodes, weights and entries
+bit for bit, so a T-ladder factors one grid per width and reads each horizon
+from a leading block, whose U is the leading block of the full U.
+
+M must be PSD up to min eig >= -PSD_EIG_TOL max |eig|.  A Cholesky of
+M + (PSD_EIG_TOL/2) max(diag M) that succeeds certifies it, as max diag M <=
+lambda_max, and by Cauchy interlacing for every leading block of whole panels
+(same max diag M).  Where it fails, the eigenvalues decide.
 
 Verified limits (both as T -> infinity):
 
@@ -48,9 +55,13 @@ def default_node_count(T: float) -> int:
         DEFAULT_NODES_PER_UNIT_T * T / PANEL_ORDER)))
 
 
+def _panel_count(n: int) -> int:
+    return max(1, math.ceil(n / PANEL_ORDER))
+
+
 def composite_gauss_nodes(T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width composite Gauss-Legendre rule with >= n nodes on [0, T]; sum(w) = T."""
-    panels = max(1, math.ceil(n / PANEL_ORDER))
+    panels = _panel_count(n)
     h = T / panels
     x, w = _gl_rule(PANEL_ORDER)
     nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) * h).ravel()
@@ -85,6 +96,8 @@ class WienerHopfGrid:
     M: np.ndarray
     _eigs: np.ndarray | None = field(default=None, repr=False)
     _cho: tuple | None = field(default=None, repr=False)
+    _full: WienerHopfGrid | None = field(default=None, repr=False)
+    _psd_certified: bool | None = field(default=None, repr=False)
 
     def eigenvalues(self) -> np.ndarray:
         if self._eigs is None:
@@ -93,6 +106,12 @@ class WienerHopfGrid:
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise NumericalError(f"eigendecomposition failed: {exc}") from exc
         return self._eigs
+
+    def leading(self, T: float, n: int) -> WienerHopfGrid:
+        """Horizon T on the first n nodes (whole panels): a view sharing M and U."""
+        return WienerHopfGrid(ff=self.ff, kappa=self.kappa, T=T, n=n, nodes=self.nodes[:n],
+                              weights=self.weights[:n], M=self.M[:n, :n],
+                              _full=self._full or self)
 
 
 def build_grid(ff: RadialMeasure, kappa: float, T: float, n: int | None = None) -> WienerHopfGrid:
@@ -118,28 +137,48 @@ def build_grid(ff: RadialMeasure, kappa: float, T: float, n: int | None = None) 
                           nodes=nodes, weights=weights, M=M)
 
 
-def log_det(grid: WienerHopfGrid) -> float:
-    """log det(1 + kappa^2 C_T) >= 0 via the symmetric eigendecomposition."""
-    if grid.kappa == 0.0:
-        return 0.0
-    lams = grid.eigenvalues()
-    scale = max(abs(float(lams[0])), abs(float(lams[-1])), 1e-300)
-    if float(lams[0]) < -PSD_EIG_TOL * scale:
-        raise NumericalError(
-            f"kernel matrix not numerically PSD: min eigenvalue {lams[0]:.3e} "
-            f"below -{PSD_EIG_TOL:.0e} * {scale:.3e}")
-    clipped = np.clip(lams, 0.0, None)
-    return float(np.sum(np.log1p(grid.kappa**2 * clipped)))
+def _check_psd(grid: WienerHopfGrid) -> None:
+    """Raise NumericalError unless min eig M >= -PSD_EIG_TOL * max |eig M|."""
+    full = grid._full or grid
+    if full._psd_certified is None:
+        A = full.M.copy()
+        A.flat[::full.n + 1] += 0.5 * PSD_EIG_TOL * float(np.max(np.diag(full.M)))
+        try:  # A is exactly symmetric: A.T is A in Fortran order, factored in place
+            cho_factor(A.T, overwrite_a=True)
+            full._psd_certified = True
+        except np.linalg.LinAlgError:
+            full._psd_certified = False
+    if not full._psd_certified:
+        lams = grid.eigenvalues()
+        scale = max(abs(float(lams[0])), abs(float(lams[-1])), 1e-300)
+        if float(lams[0]) < -PSD_EIG_TOL * scale:
+            raise NumericalError(
+                f"kernel matrix not numerically PSD: min eigenvalue {lams[0]:.3e} "
+                f"below -{PSD_EIG_TOL:.0e} * {scale:.3e}")
 
 
 def _cholesky(grid: WienerHopfGrid):
+    """(U, False) with U^T U = 1 + kappa^2 M; a leading view reads its block."""
+    if grid._cho is None and grid._full is not None:
+        c, lower = _cholesky(grid._full)
+        grid._cho = (c[:grid.n, :grid.n], lower)
     if grid._cho is None:
-        A = np.eye(grid.n) + grid.kappa**2 * grid.M
+        A = grid.kappa**2 * grid.M
+        A.flat[::grid.n + 1] += 1.0
         try:
-            grid._cho = cho_factor(A)
+            grid._cho = cho_factor(A.T, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Cholesky of 1 + kappa^2 M failed: {exc}") from exc
     return grid._cho
+
+
+def log_det(grid: WienerHopfGrid) -> float:
+    """log det(1 + kappa^2 C_T) = 2 sum log diag U, after the PSD check of M."""
+    if grid.kappa == 0.0:
+        return 0.0
+    _check_psd(grid)
+    c, _ = _cholesky(grid)
+    return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
 def solve_uT(grid: WienerHopfGrid) -> np.ndarray:
@@ -192,6 +231,7 @@ def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list,
     ``n`` fixes the node count for every horizon; by default the count scales
     as 40 nodes per unit T (capped).  Rows carry the log-determinant rate
     against the log-spectral target and the mass functional against 1/m_eff.
+    Horizons of one panel width share the grid of the largest of them.
     """
     T_list = list(T_list)
     if not T_list:
@@ -200,18 +240,18 @@ def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list,
         raise ValueError("T_list must be increasing")
     ak_target = log_spectral_energy(ff, kappa)
     mass_target = 1.0 / moment_report(ff).m_eff
-    rows = []
+    widths = {}
     for T in T_list:
-        grid = build_grid(ff, kappa, T, n)
-        rate = log_det(grid) / grid.T
-        mass = mass_functional(grid)
-        rows.append({
-            "T": T, "n": grid.n,
-            "logdet_per_T": rate,
-            "ak_target": ak_target,
-            "ak_dev": rate - ak_target,
-            "mass_fn": mass,
-            "mass_target": mass_target,
-            "mass_dev": mass - mass_target,
-        })
-    return rows
+        n_T = default_node_count(T) if n is None else n
+        widths.setdefault(T / _panel_count(n_T), []).append((T, n_T))
+    rows = {}
+    for rungs in widths.values():
+        grid = build_grid(ff, kappa, *rungs[-1])
+        for T, n_T in rungs:
+            rung = grid.leading(T, PANEL_ORDER * _panel_count(n_T))
+            rate = log_det(rung) / T
+            mass = mass_functional(rung)
+            rows[T] = {"T": T, "n": rung.n, "logdet_per_T": rate, "ak_target": ak_target,
+                       "ak_dev": rate - ak_target, "mass_fn": mass,
+                       "mass_target": mass_target, "mass_dev": mass - mass_target}
+    return [rows[T] for T in T_list]

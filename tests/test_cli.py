@@ -72,6 +72,14 @@ class TestEnergy:
                            {"measure": PM_MEASURE, "bogus": 1})
         assert run(["energy", "--config", cfg]) == 2
 
+    def test_output_config_key_rejected(self, tmp_path, capsys):
+        # the data path is --output only; a config "output" used to be ignored
+        cfg = write_config(tmp_path, "out.json",
+                           {"measure": PM_MEASURE, "output": str(tmp_path / "o.csv")})
+        assert run(["validate", "--config", cfg]) == 2
+        assert "unknown config keys ['output']" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_param_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "odd2.json",
                            {"measure": PM_MEASURE, "params": {"kapa": 2.0}})
@@ -103,6 +111,20 @@ class TestWienerHopf:
         assert lines[1] == ("T,n,logdet_per_T,ak_target,ak_dev,"
                             "mass_fn,mass_target,mass_dev")
         assert len(lines) == 4
+
+    def test_node_cap_warns_on_stderr(self, tmp_path, capsys, monkeypatch):
+        from pfwcl import wienerhopf
+        cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
+        monkeypatch.setattr(wienerhopf, "NODE_CAP", 80)
+        out = tmp_path / "wh.csv"
+        assert run(["wiener-hopf", "--config", cfg, "--T-ladder", "1,2,4",
+                    "--output", str(out)]) == 0
+        # one line, for the capped rung only
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "NODE_CAP" in line]
+        assert warnings == ["wiener-hopf: NODE_CAP 80 binds at rung 3: T=4 has n=80, "
+                            "below 40 nodes per unit T"]
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [(r[0], r[1]) for r in rows] == [("1", "40"), ("2", "80"), ("4", "80")]
 
     def test_requires_horizon(self, tmp_path):
         cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
@@ -252,6 +274,18 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert "configuration error" in err
     if "{missing}" in argv:
         assert paths["missing"] in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["energy"], "kappa"),
+    (["wiener-hopf", "--T", "5"], "nodes"),
+    (FOCK_ARGS, "ntot"),
+    (FOCK_ARGS + ["--ntot", "4"], "epsilon"),
+])
+def test_bad_param_names_its_field(tmp_path, capsys, argv, key):
+    cfg = write_config(tmp_path, "cfg.json", {"measure": PM_MEASURE, "params": {key: "abc"}})
+    assert run([*argv, "--config", cfg]) == 2
+    assert f"configuration error: params.{key}: " in capsys.readouterr().err
 
 
 def test_wiener_hopf_vacuum_rate_from_ladder_row(tmp_path, capsys):

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+from pfwcl import hermite as hermite_module
+from pfwcl.cli import run
+from pfwcl.errors import NumericalError
 from pfwcl.hermite import (bound_check, generating_function_residual,
                            generating_operator_residual, hermite,
                            hermite_explicit)
@@ -70,6 +73,17 @@ class TestEvaluation:
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             hermite(900, 10.0, 10.0)
+
+    def test_plain_double_longdouble_refused(self, monkeypatch, capsys):
+        # where longdouble is double the 1e-12 recurrence guarantee fails
+        monkeypatch.setattr(hermite_module, "_LD", np.float64)
+        for call in (lambda: hermite(5, 1.0, 0.3), lambda: bound_check(5, 1.0, [0.3]),
+                     lambda: generating_function_residual(0.5, 0.3, 0.7, 10)):
+            with pytest.raises(NumericalError, match="52-bit mantissa"):
+                call()
+        assert hermite_explicit(2, 1.0, 0.5) == -1.0
+        assert run(["hermite-check"]) == 3
+        assert "52-bit mantissa" in capsys.readouterr().err
 
 
 class TestGeneratingFunction:

@@ -3,12 +3,48 @@ import math
 import numpy as np
 import pytest
 
+from pfwcl import wienerhopf
 from pfwcl.energy import dipole_dispersion, log_spectral_energy
+from pfwcl.errors import NumericalError
 from pfwcl.formfactor import PointMasses, RadialMeasure
-from pfwcl.wienerhopf import (ak_convergence_report, build_grid, log_det,
-                              mass_functional, solve_uT, vacuum_amplitude)
+from pfwcl.wienerhopf import (PSD_EIG_TOL, WienerHopfGrid, ak_convergence_report,
+                              build_grid, log_det, mass_functional, solve_uT,
+                              vacuum_amplitude)
 
 NULL = RadialMeasure(3, PointMasses([]))
+REF_LADDER = [10.0, 20.0, 40.0, 80.0]
+
+
+def atom_logdet_exact(omega, weight, kappa, T):
+    """Closed-form log det(1 + kappa^2 C_T) of a single atom (omega, weight):
+    (b - a) T + log((a + b)^2 / (4 a b)) + log(1 - ((b - a)/(b + a))^2 e^{-2 b T})
+    with a = kappa^2 omega and b = sqrt(a^2 + kappa^2 weight a / omega)."""
+    a = kappa * kappa * omega
+    b = math.sqrt(a * a + kappa * kappa * weight * a / omega)
+    return ((b - a) * T + math.log((a + b) ** 2 / (4.0 * a * b))
+            + math.log1p(-((b - a) / (b + a)) ** 2 * math.exp(-2.0 * b * T)))
+
+
+def spy_calls(monkeypatch, names=("build_grid", "cho_factor", "eigvalsh")):
+    """Count the calls wienerhopf makes to each of ``names``."""
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(wienerhopf, name, spy(name, getattr(wienerhopf, name)))
+    return calls
+
+
+def hand_grid(ff, M, kappa=1.0):
+    """A grid around a given symmetric matrix, for the PSD check."""
+    n = len(M)
+    return WienerHopfGrid(ff=ff, kappa=kappa, T=float(n), n=n, nodes=np.arange(n) + 0.5,
+                          weights=np.ones(n), M=np.asarray(M, dtype=float))
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +198,76 @@ class TestAkReport:
     def test_decreasing_T_rejected(self, pm_atom):
         with pytest.raises(ValueError):
             ak_convergence_report(pm_atom, 1.0, [10.0, 5.0])
+
+
+@pytest.fixture(scope="module")
+def atom_ladder(pm_atom):
+    return ak_convergence_report(pm_atom, 1.0, REF_LADDER)
+
+
+class TestNestedLadder:
+    """A ladder factors one grid per panel width and reads rungs as leading blocks."""
+
+    def test_atom_rungs_meet_closed_form(self, atom_ladder):
+        for row in atom_ladder:
+            exact = atom_logdet_exact(1.0, 3.0, 1.0, row["T"])
+            assert abs(row["logdet_per_T"] - exact / row["T"]) <= 2.2e-4
+
+    def test_rows_equal_independent_rungs(self, pm_atom, atom_ladder):
+        for row in atom_ladder:
+            grid = build_grid(pm_atom, 1.0, row["T"])
+            assert row["n"] == grid.n
+            assert row["logdet_per_T"] == pytest.approx(log_det(grid) / row["T"], rel=1e-13)
+            assert row["mass_fn"] == pytest.approx(mass_functional(grid), rel=1e-13)
+
+    def test_leading_block_is_the_smaller_grid(self, pm_atom):
+        full = build_grid(pm_atom, 1.0, 20.0)
+        rung, alone = full.leading(10.0, 400), build_grid(pm_atom, 1.0, 10.0)
+        for attr in ("nodes", "weights", "M"):
+            assert np.array_equal(getattr(rung, attr), getattr(alone, attr))
+        assert np.shares_memory(rung.M, full.M)
+
+    def test_default_ladder_one_build_two_factorizations(self, pm_atom, monkeypatch):
+        calls = spy_calls(monkeypatch)
+        ak_convergence_report(pm_atom, 1.0, REF_LADDER)
+        # the PSD certificate and 1 + kappa^2 M, both on the T = 80 grid
+        assert calls == {"build_grid": 1, "cho_factor": 2, "eigvalsh": 0}
+
+    def test_fixed_nodes_build_every_rung(self, pm_atom, monkeypatch):
+        calls = spy_calls(monkeypatch)
+        rows = ak_convergence_report(pm_atom, 1.0, [5.0, 10.0, 20.0], n=160)
+        assert calls == {"build_grid": 3, "cho_factor": 6, "eigvalsh": 0}
+        assert [r["n"] for r in rows] == [160] * 3
+
+    def test_node_cap_splits_the_group(self, pm_atom, monkeypatch):
+        # T = 1, 2 keep 0.2 wide panels; the cap halves T = 4's density
+        monkeypatch.setattr(wienerhopf, "NODE_CAP", 80)
+        calls = spy_calls(monkeypatch, ("build_grid",))
+        rows = ak_convergence_report(pm_atom, 1.0, [1.0, 2.0, 4.0])
+        assert calls["build_grid"] == 2
+        assert [r["n"] for r in rows] == [40, 80, 80]
+        grid = build_grid(pm_atom, 1.0, 4.0, 80)
+        assert rows[2]["logdet_per_T"] == log_det(grid) / 4.0
+
+
+class TestPsdCheck:
+    def test_indefinite_matrix_names_min_eigenvalue(self, pm_atom):
+        grid = hand_grid(pm_atom, [[1.0, 0.0], [0.0, -0.5]])
+        with pytest.raises(NumericalError, match="min eigenvalue -5.000e-01"):
+            log_det(grid)
+
+    def test_certificate_failure_falls_back_to_eigenvalues(self, pm_atom, monkeypatch):
+        # lambda_min sits between -PSD_EIG_TOL * scale (accepted, as before)
+        # and -PSD_EIG_TOL/2 * max diag M (where the certificate stops)
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        lams = np.array([-1.2e-10, 0.3, 0.5, 1.0, 1.5, 2.0])
+        M = Q @ np.diag(lams) @ Q.T
+        M = 0.5 * (M + M.T)
+        exact = np.linalg.eigvalsh(M)
+        assert -PSD_EIG_TOL * exact[-1] < exact[0] < -0.5 * PSD_EIG_TOL * np.max(np.diag(M))
+        calls = spy_calls(monkeypatch, ("cho_factor", "eigvalsh"))
+        ld = log_det(hand_grid(pm_atom, M))
+        assert calls == {"cho_factor": 2, "eigvalsh": 1}
+        # the factor keeps the tolerated negative eigenvalue: log(1 - 1.2e-10)
+        assert ld == pytest.approx(float(np.sum(np.log1p(exact))), rel=1e-13)
