@@ -13,7 +13,7 @@ from pfwcl import PointMasses, RadialMeasure, ground_energy, log_spectral_energy
 from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
                             fiber_hamiltonian)
 from pfwcl.fockdesk import ground_energy as fock_ground
-from pfwcl.wienerhopf import build_grid, log_det
+from pfwcl.wienerhopf import log_det
 
 atom = (1.0, 3.0)
 measure = RadialMeasure(3, PointMasses([atom]))
@@ -30,8 +30,7 @@ routes["Bogoliubov closed form"] = bogoliubov_energy([atom])
 ops = build_operators(build_basis([atom + (0.0,)], 60))
 routes["truncated Fock (N_tot=60)"] = fock_ground(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))
 
-grid = build_grid(measure, 1.0, 40.0, 1600)
-routes["(1/2T) log det, T=40"] = log_det(grid) / 80.0
+routes["(1/2T) log det, T=40"] = log_det(measure, 1.0, 40.0) / 80.0
 
 width = max(len(k) for k in routes)
 for name, value in routes.items():

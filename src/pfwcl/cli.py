@@ -207,7 +207,7 @@ def _cmd_energy(args) -> int:
     kappa, p = _param(params, "kappa", float), _param(params, "p", float)
     result = ground_energy(ff)
     ls = log_spectral_energy(ff, kappa)
-    disp = dipole_dispersion(ff, kappa, p)
+    disp = dipole_dispersion(ff, kappa, p, cal_e=result.calE)
     row = {"kappa": kappa, "p": p, "calE": result.calE, "log_spectral": ls}
     _write_rows(args, resolved, list(row), [row])
     print(f"energy: calE={result.calE:.12g} log_spectral={ls:.12g} "
@@ -244,7 +244,6 @@ def _cmd_wiener_hopf(args) -> int:
     params = resolved["params"]
     ff = _measure_or_fail(resolved)
     kappa, p = _param(params, "kappa", float), _param(params, "p", float)
-    nodes = _param(params, "nodes", int) if "nodes" in params else None
     if params.get("T_ladder") is not None:
         ladder = _param(params, "T_ladder", _floats)
     elif "T" in params:
@@ -252,14 +251,9 @@ def _cmd_wiener_hopf(args) -> int:
     else:
         raise ConfigError("wiener-hopf needs --T or --T-ladder")
 
-    rows = wienerhopf.ak_convergence_report(ff, kappa, ladder, nodes)
-    _write_rows(args, resolved, ["T", "n", "logdet_per_T", "ak_target", "ak_dev",
-                                 "mass_fn", "mass_target", "mass_dev"], rows)
-    for i, row in enumerate(rows, 1):
-        if nodes is None and row["n"] < wienerhopf.DEFAULT_NODES_PER_UNIT_T * row["T"]:
-            print(f"wiener-hopf: NODE_CAP {wienerhopf.NODE_CAP} binds at rung {i}: "
-                  f"T={row['T']:.12g} has n={row['n']}, below "
-                  f"{wienerhopf.DEFAULT_NODES_PER_UNIT_T} nodes per unit T", file=sys.stderr)
+    rows = wienerhopf.ak_convergence_report(ff, kappa, ladder)
+    _write_rows(args, resolved, ["T", "n", "logdet_per_T", "ak_target", "ak_dev", "ak_B",
+                                 "disc_err", "mass_fn", "mass_target", "mass_dev"], rows)
     if p != 0.0:
         rate = wienerhopf.vacuum_rate(ff, p, rows[-1]["logdet_per_T"], rows[-1]["mass_fn"])
         print(f"wiener-hopf: -(1/T) log vacuum_amplitude = {rate:.12g} vs "
@@ -364,7 +358,7 @@ COMMANDS = {
         ("--lambda", {"dest": "lambdas", "metavar": "LAM",
                       "help": "comma-separated cutoff values"}),)),
     "wiener-hopf": (_cmd_wiener_hopf, "truncated Wiener-Hopf determinant study", (
-        _T, ("--nodes", {"type": int}), _KAPPA, _P,
+        _T, _KAPPA, _P,
         ("--T-ladder", {"help": "comma-separated increasing horizons"}))),
     "fock": (_cmd_fock, "truncated Fock-space weak-coupling scan", (
         ("--modes", {"help": "omega:weight:momentum, comma-separated"}),

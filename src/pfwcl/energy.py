@@ -133,14 +133,15 @@ def log_spectral_energy(ff: RadialMeasure, kappa: float,
 
 
 def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float,
-                      rel_tol: float = DEFAULT_REL_TOL) -> float:
+                      rel_tol: float = DEFAULT_REL_TOL, cal_e: float | None = None) -> float:
     """Bottom of the dipole fiber spectrum: p^2/(2 m_eff) + kappa^2 * calE.
 
-    Note the mass term persists at kappa = 0: the value is p^2/(2 m_eff),
-    not p^2/2.
+    ``cal_e`` passes a calE already computed by ``ground_energy``.  Note the
+    mass term persists at kappa = 0: the value is p^2/(2 m_eff), not p^2/2.
     """
     rep = moment_report(ff)
-    cal_e = ground_energy(ff, rel_tol).calE
+    if cal_e is None:
+        cal_e = ground_energy(ff, rel_tol).calE
     return p * p / (2.0 * rep.m_eff) + kappa * kappa * cal_e
 
 

@@ -1,238 +1,242 @@
-"""Nystrom discretization of the truncated Wiener-Hopf operator C_T.
+"""State-space evaluation of the truncated Wiener-Hopf operator C_T.
 
-(C_T u)(t) = int_0^T rho(s - t) u(s) ds with the difference kernel rho from
-the energy module, the exact sum over the measure's radial rule
+C_T has kernel rho(t - s), rho(tau) = sum_k w_k/(2 r_k) exp(-kappa^2 r_k |tau|)
+over the measure's radial rule.  In x = kappa^2 t, 1 + kappa^2 C_T is 1 + K_S
+on [0, S], S = kappa^2 T, with kernel rho_1(x) = sum_j g_j^2 exp(-lam_j |x|):
+the covariance of y = g.z for the stationary state dz = -diag(lam) z dx + dw,
+Cov z = I.  So one realization (lam, g) per measure serves every kappa and T.
+A point-mass rule is its own realization; a continuum rule (A = -diag(r), b =
+sqrt(w/(2r))) is cut by balanced truncation (Moore 1981) to the states whose
+Hankel singular value exceeds TRUNCATION_TOL of the largest.  With the
+filtering Riccati equation, P(0) = I (Kailath 1970),
 
-    rho(tau) = sum_k w_k / (2 r_k) exp(-kappa^2 r_k |tau|).
+    log det(1 + K_S) = int_0^S g P(x) g^T dx = (g P g^T) S + log det(1 + X(S) Delta),
 
-The kernel matrix is symmetrized as M_ij = sqrt(w_i) rho(t_i - t_j) sqrt(w_j);
-one Cholesky factor U of 1 + kappa^2 M gives log det = 2 sum log diag U and
-the u_T solve.  The panels have equal width, so M is block Toeplitz (rho is
-evaluated once per panel distance and node pair) and exactly symmetric.
-Horizons of one panel width share their leading nodes, weights and entries
-bit for bit, so a T-ladder factors one grid per width and reads each horizon
-from a leading block, whose U is the leading block of the full U.
-
-M must be PSD up to min eig >= -PSD_EIG_TOL max |eig|.  A Cholesky of
-M + (PSD_EIG_TOL/2) max(diag M) that succeeds certifies it, as max diag M <=
-lambda_max, and by Cauchy interlacing for every leading block of whole panels
-(same max diag M).  Where it fails, the eigenvalues decide.
-
-Verified limits (both as T -> infinity):
-
-    (1/T) log det(1 + kappa^2 C_T)     -> (1/2 pi) int log(1 + kappa^2 rho_hat)
-    (1/T) <1, (1 + kappa^2 C_T)^{-1} 1> -> 1 / m_eff
-
-and the closed-form vacuum amplitude of the dipole fiber semigroup
-
-    det(1 + kappa^2 C~_T)^{-1/2} exp(-(1/2) <p 1, (1 + kappa^2 C~_T)^{-1} p 1>)
-
-with C~_T a d_eff-fold direct sum of C_T (handled algebraically, never by
-building a d * n matrix).
+P the stabilizing ARE solution, F = -diag(lam) - P g^T g, F^T X + X F + g^T g
+= 0, X(S) = X - e^{F^T S} X e^{F S}, Delta = I - P: the rate g P g^T is the
+Ahiezer-Kac limit and B = log det(1 + X Delta) the constant term.  u_T solves
+a two-point boundary-value problem in the states, with modes anchored where
+they decay, so int u_T is closed form and no exponential exceeds 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+from scipy.linalg import (cho_factor, cho_solve, eigh, eigvalsh, expm, qr,
+                          solve_continuous_are, solve_continuous_lyapunov, svd)
 
-from .energy import SpectralFunctions, _effective_component_count, log_spectral_energy
+from .energy import _effective_component_count, log_spectral_energy
 from .errors import NumericalError
 from .formfactor import RadialMeasure, moment_report
 from .quadrature import _gl_rule
 
-PANEL_ORDER = 8
-PSD_EIG_TOL = 1e-10
-DEFAULT_NODES_PER_UNIT_T = 40
-NODE_CAP = 4000
+TRUNCATION_TOL = 1e-15
+RESIDUAL_TOL = 1e-10
 
 
-def default_node_count(T: float) -> int:
-    return min(NODE_CAP, max(PANEL_ORDER, PANEL_ORDER * math.ceil(
-        DEFAULT_NODES_PER_UNIT_T * T / PANEL_ORDER)))
+@dataclass(frozen=True, eq=False)
+class StateSpace:
+    """rho_1(x) = sum_j g_j^2 exp(-lam_j |x|) and its S-independent data; ``tail``
+    bounds the discarded Hankel singular values (with a rounding allowance),
+    ``mass`` bounds t^2 rho_hat_1(t) of rule and realization."""
+
+    lam: np.ndarray
+    g: np.ndarray
+    tail: float = 0.0
+    mass: float = 0.0
+
+    @cached_property
+    def riccati(self):
+        """(rate g P g^T, B, F, X, G with G G^T = Delta)."""
+        g, D, gg = self.g, np.diag(self.lam), np.outer(self.g, self.g)
+        P = solve_continuous_are(-D, g[:, None], 2.0 * D, np.ones((1, 1)))
+        P = 0.5 * (P + P.T)
+        F = -D - P @ gg
+        X = solve_continuous_lyapunov(F.T, -gg)
+        X = 0.5 * (X + X.T)
+        delta, V = eigh(np.eye(len(g)) - P)
+        G = V * np.sqrt(np.clip(delta, 0.0, None))
+        return float(g @ P @ g), _log1p_det(G.T @ X @ G), F, X, G
+
+    @cached_property
+    def modes(self):
+        """(mu, Q^T diag(lam) Q, Q^T (sqrt(lam) g), e = Q^T (g / sqrt(lam)), u_inf);
+        mu^2, Q are the eigenpairs of M^T M, M = [I; sqrt(2) g^T / sqrt(lam)]
+        diag(lam), from a pivoted QR and an SVD, which keep tiny mu accurate."""
+        lam, e = self.lam, self.g / np.sqrt(self.lam)
+        _, R, perm = qr(np.vstack((np.eye(len(lam)), math.sqrt(2.0) * e)) * lam,
+                        mode="economic", pivoting=True)
+        _, mu, Vt = svd(R)
+        Q = np.empty_like(Vt)
+        Q[perm] = Vt.T
+        return (mu, (Q.T * lam) @ Q, Q.T @ (np.sqrt(lam) * self.g), Q.T @ e,
+                1.0 / (1.0 + 2.0 * float(e @ e)))
+
+    def disc_err(self, kappa: float) -> float:
+        """Bound on |log det error| / T from the truncation (0 for point masses).
+
+        log det is 1-Lipschitz in trace norm on PSD operators, and a truncated
+        convolution has trace norm <= S (1/2 pi) int |Delta rho_hat_1|.  With
+        |Delta rho_hat_1| <= 4 tail (balanced truncation) and <= mass / t^2,
+        int |Delta rho_hat_1| <= 8 sqrt(tail mass), so |Delta log det| / T <=
+        (4 kappa^2 / pi) sqrt(tail mass).  The rule's own error is not included.
+        """
+        return 4.0 * kappa * kappa / math.pi * math.sqrt(self.tail * self.mass)
 
 
-def _panel_count(n: int) -> int:
-    return max(1, math.ceil(n / PANEL_ORDER))
+def _log1p_det(N: np.ndarray) -> float:
+    """log det(1 + N) for symmetric PSD N, accurate also when N is tiny."""
+    return float(np.sum(np.log1p(eigvalsh(N)))) if len(N) else 0.0
 
 
-def composite_gauss_nodes(T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-width composite Gauss-Legendre rule with >= n nodes on [0, T]; sum(w) = T."""
-    panels = _panel_count(n)
-    h = T / panels
-    x, w = _gl_rule(PANEL_ORDER)
-    nodes = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) * h).ravel()
-    return nodes, np.tile(0.5 * h * w, panels)
+def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
+    """Reduce A = -diag(r), b = sqrt(w/(2r)) by a pivoted Cholesky of its gramian.
 
-
-def _kernel_blocks(ff: RadialMeasure, kappa: float, h: float, panels: int) -> np.ndarray:
-    """rho_kappa between the nodes of two panels m = 0..panels-1 apart.
-
-    Entry [m, i, j] is rho((m + (x_i - x_j)/2) h) for the panel's Gauss nodes
-    x; one panel distance at a time keeps the work array at 64 rule sums.
+    The Schur complement of b_i b_j/(r_i + r_j) after pivot k is again Cauchy,
+    with b_i (r_i - r_k)/(r_i + r_k): O(K) per column, no K x K matrix.
     """
-    x, _ = _gl_rule(PANEL_ORDER)
-    local = 0.5 * (x[:, None] - x[None, :])
-    sf = SpectralFunctions(ff, kappa=kappa)
-    blocks = np.array([sf.rho((m + local) * h) for m in range(panels)])
-    # rho is even, so the m = 0 block is symmetric; mirror it so it is exactly
-    blocks[0] = np.triu(blocks[0]) + np.triu(blocks[0], 1).T
-    return blocks
+    b = np.sqrt(w / (2.0 * r))
+    gen, cols = b.copy(), []
+    diag = gen * gen / (2.0 * r)
+    top = float(diag.max())
+    while diag.max() > TRUNCATION_TOL * top:
+        k = int(np.argmax(diag))
+        cols.append(gen * (math.sqrt(2.0 * r[k]) * np.sign(gen[k])) / (r + r[k]))
+        gen = gen * (r - r[k]) / (r + r[k])
+        diag = gen * gen / (2.0 * r)
+    U, sv, _ = np.linalg.svd(np.array(cols).T, full_matrices=False)
+    keep = sv * sv > TRUNCATION_TOL * sv[0] ** 2
+    lam, Z = eigh((U[:, keep].T * r) @ U[:, keep])
+    g = Z.T @ (U[:, keep].T @ b)
+    # the Cholesky residual trace bounds the singular values it never reached;
+    # n eps sum(g^2/lam) allows for rounding in the n states
+    tail = float(diag.sum() + np.sum(sv[~keep] ** 2)
+                 + len(lam) * np.finfo(float).eps * (g ** 2 @ (1.0 / lam)))
+    return StateSpace(lam, g, tail, max(float(w.sum()), float(2.0 * lam @ g ** 2)))
 
 
-@dataclass(eq=False)
-class WienerHopfGrid:
-    """Symmetrized Nystrom discretization of 1 + kappa^2 C_T."""
-
-    ff: RadialMeasure
-    kappa: float
-    T: float
-    n: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    M: np.ndarray
-    _eigs: np.ndarray | None = field(default=None, repr=False)
-    _cho: tuple | None = field(default=None, repr=False)
-    _full: WienerHopfGrid | None = field(default=None, repr=False)
-    _psd_certified: bool | None = field(default=None, repr=False)
-
-    def eigenvalues(self) -> np.ndarray:
-        if self._eigs is None:
-            try:
-                self._eigs = eigvalsh(self.M)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-        return self._eigs
-
-    def leading(self, T: float, n: int) -> WienerHopfGrid:
-        """Horizon T on the first n nodes (whole panels): a view sharing M and U."""
-        return WienerHopfGrid(ff=self.ff, kappa=self.kappa, T=T, n=n, nodes=self.nodes[:n],
-                              weights=self.weights[:n], M=self.M[:n, :n],
-                              _full=self._full or self)
+@lru_cache(maxsize=32)
+def realization(ff: RadialMeasure) -> StateSpace:
+    """The measure's state-space realization, shared by every kappa and T."""
+    r, w = ff.rule()
+    r, w = r[w > 0.0], w[w > 0.0]
+    if ff.is_discrete or not len(r):
+        return StateSpace(r, np.sqrt(w / (2.0 * r)))
+    return _balanced_truncation(r, w)
 
 
-def build_grid(ff: RadialMeasure, kappa: float, T: float, n: int | None = None) -> WienerHopfGrid:
-    """Discretize C_T with composite Gauss-Legendre panels (n >= 8 nodes)."""
-    if not T > 0.0:
+def _horizon(ff: RadialMeasure, kappa: float, T: float) -> tuple[float, StateSpace]:
+    if not (T > 0.0 and math.isfinite(T)):
         raise ValueError(f"horizon T must be positive, got {T}")
-    if n is None:
-        n = default_node_count(T)
-    if n < PANEL_ORDER:
-        raise ValueError(f"need at least {PANEL_ORDER} nodes, got {n}")
-    nodes, weights = composite_gauss_nodes(T, n)
-    panels = len(nodes) // PANEL_ORDER
-    sqw = np.sqrt(weights[:PANEL_ORDER])
-    blocks = np.outer(sqw, sqw) * _kernel_blocks(ff, kappa, T / panels, panels)
-    # ladder[panels - 1 + p - q] is block (p, q): B_{p-q} below the diagonal,
-    # B_{q-p}^T above it
-    ladder = np.concatenate((blocks[:0:-1].transpose(0, 2, 1), blocks))
-    M = np.empty((len(nodes), len(nodes)))
-    rows = M.reshape(panels, PANEL_ORDER, panels, PANEL_ORDER)
-    for p in range(panels):
-        rows[p] = ladder[p:p + panels][::-1].transpose(1, 0, 2)
-    return WienerHopfGrid(ff=ff, kappa=kappa, T=T, n=len(nodes),
-                          nodes=nodes, weights=weights, M=M)
+    if not (kappa >= 0.0 and math.isfinite(kappa)):
+        raise ValueError(f"kappa must be a nonnegative real, got {kappa}")
+    return kappa * kappa * T, realization(ff)
 
 
-def _check_psd(grid: WienerHopfGrid) -> None:
-    """Raise NumericalError unless min eig M >= -PSD_EIG_TOL * max |eig M|."""
-    full = grid._full or grid
-    if full._psd_certified is None:
-        A = full.M.copy()
-        A.flat[::full.n + 1] += 0.5 * PSD_EIG_TOL * float(np.max(np.diag(full.M)))
-        try:  # A is exactly symmetric: A.T is A in Fortran order, factored in place
-            cho_factor(A.T, overwrite_a=True)
-            full._psd_certified = True
-        except np.linalg.LinAlgError:
-            full._psd_certified = False
-    if not full._psd_certified:
-        lams = grid.eigenvalues()
-        scale = max(abs(float(lams[0])), abs(float(lams[-1])), 1e-300)
-        if float(lams[0]) < -PSD_EIG_TOL * scale:
-            raise NumericalError(
-                f"kernel matrix not numerically PSD: min eigenvalue {lams[0]:.3e} "
-                f"below -{PSD_EIG_TOL:.0e} * {scale:.3e}")
+def log_det(ff: RadialMeasure, kappa: float, T: float) -> float:
+    """log det(1 + kappa^2 C_T) from the Riccati closed form.
 
-
-def _cholesky(grid: WienerHopfGrid):
-    """(U, False) with U^T U = 1 + kappa^2 M; a leading view reads its block."""
-    if grid._cho is None and grid._full is not None:
-        c, lower = _cholesky(grid._full)
-        grid._cho = (c[:grid.n, :grid.n], lower)
-    if grid._cho is None:
-        A = grid.kappa**2 * grid.M
-        A.flat[::grid.n + 1] += 1.0
-        try:
-            grid._cho = cho_factor(A.T, overwrite_a=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Cholesky of 1 + kappa^2 M failed: {exc}") from exc
-    return grid._cho
-
-
-def log_det(grid: WienerHopfGrid) -> float:
-    """log det(1 + kappa^2 C_T) = 2 sum log diag U, after the PSD check of M."""
-    if grid.kappa == 0.0:
-        return 0.0
-    _check_psd(grid)
-    c, _ = _cholesky(grid)
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
-
-
-def solve_uT(grid: WienerHopfGrid) -> np.ndarray:
-    """Node values of u_T = (1 + kappa^2 C_T)^{-1} 1.
-
-    Solved through the symmetrized system; the discrete residual
-    u + kappa^2 W rho u - 1 must stay below 1e-10 in max norm.
+    For S |F| <= 1, X(S) comes from one Van Loan exponential instead of the
+    difference X - e^{F^T S} X e^{F S}, which would cancel.
     """
-    sqw = np.sqrt(grid.weights)
-    y = cho_solve(_cholesky(grid), sqw)
-    u = y / sqw
-    residual = (y + grid.kappa**2 * (grid.M @ y) - sqw) / sqw
-    res = float(np.max(np.abs(residual)))
-    if res > 1e-10:
-        raise NumericalError(f"u_T solve residual {res:.3e} exceeds 1e-10")
+    S, ss = _horizon(ff, kappa, T)
+    if S == 0.0 or not len(ss.lam):
+        return 0.0
+    rate, _, F, X, G = ss.riccati
+    if S * np.linalg.norm(F, 1) <= 1.0:
+        n = len(ss.lam)  # Van Loan: the top right block is e^{-F^T S} X(S)
+        block = expm(S * np.block([[-F.T, np.outer(ss.g, ss.g)], [np.zeros((n, n)), F]]))
+        XS = block[n:, n:].T @ block[:n, n:]
+    else:
+        E = expm(S * F)
+        XS = X - E.T @ X @ E
+    return rate * S + _log1p_det(G.T @ (0.5 * (XS + XS.T)) @ G)
+
+
+@dataclass(frozen=True)
+class ResolventSolution:
+    """u_T at x = kappa^2 t: u_inf + sum_m a_m (e^{-mu_m x} + e^{-mu_m (S - x)})."""
+
+    S: float
+    u_inf: float
+    a: np.ndarray
+    mu: np.ndarray
+
+    def at(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)[..., None]
+        return self.u_inf + (np.exp(-self.mu * x) + np.exp(-self.mu * (self.S - x))) @ self.a
+
+    def mean(self) -> float:
+        """(1/S) int_0^S u, the mass functional (u_inf when there are no modes)."""
+        muS = self.mu * self.S
+        return self.u_inf - 2.0 * float(self.a @ (np.expm1(-muS) / muS))
+
+
+def _kernel_applied(ss: StateSpace, u: ResolventSolution, x: np.ndarray) -> np.ndarray:
+    """(K_S u)(x) in closed form."""
+    S, mu, lam = u.S, u.mu, ss.lam[:, None]
+    gap = np.abs(lam - mu)
+
+    def conv(y):  # int_0^S e^{-lam |y - z|} e^{-mu z} dz, axes (y, lam, mu)
+        y = y[:, None, None]
+        left = np.exp(-np.minimum(lam, mu) * y) * np.where(
+            gap * y > 0.0, -np.expm1(-gap * y) / np.where(gap > 0.0, gap, 1.0), y)
+        return left - np.exp(-mu * y) * np.expm1(-(lam + mu) * (S - y)) / (lam + mu)
+
+    flat = -(np.expm1(-ss.lam * x[:, None]) + np.expm1(-ss.lam * (S - x[:, None]))) / ss.lam
+    return (u.u_inf * flat + (conv(x) + conv(S - x)) @ u.a) @ ss.g ** 2
+
+
+def solve_uT(ff: RadialMeasure, kappa: float, T: float) -> ResolventSolution:
+    """u_T = (1 + kappa^2 C_T)^{-1} 1 in closed form, as a function of x = kappa^2 t.
+
+    The boundary conditions reduce to the SPD system (Q^T diag(lam) Q +
+    diag(mu tanh(mu S/2))) beta = -2 u_inf e.  The residual u + K_S u - 1 must
+    stay below RESIDUAL_TOL on order-4 Gauss panels over [0, S/2], graded
+    by decades towards x = 0 (u is even about S/2).
+    """
+    S, ss = _horizon(ff, kappa, T)
+    if S == 0.0 or not len(ss.lam):
+        return ResolventSolution(S, 1.0, np.zeros(0), np.ones(0))
+    mu, Dt, c, e, u_inf = ss.modes
+    beta = cho_solve(cho_factor(Dt + np.diag(mu * np.tanh(0.5 * mu * S))), -2.0 * u_inf * e)
+    u = ResolventSolution(S, u_inf, -c * beta / (1.0 + np.exp(-mu * S)), mu)
+    cuts = 10.0 ** np.arange(-2.0, 6.0)
+    edges = np.concatenate(([0.0], cuts[cuts < 0.5 * S], [0.5 * S]))
+    x = (edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (1.0 + _gl_rule(4)[0])).ravel()
+    res = float(np.max(np.abs(u.at(x) + _kernel_applied(ss, u, x) - 1.0)))
+    if not res <= RESIDUAL_TOL:
+        raise NumericalError(f"u_T solve residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return u
 
 
-def mass_functional(grid: WienerHopfGrid) -> float:
+def mass_functional(ff: RadialMeasure, kappa: float, T: float) -> float:
     """(1/T) <1, (1 + kappa^2 C_T)^{-1} 1>; lies in (0, 1], tends to 1/m_eff."""
-    u = solve_uT(grid)
-    return float(grid.weights @ u) / grid.T
+    return solve_uT(ff, kappa, T).mean()
 
 
 def vacuum_rate(ff: RadialMeasure, p: float, logdet_per_T: float, mass_fn: float) -> float:
-    """-(1/T) log of the vacuum amplitude from one horizon's two values:
-
-        (d_eff/2) (1/T) log det(1 + kappa^2 C_T) + (p^2/2) mass_functional,
-
-    so a ladder row gives the rate without building its grid again.
-    """
+    """-(1/T) log of the vacuum amplitude from one horizon's two values,
+    (d_eff/2) (1/T) log det(1 + kappa^2 C_T) + (p^2/2) mass_functional."""
     return 0.5 * _effective_component_count(ff) * logdet_per_T + 0.5 * p * p * mass_fn
 
 
-def vacuum_amplitude(ff: RadialMeasure, kappa: float, p: float, T: float,
-                     n: int | None = None) -> float:
-    """(Omega, exp(-T H_dip,kappa(p)) Omega) = exp(-T vacuum_rate) from the
-    determinant formula; the rate approaches dipole_dispersion(ff, kappa, p)
-    as T grows.
-    """
-    grid = build_grid(ff, kappa, T, n)
-    rate = vacuum_rate(ff, p, log_det(grid) / grid.T, mass_functional(grid))
-    return math.exp(-grid.T * rate)
+def vacuum_amplitude(ff: RadialMeasure, kappa: float, p: float, T: float) -> float:
+    """(Omega, exp(-T H_dip,kappa(p)) Omega) = exp(-T vacuum_rate); the rate
+    approaches dipole_dispersion(ff, kappa, p) as T grows."""
+    rate = vacuum_rate(ff, p, log_det(ff, kappa, T) / T, mass_functional(ff, kappa, T))
+    return math.exp(-T * rate)
 
 
-def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list,
-                          n: int | None = None) -> list[dict]:
-    """Per-horizon deviations from the two T -> infinity limits.
-
-    ``n`` fixes the node count for every horizon; by default the count scales
-    as 40 nodes per unit T (capped).  Rows carry the log-determinant rate
-    against the log-spectral target and the mass functional against 1/m_eff.
-    Horizons of one panel width share the grid of the largest of them.
-    """
+def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list) -> list[dict]:
+    """Per-horizon rows: the log-det rate against the log-spectral target, the
+    constant term ``ak_B`` (T ak_dev -> ak_B), the bound ``disc_err`` on its
+    truncation error, the mass functional against 1/m_eff, and the state
+    count ``n``."""
     T_list = list(T_list)
     if not T_list:
         raise ValueError("T_list must be nonempty")
@@ -240,18 +244,13 @@ def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list,
         raise ValueError("T_list must be increasing")
     ak_target = log_spectral_energy(ff, kappa)
     mass_target = 1.0 / moment_report(ff).m_eff
-    widths = {}
+    ss = realization(ff)
+    fixed = {"n": len(ss.lam), "ak_target": ak_target, "mass_target": mass_target,
+             "ak_B": ss.riccati[1] if len(ss.lam) and kappa > 0.0 else 0.0,
+             "disc_err": ss.disc_err(kappa)}
+    rows = []
     for T in T_list:
-        n_T = default_node_count(T) if n is None else n
-        widths.setdefault(T / _panel_count(n_T), []).append((T, n_T))
-    rows = {}
-    for rungs in widths.values():
-        grid = build_grid(ff, kappa, *rungs[-1])
-        for T, n_T in rungs:
-            rung = grid.leading(T, PANEL_ORDER * _panel_count(n_T))
-            rate = log_det(rung) / T
-            mass = mass_functional(rung)
-            rows[T] = {"T": T, "n": rung.n, "logdet_per_T": rate, "ak_target": ak_target,
-                       "ak_dev": rate - ak_target, "mass_fn": mass,
-                       "mass_target": mass_target, "mass_dev": mass - mass_target}
-    return [rows[T] for T in T_list]
+        rate, mass = log_det(ff, kappa, T) / T, mass_functional(ff, kappa, T)
+        rows.append({"T": T, "logdet_per_T": rate, "ak_dev": rate - ak_target,
+                     "mass_fn": mass, "mass_dev": mass - mass_target, **fixed})
+    return rows

@@ -60,6 +60,23 @@ class TestEnergy:
         assert float(cells["calE"]) == pytest.approx(0.5, rel=1e-10)
         assert float(cells["log_spectral"]) == pytest.approx(4.0, rel=1e-10)
 
+    def test_one_ground_energy_per_run(self, tmp_path, capsys, monkeypatch):
+        # the dispersion on stderr, 1/(2 m_eff) + kappa^2 calE, reuses the row's calE
+        from pfwcl import cli, energy
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = energy.ground_energy
+        monkeypatch.setattr(energy, "ground_energy", spy)
+        monkeypatch.setattr(cli, "ground_energy", spy)
+        cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
+        assert run(["energy", "--config", cfg, "--kappa", "2", "--p", "1"]) == 0
+        assert len(calls) == 1
+        assert "dispersion(p=1.0,kappa=2.0)=2.125 " in capsys.readouterr().err
+
     def test_divergent_measure_exits_two_naming_condition(self, tmp_path, capsys):
         bad = write_config(tmp_path, "bad.json", {
             "measure": {"dimension": 2, "profile": {"type": "sharp", "lambda": 1.0}}})
@@ -106,25 +123,21 @@ class TestWienerHopf:
         cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
         out = tmp_path / "wh.csv"
         assert run(["wiener-hopf", "--config", cfg, "--T-ladder", "5,10",
-                    "--nodes", "200", "--output", str(out)]) == 0
+                    "--output", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[1] == ("T,n,logdet_per_T,ak_target,ak_dev,"
+        assert lines[1] == ("T,n,logdet_per_T,ak_target,ak_dev,ak_B,disc_err,"
                             "mass_fn,mass_target,mass_dev")
         assert len(lines) == 4
 
-    def test_node_cap_warns_on_stderr(self, tmp_path, capsys, monkeypatch):
-        from pfwcl import wienerhopf
-        cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
-        monkeypatch.setattr(wienerhopf, "NODE_CAP", 80)
-        out = tmp_path / "wh.csv"
-        assert run(["wiener-hopf", "--config", cfg, "--T-ladder", "1,2,4",
-                    "--output", str(out)]) == 0
-        # one line, for the capped rung only
-        warnings = [line for line in capsys.readouterr().err.splitlines() if "NODE_CAP" in line]
-        assert warnings == ["wiener-hopf: NODE_CAP 80 binds at rung 3: T=4 has n=80, "
-                            "below 40 nodes per unit T"]
-        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
-        assert [(r[0], r[1]) for r in rows] == [("1", "40"), ("2", "80"), ("4", "80")]
+    def test_nodes_retired(self, tmp_path, capsys):
+        # neither the flag nor the config param exists any more
+        cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE,
+                                                  "params": {"nodes": 80}})
+        assert run(["wiener-hopf", "--config", cfg, "--T", "5"]) == 2
+        assert "unknown params ['nodes'] for wiener-hopf" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["wiener-hopf", "--T", "5", "--nodes", "80"])
+        assert exc.value.code == 2
 
     def test_requires_horizon(self, tmp_path):
         cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
@@ -191,7 +204,7 @@ class TestDeterminism:
         for name in ("r1.csv", "r2.csv"):
             path = tmp_path / name
             assert run(["wiener-hopf", "--config", cfg, "--T", "5",
-                        "--nodes", "120", "--output", str(path)]) == 0
+                        "--output", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
@@ -278,7 +291,7 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, key", [
     (["energy"], "kappa"),
-    (["wiener-hopf", "--T", "5"], "nodes"),
+    (["wiener-hopf", "--T", "5"], "p"),
     (FOCK_ARGS, "ntot"),
     (FOCK_ARGS + ["--ntot", "4"], "epsilon"),
 ])

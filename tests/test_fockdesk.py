@@ -14,7 +14,7 @@ from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
                             fiber_hamiltonian, ground_energy, ground_state,
                             semigroup_wcl_residual, wcl_scan)
 from pfwcl.formfactor import PointMasses, RadialMeasure
-from pfwcl.wienerhopf import build_grid, log_det
+from pfwcl.wienerhopf import log_det
 
 TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 
@@ -224,7 +224,7 @@ class TestBogoliubov:
         cont = continuum_ground_energy(measure).calE
         assert cont == pytest.approx(bogo, rel=1e-9)
         assert 0.5 * log_spectral_energy(measure, 1.0) == pytest.approx(bogo, rel=1e-9)
-        rate = log_det(build_grid(measure, 1.0, 40.0, 1600)) / 80.0
+        rate = log_det(measure, 1.0, 40.0) / 80.0
         assert rate == pytest.approx(bogo, rel=0.02)
 
 

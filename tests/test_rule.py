@@ -2,7 +2,7 @@
 
 Every integral against a form-factor measure is a sum over
 ``RadialMeasure.rule()``; these oracles pin the moments, rho, rho_hat and the
-Nystrom kernel entries built on it to near machine precision.
+Wiener-Hopf kernel realized from it to near machine precision.
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 from pfwcl.energy import SpectralFunctions
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
                               SharpCutoff, Tabulated, moment)
-from pfwcl.wienerhopf import build_grid
+from pfwcl.wienerhopf import realization
 
 ORDERS = (-3, -2, -1, 1)
 DIMENSIONS = (3, 4, 5)
@@ -169,18 +169,27 @@ def test_spectral_functions_broadcast(gauss1):
     assert sf.rho(ts)[1, 0] == pytest.approx(sf.rho(2.0), rel=1e-15)
 
 
-# -- the Nystrom kernel ------------------------------------------------------
+# -- the Wiener-Hopf kernel of the state-space realization ---------------------
+
+def realized_rho(ff, kappa, tau):
+    ss = realization(ff)
+    # a sum per entry, so equal |tau| gives bitwise equal values wherever it sits
+    return np.sum(np.exp(-np.abs(np.asarray(tau, dtype=float))[..., None] * kappa ** 2 * ss.lam)
+                  * ss.g ** 2, axis=-1)
+
 
 def test_kernel_entries_exact(cutoff1):
-    grid = build_grid(cutoff1, 1.0, 5.0, 200)
-    sqw = np.sqrt(grid.weights)
-    for i in (0, 7, 101, 199):
-        for j in range(0, grid.n, 3):
-            exact = sqw[i] * sqw[j] * sharp_rho(1.0, abs(grid.nodes[i] - grid.nodes[j]))
-            assert rel_err(grid.M[i, j], exact) <= 1e-13
+    for tau in (0.0, 1e-3, 0.1, 1.0, 2.5, 5.0):
+        assert rel_err(float(realized_rho(cutoff1, 1.0, tau)), sharp_rho(1.0, tau)) <= 1e-13
 
 
 @pytest.mark.parametrize("ff_name", ["cutoff1", "gauss1"])
 def test_continuum_kernel_exactly_symmetric(ff_name, request):
-    grid = build_grid(request.getfixturevalue(ff_name), 1.3, 4.0, 160)
-    assert np.array_equal(grid.M, grid.M.T)
+    # the kernel matrix on a grid, rho(t_i - t_j), is exactly symmetric and
+    # matches the rule's rho to rounding
+    ff = request.getfixturevalue(ff_name)
+    t = np.linspace(0.0, 4.0, 41)
+    K = realized_rho(ff, 1.3, t[:, None] - t[None, :])
+    assert np.array_equal(K, K.T)
+    exact = SpectralFunctions(ff, 1.3).rho(t[:, None] - t[None, :])
+    assert np.max(np.abs(K - exact)) <= 1e-14 * exact[0, 0]

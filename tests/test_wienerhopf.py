@@ -1,17 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pfwcl import wienerhopf
-from pfwcl.energy import dipole_dispersion, log_spectral_energy
+from pfwcl.energy import SpectralFunctions, dipole_dispersion, log_spectral_energy
 from pfwcl.errors import NumericalError
-from pfwcl.formfactor import PointMasses, RadialMeasure
-from pfwcl.wienerhopf import (PSD_EIG_TOL, WienerHopfGrid, ak_convergence_report,
-                              build_grid, log_det, mass_functional, solve_uT,
-                              vacuum_amplitude)
+from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure, SharpCutoff,
+                              Tabulated)
+from pfwcl.wienerhopf import (ak_convergence_report, log_det, mass_functional, realization,
+                              solve_uT, vacuum_amplitude)
 
 NULL = RadialMeasure(3, PointMasses([]))
+TABULATED = RadialMeasure(3, Tabulated([(0.5, 0.0), (1.0, 1.0), (1.5, 0.0)]))
 REF_LADDER = [10.0, 20.0, 40.0, 80.0]
 
 
@@ -25,143 +27,223 @@ def atom_logdet_exact(omega, weight, kappa, T):
             + math.log1p(-((b - a) / (b + a)) ** 2 * math.exp(-2.0 * b * T)))
 
 
-def spy_calls(monkeypatch, names=("build_grid", "cho_factor", "eigvalsh")):
-    """Count the calls wienerhopf makes to each of ``names``."""
-    calls = dict.fromkeys(names, 0)
-
-    def spy(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(wienerhopf, name, spy(name, getattr(wienerhopf, name)))
-    return calls
+def atom_logdet_mp(omega, weight, kappa, T):
+    """The same closed form in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a = mp.mpf(kappa) ** 2 * omega
+        b = mp.sqrt(a * a + mp.mpf(kappa) ** 2 * weight * a / omega)
+        return float((b - a) * T + mp.log((a + b) ** 2 / (4 * a * b))
+                     + mp.log(1 - ((b - a) / (b + a)) ** 2 * mp.exp(-2 * b * T)))
 
 
-def hand_grid(ff, M, kappa=1.0):
-    """A grid around a given symmetric matrix, for the PSD check."""
-    n = len(M)
-    return WienerHopfGrid(ff=ff, kappa=kappa, T=float(n), n=n, nodes=np.arange(n) + 0.5,
-                          weights=np.ones(n), M=np.asarray(M, dtype=float))
+def nystrom(ff, kappa, T, panels):
+    """Independent oracle: (log det, mass functional) of the composite order-8
+    Gauss-Legendre Nystrom matrix, kernel rho summed over the measure's rule."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    h = T / panels
+    sf = SpectralFunctions(ff, kappa)
+    rho = np.array([sf.rho((m + 0.5 * (x[:, None] - x[None, :])) * h)
+                    for m in range(1 - panels, panels)])
+    p = np.arange(panels)
+    M = rho[p[:, None] - p[None, :] + panels - 1].transpose(0, 2, 1, 3).reshape(8 * panels, -1)
+    weights = np.tile(0.5 * h * w, panels)
+    sw = np.sqrt(weights)
+    A = np.eye(len(sw)) + kappa ** 2 * sw[:, None] * M * sw[None, :]
+    sign, ld = np.linalg.slogdet(A)
+    assert sign == 1.0
+    u = np.linalg.solve(A, sw) / sw
+    return ld, float(weights @ u) / T
 
 
-@pytest.fixture(scope="module")
-def atom_grid_T40(pm_atom):
-    return build_grid(pm_atom, 1.0, 40.0, 1600)
+def realized_rho(ff, kappa, tau):
+    ss = realization(ff)
+    return np.exp(-np.abs(np.asarray(tau))[..., None] * kappa ** 2 * ss.lam) @ ss.g ** 2
 
 
 class TestGrid:
-    def test_weights_sum_to_T(self, pm_atom):
-        g = build_grid(pm_atom, 1.0, 12.5, 320)
-        assert math.fsum(g.weights) == pytest.approx(12.5, rel=1e-13)
-        assert np.all(g.weights > 0)
-        assert np.all((g.nodes >= 0) & (g.nodes <= 12.5))
+    """The state-space realization that replaced the Nystrom grid."""
 
     def test_null_measure_zero_matrix(self):
-        g = build_grid(NULL, 1.0, 10.0, 80)
-        assert np.all(g.M == 0.0)
+        assert len(realization(NULL).lam) == 0
+        assert log_det(NULL, 1.0, 10.0) == 0.0
+        assert mass_functional(NULL, 1.0, 10.0) == 1.0
 
-    def test_kernel_symmetric(self, atom_grid_T40):
-        assert np.array_equal(atom_grid_T40.M, atom_grid_T40.M.T)
+    def test_kernel_symmetric(self, pm_atom, gauss1, cutoff1):
+        # the realized kernel is even and reproduces the rule's rho
+        tau = np.array([0.0, 1e-3, 0.1, 1.0, 7.5, 80.0])
+        for ff in (pm_atom, gauss1, cutoff1):
+            rho = SpectralFunctions(ff, 1.3).rho(tau)
+            assert np.array_equal(realized_rho(ff, 1.3, tau), realized_rho(ff, 1.3, -tau))
+            assert np.max(np.abs(realized_rho(ff, 1.3, tau) - rho)) <= 1e-14 * rho[0]
 
-    def test_psd_up_to_tolerance(self, atom_grid_T40):
-        lams = atom_grid_T40.eigenvalues()
-        scale = max(abs(lams[0]), abs(lams[-1]))
-        assert lams[0] >= -1e-10 * scale
+    def test_psd_up_to_tolerance(self, gauss1, cutoff1):
+        # positive rates and real gains make every K_S PSD; the symbol error
+        # stays inside the balanced-truncation bound 4 tail behind disc_err.
+        # Both symbols are summed in long double, so their own rounding stays out.
+        t = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 60))).astype(np.longdouble)
+        for ff in (gauss1, cutoff1, TABULATED):
+            ss = realization(ff)
+            assert np.all(ss.lam > 0.0)
+            r, w = (a.astype(np.longdouble) for a in ff.rule())
+            lam, g = ss.lam.astype(np.longdouble), ss.g.astype(np.longdouble)
+            exact = w @ (1.0 / (r[:, None] ** 2 + t ** 2))
+            realized = (2.0 * lam * g ** 2) @ (1.0 / (lam[:, None] ** 2 + t ** 2))
+            assert float(np.max(np.abs(realized - exact))) <= 4.0 * ss.tail
+            assert 0.0 < ss.disc_err(1.0) < 1e-5
+        assert 40 <= len(realization(gauss1).lam) <= 100
+
+    def test_weights_sum_to_T(self, pm_atom):
+        # Gauss weights on [0, T] integrate u_T to the closed-form T * mass_fn
+        T, u = 12.5, solve_uT(pm_atom, 1.0, 12.5).at
+        x, w = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(0.0, T, 41)
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes, weights = (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+        assert math.fsum(weights) == pytest.approx(T, rel=1e-13)
+        assert float(weights @ u(nodes)) == pytest.approx(T * mass_functional(pm_atom, 1.0, T),
+                                                          rel=1e-13)
 
     def test_node_floor(self, pm_atom):
-        with pytest.raises(ValueError):
-            build_grid(pm_atom, 1.0, 5.0, 4)
-        with pytest.raises(ValueError):
-            build_grid(pm_atom, 1.0, 0.0, 100)
+        for bad in ((1.0, 0.0), (1.0, -5.0), (-1.0, 5.0), (math.nan, 5.0)):
+            with pytest.raises(ValueError):
+                log_det(pm_atom, *bad)
+            with pytest.raises(ValueError):
+                solve_uT(pm_atom, *bad)
 
-    def test_doubling_nodes_is_stable(self, pm_atom):
-        # quadrature-weight Nystrom on the |t-s| kernel cusp converges at
-        # O(h^2); at 40 nodes per unit the doubling change sits near 1e-4
-        a = log_det(build_grid(pm_atom, 1.0, 10.0, 400))
-        b = log_det(build_grid(pm_atom, 1.0, 10.0, 800))
-        assert abs(b - a) / a < 5e-4
+    def test_doubling_nodes_is_stable(self, gauss1, cutoff1):
+        # Nystrom on the |t - s| kink converges at O(h^2): doubling moves log
+        # det by < 5e-4, and Richardson on (n, 2n) closes in on the closed form
+        T = 5.0
+        for ff in (gauss1, cutoff1):
+            (ld1, m1), (ld2, m2) = nystrom(ff, 1.0, T, 50), nystrom(ff, 1.0, T, 100)
+            assert abs(ld2 - ld1) / ld1 < 5e-4
+            exact_ld, exact_m = log_det(ff, 1.0, T), mass_functional(ff, 1.0, T)
+            assert abs((4.0 * ld2 - ld1) / 3.0 - exact_ld) <= 0.01 * abs(ld2 - exact_ld)
+            assert abs((4.0 * m2 - m1) / 3.0 - exact_m) <= 0.01 * abs(m2 - exact_m)
+            # the old default of 40 nodes per unit T sits within its O(h^2) error
+            assert abs(nystrom(ff, 1.0, T, 25)[0] - exact_ld) / T < 5e-4
 
 
 class TestLogDet:
     def test_kappa_zero(self, pm_atom):
-        g = build_grid(pm_atom, 0.0, 10.0, 80)
-        assert log_det(g) == 0.0
+        assert log_det(pm_atom, 0.0, 10.0) == 0.0
 
-    def test_atom_rate_near_limit(self, atom_grid_T40):
-        rate = log_det(atom_grid_T40) / 40.0
-        assert rate == pytest.approx(1.0, abs=0.02)
+    def test_atom_rate_near_limit(self, pm_atom):
+        assert log_det(pm_atom, 1.0, 40.0) / 40.0 == pytest.approx(1.0, abs=0.02)
 
-    def test_nonnegative_and_trace_bound(self, atom_grid_T40):
-        ld = log_det(atom_grid_T40)
-        assert 0.0 <= ld <= 1.0**2 * float(np.trace(atom_grid_T40.M))
+    def test_nonnegative_and_trace_bound(self, pm_atom, gauss1, cutoff1):
+        # 0 <= log det(1 + kappa^2 C_T) <= kappa^2 tr C_T = kappa^2 T rho(0)
+        for ff in (pm_atom, gauss1, cutoff1):
+            for kappa, T in ((1.0, 40.0), (0.3, 2.0)):
+                rho0 = float(SpectralFunctions(ff, kappa).rho(0.0))
+                assert 0.0 <= log_det(ff, kappa, T) <= kappa ** 2 * T * rho0
+
+    @pytest.mark.parametrize("T", [10.0, 40.0, 1e3, 1e4])
+    def test_atom_closed_form_to_1e4(self, pm_atom, T):
+        assert log_det(pm_atom, 1.0, T) == pytest.approx(atom_logdet_mp(1.0, 3.0, 1.0, T),
+                                                         rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e-2, 1e-3, 1e-5])
+    def test_small_kappa_keeps_relative_accuracy(self, pm_atom, kappa):
+        F = realization(pm_atom).riccati[2]
+        assert kappa ** 2 * 10.0 * np.linalg.norm(F, 1) <= 1.0  # the small-S route
+        assert log_det(pm_atom, kappa, 10.0) == pytest.approx(
+            atom_logdet_mp(1.0, 3.0, kappa, 10.0), rel=1e-10)
+
+    @pytest.mark.parametrize("ff", [RadialMeasure(3, GaussianProfile(1.0)),
+                                    RadialMeasure(3, SharpCutoff(1.0)), TABULATED,
+                                    RadialMeasure(4, GaussianProfile(2.0))],
+                             ids=["gauss3", "sharp3", "tabulated3", "gauss4"])
+    def test_rate_matches_log_spectral(self, ff):
+        rate = realization(ff).riccati[0]
+        for kappa in (1.0, 0.7):
+            assert kappa ** 2 * rate == pytest.approx(log_spectral_energy(ff, kappa), rel=1e-10)
+
+    def test_atom_constant_term(self, pm_atom):
+        # B = log((a + b)^2 / (4 a b)) with a = 1, b = 2
+        assert realization(pm_atom).riccati[1] == pytest.approx(math.log(9.0 / 8.0), rel=1e-13)
 
 
 class TestUT:
     def test_kappa_zero_identity(self, pm_atom):
-        g = build_grid(pm_atom, 0.0, 10.0, 80)
-        assert np.allclose(solve_uT(g), 1.0, atol=1e-14)
-        assert mass_functional(g) == pytest.approx(1.0, rel=1e-14)
+        u = solve_uT(pm_atom, 0.0, 10.0)
+        assert np.allclose(u.at(np.linspace(0.0, 10.0, 7)), 1.0, atol=1e-14)
+        assert mass_functional(pm_atom, 0.0, 10.0) == 1.0
 
     def test_null_measure_identity(self):
-        g = build_grid(NULL, 1.0, 10.0, 80)
-        assert np.allclose(solve_uT(g), 1.0, atol=1e-14)
+        assert np.allclose(solve_uT(NULL, 1.0, 10.0).at(np.linspace(0.0, 10.0, 7)), 1.0,
+                           atol=1e-14)
 
-    def test_discrete_residual(self, atom_grid_T40):
-        u = solve_uT(atom_grid_T40)
-        sqw = np.sqrt(atom_grid_T40.weights)
-        res = u + (atom_grid_T40.M @ (sqw * u)) / sqw - 1.0
-        assert np.max(np.abs(res)) <= 1e-10
+    def test_discrete_residual(self, pm_atom):
+        # u + kappa^2 C_T u - 1 with C_T u by composite Gauss on either side of t
+        # kappa = 1, so x = t
+        T, u = 40.0, solve_uT(pm_atom, 1.0, 40.0).at
+        x, w = np.polynomial.legendre.leggauss(16)
+        for t in (0.0, 0.3, 7.0, 20.0, 39.9, 40.0):
+            conv = 0.0
+            for a, b in ((0.0, t), (t, T)):
+                edges = np.linspace(a, b, 41)
+                half = 0.5 * np.diff(edges)[:, None]
+                s = (edges[:-1, None] + half * (1.0 + x)).ravel()
+                conv += float((half * w).ravel() @ (1.5 * np.exp(-np.abs(t - s)) * u(s)))
+            assert abs(float(u(t)) + conv - 1.0) <= 1e-10
+
+    def test_residual_check_raises(self, pm_atom, monkeypatch):
+        monkeypatch.setattr(wienerhopf, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match="u_T solve residual"):
+            solve_uT(pm_atom, 1.0, 7.0)
 
     def test_mass_functional_in_unit_interval(self, pm_atom):
         for T in (5.0, 20.0):
-            g = build_grid(pm_atom, 1.0, T, int(40 * T))
-            assert 0.0 < mass_functional(g) <= 1.0
+            assert 0.0 < mass_functional(pm_atom, 1.0, T) <= 1.0
 
     def test_mass_ladder_approaches_quarter(self, pm_atom):
-        devs = []
-        for T in (10.0, 20.0, 40.0):
-            g = build_grid(pm_atom, 1.0, T, int(40 * T))
-            devs.append(abs(mass_functional(g) - 0.25))
+        devs = [abs(mass_functional(pm_atom, 1.0, T) - 0.25) for T in (10.0, 20.0, 40.0)]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] <= 0.02
+
+    @pytest.mark.parametrize("T", [40.0, 1e3, 1e4])
+    def test_atom_mass_excess_is_quarter_over_T(self, pm_atom, T):
+        assert T * (mass_functional(pm_atom, 1.0, T) - 0.25) == pytest.approx(0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["pm_atom", "gauss1", "cutoff1"])
+    def test_no_warning_up_to_S_1e5(self, name, request):
+        ff = request.getfixturevalue(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for T in (1e-9, 1.0, 1e3, 1e5):
+                assert math.isfinite(log_det(ff, 1.0, T))
+                assert 0.0 < mass_functional(ff, 1.0, T) <= 1.0
 
 
 class TestVacuumAmplitude:
     def test_trivial_cases(self, pm_atom):
-        assert vacuum_amplitude(pm_atom, 0.0, 0.0, 5.0, 80) == pytest.approx(1.0)
-        assert 0.0 < vacuum_amplitude(pm_atom, 1.0, 0.5, 5.0, 80) <= 1.0
+        assert vacuum_amplitude(pm_atom, 0.0, 0.0, 5.0) == pytest.approx(1.0)
+        assert 0.0 < vacuum_amplitude(pm_atom, 1.0, 0.5, 5.0) <= 1.0
 
     def test_rate_matches_dipole_dispersion(self, pm_atom):
-        va = vacuum_amplitude(pm_atom, 1.0, 1.0, 40.0, 1600)
-        rate = -math.log(va) / 40.0
+        rate = -math.log(vacuum_amplitude(pm_atom, 1.0, 1.0, 40.0)) / 40.0
         # limit = 1/(2 m_eff) + calE = 1/8 + 1/2
         assert rate == pytest.approx(0.625, rel=0.03)
         assert rate == pytest.approx(dipole_dispersion(pm_atom, 1.0, 1.0), rel=0.03)
 
     def test_matrix_level_identity(self, pm_atom):
-        kappa, p, T, n = 1.0, 0.7, 10.0, 400
-        grid = build_grid(pm_atom, kappa, T, n)
-        expected = math.exp(-0.5 * log_det(grid)
-                            - 0.5 * p * p * T * mass_functional(grid))
-        assert vacuum_amplitude(pm_atom, kappa, p, T, n) == pytest.approx(
-            expected, rel=1e-13)
+        kappa, p, T = 1.0, 0.7, 10.0
+        expected = math.exp(-0.5 * log_det(pm_atom, kappa, T)
+                            - 0.5 * p * p * T * mass_functional(pm_atom, kappa, T))
+        assert vacuum_amplitude(pm_atom, kappa, p, T) == pytest.approx(expected, rel=1e-13)
 
     def test_zero_momentum_ties_to_log_det(self, pm_atom):
-        T, n = 10.0, 400
-        grid = build_grid(pm_atom, 1.0, T, n)
-        va = vacuum_amplitude(pm_atom, 1.0, 0.0, T, n)
-        assert -math.log(va) / T == pytest.approx(0.5 * log_det(grid) / T, rel=1e-12)
+        T = 10.0
+        va = vacuum_amplitude(pm_atom, 1.0, 0.0, T)
+        assert -math.log(va) / T == pytest.approx(0.5 * log_det(pm_atom, 1.0, T) / T, rel=1e-12)
 
     def test_continuum_carries_d_copies(self, cutoff1):
         # the d-fold direct sum enters algebraically: -(1/T) log amplitude
         # at p = 0 equals (d/2) (1/T) log det of the scalar block
-        T, n = 5.0, 200
-        grid = build_grid(cutoff1, 1.0, T, n)
-        va = vacuum_amplitude(cutoff1, 1.0, 0.0, T, n)
-        assert -math.log(va) == pytest.approx(1.5 * log_det(grid), rel=1e-12)
+        va = vacuum_amplitude(cutoff1, 1.0, 0.0, 5.0)
+        assert -math.log(va) == pytest.approx(1.5 * log_det(cutoff1, 1.0, 5.0), rel=1e-12)
 
 
 class TestAkReport:
@@ -178,9 +260,9 @@ class TestAkReport:
         assert rows[0]["mass_target"] == pytest.approx(0.25, rel=1e-14)
 
     def test_null_measure_exact(self):
-        rows = ak_convergence_report(NULL, 1.0, [5.0, 10.0], n=80)
+        rows = ak_convergence_report(NULL, 1.0, [5.0, 10.0])
         for r in rows:
-            assert r["ak_dev"] == 0.0
+            assert r["ak_dev"] == 0.0 and r["n"] == 0
             assert r["mass_dev"] == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_within_five_percent(self, gauss1):
@@ -189,15 +271,24 @@ class TestAkReport:
         assert abs(rows[0]["ak_dev"]) / target < 0.05
 
     def test_tabulated_kernel_spline_path(self):
-        from pfwcl.formfactor import Tabulated
-        tab = RadialMeasure(3, Tabulated([(0.5, 0.0), (1.0, 1.0), (1.5, 0.0)]))
-        rows = ak_convergence_report(tab, 1.0, [10.0], n=400)
+        rows = ak_convergence_report(TABULATED, 1.0, [10.0])
         assert abs(rows[0]["ak_dev"]) / rows[0]["ak_target"] < 0.05
         assert 0.0 < rows[0]["mass_fn"] <= 1.0
 
     def test_decreasing_T_rejected(self, pm_atom):
         with pytest.raises(ValueError):
             ak_convergence_report(pm_atom, 1.0, [10.0, 5.0])
+
+    def test_constant_term_and_truncation_bound(self, pm_atom):
+        # T ak_dev = B + O(e^{-2bT}) for the atom, which has no truncation
+        rows = ak_convergence_report(pm_atom, 1.0, [20.0, 40.0])
+        for r in rows:
+            assert r["ak_B"] == pytest.approx(math.log(9.0 / 8.0), rel=1e-13)
+            assert r["T"] * r["ak_dev"] == pytest.approx(r["ak_B"], abs=1e-9)
+            assert r["disc_err"] == 0.0 and r["n"] == 1
+        gauss4 = ak_convergence_report(RadialMeasure(4, GaussianProfile(2.0)), 0.7, [1e3])[0]
+        assert gauss4["T"] * gauss4["ak_dev"] == pytest.approx(gauss4["ak_B"], rel=1e-3)
+        assert 0.0 < gauss4["disc_err"] < 1e-5
 
 
 @pytest.fixture(scope="module")
@@ -206,68 +297,16 @@ def atom_ladder(pm_atom):
 
 
 class TestNestedLadder:
-    """A ladder factors one grid per panel width and reads rungs as leading blocks."""
+    """A ladder's rows are the closed forms at each horizon."""
 
     def test_atom_rungs_meet_closed_form(self, atom_ladder):
         for row in atom_ladder:
             exact = atom_logdet_exact(1.0, 3.0, 1.0, row["T"])
             assert abs(row["logdet_per_T"] - exact / row["T"]) <= 2.2e-4
+            assert row["logdet_per_T"] == pytest.approx(exact / row["T"], rel=1e-12)
 
     def test_rows_equal_independent_rungs(self, pm_atom, atom_ladder):
         for row in atom_ladder:
-            grid = build_grid(pm_atom, 1.0, row["T"])
-            assert row["n"] == grid.n
-            assert row["logdet_per_T"] == pytest.approx(log_det(grid) / row["T"], rel=1e-13)
-            assert row["mass_fn"] == pytest.approx(mass_functional(grid), rel=1e-13)
-
-    def test_leading_block_is_the_smaller_grid(self, pm_atom):
-        full = build_grid(pm_atom, 1.0, 20.0)
-        rung, alone = full.leading(10.0, 400), build_grid(pm_atom, 1.0, 10.0)
-        for attr in ("nodes", "weights", "M"):
-            assert np.array_equal(getattr(rung, attr), getattr(alone, attr))
-        assert np.shares_memory(rung.M, full.M)
-
-    def test_default_ladder_one_build_two_factorizations(self, pm_atom, monkeypatch):
-        calls = spy_calls(monkeypatch)
-        ak_convergence_report(pm_atom, 1.0, REF_LADDER)
-        # the PSD certificate and 1 + kappa^2 M, both on the T = 80 grid
-        assert calls == {"build_grid": 1, "cho_factor": 2, "eigvalsh": 0}
-
-    def test_fixed_nodes_build_every_rung(self, pm_atom, monkeypatch):
-        calls = spy_calls(monkeypatch)
-        rows = ak_convergence_report(pm_atom, 1.0, [5.0, 10.0, 20.0], n=160)
-        assert calls == {"build_grid": 3, "cho_factor": 6, "eigvalsh": 0}
-        assert [r["n"] for r in rows] == [160] * 3
-
-    def test_node_cap_splits_the_group(self, pm_atom, monkeypatch):
-        # T = 1, 2 keep 0.2 wide panels; the cap halves T = 4's density
-        monkeypatch.setattr(wienerhopf, "NODE_CAP", 80)
-        calls = spy_calls(monkeypatch, ("build_grid",))
-        rows = ak_convergence_report(pm_atom, 1.0, [1.0, 2.0, 4.0])
-        assert calls["build_grid"] == 2
-        assert [r["n"] for r in rows] == [40, 80, 80]
-        grid = build_grid(pm_atom, 1.0, 4.0, 80)
-        assert rows[2]["logdet_per_T"] == log_det(grid) / 4.0
-
-
-class TestPsdCheck:
-    def test_indefinite_matrix_names_min_eigenvalue(self, pm_atom):
-        grid = hand_grid(pm_atom, [[1.0, 0.0], [0.0, -0.5]])
-        with pytest.raises(NumericalError, match="min eigenvalue -5.000e-01"):
-            log_det(grid)
-
-    def test_certificate_failure_falls_back_to_eigenvalues(self, pm_atom, monkeypatch):
-        # lambda_min sits between -PSD_EIG_TOL * scale (accepted, as before)
-        # and -PSD_EIG_TOL/2 * max diag M (where the certificate stops)
-        rng = np.random.default_rng(3)
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        lams = np.array([-1.2e-10, 0.3, 0.5, 1.0, 1.5, 2.0])
-        M = Q @ np.diag(lams) @ Q.T
-        M = 0.5 * (M + M.T)
-        exact = np.linalg.eigvalsh(M)
-        assert -PSD_EIG_TOL * exact[-1] < exact[0] < -0.5 * PSD_EIG_TOL * np.max(np.diag(M))
-        calls = spy_calls(monkeypatch, ("cho_factor", "eigvalsh"))
-        ld = log_det(hand_grid(pm_atom, M))
-        assert calls == {"cho_factor": 2, "eigvalsh": 1}
-        # the factor keeps the tolerated negative eigenvalue: log(1 - 1.2e-10)
-        assert ld == pytest.approx(float(np.sum(np.log1p(exact))), rel=1e-13)
+            assert row["n"] == 1
+            assert row["logdet_per_T"] == log_det(pm_atom, 1.0, row["T"]) / row["T"]
+            assert row["mass_fn"] == mass_functional(pm_atom, 1.0, row["T"])
