@@ -273,6 +273,9 @@ def _cmd_fock(args) -> int:
     modes = _param(params, "modes", lambda ms: [tuple(_floats(m)) for m in ms])
     eps = _param(params, "epsilon", float) if "epsilon" in params else 1.0
     T = _param(params, "T", float) if params.get("T") is not None else None
+    if T is not None and eps != 1.0:
+        raise ConfigError(f"params.epsilon: T needs epsilon = 1 (the semigroup residual "
+                          f"is taken on the full fiber), got {eps!r}")
     kappas = _param(params, "kappa_list", _floats)
     ps = _param(params, "p_list", _floats)
     basis = fockdesk.build_basis(modes, _param(params, "ntot", int))
@@ -283,7 +286,8 @@ def _cmd_fock(args) -> int:
             row["semigroup_res"] = fockdesk.semigroup_wcl_residual(
                 ops, row["kappa"], row["p"], T)
     _write_rows(args, resolved, ["kappa", "p", "epsilon", "E_p", "E_0", "gap",
-                                 "target", "gap_dev", "E0_dev", "semigroup_res"], rows)
+                                 "target", "gap_dev", "E0_dev", "semigroup_res",
+                                 "top_shell"], rows)
     return EXIT_OK
 
 

@@ -21,8 +21,11 @@ eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j).
 
 Every ground state comes from ``ground_state``: seeded Lanczos with a residual
 check, and dense ``eigh`` for matrices of at most DENSE_DIM_LIMIT states (ARPACK
-cannot run at dim <= 2, and a small matrix gets its exact dense eigenvalue).  Only
-the matrix functions (semigroup, dressing) stay dense, up to DENSE_EXPM_LIMIT states.
+cannot run at dim <= 2, and a small matrix gets its exact dense eigenvalue).  The
+matrix functions never form a dim x dim array: the semigroup exp(-T(H - c)) and
+the dressing exp(s G) act on vectors as Chebyshev series with Bessel
+coefficients (the Chebyshev propagator of Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+1984) on the sparse operators, so no dimension has a dense-size cliff.
 """
 
 from __future__ import annotations
@@ -30,20 +33,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, expm
-from scipy.sparse.linalg import ArpackError, aslinearoperator, eigsh, svds
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 
 from .errors import BasisSizeError, NumericalError
 
 BASIS_SIZE_GUARD = 200_000
 DENSE_DIM_LIMIT = 350      # ground states: dense eigh at or below, Lanczos above;
                            # the measured dense/Lanczos crossover at kappa = 1
-DENSE_EXPM_LIMIT = 2000    # dense matrix functions: semigroup and dressing
 LANCZOS_RESIDUAL_TOL = 1e-9
+BESSEL_TAIL = 1e-17        # Chebyshev-Bessel series end where the coefficients fall below
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -75,33 +78,69 @@ def as_modes(modes) -> tuple[Mode, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation-number basis {n : sum n_j <= N_tot} with a total order."""
+    """Occupation-number basis {n : sum n_j <= N_tot} with a total order.
+
+    States are ordered by total occupation, then by n_0 descending, then n_1
+    descending, and so on.  In terms of the tail sums s_j = n_j + ... + n_{M-1}
+    that is the lexicographic order of (s_0, ..., s_{M-1}), and the position of
+    n is its combinatorial-number-system rank sum_j C(s_j + M - 1 - j, M - j).
+    """
 
     modes: tuple[Mode, ...]
     n_tot: int
     states: np.ndarray = field(repr=False)      # (dim, M) int array
-    index: dict = field(repr=False)             # tuple(n) -> position
 
     @property
     def dim(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def _rank_terms(self) -> np.ndarray:
+        """[j, s] -> C(s + M - 1 - j, M - j), the rank term of tail sum s_j = s."""
+        M = len(self.modes)
+        return np.array([[math.comb(s + M - 1 - j, M - j) for s in range(self.n_tot + 1)]
+                         for j in range(M)], dtype=np.int64)
+
+    def rank(self, occupations: np.ndarray) -> np.ndarray:
+        """Positions of the basis states given as rows of ``occupations``
+        (each row must lie in the basis; ``position`` checks one)."""
+        tails = np.cumsum(occupations[..., ::-1], axis=-1)[..., ::-1]
+        return self._rank_terms[np.arange(len(self.modes)), tails].sum(axis=-1)
+
     def position(self, occupation) -> int:
-        return self.index[tuple(int(v) for v in occupation)]
+        occ = np.asarray(occupation, dtype=np.int64)
+        if occ.shape != (len(self.modes),) or occ.min() < 0 or occ.sum() > self.n_tot:
+            raise KeyError(tuple(occupation))
+        return int(self.rank(occ))
 
     def annihilator(self, j: int) -> sp.csr_matrix:
         """a_j in the truncated basis: a_j |n> = sqrt(n_j) |n - e_j>."""
-        rows, cols, data = [], [], []
-        for pos, state in enumerate(self.states):
-            nj = state[j]
-            if nj == 0:
-                continue
-            lowered = state.copy()
-            lowered[j] -= 1
-            rows.append(self.index[tuple(lowered)])
-            cols.append(pos)
-            data.append(math.sqrt(nj))
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
+        cols = np.flatnonzero(self.states[:, j])
+        lowered = self.states[cols]
+        data = np.sqrt(lowered[:, j].astype(float))
+        lowered[:, j] -= 1
+        return sp.csr_matrix((data, (self.rank(lowered), cols)), shape=(self.dim, self.dim))
+
+
+def _tail_sums(M: int, n_tot: int) -> np.ndarray:
+    """Every n_tot >= s_0 >= s_1 >= ... >= s_{M-1} >= 0, in lexicographic order.
+
+    Built one coordinate at a time: each row of level j - 1 gets the children
+    s_j = 0 .. s_{j-1}.  Each level stores only its values and parent rows,
+    and the columns are read back along the parent chain, so the work is
+    O(M dim) for any number of modes.
+    """
+    values, parents = [np.arange(n_tot + 1)], []
+    for _ in range(1, M):
+        counts = values[-1] + 1
+        parents.append(np.repeat(np.arange(counts.size), counts))
+        values.append(np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts))
+    tails = np.empty((values[-1].size, M), dtype=np.int64)
+    row = np.arange(values[-1].size)
+    for j in range(M - 1, -1, -1):
+        tails[:, j] = values[j][row]
+        row = parents[j - 1][row] if j else row
+    return tails
 
 
 def build_basis(modes, n_tot: int) -> FockBasis:
@@ -120,17 +159,9 @@ def build_basis(modes, n_tot: int) -> FockBasis:
     if dim > BASIS_SIZE_GUARD:
         raise BasisSizeError(
             f"basis would hold {dim} states, over the {BASIS_SIZE_GUARD} guard")
-    states = np.zeros((dim, M), dtype=np.int64)
-    pos = 0
-    # multisets of size k over M modes <-> occupations with sum k
-    for k in range(n_tot + 1):
-        for combo in combinations_with_replacement(range(M), k):
-            for j in combo:
-                states[pos, j] += 1
-            pos += 1
-    assert pos == dim
-    index = {tuple(int(v) for v in s): i for i, s in enumerate(states)}
-    return FockBasis(modes=modes, n_tot=n_tot, states=states, index=index)
+    states = _tail_sums(M, n_tot)
+    states[:, :-1] -= states[:, 1:]          # n_j = s_j - s_{j+1}
+    return FockBasis(modes=modes, n_tot=n_tot, states=states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,28 +275,84 @@ def bogoliubov_energy(modes) -> float:
     return 0.5 * float(np.sum(np.sqrt(mu) - omegas))
 
 
+def _chebyshev_sum(twice_S, coeffs, v, combine) -> np.ndarray:
+    """sum_k coeffs[k] y_k with y_0 = v, y_1 = S v, y_{k+1} = combine(2 S y_k, y_{k-1}).
+
+    ``twice_S`` is the sparse 2 S; ``v`` a vector or a block of columns.
+    combine = np.subtract gives the Chebyshev terms y_k = T_k(S) v; np.add, for
+    an antisymmetric S, the real Jacobi-Anger terms y_k = i^k T_k(-i S) v.
+    """
+    out = coeffs[0] * v
+    if len(coeffs) > 1:
+        prev, cur = v, 0.5 * (twice_S @ v)
+        out += coeffs[1] * cur
+        for c in coeffs[2:]:
+            nxt = twice_S @ cur
+            combine(nxt, prev, out=nxt)
+            prev, cur = cur, nxt
+            out += c * cur
+    return out
+
+
+def _bessel_coefficients(bessel, z: float) -> np.ndarray:
+    """(2 - delta_k0) bessel(k, z) for k = 0 .. d - 1, where past order d - 1
+    every |bessel(k, z)| stays below BESSEL_TAIL.
+
+    Two consecutive orders below the tail mark its start: ive_k(z) falls
+    monotonically in k, and two small consecutive J_k(z) cannot occur for
+    k < z, where the recurrence would carry them down to J_0 and J_1.
+    """
+    n = 16
+    while True:
+        c = bessel(np.arange(n), z)
+        d = np.flatnonzero(np.abs(c) > BESSEL_TAIL)[-1] + 1
+        if d <= n - 2:
+            break
+        n *= 2
+    c = c[:d]
+    c[1:] *= 2.0
+    return c
+
+
+def _row_sum_bound(matrix) -> float:
+    """max_i sum_j |m_ij|: bounds |lambda| for every eigenvalue (Gershgorin)."""
+    return float(abs(matrix).sum(axis=1).max())
+
+
+def _dressing_action(G, s: float, V: np.ndarray) -> np.ndarray:
+    """exp(s G) V for a real antisymmetric sparse G, by the Jacobi-Anger series
+
+        exp(s G) = sum_k (2 - delta_k0) J_k(z) i^k T_k(-i s G / z),  z = |s| ||G||_inf,
+
+    whose terms obey the real recurrence y_{k+1} = 2 (s G / z) y_k + y_{k-1}."""
+    from scipy.special import jv
+
+    z = abs(s) * _row_sum_bound(G)
+    twice_S = (2.0 * s / z) * G if z > 0.0 else G
+    return _chebyshev_sum(twice_S, _bessel_coefficients(jv, z), V, np.add)
+
+
 def conjugation_residual(ops: FiberOperators, kappa: float, p: float) -> float:
     """Operator-norm defect of the dressing identity on low occupations.
 
     U_p = exp(p G / (kappa m_eff)) with G the stored antisymmetric generator;
     exactly (untruncated) U_p^{-1} H_dip,kappa U_p = p^2/(2 m_eff)
     + kappa^2 ((1/2) A^2 + H_f).  The residual is measured on states with
-    total occupation <= N_tot / 2 and shrinks as the truncation grows.
+    total occupation <= N_tot / 2 and shrinks as the truncation grows.  U_p
+    acts on those columns only, matrix-free (``_dressing_action``).
     """
     if kappa <= 0:
         raise ValueError("the dressing needs kappa > 0")
     m_star = ops.m_eff()
     dim = ops.dim
-    if dim > DENSE_EXPM_LIMIT:
-        raise NumericalError(f"dense dressing needs dim <= {DENSE_EXPM_LIMIT}, got {dim}")
-    U = expm((p / (kappa * m_star)) * ops.shift_generator.toarray())
-    H_dip = fiber_hamiltonian(ops, kappa, p, eps=0.0).toarray()
-    target = (p * p / (2.0 * m_star)) * np.eye(dim) \
-        + kappa**2 * ops.half_A2_plus_Hf().toarray()
-    R = U.T @ H_dip @ U - target
-    low = ops.basis.states.sum(axis=1) <= ops.basis.n_tot // 2
-    sub = R[np.ix_(low, low)]
-    return float(np.linalg.norm(sub, 2))
+    low = np.flatnonzero(ops.basis.states.sum(axis=1) <= ops.basis.n_tot // 2)
+    columns = np.zeros((dim, low.size))          # the identity's low columns
+    columns[low, np.arange(low.size)] = 1.0
+    U = _dressing_action(ops.shift_generator, p / (kappa * m_star), columns)
+    H_dip = fiber_hamiltonian(ops, kappa, p, eps=0.0)
+    target = (p * p / (2.0 * m_star)) * sp.identity(dim) + kappa**2 * ops.half_A2_plus_Hf()
+    R = U.T @ (H_dip @ U) - (target @ columns)[low]
+    return float(np.linalg.norm(R, 2))
 
 
 def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float,
@@ -275,7 +362,8 @@ def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float,
     The gap target is p^2 / (2 m_eff_disc); E0_dev compares E_kappa(0)
     against kappa^2 times the Bogoliubov value (not the truncated ground
     energy, so the column isolates weak-coupling error from truncation
-    error).
+    error).  top_shell is the ground vector's weight on the top shell
+    sum n = N_tot: the truncation indicator, small when N_tot is enough.
     """
     kappa_list = list(kappa_list)
     p_list = list(p_list)
@@ -284,11 +372,13 @@ def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float,
     if reference_energy is None:
         reference_energy = bogoliubov_energy(ops.basis.modes)
     m_disc = ops.m_eff()
+    top = ops.basis.states.sum(axis=1) == ops.basis.n_tot
     rows = []
     for kappa in kappa_list:
-        e0 = ground_energy(fiber_hamiltonian(ops, kappa, 0.0, eps))
+        e0, v0 = ground_state(fiber_hamiltonian(ops, kappa, 0.0, eps))
         for p in p_list:
-            ep = e0 if p == 0.0 else ground_energy(fiber_hamiltonian(ops, kappa, p, eps))
+            ep, vp = (e0, v0) if p == 0.0 else ground_state(
+                fiber_hamiltonian(ops, kappa, p, eps))
             gap = ep - e0
             target = p * p / (2.0 * m_disc)
             rows.append({
@@ -296,6 +386,7 @@ def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float,
                 "E_p": ep, "E_0": e0, "gap": gap, "target": target,
                 "gap_dev": gap - target,
                 "E0_dev": e0 - kappa**2 * reference_energy,
+                "top_shell": float(vp[top] @ vp[top]),
             })
     return rows
 
@@ -316,27 +407,64 @@ def diamagnetic_check(ops: FiberOperators, kappa: float, p_list,
     return rows
 
 
+def _semigroup_action(H, T: float, shift: float):
+    """v -> exp(-T (H - shift)) v for a sparse symmetric H, matrix-free.
+
+    The spectrum of H lies in [low, top]: top the row-sum bound, low = lam0 - delta
+    with lam0 = ``ground_state(H)`` and delta = b / d^2 (b the half-width of the
+    interval, d the series degree), so the Ritz value's error and the rounding
+    of the scaled H at its end stay inside.  With S = (c - H) / b, c the centre,
+
+        exp(-T (H - shift)) = exp(T (shift - low)) sum_k (2 - delta_k0) ive_k(beta) T_k(S),
+
+    beta = T b, summed until ive_k(beta) < BESSEL_TAIL (degree about
+    8.5 sqrt(beta) for large beta, so the cost grows as sqrt(T)).  Rounding
+    costs about beta * eps_mach relative to the largest term.  Raises
+    NumericalError when exp(T (shift - low)) overflows.
+    """
+    from scipy.special import ive     # here, so scan-only runs never import it
+
+    lam0 = ground_state(H)[0]
+    top = _row_sum_bound(H)
+    half = 0.5 * (top - lam0)
+    low = lam0 - half / len(_bessel_coefficients(ive, T * half)) ** 2
+    half = 0.5 * (top - low)
+    exponent = T * (shift - low)
+    if exponent > _LOG_MAX:
+        raise NumericalError(
+            f"semigroup: exp(T (kappa^2 E_disc - E_0)) = exp({exponent:.6g}) overflows")
+    coeffs = math.exp(exponent) * _bessel_coefficients(ive, T * half)
+    centred = 0.5 * (top + low) * sp.identity(H.shape[0], format="csr") - H
+    twice_S = (2.0 / half) * centred if half > 0.0 else centred
+    return lambda v: _chebyshev_sum(twice_S, coeffs, v, np.subtract)
+
+
 def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
                            T: float) -> float:
     """Operator norm of exp(-T(H_kappa(p) - kappa^2 E_disc))
     - P_g exp(-T (p - P_f)^2 / (2 m_eff_disc)).
 
     E_disc is the Bogoliubov value and P_g projects on the cached
-    ``ops.ground_vector``.  One dense ``eigh`` of H gives the exponential,
-    so dim <= DENSE_EXPM_LIMIT; ``svds`` takes the norm matrix-free.
+    ``ops.ground_vector``.  The exponential acts on vectors as a
+    Chebyshev-Bessel series (``_semigroup_action``: one ground-state solve of
+    H, then sparse products only, relative accuracy about T b eps_mach), and
+    ``svds`` takes the norm, so no dim x dim array is formed.
     """
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"the semigroup needs a finite T >= 0, got {T}")
     dim = ops.dim
-    if dim > DENSE_EXPM_LIMIT:
-        raise NumericalError(
-            f"dense exponentials need dim <= {DENSE_EXPM_LIMIT}, got {dim}")
-    e_disc = bogoliubov_energy(ops.basis.modes)
-    lam, Q = eigh(fiber_hamiltonian(ops, kappa, p, eps=1.0).toarray(), driver="evd")
-    decay = np.exp(np.clip(-T * (lam - kappa**2 * e_disc), -745.0, 50.0))
+    heat = _semigroup_action(fiber_hamiltonian(ops, kappa, p, eps=1.0), T,
+                             kappa**2 * bogoliubov_energy(ops.basis.modes))
     g = ops.ground_vector
-    free = np.exp(np.clip(-T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()),
-                          -745.0, 50.0))
-    L = aslinearoperator
-    X = L(Q) @ L(sp.diags(decay)) @ L(Q.T) - L(g[:, None]) @ L((g * free)[None, :])
+    f = g * np.exp(-T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()))
+
+    def apply(v, left, right):
+        v = np.ravel(v)
+        return heat(v) - left * (right @ v)
+
+    # exp(-T(H - c)) is symmetric, so X^T = exp(-T(H - c)) - f g^T
+    X = LinearOperator((dim, dim), dtype=float, matvec=lambda v: apply(v, g, f),
+                       rmatvec=lambda v: apply(v, f, g))
     try:
         top = svds(X, k=1, return_singular_vectors=False, v0=_start_vector(dim))
     except ArpackError as exc:

@@ -4,8 +4,8 @@ from pfwcl import fockdesk
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
                               SharpCutoff)
 
-# the two-mode weak-coupling study model; N_tot chosen so dim 1953 stays under
-# the dense semigroup guard fockdesk.DENSE_EXPM_LIMIT (2000)
+# the two-mode weak-coupling study model; at N_tot = 61 (dim 1953) every
+# fock quantity is truncation-converged, and the ground states run Lanczos
 TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 TWO_MODE_NTOT = 61
 

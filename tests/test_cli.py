@@ -152,10 +152,11 @@ class TestFock:
                     "--epsilon", "0", "--output", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == ("kappa,p,epsilon,E_p,E_0,gap,target,gap_dev,"
-                            "E0_dev,semigroup_res")
+                            "E0_dev,semigroup_res,top_shell")
         first = dict(zip(lines[1].split(","), lines[2].split(",")))
         assert float(first["gap"]) == 0.0
         assert first["semigroup_res"] == ""
+        assert 0.0 < float(first["top_shell"]) < 1e-3
 
     def test_semigroup_column_with_horizon(self, tmp_path):
         out = tmp_path / "fock_T.csv"
@@ -175,15 +176,23 @@ class TestFock:
         assert run(["fock", "--modes", "1:1:0,1:1:0,1:1:0,1:1:0,1:1:0",
                     "--ntot", "30", "--kappa-list", "1", "--p-list", "0"]) == 2
 
-    def test_dense_exponential_limit_is_numerical_failure(self, tmp_path, capsys):
-        # dim C(72,2) = 2556 > 2000: the scan itself runs (Lanczos), but the
-        # dense semigroup exponential refuses and the run exits 3
+    def test_semigroup_above_old_dense_limit(self, tmp_path):
+        # dim C(72,2) = 2556, past the 2000 states the dense semigroup
+        # exponential refused: the matrix-free route runs
         out = tmp_path / "big.csv"
-        code = run(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "70",
+        assert run(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "70",
                     "--kappa-list", "1", "--p-list", "0", "--T", "1",
-                    "--output", str(out)])
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+                    "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert 0.0 < float(row["semigroup_res"]) < 1.0
+
+    @pytest.mark.parametrize("eps", ["0", "0.5"])
+    def test_horizon_needs_full_fiber(self, eps, capsys):
+        # the semigroup residual is computed at epsilon = 1 only
+        assert run(["fock", "--modes", "1:3:0.2", "--ntot", "6", "--kappa-list", "1",
+                    "--p-list", "0.2", "--epsilon", eps, "--T", "1"]) == 2
+        assert "params.epsilon" in capsys.readouterr().err
 
 
 class TestHermiteCheck:
@@ -229,6 +238,13 @@ class TestDeterminism:
         # seeded, so two fresh interpreters print the same bytes
         argv = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "90",
                 "--kappa-list", "1,2", "--p-list", "0,0.2"]
+        outs = [run_python(["-m", "pfwcl.cli", *argv]) for _ in range(2)]
+        assert outs[0] == outs[1]
+
+    def test_semigroup_fock_byte_identical_across_processes(self):
+        # the Chebyshev series and the svds norm are deterministic too
+        argv = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "30",
+                "--kappa-list", "1,2", "--p-list", "0.2", "--T", "1"]
         outs = [run_python(["-m", "pfwcl.cli", *argv]) for _ in range(2)]
         assert outs[0] == outs[1]
 

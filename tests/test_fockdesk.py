@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from pfwcl import fockdesk
@@ -17,6 +19,43 @@ from pfwcl.formfactor import PointMasses, RadialMeasure
 from pfwcl.wienerhopf import log_det
 
 TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
+
+
+def _loop_states(M, n_tot):
+    """The per-state reference enumeration: multisets of size k over M modes,
+    k = 0 .. n_tot, each in itertools order, with a tuple -> position dict."""
+    states = []
+    for k in range(n_tot + 1):
+        for combo in itertools.combinations_with_replacement(range(M), k):
+            states.append([combo.count(j) for j in range(M)])
+    states = np.array(states, dtype=np.int64)
+    return states, {tuple(int(v) for v in s): i for i, s in enumerate(states)}
+
+
+def _loop_operators(modes, n_tot):
+    """H_f, P_f, A and the dressing generator from per-state annihilator loops."""
+    states, index = _loop_states(len(modes), n_tot)
+    dim = len(states)
+    occ = states.astype(float)
+    A = sp.csr_matrix((dim, dim))
+    G = sp.csr_matrix((dim, dim))
+    for j, (omega, weight, _) in enumerate(modes):
+        rows, cols, data = [], [], []
+        for pos, state in enumerate(states):
+            if state[j] == 0:
+                continue
+            lowered = state.copy()
+            lowered[j] -= 1
+            rows.append(index[tuple(lowered)])
+            cols.append(pos)
+            data.append(math.sqrt(state[j]))
+        a = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+        g = math.sqrt(weight / omega)
+        A = A + g / math.sqrt(2.0) * (a + a.T)
+        G = G + g / (omega * math.sqrt(2.0)) * (a.T - a)
+    return {"Hf": sp.diags(occ @ np.array([m[0] for m in modes])).tocsr(),
+            "Pf": sp.diags(occ @ np.array([m[2] for m in modes])).tocsr(),
+            "A": A.tocsr(), "shift_generator": G.tocsr()}
 
 
 class TestBasis:
@@ -40,6 +79,33 @@ class TestBasis:
         basis = build_basis([(1.0, 1.0, 0.1), (2.0, 1.0, -0.1)], 4)
         for pos, state in enumerate(basis.states):
             assert basis.position(state) == pos
+
+    @pytest.mark.parametrize("occupation", [(5, 0), (0, -1), (1, 1, 0)])
+    def test_position_outside_basis(self, occupation):
+        basis = build_basis([(1.0, 1.0, 0.1), (2.0, 1.0, -0.1)], 4)
+        with pytest.raises(KeyError):
+            basis.position(occupation)
+
+    @pytest.mark.parametrize("modes,n_tot", [
+        ([(1.0, 3.0, 0.0)], 20),
+        ([(1.0, 1.0, 0.1), (1.5, 0.5, 0.2), (2.0, 2.0, -0.3)], 12),
+        ([(1.0, 1.0, 0.1)] * 6, 4)])
+    def test_states_match_loop_order(self, modes, n_tot):
+        states, _ = _loop_states(len(modes), n_tot)
+        basis = build_basis(modes, n_tot)
+        assert basis.states.dtype == states.dtype
+        assert np.array_equal(basis.states, states)
+        assert np.array_equal(basis.rank(basis.states), np.arange(basis.dim))
+
+    @pytest.mark.parametrize("n_tot", [8, 30, 61])
+    def test_operators_byte_equal_to_loop_construction(self, n_tot):
+        ops = build_operators(build_basis(TWO_MODE, n_tot))
+        reference = _loop_operators(TWO_MODE, n_tot)
+        for name in ("Hf", "Pf", "A", "shift_generator"):
+            got, want = getattr(ops, name), reference[name]
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
 
     def test_ccr_on_interior(self):
         basis = build_basis([(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)], 6)
@@ -138,17 +204,20 @@ class TestGroundState:
 
     def test_ground_vector_computed_once(self, monkeypatch):
         ops = build_operators(build_basis(TWO_MODE, 8))
-        shapes = []
+        projector = ops.half_A2_plus_Hf()
+        solved = []
         real = fockdesk.ground_state
 
         def counted(matrix, *args):
-            shapes.append(matrix.shape)
+            solved.append("P_g" if abs(matrix - projector).max() == 0.0 else "lambda_0")
             return real(matrix, *args)
 
         monkeypatch.setattr(fockdesk, "ground_state", counted)
         for kappa in (1.0, 2.0):
             semigroup_wcl_residual(ops, kappa, 0.2, 1.0)
-        assert shapes == [(ops.dim, ops.dim)]
+        # the projector's matrix is solved once; each call solves its own H
+        # for the bottom of the Chebyshev interval
+        assert solved == ["lambda_0", "P_g", "lambda_0"]
         assert ops.ground_vector is ops.ground_vector
 
 
@@ -189,11 +258,13 @@ class TestWorkCounts:
         wcl_scan(two_mode_ops, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 1.0)
         assert calls == ["eigsh"] * 8
 
-    def test_semigroup_one_dense_eigh_no_svd(self, two_mode_ops, monkeypatch):
+    def test_semigroup_one_eigsh_one_svds_no_dense(self, two_mode_ops, monkeypatch):
+        # one Lanczos solve for the bottom of the Chebyshev interval, one
+        # matrix-free norm; no dim x dim eigh or SVD
         two_mode_ops.ground_vector   # the cached kappa-independent projector
         calls = self._count(monkeypatch, two_mode_ops.dim)
         semigroup_wcl_residual(two_mode_ops, 1.0, 0.2, 1.0)
-        assert calls == ["eigh", "svds"]
+        assert calls == ["eigsh", "svds"]
 
 
 class TestBogoliubov:
@@ -233,6 +304,11 @@ class TestConjugation:
         ops = build_operators(build_basis([(1.0, 3.0, 0.0)], 20))
         assert conjugation_residual(ops, 1.0, 0.0) == 0.0
 
+    def test_identity_without_coupling(self):
+        # G = 0: the dressing is the identity and the identity holds exactly
+        ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 4))
+        assert conjugation_residual(ops, 1.0, 0.5) == 0.0
+
     def test_refinement_in_truncation(self):
         # displacement large enough that the truncation error is visible
         res = {}
@@ -251,6 +327,32 @@ class TestConjugation:
         ops = build_operators(build_basis([(1.0, 3.0, 0.0)], 8))
         res = [conjugation_residual(ops, kap, 6.0) for kap in (1.0, 2.0, 4.0, 8.0)]
         assert res[0] > res[1] > res[2] > res[3]
+
+    @pytest.mark.parametrize("modes,n_tot,kappa,p", [
+        ([(1.0, 3.0, 0.0)], 20, 1.0, -3.0),
+        (TWO_MODE, 10, 4.0, 6.0),
+        (TWO_MODE, 20, 1.0, 6.0)])
+    def test_matches_dense_expm(self, modes, n_tot, kappa, p):
+        # the dense formula: U = expm(s G), R = U^T H_dip U - target on low states
+        ops = build_operators(build_basis(modes, n_tot))
+        m_star = ops.m_eff()
+        U = scipy.linalg.expm((p / (kappa * m_star)) * ops.shift_generator.toarray())
+        H_dip = fiber_hamiltonian(ops, kappa, p, 0.0).toarray()
+        target = (p * p / (2 * m_star)) * np.eye(ops.dim) \
+            + kappa**2 * ops.half_A2_plus_Hf().toarray()
+        low = ops.basis.states.sum(axis=1) <= n_tot // 2
+        R = (U.T @ H_dip @ U - target)[np.ix_(low, low)]
+        reference = np.linalg.norm(R, 2)
+        assert conjugation_residual(ops, kappa, p) == pytest.approx(reference, rel=1e-10)
+
+    def test_runs_above_old_dense_limit(self):
+        # dim 2016 > 2000, the size the dense expm refused; the truncation
+        # error at a large displacement keeps shrinking with N_tot
+        big = build_operators(build_basis(TWO_MODE, 62))
+        small = build_operators(build_basis(TWO_MODE, 40))
+        assert big.dim == 2016
+        assert conjugation_residual(big, 1.0, 6.0) < 0.01 * conjugation_residual(small, 1.0, 6.0)
+        assert conjugation_residual(big, 1.0, 0.2) < 1e-12
 
 
 class TestScan:
@@ -273,6 +375,21 @@ class TestScan:
         ops = build_operators(build_basis([(1.0, 1.0, 0.0)], 4))
         with pytest.raises(ValueError):
             wcl_scan(ops, [], [0.1], 0.0)
+
+    def test_top_shell_weight(self):
+        # the ground vector's weight on sum n = N_tot, from the dense eigenvector
+        ops = build_operators(build_basis(TWO_MODE, 10))
+        rows = wcl_scan(ops, [1.0, 4.0], [0.0, 0.2], 1.0)
+        top = ops.basis.states.sum(axis=1) == 10
+        for row in rows:
+            H = fiber_hamiltonian(ops, row["kappa"], row["p"], 1.0).toarray()
+            vec = np.linalg.eigh(H)[1][:, 0]
+            assert row["top_shell"] == pytest.approx(np.sum(vec[top] ** 2), rel=1e-8)
+        # a truncation indicator: it falls as the truncation grows
+        finer = wcl_scan(build_operators(build_basis(TWO_MODE, 20)), [1.0, 4.0],
+                         [0.0, 0.2], 1.0)
+        for coarse, fine in zip(rows, finer):
+            assert 0.0 < fine["top_shell"] < 1e-3 * coarse["top_shell"] < 1e-6
 
 
 class TestDiamagnetic:
@@ -305,6 +422,17 @@ class TestSemigroup:
         res = semigroup_wcl_residual(ops, 1.0, 0.2, 1.0)
         assert 0.0 <= res <= 1.0
 
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_uncoupled_closed_form(self, kappa):
+        # no coupling, no mode momenta: H = p^2/2 + kappa^2 H_f is diagonal
+        # (at kappa = 0 a multiple of 1, a zero-width interval), E_disc = 0,
+        # m_eff = 1 and P_g is the vacuum, so the residual is the largest
+        # non-vacuum entry exp(-T (p^2/2 + kappa^2 omega_min))
+        ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 4))
+        p, T = 0.5, 2.0
+        assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
+            math.exp(-T * (p * p / 2 + kappa**2)), rel=1e-12)
+
     @pytest.mark.parametrize("kappa", [1.0, 4.0])
     def test_matches_dense_reference(self, kappa):
         # the full-decomposition formula: both eigh's, dense P_g, full SVD
@@ -333,6 +461,58 @@ class TestSemigroup:
         ops = build_operators(build_basis([(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)], 20))
         res = [semigroup_wcl_residual(ops, kap, 0.2, 1.0) for kap in (1.0, 2.0, 4.0)]
         assert res[0] > res[1] > res[2]
+
+    def test_matches_mpmath_oracle(self):
+        # the same float64 operators, decomposed and exponentiated at 34 digits
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        ops = build_operators(build_basis(TWO_MODE, 6))
+        assert ops.dim == 28
+        kappa, p, T = 4.0, 0.2, 1.0
+        with mp.workdps(34):
+            def exact(sparse):
+                return mp.matrix([[mp.mpf(float(x)) for x in row] for row in sparse.toarray()])
+
+            lam, Q = mp.eigsy(exact(fiber_hamiltonian(ops, kappa, p, 1.0)))
+            omega = [mp.mpf(w) for w, _, _ in TWO_MODE]
+            root = [mp.sqrt(W) for _, W, _ in TWO_MODE]
+            mu = mp.eigsy(mp.diag([w**2 for w in omega])
+                          + mp.matrix(root) * mp.matrix(root).T, eigvals_only=True)
+            e_disc = mp.fsum(mp.sqrt(m) - w for m, w in zip(mu, omega)) / 2
+            decay = [mp.exp(-T * (lam[i] - kappa**2 * e_disc)) for i in range(ops.dim)]
+            semigroup = Q * mp.diag(decay) * Q.T
+            lam_f, Q_f = mp.eigsy(exact(ops.half_A2_plus_Hf()))
+            g = Q_f[:, min(range(ops.dim), key=lambda i: lam_f[i])]
+            m_eff = 1 + mp.fsum(mp.mpf(W) / mp.mpf(w)**2 for w, W, _ in TWO_MODE)
+            free = [mp.exp(-T * (p - mp.mpf(float(q)))**2 / (2 * m_eff))
+                    for q in ops.Pf.diagonal()]
+            X = semigroup - g * (mp.matrix([g[j] * free[j] for j in range(ops.dim)])).T
+            oracle = mp.sqrt(max(mp.eigsy(X.T * X, eigvals_only=True)))
+            got = semigroup_wcl_residual(ops, kappa, p, T)
+            assert abs(got - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_no_dense_cliff(self, two_mode_ops, kappa):
+        # dim 4186, past the old 2000-state dense limit; N_tot = 61 is already
+        # truncation-converged at T = 1, so both sizes give the same residual
+        big = build_operators(build_basis(TWO_MODE, 90))
+        assert big.dim == 4186
+        res_big = semigroup_wcl_residual(big, kappa, 0.2, 1.0)
+        res_61 = semigroup_wcl_residual(two_mode_ops, kappa, 0.2, 1.0)
+        assert res_big == pytest.approx(res_61, rel=1e-11)
+
+    @pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_nonnegative(self, T):
+        ops = build_operators(build_basis(TWO_MODE, 6))
+        with pytest.raises(ValueError, match="T >= 0"):
+            semigroup_wcl_residual(ops, 1.0, 0.2, T)
+
+    def test_overflow_names_stage(self, monkeypatch):
+        # kappa^2 E_disc far above the ground energy: exp(T (shift - E_0)) > max float
+        monkeypatch.setattr(fockdesk, "bogoliubov_energy", lambda modes: 1e3)
+        ops = build_operators(build_basis(TWO_MODE, 6))
+        with pytest.raises(NumericalError, match="semigroup"):
+            semigroup_wcl_residual(ops, 1.0, 0.2, 1.0)
 
 
 class TestDeskLimitCheck:
