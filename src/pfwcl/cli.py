@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -222,8 +223,9 @@ def _cmd_cutoff_scan(args) -> int:
     if not lambdas:
         raise ConfigError("cutoff-scan needs --lambda or params.lambdas")
     lambdas = resolved["params"]["lambdas"] = _param(resolved["params"], "lambdas", _floats)
-    if any(v <= 0 for v in lambdas):
-        raise ConfigError("cutoff values must be positive")
+    if not all(0.0 < v < math.inf for v in lambdas):
+        raise ConfigError(f"params.lambdas: cutoff values must be positive and finite, "
+                          f"got {lambdas}")
 
     def rows():
         for lam in lambdas:

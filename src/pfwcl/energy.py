@@ -22,7 +22,9 @@ Bogoliubov oracles directly comparable).  The log-spectral pipeline
 is an exact identity and is computed independently as a cross-check.
 
 Each spectral function is one sum over the measure's radial rule
-(``RadialMeasure.rule``) and takes an array of t as well as a scalar.
+(``RadialMeasure.rule``) and takes an array of t as well as a scalar.  The
+outer integrals, here and in the d = 3 cutoff energy E(Lambda) below, run on
+``adaptive_quad``; the whole-line ones fold onto [0, inf) by evenness.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formfactor import RadialMeasure, moment_report
-from .quadrature import adaptive_quad, adaptive_quad_0inf, adaptive_quad_sym_line
-
-DEFAULT_REL_TOL = 1e-11
+from .quadrature import adaptive_quad
 
 
 def measure_integral(ff: RadialMeasure, weight, t):
@@ -95,7 +95,13 @@ class EnergyResult:
     estimated_abs_error: float
 
 
-def ground_energy(ff: RadialMeasure, rel_tol: float = DEFAULT_REL_TOL) -> EnergyResult:
+def _even_line(f) -> tuple[float, float]:
+    """(int_R f, error estimate) for an even integrand f."""
+    val, err = adaptive_quad(f, 0.0, math.inf, abs_tol=1e-14)
+    return 2.0 * val, 2.0 * err
+
+
+def ground_energy(ff: RadialMeasure) -> EnergyResult:
     """Ground-state energy of (1/2) A(0)^2 + H_f via the G-quadrature.
 
     ``log_spectral`` holds the independently computed value
@@ -103,13 +109,11 @@ def ground_energy(ff: RadialMeasure, rel_tol: float = DEFAULT_REL_TOL) -> Energy
     (2/d_eff) * calE up to the reported error.
     """
     d_eff = _effective_component_count(ff)
-    i_g, err_g = adaptive_quad_sym_line(lambda ts: G_function(ff, ts),
-                                        rel_tol=rel_tol, abs_tol=1e-14)
+    i_g, err_g = _even_line(lambda ts: G_function(ff, ts))
     cal_e = d_eff / (2.0 * math.pi) * i_g
 
     sf1 = SpectralFunctions(ff, kappa=1.0)
-    i_log, err_log = adaptive_quad_sym_line(lambda ts: np.log1p(sf1.rho_hat(ts)),
-                                            rel_tol=rel_tol, abs_tol=1e-14)
+    i_log, err_log = _even_line(lambda ts: np.log1p(sf1.rho_hat(ts)))
     log_spectral = i_log / (2.0 * math.pi)
 
     propagated = d_eff / (2.0 * math.pi) * err_g + err_log / (2.0 * math.pi)
@@ -118,8 +122,7 @@ def ground_energy(ff: RadialMeasure, rel_tol: float = DEFAULT_REL_TOL) -> Energy
                         estimated_abs_error=max(propagated, residual))
 
 
-def log_spectral_energy(ff: RadialMeasure, kappa: float,
-                        rel_tol: float = DEFAULT_REL_TOL) -> float:
+def log_spectral_energy(ff: RadialMeasure, kappa: float) -> float:
     """(1/2 pi) int_R log(1 + kappa^2 rho_hat_kappa(t)) dt.
 
     Scales exactly as kappa^2 times the kappa = 1 value (change of variables
@@ -127,13 +130,12 @@ def log_spectral_energy(ff: RadialMeasure, kappa: float,
     """
     sf = SpectralFunctions(ff, kappa=kappa)
     k2 = kappa * kappa
-    val, _ = adaptive_quad_sym_line(lambda ts: np.log1p(k2 * sf.rho_hat(ts)),
-                                    rel_tol=rel_tol, abs_tol=1e-14)
+    val, _ = _even_line(lambda ts: np.log1p(k2 * sf.rho_hat(ts)))
     return val / (2.0 * math.pi)
 
 
 def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float,
-                      rel_tol: float = DEFAULT_REL_TOL, cal_e: float | None = None) -> float:
+                      cal_e: float | None = None) -> float:
     """Bottom of the dipole fiber spectrum: p^2/(2 m_eff) + kappa^2 * calE.
 
     ``cal_e`` passes a calE already computed by ``ground_energy``.  Note the
@@ -141,7 +143,7 @@ def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float,
     """
     rep = moment_report(ff)
     if cal_e is None:
-        cal_e = ground_energy(ff, rel_tol).calE
+        cal_e = ground_energy(ff).calE
     return p * p / (2.0 * rep.m_eff) + kappa * kappa * cal_e
 
 
@@ -191,7 +193,7 @@ def _cutoff_integrand(lam: float):
     return g
 
 
-def cutoff_energy_3d(lam: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def cutoff_energy_3d(lam: float) -> float:
     """Ground energy E(Lambda) of the d = 3 sharp-cutoff model at kappa = 1:
 
         E = 4 Lambda^2 int_0^inf [arctan u - u/(1+u^2)]
@@ -201,29 +203,20 @@ def cutoff_energy_3d(lam: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
     Lambda^{3/2} with E/Lambda^{3/2} eventually inside
     [sqrt(2 pi/3), sqrt(2 pi)].
     """
-    if not lam > 0.0:
-        raise ValueError(f"cutoff must be positive, got {lam}")
-    g = _cutoff_integrand(lam)
-    val, _ = adaptive_quad_0inf(g, split=2.0, rel_tol=rel_tol)
-    return 4.0 * lam * lam * val
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"cutoff Lambda must be positive and finite, got {lam}")
+    return 4.0 * lam * lam * adaptive_quad(_cutoff_integrand(lam), 0.0, math.inf)[0]
 
 
-def cutoff_split_I1_I2(lam: float, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, float]:
+def cutoff_split_I1_I2(lam: float) -> tuple[float, float]:
     """Split E(Lambda)/(4 Lambda) = I1 + I2 at u = Lambda^{-1/4}.
 
     I2/sqrt(Lambda) -> 0 while I1/sqrt(Lambda) carries the Lambda^{3/2}
     growth of E.
     """
-    if not lam > 1.0:
-        raise ValueError(f"the split needs Lambda > 1, got {lam}")
+    if not 1.0 < lam < math.inf:
+        raise ValueError(f"the split needs a finite Lambda > 1, got {lam}")
     g = _cutoff_integrand(lam)
     u_split = lam ** -0.25
-    v1, _ = adaptive_quad(g, 0.0, u_split, rel_tol=rel_tol)
-    v2a, _ = adaptive_quad(g, u_split, 2.0, rel_tol=rel_tol)
-
-    def tail(w):
-        w = np.asarray(w, dtype=float)
-        return g(1.0 / w) / (w * w)
-
-    v2b, _ = adaptive_quad(tail, 0.0, 0.5, rel_tol=rel_tol)
-    return lam * v1, lam * (v2a + v2b)
+    return (lam * adaptive_quad(g, 0.0, u_split)[0],
+            lam * adaptive_quad(g, u_split, math.inf)[0])

@@ -27,6 +27,7 @@ mass m_eff = 1 + delta_m.  A measure is infrared regular iff M_{-3} < inf.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
@@ -34,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import MeasureError
-from .quadrature import _gl_rule
+from .quadrature import gauss_panels
 
 VALID_MOMENT_ORDERS = (-3, -2, -1, 1)
 RULE_ORDER = 20
@@ -100,6 +101,9 @@ class Tabulated:
             raise MeasureError("tabulated profile needs at least two points")
         radii = tuple(r for r, _ in pts)
         values = tuple(v for _, v in pts)
+        for name, seq in (("radii", radii), ("values", values)):
+            if not all(map(math.isfinite, seq)):
+                raise MeasureError(f"tabulated {name} must be finite, got {list(seq)}")
         if any(r < 0 for r in radii):
             raise MeasureError("tabulated radii must be nonnegative")
         if any(b <= a for a, b in zip(radii[:-1], radii[1:])):
@@ -127,8 +131,9 @@ class RadialMeasure:
     polarization_factor: float = field(init=False)
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 2:
-            raise MeasureError(f"dimension must be an integer >= 2, got {self.dimension}")
+        d = self.dimension
+        if not (isinstance(d, numbers.Real) and math.isfinite(d) and int(d) == d and d >= 2):
+            raise MeasureError(f"dimension must be an integer >= 2, got {d}")
         object.__setattr__(self, "dimension", int(self.dimension))
         if not isinstance(self.profile, (SharpCutoff, GaussianProfile, PointMasses, Tabulated)):
             raise MeasureError(f"unknown profile type {type(self.profile).__name__}")
@@ -169,7 +174,8 @@ class RadialMeasure:
             else:
                 edges = [_panel_edges(a, b) for a, b in zip(p.radii[:-1], p.radii[1:])]
                 phi2 = lambda r: p(r) ** 2
-            r, w = (np.concatenate(part) for part in zip(*map(_gauss_panels, edges)))
+            r, w = (np.concatenate(part)
+                    for part in zip(*(gauss_panels(e, RULE_ORDER) for e in edges)))
             w *= phi2(r) * self.polarization_factor * self.sphere_area() * r ** (self.dimension - 1)
         r.flags.writeable = False
         w.flags.writeable = False
@@ -186,13 +192,6 @@ def _panel_edges(a: float, b: float) -> np.ndarray:
     count = max(MIN_SEGMENT_PANELS, math.ceil(0.5 * math.log2(b / lo)))
     edges = np.geomspace(lo, b, count + 1)
     return edges if a > 0.0 else np.concatenate(([0.0], edges))
-
-
-def _gauss_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order-RULE_ORDER Gauss-Legendre nodes and weights on consecutive panels."""
-    x, w = _gl_rule(RULE_ORDER)
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
 
 
 def _origin_exponent_divergent(ff: RadialMeasure, s: int) -> bool:

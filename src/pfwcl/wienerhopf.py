@@ -32,7 +32,7 @@ from scipy.linalg import (cho_factor, cho_solve, eigh, eigvalsh, expm, qr,
 from .energy import _effective_component_count, log_spectral_energy
 from .errors import NumericalError
 from .formfactor import RadialMeasure, moment_report
-from .quadrature import _gl_rule
+from .quadrature import gauss_panels
 
 TRUNCATION_TOL = 1e-15
 RESIDUAL_TOL = 1e-10
@@ -207,7 +207,7 @@ def solve_uT(ff: RadialMeasure, kappa: float, T: float) -> ResolventSolution:
     u = ResolventSolution(S, u_inf, -c * beta / (1.0 + np.exp(-mu * S)), mu)
     cuts = 10.0 ** np.arange(-2.0, 6.0)
     edges = np.concatenate(([0.0], cuts[cuts < 0.5 * S], [0.5 * S]))
-    x = (edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (1.0 + _gl_rule(4)[0])).ravel()
+    x = gauss_panels(edges, 4)[0]
     res = float(np.max(np.abs(u.at(x) + _kernel_applied(ss, u, x) - 1.0)))
     if not res <= RESIDUAL_TOL:
         raise NumericalError(f"u_T solve residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -281,6 +282,22 @@ def test_flag_overrides_config_param(tmp_path, argv, params, key, expected):
 FOCK_ARGS = ["fock", "--modes", "1:3:0", "--kappa-list", "1", "--p-list", "0"]
 
 
+def non_finite_configs(tmp_path) -> dict:
+    """Configs whose measure holds NaN or Infinity, which json.load accepts."""
+    def measure(points, dimension=3):
+        return {"measure": {"dimension": dimension,
+                            "profile": {"type": "tabulated", "points": points}}}
+
+    good = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]
+    configs = {"nan_value": measure([[0.0, 1.0], [1.0, math.nan], [2.0, 0.0]]),
+               "inf_value": measure([[0.0, 1.0], [1.0, math.inf], [2.0, 0.0]]),
+               "nan_radius": measure([[0.0, 1.0], [math.nan, 0.5], [2.0, 0.0]]),
+               "inf_radius": measure([[0.0, 1.0], [1.0, 0.5], [math.inf, 0.0]]),
+               "nan_dimension": measure(good, math.nan),
+               "inf_dimension": measure(good, math.inf)}
+    return {key: write_config(tmp_path, f"{key}.json", cfg) for key, cfg in configs.items()}
+
+
 @pytest.mark.parametrize("argv", [
     FOCK_ARGS + ["--ntot", "0"],
     FOCK_ARGS + ["--ntot", "4", "--epsilon", "2"],
@@ -292,17 +309,40 @@ FOCK_ARGS = ["fock", "--modes", "1:3:0", "--kappa-list", "1", "--p-list", "0"]
     ["wiener-hopf", "--config", "{cfg}", "--T-ladder", ",", "--p", "1"],
     ["energy", "--config", "{bad_cfg}"],
     ["validate", "--config", "{cfg}", "--output", "{missing}"],
+    ["cutoff-scan", "--lambda", "inf"],
+    ["cutoff-scan", "--lambda", "2,nan"],
+    ["validate", "--config", "{nan_value}"],
+    ["validate", "--config", "{inf_value}"],
+    ["energy", "--config", "{nan_value}"],
+    ["validate", "--config", "{nan_radius}"],
+    ["energy", "--config", "{inf_radius}"],
+    ["validate", "--config", "{nan_dimension}"],
+    ["energy", "--config", "{inf_dimension}"],
 ], ids=" ".join)
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
              "bad_cfg": write_config(tmp_path, "bad.json",
                                      {"measure": PM_MEASURE, "params": {"kappa": "abc"}}),
-             "missing": str(tmp_path / "no_such_dir" / "x.csv")}
+             "missing": str(tmp_path / "no_such_dir" / "x.csv"),
+             **non_finite_configs(tmp_path)}
     assert run([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
     if "{missing}" in argv:
         assert paths["missing"] in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["cutoff-scan", "--lambda", "inf"], "params.lambdas"),
+    (["validate", "--config", "{nan_value}"], "tabulated values"),
+    (["validate", "--config", "{inf_radius}"], "tabulated radii"),
+    (["energy", "--config", "{nan_dimension}"], "dimension"),
+])
+def test_non_finite_input_names_its_field(tmp_path, capsys, argv, field):
+    paths = non_finite_configs(tmp_path)
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {field}" in err and "must be" in err
 
 
 @pytest.mark.parametrize("argv, key", [

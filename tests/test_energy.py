@@ -215,3 +215,35 @@ class TestCutoffAsymptotics:
             cutoff_energy_3d(0.0)
         with pytest.raises(ValueError):
             cutoff_split_I1_I2(1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                cutoff_energy_3d(lam)
+            with pytest.raises(ValueError, match="finite"):
+                cutoff_split_I1_I2(lam)
+
+    @pytest.mark.parametrize("lam", [1e-2, 1.0, 1e2, 1e6])
+    def test_against_mpmath_quad(self, lam):
+        # the same u-integrand at 30 digits, its small-u cancellation summed as a series
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        with mp.workdps(30):
+            c = 8 * mp.pi / 3 * lam
+
+            def g(u):
+                if u < mp.mpf("0.01"):   # numerator and denominator divided by u^3
+                    terms = range(1, 30)
+                    num = mp.fsum((-1) ** (j + 1) * mp.mpf(2 * j) / (2 * j + 1) * u ** (2 * j - 2)
+                                  for j in terms)
+                    rest = mp.fsum((-1) ** (j + 1) * u ** (2 * j) / (2 * j + 1) for j in terms)
+                    return num / (1 + c * rest)
+                return (mp.atan(u) - u / (1 + u * u)) / ((u + c * (u - mp.atan(u))) * u * u)
+
+            split = mp.mpf(lam ** -0.25)
+            points = sorted({mp.mpf(0), mp.mpf(lam) ** -0.5, split, mp.mpf(1)})
+            i1 = lam * mp.quad(g, [x for x in points if x <= split])
+            i2 = lam * mp.quad(g, [x for x in points if x >= split] + [mp.inf])
+            energy = float(4 * lam * (i1 + i2))
+            i1, i2 = float(i1), float(i2)
+        assert cutoff_energy_3d(lam) == pytest.approx(energy, rel=1e-10, abs=0)
+        if lam > 1.0:
+            assert cutoff_split_I1_I2(lam) == pytest.approx((i1, i2), rel=1e-10, abs=0)

@@ -274,6 +274,33 @@ class TestBogoliubov:
     def test_zero_weights(self):
         assert bogoliubov_energy([(1.0, 0.0), (2.0, 0.0)]) == 0.0
 
+    @pytest.mark.parametrize("omega, W", [(10.0, 0.01), (30.0, 2e-3), (100.0, 1e-3),
+                                          (1e3, 1e-3), (1e-2, 1e3)])
+    def test_stiff_single_atom_closed_form(self, omega, W):
+        # sqrt(omega^2 + W) - omega without the cancellation
+        exact = W / (2.0 * (math.sqrt(omega * omega + W) + omega))
+        assert bogoliubov_energy([(omega, W)]) == pytest.approx(exact, rel=1e-14, abs=0)
+
+    def test_equal_frequencies_merge_and_zero_weights_drop(self):
+        assert bogoliubov_energy([(1.0, 1.0), (2.0, 0.0), (1.0, 2.0)]) == bogoliubov_energy(
+            [(1.0, 3.0)])
+
+    def test_matches_mpmath_eigenvalues(self):
+        # 60 random 1-4 atom models against diag(omega^2) + v v^T at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            atoms = [(10 ** rng.uniform(-2, 3), 10 ** rng.uniform(-3, 3))
+                     for _ in range(rng.integers(1, 5))]
+            with mp.workdps(50):
+                omega = [mp.mpf(w) for w, _ in atoms]
+                root = mp.matrix([mp.sqrt(W) for _, W in atoms])
+                mu = mp.eigsy(mp.diag([w**2 for w in omega]) + root * root.T,
+                              eigvals_only=True)
+                exact = float(sum(mp.sqrt(m) for m in mu) / 2 - sum(omega) / 2)
+            assert bogoliubov_energy(atoms) == pytest.approx(exact, rel=1e-14, abs=0), atoms
+
     def test_two_mode_closed_form(self):
         # eigenvalues of [[1,0],[0,4]] + v v^T, v = (1, sqrt(2))
         mu = np.linalg.eigvalsh(np.diag([1.0, 4.0])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pfwcl import quadrature
 from pfwcl.errors import QuadratureError
-from pfwcl.quadrature import (adaptive_quad, adaptive_quad_0inf,
-                              adaptive_quad_sym_line)
+from pfwcl.quadrature import adaptive_quad, gauss_panels
 
 
 def test_polynomial_exact():
@@ -20,27 +20,29 @@ def test_polynomial_exact():
     (lambda x: 1.0 / (1.0 + 25 * x**2), -1.0, 1.0),
     (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0),
 ])
-def test_against_quadpack(f, a, b):
-    mine, _ = adaptive_quad(f, a, b, rel_tol=1e-12)
+def test_against_quadpack(f, a, b, monkeypatch):
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-12)
+    mine, _ = adaptive_quad(f, a, b)
     ref, _ = integrate.quad(lambda x: float(f(np.array([x]))[0]), a, b,
                             epsabs=1e-13, epsrel=1e-13, limit=400)
     assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-def test_half_line_tail_map():
+def test_half_line_tail_map(monkeypatch):
     # int_0^inf e^{-r} dr = 1 and int_0^inf r^2 e^{-r^2} dr = sqrt(pi)/4
-    v1, _ = adaptive_quad_0inf(lambda r: np.exp(-r), rel_tol=1e-12)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-12)
+    v1, _ = adaptive_quad(lambda r: np.exp(-r), 0.0, math.inf)
     assert abs(v1 - 1.0) < 1e-11
-    v2, _ = adaptive_quad_0inf(lambda r: r**2 * np.exp(-r**2), rel_tol=1e-12)
+    v2, _ = adaptive_quad(lambda r: r**2 * np.exp(-r**2), 0.0, math.inf)
     assert abs(v2 - math.sqrt(math.pi) / 4) < 1e-11
 
 
 def test_whole_line_tan_map():
     # even integrand: int_R dt/(1+t^2) = pi
-    val, _ = adaptive_quad_sym_line(lambda t: 1.0 / (1.0 + t * t))
+    val = 2.0 * adaptive_quad(lambda t: 1.0 / (1.0 + t * t), 0.0, math.inf)[0]
     assert abs(val - math.pi) < 1e-10
     # int_R log(1 + 3/(1+t^2)) dt = 2 pi (sqrt(4) - sqrt(1))
-    val2, _ = adaptive_quad_sym_line(lambda t: np.log1p(3.0 / (1.0 + t * t)))
+    val2 = 2.0 * adaptive_quad(lambda t: np.log1p(3.0 / (1.0 + t * t)), 0.0, math.inf)[0]
     assert abs(val2 - 2 * math.pi) < 1e-9
 
 
@@ -49,12 +51,34 @@ def test_zero_integrand():
     assert val == 0.0 and err == 0.0
 
 
-def test_panel_exhaustion_reports_residual():
+def test_panel_exhaustion_reports_residual(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
     with pytest.raises(QuadratureError) as info:
-        adaptive_quad(lambda r: 1.0 / r, 0.0, 1.0, max_panels=64)
+        adaptive_quad(lambda r: 1.0 / r, 0.0, 1.0)
     assert info.value.residual is not None and info.value.residual > 0
 
 
 def test_nonfinite_integrand_rejected():
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a", [2.0, 0.5, -3.0])
+def test_half_line_from_a(a):
+    # the map t = a + tan(theta) must use this call's a, not the mapped
+    # interval's 0: int_a^inf dt/t^2 = 1/a, int_a^inf e^{-(t - a)} dt = 1
+    if a > 0:
+        assert adaptive_quad(lambda t: 1.0 / t**2, a, math.inf)[0] == pytest.approx(
+            1.0 / a, rel=1e-12)
+    assert adaptive_quad(lambda t: np.exp(a - t), a, math.inf)[0] == pytest.approx(
+        1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [4, 20])
+def test_gauss_panels(order):
+    # exact for polynomials of degree 2 order - 1 on every panel
+    edges = np.array([0.0, 0.25, 1.0, 3.0])
+    x, w = gauss_panels(edges, order)
+    assert len(x) == len(w) == 3 * order
+    assert np.all(np.diff(x) > 0) and x[0] > 0.0 and x[-1] < 3.0
+    assert w @ x ** (2 * order - 1) == pytest.approx(3.0 ** (2 * order) / (2 * order), rel=1e-13)
