@@ -88,6 +88,13 @@ def _effective_component_count(ff: RadialMeasure) -> int:
     return 1 if ff.is_discrete else ff.dimension
 
 
+#: floor of ``estimated_abs_error`` in units in the last place of calE, for the
+#: final rounding the quadrature estimate does not see: against a 40-digit
+#: closed form, 13 of 7,000 random single atoms erred above the estimate, by
+#: at most 2.85 ulp, so 3 is the smallest multiple that bounds them all
+ROUNDING_FLOOR_ULPS = 3
+
+
 @dataclass(frozen=True)
 class EnergyResult:
     calE: float
@@ -118,8 +125,9 @@ def ground_energy(ff: RadialMeasure) -> EnergyResult:
 
     propagated = d_eff / (2.0 * math.pi) * err_g + err_log / (2.0 * math.pi)
     residual = abs(log_spectral - (2.0 / d_eff) * cal_e)
+    floor = ROUNDING_FLOOR_ULPS * math.ulp(cal_e)
     return EnergyResult(calE=cal_e, log_spectral=log_spectral,
-                        estimated_abs_error=max(propagated, residual))
+                        estimated_abs_error=max(propagated, residual, floor))
 
 
 def log_spectral_energy(ff: RadialMeasure, kappa: float) -> float:

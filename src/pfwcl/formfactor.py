@@ -255,13 +255,20 @@ class AssumptionReport:
 def _check_square_integrability(ff: RadialMeasure) -> None:
     """Construction-time guard: M_{+1}, M_{-1}, M_{-2} must be finite.
 
-    Uses the analytic endpoint test only, so construction stays cheap.
+    The analytic endpoint test catches a divergence at the origin; the sums on
+    the radial rule (built here once, about 0.2 ms) catch weights that
+    overflow a double.
     """
     bad = [s for s in (1, -1, -2) if _origin_exponent_divergent(ff, s)]
     if bad:
         reasons = "; ".join(_ASSUMPTION_LABELS[s] for s in bad)
         raise MeasureError(
             f"form factor violates the standing integrability conditions: {reasons}")
+    with np.errstate(all="ignore"):
+        bad = [s for s in (1, -1, -2) if not math.isfinite(moment(ff, s))]
+    if bad:
+        raise MeasureError(f"profile moments M_s, s in {bad}, must be finite, but they "
+                           "overflow a double on the radial rule")
 
 
 def validate_assumptions(ff: RadialMeasure) -> AssumptionReport:
@@ -306,6 +313,30 @@ def _require_keys(obj: dict, required: set, context: str) -> None:
         raise MeasureError(f"missing keys {sorted(missing)} in {context}")
 
 
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise MeasureError(f"{field} must be a number, got {value!r}") from None
+
+
+def _pairs(items, field: str, keys: tuple[str, str] | None = None) -> list:
+    """``items`` as float pairs: each a two-element list or, given ``keys``, an
+    object with exactly those keys; a malformed entry names field[i]."""
+    if not isinstance(items, (list, tuple)):
+        raise MeasureError(f"{field} must be a list, got {items!r}")
+    pairs = []
+    for i, item in enumerate(items):
+        where = f"{field}[{i}]"
+        if keys is not None and isinstance(item, dict):
+            _require_keys(item, set(keys), where)
+            item = [item[k] for k in keys]
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise MeasureError(f"{where} must be a pair of numbers, got {item!r}")
+        pairs.append((_number(item[0], where), _number(item[1], where)))
+    return pairs
+
+
 def measure_from_json(obj: dict) -> RadialMeasure:
     if not isinstance(obj, dict):
         raise MeasureError("measure must be a JSON object")
@@ -316,23 +347,16 @@ def measure_from_json(obj: dict) -> RadialMeasure:
     kind = prof["type"]
     if kind == "sharp":
         _require_keys(prof, {"type", "lambda"}, "sharp profile")
-        profile = SharpCutoff(float(prof["lambda"]))
+        profile = SharpCutoff(_number(prof["lambda"], "profile.lambda"))
     elif kind == "gaussian":
         _require_keys(prof, {"type", "sigma"}, "gaussian profile")
-        profile = GaussianProfile(float(prof["sigma"]))
+        profile = GaussianProfile(_number(prof["sigma"], "profile.sigma"))
     elif kind == "point_masses":
         _require_keys(prof, {"type", "atoms"}, "point_masses profile")
-        atoms = []
-        for atom in prof["atoms"]:
-            if isinstance(atom, dict):
-                _require_keys(atom, {"omega", "weight"}, "atom")
-                atoms.append((atom["omega"], atom["weight"]))
-            else:
-                atoms.append(tuple(atom))
-        profile = PointMasses(atoms)
+        profile = PointMasses(_pairs(prof["atoms"], "profile.atoms", ("omega", "weight")))
     elif kind == "tabulated":
         _require_keys(prof, {"type", "points"}, "tabulated profile")
-        profile = Tabulated(prof["points"])
+        profile = Tabulated(_pairs(prof["points"], "profile.points"))
     else:
         raise MeasureError(f"unknown profile type {kind!r}")
     return RadialMeasure(dimension=obj["dimension"], profile=profile)

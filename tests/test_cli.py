@@ -283,7 +283,8 @@ FOCK_ARGS = ["fock", "--modes", "1:3:0", "--kappa-list", "1", "--p-list", "0"]
 
 
 def non_finite_configs(tmp_path) -> dict:
-    """Configs whose measure holds NaN or Infinity, which json.load accepts."""
+    """Configs whose measure holds NaN or Infinity, which json.load accepts, or
+    finite points whose moments overflow a double."""
     def measure(points, dimension=3):
         return {"measure": {"dimension": dimension,
                             "profile": {"type": "tabulated", "points": points}}}
@@ -294,7 +295,9 @@ def non_finite_configs(tmp_path) -> dict:
                "nan_radius": measure([[0.0, 1.0], [math.nan, 0.5], [2.0, 0.0]]),
                "inf_radius": measure([[0.0, 1.0], [1.0, 0.5], [math.inf, 0.0]]),
                "nan_dimension": measure(good, math.nan),
-               "inf_dimension": measure(good, math.inf)}
+               "inf_dimension": measure(good, math.inf),
+               "overflow_value": measure([[0.0, 1e200], [1.0, 0.0]]),
+               "overflow_radius": measure([[0.0, 1.0], [1e200, 1.0]])}
     return {key: write_config(tmp_path, f"{key}.json", cfg) for key, cfg in configs.items()}
 
 
@@ -318,6 +321,9 @@ def non_finite_configs(tmp_path) -> dict:
     ["energy", "--config", "{inf_radius}"],
     ["validate", "--config", "{nan_dimension}"],
     ["energy", "--config", "{inf_dimension}"],
+    ["validate", "--config", "{overflow_value}"],
+    ["validate", "--config", "{overflow_radius}"],
+    ["wiener-hopf", "--config", "{overflow_value}", "--T", "5"],
 ], ids=" ".join)
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
@@ -337,12 +343,31 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     (["validate", "--config", "{nan_value}"], "tabulated values"),
     (["validate", "--config", "{inf_radius}"], "tabulated radii"),
     (["energy", "--config", "{nan_dimension}"], "dimension"),
+    (["energy", "--config", "{overflow_radius}"], "profile moments"),
 ])
 def test_non_finite_input_names_its_field(tmp_path, capsys, argv, field):
     paths = non_finite_configs(tmp_path)
     assert run([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert f"configuration error: {field}" in err and "must be" in err
+
+
+@pytest.mark.parametrize("profile, field", [
+    ({"type": "tabulated", "points": [[0, 1], [1, "x"], [2, 0]]}, "profile.points[1]"),
+    ({"type": "tabulated", "points": [[0, 1], [1]]}, "profile.points[1]"),
+    ({"type": "point_masses", "atoms": [[1, "y"]]}, "profile.atoms[0]"),
+    ({"type": "point_masses", "atoms": [[1]]}, "profile.atoms[0]"),
+    ({"type": "point_masses", "atoms": {"a": 1}}, "profile.atoms"),
+    ({"type": "point_masses", "atoms": [{"omega": 1, "weight": 2}, {"omega": "z", "weight": 1}]},
+     "profile.atoms[1]"),
+    ({"type": "sharp", "lambda": "abc"}, "profile.lambda"),
+    ({"type": "gaussian", "sigma": None}, "profile.sigma"),
+])
+def test_malformed_measure_names_its_field(tmp_path, capsys, profile, field):
+    cfg = write_config(tmp_path, "m.json", {"measure": {"dimension": 3, "profile": profile}})
+    assert run(["validate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {field} must be" in err
 
 
 @pytest.mark.parametrize("argv, key", [

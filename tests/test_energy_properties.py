@@ -10,7 +10,8 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+mpmath = pytest.importorskip("mpmath")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from pfwcl.energy import ground_energy  # noqa: E402
 from pfwcl.formfactor import PointMasses, RadialMeasure  # noqa: E402
@@ -22,11 +23,11 @@ def log_uniform(lo, hi):
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(omega=log_uniform(1e-2, 1e2), W=log_uniform(1e-3, 1e3))
+@example(omega=2.527646432826397, W=0.28141327879927447)   # error 2.85 ulp of calE
 def test_error_estimate_bounds_single_atom_error(omega, W):
     result = ground_energy(RadialMeasure(3, PointMasses([(omega, W)])))
-    exact = W / (2.0 * (math.sqrt(omega * omega + W) + omega))
-    # the estimate covers the quadrature; the roundings of calE and of the
-    # closed form add a few units in the last place
-    rounding = 4.0 * math.ulp(exact)
-    assert abs(result.calE - exact) <= result.estimated_abs_error + rounding
+    with mpmath.workdps(40):
+        o, w = mpmath.mpf(omega), mpmath.mpf(W)
+        error = float(abs(mpmath.mpf(result.calE) - w / (2 * (mpmath.sqrt(o * o + w) + o))))
+    assert error <= result.estimated_abs_error
     assert abs(result.log_spectral - 2.0 * result.calE) <= result.estimated_abs_error
