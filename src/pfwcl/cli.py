@@ -7,8 +7,8 @@ config (and seed) yields byte-identical output: floats are printed with 17
 significant digits and the resolved config is echoed into the output header.
 
 Each subcommand is declared once, in ``COMMANDS``.  A flag's dest is the
-config ``params`` key it overrides.  The Wiener-Hopf and Fock modules, and
-with them scipy, are imported only by the subcommands that use them.
+config ``params`` key it overrides.  The Wiener-Hopf and Fock modules are
+imported only by the subcommands that use them, and scipy only by ``fock``.
 """
 
 from __future__ import annotations

@@ -7,16 +7,22 @@ the covariance of y = g.z for the stationary state dz = -diag(lam) z dx + dw,
 Cov z = I.  So one realization (lam, g) per measure serves every kappa and T.
 A point-mass rule is its own realization; a continuum rule (A = -diag(r), b =
 sqrt(w/(2r))) is cut by balanced truncation (Moore 1981) to the states whose
-Hankel singular value exceeds TRUNCATION_TOL of the largest.  With the
-filtering Riccati equation, P(0) = I (Kailath 1970),
+Hankel singular value exceeds TRUNCATION_TOL of the largest.
 
-    log det(1 + K_S) = int_0^S g P(x) g^T dx = (g P g^T) S + log det(1 + X(S) Delta),
+The symbol 1 + rho_hat_1 = prod (t^2 + mu^2) / prod (t^2 + lam^2) is rational,
+mu^2, Q the eigenpairs of diag(lam) (1 + 2 e e^T) diag(lam), e = g / sqrt(lam),
+and with Dt = Q^T diag(lam) Q its determinant formulas (Boettcher-Silbermann,
+Analysis of Toeplitz Operators, ch. 10) give at every S
 
-P the stabilizing ARE solution, F = -diag(lam) - P g^T g, F^T X + X F + g^T g
-= 0, X(S) = X - e^{F^T S} X e^{F S}, Delta = I - P: the rate g P g^T is the
-Ahiezer-Kac limit and B = log det(1 + X Delta) the constant term.  u_T solves
-a two-point boundary-value problem in the states, with modes anchored where
-they decay, so int u_T is closed form and no exponential exceeds 1.
+    log det(1 + K_S) = S sum(mu - lam) + 2 sum log1p(expm1(-mu S)/2)
+        + log det(1 + D1^1/2 Dt^-1 D1^1/2) + log det(1 + D2^1/2 Dt D2^1/2),
+
+D1 = diag(mu tanh(mu S/2)), D2 = diag(tanh(mu S/2)/mu), each log det a sum of
+log1p over eigenvalues.  As S -> inf this is S times the Ahiezer-Kac rate
+sum(mu - lam) plus B = sum_ij log1p(d_i d_j / ((lam_i + lam_j)(mu_i + mu_j))),
+d = sort(mu) - sort(lam) >= 0 (the two interlace).  u_T solves a two-point
+boundary-value problem in the states, with modes anchored where they decay,
+so int u_T is closed form and no exponential exceeds 1.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import (cho_factor, cho_solve, eigh, eigvalsh, expm, qr,
-                          solve_continuous_are, solve_continuous_lyapunov, svd)
+# bench/tracing.py counts factorisations through the names cho_factor and eigvalsh
+from numpy.linalg import cholesky as cho_factor
+from numpy.linalg import eigh, eigvalsh, qr, solve, svd
 
 from .energy import _effective_component_count, log_spectral_energy
 from .errors import NumericalError
@@ -50,31 +57,29 @@ class StateSpace:
     mass: float = 0.0
 
     @cached_property
-    def riccati(self):
-        """(rate g P g^T, B, F, X, G with G G^T = Delta)."""
-        g, D, gg = self.g, np.diag(self.lam), np.outer(self.g, self.g)
-        P = solve_continuous_are(-D, g[:, None], 2.0 * D, np.ones((1, 1)))
-        P = 0.5 * (P + P.T)
-        F = -D - P @ gg
-        X = solve_continuous_lyapunov(F.T, -gg)
-        X = 0.5 * (X + X.T)
-        delta, V = eigh(np.eye(len(g)) - P)
-        G = V * np.sqrt(np.clip(delta, 0.0, None))
-        return float(g @ P @ g), _log1p_det(G.T @ X @ G), F, X, G
-
-    @cached_property
     def modes(self):
-        """(mu, Q^T diag(lam) Q, Q^T (sqrt(lam) g), e = Q^T (g / sqrt(lam)), u_inf);
-        mu^2, Q are the eigenpairs of M^T M, M = [I; sqrt(2) g^T / sqrt(lam)]
-        diag(lam), from a pivoted QR and an SVD, which keep tiny mu accurate."""
+        """(mu, Dt = Q^T diag(lam) Q, Dt^-1, Q^T (sqrt(lam) g), e = Q^T (g / sqrt(lam)),
+        u_inf); mu^2, Q are the eigenpairs of M^T M, M = [I; sqrt(2) g^T / sqrt(lam)]
+        diag(lam), from a QR with the columns in decreasing norm and an SVD of
+        R, which keep tiny mu accurate."""
         lam, e = self.lam, self.g / np.sqrt(self.lam)
-        _, R, perm = qr(np.vstack((np.eye(len(lam)), math.sqrt(2.0) * e)) * lam,
-                        mode="economic", pivoting=True)
-        _, mu, Vt = svd(R)
+        M = np.vstack((np.eye(len(lam)), math.sqrt(2.0) * e)) * lam
+        perm = np.argsort(-np.linalg.norm(M, axis=0), kind="stable")
+        _, mu, Vt = svd(qr(M[:, perm], mode="r"))
         Q = np.empty_like(Vt)
         Q[perm] = Vt.T
-        return (mu, (Q.T * lam) @ Q, Q.T @ (np.sqrt(lam) * self.g), Q.T @ e,
-                1.0 / (1.0 + 2.0 * float(e @ e)))
+        return (mu, (Q.T * lam) @ Q, (Q.T / lam) @ Q, Q.T @ (np.sqrt(lam) * self.g),
+                Q.T @ e, 1.0 / (1.0 + 2.0 * float(e @ e)))
+
+    @cached_property
+    def asymptote(self):
+        """(rate, B) with log det(1 + K_S) = rate S + B + o(1): the Ahiezer-Kac
+        rate sum(mu - lam) and the constant term B, both from the interlaced
+        gaps d = sort(mu) - sort(lam) >= 0."""
+        mu, lam = np.sort(self.modes[0]), np.sort(self.lam)
+        d = mu - lam
+        return float(d.sum()), float(np.sum(np.log1p(
+            np.outer(d, d) / ((lam[:, None] + lam) * (mu[:, None] + mu)))))
 
     def disc_err(self, kappa: float) -> float:
         """Bound on |log det error| / T from the truncation (0 for point masses).
@@ -90,7 +95,7 @@ class StateSpace:
 
 def _log1p_det(N: np.ndarray) -> float:
     """log det(1 + N) for symmetric PSD N, accurate also when N is tiny."""
-    return float(np.sum(np.log1p(eigvalsh(N)))) if len(N) else 0.0
+    return float(np.sum(np.log1p(eigvalsh(N))))
 
 
 def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
@@ -108,7 +113,7 @@ def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
         cols.append(gen * (math.sqrt(2.0 * r[k]) * np.sign(gen[k])) / (r + r[k]))
         gen = gen * (r - r[k]) / (r + r[k])
         diag = gen * gen / (2.0 * r)
-    U, sv, _ = np.linalg.svd(np.array(cols).T, full_matrices=False)
+    U, sv, _ = svd(np.array(cols).T, full_matrices=False)
     keep = sv * sv > TRUNCATION_TOL * sv[0] ** 2
     lam, Z = eigh((U[:, keep].T * r) @ U[:, keep])
     g = Z.T @ (U[:, keep].T @ b)
@@ -138,23 +143,15 @@ def _horizon(ff: RadialMeasure, kappa: float, T: float) -> tuple[float, StateSpa
 
 
 def log_det(ff: RadialMeasure, kappa: float, T: float) -> float:
-    """log det(1 + kappa^2 C_T) from the Riccati closed form.
-
-    For S |F| <= 1, X(S) comes from one Van Loan exponential instead of the
-    difference X - e^{F^T S} X e^{F S}, which would cancel.
-    """
+    """log det(1 + kappa^2 C_T) from the boundary identity in the module docstring."""
     S, ss = _horizon(ff, kappa, T)
     if S == 0.0 or not len(ss.lam):
         return 0.0
-    rate, _, F, X, G = ss.riccati
-    if S * np.linalg.norm(F, 1) <= 1.0:
-        n = len(ss.lam)  # Van Loan: the top right block is e^{-F^T S} X(S)
-        block = expm(S * np.block([[-F.T, np.outer(ss.g, ss.g)], [np.zeros((n, n)), F]]))
-        XS = block[n:, n:].T @ block[:n, n:]
-    else:
-        E = expm(S * F)
-        XS = X - E.T @ X @ E
-    return rate * S + _log1p_det(G.T @ (0.5 * (XS + XS.T)) @ G)
+    mu, Dt, Dt_inv = ss.modes[:3]
+    th = np.tanh(0.5 * mu * S)
+    d1, d2 = np.sqrt(mu * th), np.sqrt(th / mu)
+    return (ss.asymptote[0] * S + 2.0 * float(np.sum(np.log1p(0.5 * np.expm1(-mu * S))))
+            + _log1p_det(d1[:, None] * Dt_inv * d1) + _log1p_det(d2[:, None] * Dt * d2))
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,9 @@ def solve_uT(ff: RadialMeasure, kappa: float, T: float) -> ResolventSolution:
     S, ss = _horizon(ff, kappa, T)
     if S == 0.0 or not len(ss.lam):
         return ResolventSolution(S, 1.0, np.zeros(0), np.ones(0))
-    mu, Dt, c, e, u_inf = ss.modes
-    beta = cho_solve(cho_factor(Dt + np.diag(mu * np.tanh(0.5 * mu * S))), -2.0 * u_inf * e)
+    mu, Dt, _, c, e, u_inf = ss.modes
+    L = cho_factor(Dt + np.diag(mu * np.tanh(0.5 * mu * S)))
+    beta = solve(L.T, solve(L, -2.0 * u_inf * e))
     u = ResolventSolution(S, u_inf, -c * beta / (1.0 + np.exp(-mu * S)), mu)
     cuts = 10.0 ** np.arange(-2.0, 6.0)
     edges = np.concatenate(([0.0], cuts[cuts < 0.5 * S], [0.5 * S]))
@@ -246,7 +244,7 @@ def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list) -> list[dict]
     mass_target = 1.0 / moment_report(ff).m_eff
     ss = realization(ff)
     fixed = {"n": len(ss.lam), "ak_target": ak_target, "mass_target": mass_target,
-             "ak_B": ss.riccati[1] if len(ss.lam) and kappa > 0.0 else 0.0,
+             "ak_B": ss.asymptote[1] if len(ss.lam) and kappa > 0.0 else 0.0,
              "disc_err": ss.disc_err(kappa)}
     rows = []
     for T in T_list:

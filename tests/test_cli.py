@@ -260,10 +260,23 @@ class TestDeterminism:
 
 
 def test_cli_import_skips_scipy():
-    # only fock and wiener-hopf need scipy; they import it when they run
-    code = "import sys, pfwcl.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # only fock needs scipy; it imports it when it runs
+    code = ("import sys, pfwcl.cli, pfwcl.wienerhopf; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = run_python(["-c", code]).decode()
     assert out.strip() == "[]"
+
+
+def test_wiener_hopf_runs_without_scipy(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import fail; run_python
+    # raises unless the process exits 0
+    cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
+    argv = ["wiener-hopf", "--config", cfg, "--T-ladder", "10,20", "--p", "0.3",
+            "--output", "-"]
+    blocked = run_python(["-c", "import sys; sys.modules['scipy'] = None; "
+                          "from pfwcl.cli import main; sys.argv[1:] = " + repr(argv) + "; main()"])
+    assert blocked == run_python(["-m", "pfwcl.cli", *argv])
+    assert blocked.count(b"\n") >= 4
 
 
 @pytest.mark.parametrize("argv, params, key, expected", [

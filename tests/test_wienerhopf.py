@@ -15,6 +15,7 @@ from pfwcl.wienerhopf import (ak_convergence_report, log_det, mass_functional, r
 NULL = RadialMeasure(3, PointMasses([]))
 TABULATED = RadialMeasure(3, Tabulated([(0.5, 0.0), (1.0, 1.0), (1.5, 0.0)]))
 REF_LADDER = [10.0, 20.0, 40.0, 80.0]
+ORACLE_MEASURES = ["pm_atom", "gauss1", "cutoff1", "tabulated", "gauss4"]
 
 
 def atom_logdet_exact(omega, weight, kappa, T):
@@ -54,6 +55,46 @@ def nystrom(ff, kappa, T, panels):
     assert sign == 1.0
     u = np.linalg.solve(A, sw) / sw
     return ld, float(weights @ u) / T
+
+
+def riccati_reference(ss, S):
+    """The Riccati route log det(1 + K_S) = (g P g^T) S + log det(1 + X(S) Delta)
+    (Kailath 1970) and its constant term B = log det(1 + X Delta), an oracle
+    independent of the boundary identity: P is the stabilizing filtering ARE
+    solution, F = -diag(lam) - P g^T g, F^T X + X F + g^T g = 0, Delta = I - P
+    and X(S) = X - e^{F^T S} X e^{F S}, from one Van Loan exponential when
+    S |F| <= 1, where that difference would cancel."""
+    linalg = pytest.importorskip("scipy.linalg")
+    g, D, gg = ss.g, np.diag(ss.lam), np.outer(ss.g, ss.g)
+    P = linalg.solve_continuous_are(-D, g[:, None], 2.0 * D, np.ones((1, 1)))
+    P = 0.5 * (P + P.T)
+    F = -D - P @ gg
+    X = linalg.solve_continuous_lyapunov(F.T, -gg)
+    X = 0.5 * (X + X.T)
+    delta, V = linalg.eigh(np.eye(len(g)) - P)
+    G = V * np.sqrt(np.clip(delta, 0.0, None))
+    if S * np.linalg.norm(F, 1) <= 1.0:
+        n = len(g)  # the top right block of the exponential is e^{-F^T S} X(S)
+        block = linalg.expm(S * np.block([[-F.T, gg], [np.zeros((n, n)), F]]))
+        XS = block[n:, n:].T @ block[:n, n:]
+    else:
+        E = linalg.expm(S * F)
+        XS = X - E.T @ X @ E
+
+    def log1p_det(N):
+        return float(np.sum(np.log1p(np.linalg.eigvalsh(N))))
+
+    return float(g @ P @ g) * S + log1p_det(G.T @ (0.5 * (XS + XS.T)) @ G), log1p_det(G.T @ X @ G)
+
+
+@pytest.fixture(scope="module")
+def tabulated():
+    return TABULATED
+
+
+@pytest.fixture(scope="module")
+def gauss4():
+    return RadialMeasure(4, GaussianProfile(2.0))
 
 
 def realized_rho(ff, kappa, tau):
@@ -144,10 +185,8 @@ class TestLogDet:
         assert log_det(pm_atom, 1.0, T) == pytest.approx(atom_logdet_mp(1.0, 3.0, 1.0, T),
                                                          rel=1e-12)
 
-    @pytest.mark.parametrize("kappa", [1e-2, 1e-3, 1e-5])
+    @pytest.mark.parametrize("kappa", [1e-2, 1e-3, 1e-5, 1e-7])
     def test_small_kappa_keeps_relative_accuracy(self, pm_atom, kappa):
-        F = realization(pm_atom).riccati[2]
-        assert kappa ** 2 * 10.0 * np.linalg.norm(F, 1) <= 1.0  # the small-S route
         assert log_det(pm_atom, kappa, 10.0) == pytest.approx(
             atom_logdet_mp(1.0, 3.0, kappa, 10.0), rel=1e-10)
 
@@ -156,13 +195,35 @@ class TestLogDet:
                                     RadialMeasure(4, GaussianProfile(2.0))],
                              ids=["gauss3", "sharp3", "tabulated3", "gauss4"])
     def test_rate_matches_log_spectral(self, ff):
-        rate = realization(ff).riccati[0]
+        rate = realization(ff).asymptote[0]
         for kappa in (1.0, 0.7):
             assert kappa ** 2 * rate == pytest.approx(log_spectral_energy(ff, kappa), rel=1e-10)
 
     def test_atom_constant_term(self, pm_atom):
         # B = log((a + b)^2 / (4 a b)) with a = 1, b = 2
-        assert realization(pm_atom).riccati[1] == pytest.approx(math.log(9.0 / 8.0), rel=1e-13)
+        assert realization(pm_atom).asymptote[1] == pytest.approx(math.log(9.0 / 8.0), rel=1e-13)
+
+    @pytest.mark.parametrize("name", ORACLE_MEASURES)
+    @pytest.mark.parametrize("S", [1e-9, 1e-3, 1.0, 80.0, 1e5])
+    def test_matches_riccati_route(self, name, S, request):
+        ff = request.getfixturevalue(name)
+        ss = realization(ff)
+        ref_ld, ref_B = riccati_reference(ss, S)
+        assert log_det(ff, 1.0, S) == pytest.approx(ref_ld, rel=1e-12)
+        assert ss.asymptote[1] == pytest.approx(ref_B, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ORACLE_MEASURES[1:])
+    @pytest.mark.parametrize("S", [1e-9, 1e-6])
+    def test_small_S_series(self, name, S, request):
+        # log det(1 + K) = tr K - tr K^2/2 + tr K^3/3 - ..., where at small S
+        # tr K^3 = (S rho_1(0))^3 + O(S^4) and tr K_S^2 = int int rho_1(x - y)^2
+        ff = request.getfixturevalue(name)
+        ss = realization(ff)
+        trK, w = S * float(np.sum(ss.g ** 2)), np.outer(ss.g ** 2, ss.g ** 2)
+        c = ss.lam[:, None] + ss.lam
+        trK2 = float(np.sum(w * (S ** 2 - c * S ** 3 / 3.0 + c * c * S ** 4 / 12.0)))
+        assert log_det(ff, 1.0, S) == pytest.approx(trK - 0.5 * trK2 + trK ** 3 / 3.0,
+                                                    rel=1e-12)
 
 
 class TestUT:
