@@ -11,8 +11,7 @@ import numpy as np
 
 from pfwcl import PointMasses, RadialMeasure, ground_energy, log_spectral_energy
 from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
-                            fiber_hamiltonian)
-from pfwcl.fockdesk import ground_energy as fock_ground
+                            fiber_hamiltonian, ground_state)
 from pfwcl.wienerhopf import log_det
 
 atom = (1.0, 3.0)
@@ -28,7 +27,7 @@ routes["log-spectral / 2"] = 0.5 * log_spectral_energy(measure, 1.0)
 routes["Bogoliubov closed form"] = bogoliubov_energy([atom])
 
 ops = build_operators(build_basis([atom + (0.0,)], 60))
-routes["truncated Fock (N_tot=60)"] = fock_ground(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))
+routes["truncated Fock (N_tot=60)"] = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
 
 routes["(1/2T) log det, T=40"] = log_det(measure, 1.0, 40.0) / 80.0
 

@@ -20,7 +20,7 @@ from .errors import (BasisSizeError, MeasureError, NumericalError, PfwclError,
 from .formfactor import (GaussianProfile, MomentReport, PointMasses,
                          RadialMeasure, SharpCutoff, Tabulated,
                          measure_from_json, measure_to_json, moment,
-                         moment_report, validate_assumptions)
+                         moment_report)
 
 __all__ = [
     "BasisSizeError", "EnergyResult", "G_function", "GaussianProfile",
@@ -29,7 +29,6 @@ __all__ = [
     "SpectralFunctions", "Tabulated", "cutoff_energy_3d", "cutoff_split_I1_I2",
     "dipole_dispersion", "ground_energy", "log_spectral_energy",
     "measure_from_json", "measure_to_json", "moment", "moment_report",
-    "validate_assumptions",
 ]
 
 __version__ = "0.1.0"

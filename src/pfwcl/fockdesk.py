@@ -48,6 +48,9 @@ LANCZOS_RESIDUAL_TOL = 1e-9
 DIAMAGNETIC_ALLOWANCE = 1e-6    # truncation plus eigensolver slack of E_kappa(0) <= E_kappa(p)
 BESSEL_TAIL = 1e-17        # Chebyshev-Bessel series end where the coefficients fall below
 _LOG_MAX = math.log(np.finfo(float).max)
+#: below exp(SMALL_NORM_LEVEL) svds's X^T X nears underflow, so the norm is
+#: taken on a rescaled X
+SMALL_NORM_LEVEL = -300.0
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class Mode:
             raise ValueError(f"mode frequency must be positive, got {self.omega}")
         if not (self.weight >= 0.0 and math.isfinite(self.weight)):
             raise ValueError(f"mode weight must be nonnegative, got {self.weight}")
+        if not math.isfinite(self.momentum):
+            raise ValueError(f"mode momentum must be finite, got {self.momentum}")
 
     @property
     def coupling(self) -> float:
@@ -167,31 +172,34 @@ def build_basis(modes, n_tot: int) -> FockBasis:
 
 @dataclass(frozen=True, eq=False)
 class FiberOperators:
-    """Matrices of H_f, P_f and A on a FockBasis, plus the dressing generator."""
+    """Matrices of H_f, P_f and A on a FockBasis; the dressing generator and
+    the ground vector are built on first read (neither by the scan)."""
 
     basis: FockBasis
     Hf: sp.csr_matrix = field(repr=False)
     Pf: sp.csr_matrix = field(repr=False)
     A: sp.csr_matrix = field(repr=False)
-    shift_generator: sp.csr_matrix = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
-    def delta_m(self) -> float:
-        return math.fsum(m.weight / m.omega**2 for m in self.basis.modes)
-
     def m_eff(self) -> float:
-        return 1.0 + self.delta_m()
+        return 1.0 + math.fsum(m.weight / m.omega**2 for m in self.basis.modes)
 
-    def half_A2_plus_Hf(self) -> sp.csr_matrix:
-        return (0.5 * (self.A @ self.A) + self.Hf).tocsr()
+    @cached_property
+    def shift_generator(self) -> sp.csr_matrix:
+        """-i p Pi~ = (p / sqrt(2)) sum_j (g_j/omega_j) (a_j^T - a_j): real antisymmetric."""
+        G = sp.csr_matrix((self.dim, self.dim))
+        for j, mode in enumerate(self.basis.modes):
+            a = self.basis.annihilator(j)
+            G = G + mode.coupling / (mode.omega * math.sqrt(2.0)) * (a.T - a)
+        return G.tocsr()
 
     @cached_property
     def ground_vector(self) -> np.ndarray:
         """Ground eigenvector of (1/2) A^2 + H_f (kappa-independent)."""
-        return ground_state(self.half_A2_plus_Hf())[1]
+        return ground_state(fiber_hamiltonian(self, 1.0, 0.0, 0.0))[1]
 
 
 def build_operators(basis: FockBasis) -> FiberOperators:
@@ -200,17 +208,11 @@ def build_operators(basis: FockBasis) -> FiberOperators:
     qs = np.array([m.momentum for m in basis.modes])
     Hf = sp.diags(occ @ omegas).tocsr()
     Pf = sp.diags(occ @ qs).tocsr()
-    dim = basis.dim
-    A = sp.csr_matrix((dim, dim))
-    G = sp.csr_matrix((dim, dim))
+    A = sp.csr_matrix((basis.dim, basis.dim))
     for j, mode in enumerate(basis.modes):
         a = basis.annihilator(j)
-        g = mode.coupling
-        A = A + g / math.sqrt(2.0) * (a + a.T)
-        # -i p Pi~ = (p / sqrt(2)) sum_j (g_j/omega_j) (a_j^T - a_j): real antisymmetric
-        G = G + g / (mode.omega * math.sqrt(2.0)) * (a.T - a)
-    return FiberOperators(basis=basis, Hf=Hf, Pf=Pf, A=A.tocsr(),
-                          shift_generator=G.tocsr())
+        A = A + mode.coupling / math.sqrt(2.0) * (a + a.T)
+    return FiberOperators(basis=basis, Hf=Hf, Pf=Pf, A=A.tocsr())
 
 
 def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,
@@ -218,6 +220,9 @@ def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,
     """H_kappa(p, eps) = (1/2)(p - eps P_f - kappa A)^2 + kappa^2 H_f."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {eps}")
+    for name, value in (("kappa", kappa), ("p", p)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     dim = ops.dim
     B = (p * sp.identity(dim) - eps * ops.Pf - kappa * ops.A).tocsr()
     H = 0.5 * (B @ B) + kappa**2 * ops.Hf
@@ -250,11 +255,6 @@ def ground_state(matrix) -> tuple[float, np.ndarray]:
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds {LANCZOS_RESIDUAL_TOL:.0e}")
     return lam, v
-
-
-def ground_energy(matrix) -> float:
-    """Smallest eigenvalue: ``ground_state(matrix)[0]``."""
-    return ground_state(matrix)[0]
 
 
 def bogoliubov_energy(modes) -> float:
@@ -363,7 +363,8 @@ def conjugation_residual(ops: FiberOperators, kappa: float, p: float) -> float:
     columns[low, np.arange(low.size)] = 1.0
     U = _dressing_action(ops.shift_generator, p / (kappa * m_star), columns)
     H_dip = fiber_hamiltonian(ops, kappa, p, eps=0.0)
-    target = (p * p / (2.0 * m_star)) * sp.identity(dim) + kappa**2 * ops.half_A2_plus_Hf()
+    target = ((p * p / (2.0 * m_star)) * sp.identity(dim)
+              + kappa**2 * fiber_hamiltonian(ops, 1.0, 0.0, 0.0))
     R = U.T @ (H_dip @ U) - (target @ columns)[low]
     return float(np.linalg.norm(R, 2))
 
@@ -419,7 +420,8 @@ def diamagnetic_check(ops: FiberOperators, kappa: float, p_list,
 
 
 def _semigroup_action(H, T: float, shift: float):
-    """v -> exp(-T (H - shift)) v for a sparse symmetric H, matrix-free.
+    """(exponent, action) with action(level) the map v -> exp(-T (H - shift) - level) v
+    for a sparse symmetric H, matrix-free, and exponent = T (shift - low).
 
     The spectrum of H lies in [low, top]: top the row-sum bound, low = lam0 - delta
     with lam0 = ``ground_state(H)`` and delta = b / d^2 (b the half-width of the
@@ -444,10 +446,16 @@ def _semigroup_action(H, T: float, shift: float):
     if exponent > _LOG_MAX:
         raise NumericalError(
             f"semigroup: exp(T (kappa^2 E_disc - E_0)) = exp({exponent:.6g}) overflows")
-    coeffs = math.exp(exponent) * _bessel_coefficients(ive, T * half)
+    bessel = _bessel_coefficients(ive, T * half)
     centred = 0.5 * (top + low) * sp.identity(H.shape[0], format="csr") - H
     twice_S = (2.0 / half) * centred if half > 0.0 else centred
-    return lambda v: _chebyshev_sum(twice_S, coeffs, v, np.subtract)
+
+    def action(level):
+        coeffs = math.exp(exponent - level) * bessel
+        coeffs = coeffs[:np.flatnonzero(coeffs).max(initial=0) + 1]   # drop underflowed terms
+        return lambda v: _chebyshev_sum(twice_S, coeffs, v, np.subtract)
+
+    return exponent, action
 
 
 def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
@@ -459,15 +467,23 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
     ``ops.ground_vector``.  The exponential acts on vectors as a
     Chebyshev-Bessel series (``_semigroup_action``: one ground-state solve of
     H, then sparse products only, relative accuracy about T b eps_mach), and
-    ``svds`` takes the norm, so no dim x dim array is formed.
+    ``svds`` takes the norm, so no dim x dim array is formed.  When both terms
+    are below exp(SMALL_NORM_LEVEL) (long T), svds runs on exp(-level) X, the
+    larger term scaled to 1, and the norm is scaled back, so a residual below
+    the smallest double reads 0.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"the semigroup needs a finite T >= 0, got {T}")
     dim = ops.dim
-    heat = _semigroup_action(fiber_hamiltonian(ops, kappa, p, eps=1.0), T,
-                             kappa**2 * bogoliubov_energy(ops.basis.modes))
+    exponent, action = _semigroup_action(fiber_hamiltonian(ops, kappa, p, eps=1.0), T,
+                                         kappa**2 * bogoliubov_energy(ops.basis.modes))
     g = ops.ground_vector
-    f = g * np.exp(-T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()))
+    decay = -T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff())
+    with np.errstate(divide="ignore"):
+        level = max(exponent, float(np.max(np.log(np.abs(g)) + decay)))
+    level = level if level < SMALL_NORM_LEVEL else 0.0
+    heat = action(level)
+    f = g * np.exp(decay - level)
 
     def apply(v, left, right):
         v = np.ravel(v)
@@ -480,4 +496,4 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
         top = svds(X, k=1, return_singular_vectors=False, v0=_start_vector(dim))
     except ArpackError as exc:
         raise NumericalError(f"semigroup operator norm (svds) failed: {exc}") from exc
-    return float(top[0])
+    return math.exp(level) * float(top[0])

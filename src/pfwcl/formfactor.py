@@ -146,11 +146,6 @@ class RadialMeasure:
     def is_discrete(self) -> bool:
         return self.profile.discrete
 
-    @property
-    def is_null(self) -> bool:
-        """True when the measure carries no mass at all."""
-        return not np.any(self.rule()[1])
-
     def sphere_area(self) -> float:
         d = self.dimension
         return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
@@ -244,14 +239,6 @@ _ASSUMPTION_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    passed: bool
-    finite: dict
-    failures: tuple[str, ...]
-    values: dict
-
-
 def _check_square_integrability(ff: RadialMeasure) -> None:
     """Construction-time guard: M_{+1}, M_{-1}, M_{-2} must be finite.
 
@@ -269,21 +256,6 @@ def _check_square_integrability(ff: RadialMeasure) -> None:
     if bad:
         raise MeasureError(f"profile moments M_s, s in {bad}, must be finite, but they "
                            "overflow a double on the radial rule")
-
-
-def validate_assumptions(ff: RadialMeasure) -> AssumptionReport:
-    """Report which of M_{+1}, M_{-1}, M_{-2} are finite, with values."""
-    finite = {}
-    values = {}
-    failures = []
-    for s in (1, -1, -2):
-        val = moment(ff, s)
-        values[s] = val
-        finite[s] = math.isfinite(val)
-        if not finite[s]:
-            failures.append(_ASSUMPTION_LABELS[s])
-    return AssumptionReport(
-        passed=not failures, finite=finite, failures=tuple(failures), values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_criterion_1_five_way_energy_agreement(pm_atom):
     b = 0.5 * log_spectral_energy(pm_atom, 1.0)
     c = fockdesk.bogoliubov_energy([(1.0, 3.0)])
     ops = fockdesk.build_operators(fockdesk.build_basis([(1.0, 3.0, 0.0)], 60))
-    d = fockdesk.ground_energy(fockdesk.fiber_hamiltonian(ops, 1.0, 0.0, 0.0))
+    d = fockdesk.ground_state(fockdesk.fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
     e = wienerhopf.log_det(pm_atom, 1.0, 40.0) / 40.0
     elapsed = time.time() - t0
 

@@ -49,6 +49,22 @@ class TestValidate:
         cfg = write_config(tmp_path, "empty.json", {})
         assert run(["validate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("profile", [
+        {"type": "sharp", "lambda": 2.0},
+        {"type": "gaussian", "sigma": 0.5},
+        {"type": "point_masses", "atoms": [[1.0, 3.0], [2.0, 0.5]]},
+        {"type": "tabulated", "points": [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]},
+    ], ids=lambda profile: profile["type"])
+    def test_assumption_columns(self, tmp_path, capsys, profile):
+        # every measure that constructs passes; bench/checks.py reads the column
+        cfg = write_config(tmp_path, "m.json", {"measure": {"dimension": 3, "profile": profile}})
+        assert run(["validate", "--config", cfg]) == 0
+        out, err = capsys.readouterr()
+        header, row = out.splitlines()[1:3]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["assumptions_pass"] == "true" and cells["failures"] == ""
+        assert err.endswith(" assumptions=pass\n")
+
 
 class TestEnergy:
     def test_atom_energy_row(self, tmp_path):
@@ -279,6 +295,19 @@ def test_wiener_hopf_runs_without_scipy(tmp_path):
     assert blocked.count(b"\n") >= 4
 
 
+def test_fock_without_scipy_names_the_extra():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pfwcl.__file__))
+    argv = ["fock", "--modes", "1:3", "--ntot", "4", "--kappa-list", "1", "--p-list", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['scipy'] = None; "
+         "from pfwcl.cli import main; sys.argv[1:] = " + repr(argv) + "; main()"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("fock: configuration error: fock needs scipy")
+    assert "pip install 'pfwcl[fock]'" in proc.stderr
+
+
 @pytest.mark.parametrize("argv, params, key, expected", [
     (["energy", "--kappa", "2"], {"kappa": 0.5}, "kappa", 2.0),
     (["cutoff-scan", "--lambda", "3,4"], {"lambdas": [1.0]}, "lambdas", [3.0, 4.0]),
@@ -349,6 +378,23 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
     assert "configuration error" in err
     if "{missing}" in argv:
         assert paths["missing"] in err
+
+
+@pytest.mark.parametrize("ntot", ["24", "30"])     # dim 325 dense, dim 496 Lanczos
+@pytest.mark.parametrize("flags, field", [
+    (["--modes", "1:1:nan,2:2:0", "--kappa-list", "1", "--p-list", "0.2"], "mode momentum"),
+    (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "nan", "--p-list", "0.2"], "kappa"),
+    (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "1", "--p-list", "inf"], "p"),
+])
+def test_non_finite_fock_input_names_its_field(capsys, ntot, flags, field):
+    # on either side of DENSE_DIM_LIMIT: not a numerical failure of the solver
+    assert run(["fock", "--ntot", ntot, *flags]) == 2
+    assert f"configuration error: {field} must be finite" in capsys.readouterr().err
+
+
+def test_negative_seed_names_its_field(capsys):
+    assert run(["hermite-check", "--seed", "-1"]) == 2
+    assert "configuration error: seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, field", [

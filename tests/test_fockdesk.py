@@ -13,7 +13,7 @@ from pfwcl.energy import log_spectral_energy
 from pfwcl.errors import BasisSizeError, NumericalError
 from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
                             conjugation_residual, diamagnetic_check,
-                            fiber_hamiltonian, ground_energy, ground_state,
+                            fiber_hamiltonian, ground_state,
                             semigroup_wcl_residual, wcl_scan)
 from pfwcl.formfactor import PointMasses, RadialMeasure
 from pfwcl.wienerhopf import log_det
@@ -147,7 +147,7 @@ class TestOperators:
         q = occ @ np.array([0.4, -0.3])
         expected = 0.5 * (p - eps * q) ** 2
         assert np.allclose(H, np.diag(expected), atol=1e-14)
-        assert ground_energy(fiber_hamiltonian(ops, 0.0, p, eps)) == pytest.approx(
+        assert ground_state(fiber_hamiltonian(ops, 0.0, p, eps))[0] == pytest.approx(
             float(expected.min()), abs=1e-12)
 
     def test_eps_irrelevant_when_momenta_vanish(self):
@@ -161,29 +161,38 @@ class TestOperators:
         with pytest.raises(ValueError):
             fiber_hamiltonian(ops, 1.0, 0.0, 1.5)
 
+    def test_shift_generator_built_on_first_read(self):
+        # the scan never reads the dressing generator; conjugation_residual does
+        ops = build_operators(build_basis(TWO_MODE, 8))
+        assert "shift_generator" not in vars(ops)
+        wcl_scan(ops, [1.0], [0.0, 0.2], 1.0)
+        assert "shift_generator" not in vars(ops)
+        conjugation_residual(ops, 1.0, 0.2)
+        assert vars(ops)["shift_generator"] is ops.shift_generator
+
 
 class TestGroundEnergy:
     def test_diagonal_matrix(self):
         d = np.diag([3.0, -1.5, 0.2])
-        assert ground_energy(d) == -1.5
+        assert ground_state(d)[0] == -1.5
 
     def test_single_mode_oscillator(self):
         ops = build_operators(build_basis([(1.0, 3.0, 0.0)], 60))
-        e = ground_energy(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))
+        e = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
         assert e == pytest.approx(0.5, abs=1e-6)
 
     def test_dense_matches_bogoliubov(self):
         # dim 1326, above DENSE_DIM_LIMIT: the Lanczos branch
         modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
         ops = build_operators(build_basis(modes, 50))
-        dense = ground_energy(ops.half_A2_plus_Hf())
+        dense = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
         assert dense == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
 
     def test_dense_branch_matches_bogoliubov(self):
         modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
         ops = build_operators(build_basis(modes, 24))     # dim 325
         assert ops.dim <= fockdesk.DENSE_DIM_LIMIT
-        dense = ground_energy(ops.half_A2_plus_Hf())
+        dense = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
         assert dense == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
 
 
@@ -200,11 +209,11 @@ class TestGroundState:
             assert abs(lam - exact) <= 1e-11 * max(1.0, abs(exact))
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(H @ vec - lam * vec) <= 1e-9 * max(1.0, abs(lam))
-            assert ground_energy(H) == lam
+            assert ground_state(H)[0] == lam
 
     def test_ground_vector_computed_once(self, monkeypatch):
         ops = build_operators(build_basis(TWO_MODE, 8))
-        projector = ops.half_A2_plus_Hf()
+        projector = fiber_hamiltonian(ops, 1.0, 0.0, 0.0)
         solved = []
         real = fockdesk.ground_state
 
@@ -315,8 +324,8 @@ class TestBogoliubov:
         atoms = [(1.0, 1.0), (2.0, 2.0)]
         modes = [(w, W, 0.0) for w, W in atoms]
         bogo = bogoliubov_energy(atoms)
-        dense = ground_energy(
-            build_operators(build_basis(modes, 40)).half_A2_plus_Hf())
+        ops = build_operators(build_basis(modes, 40))
+        dense = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
         assert dense == pytest.approx(bogo, abs=1e-6)
         measure = RadialMeasure(3, PointMasses(atoms))
         cont = continuum_ground_energy(measure).calE
@@ -366,7 +375,7 @@ class TestConjugation:
         U = scipy.linalg.expm((p / (kappa * m_star)) * ops.shift_generator.toarray())
         H_dip = fiber_hamiltonian(ops, kappa, p, 0.0).toarray()
         target = (p * p / (2 * m_star)) * np.eye(ops.dim) \
-            + kappa**2 * ops.half_A2_plus_Hf().toarray()
+            + kappa**2 * fiber_hamiltonian(ops, 1.0, 0.0, 0.0).toarray()
         low = ops.basis.states.sum(axis=1) <= n_tot // 2
         R = (U.T @ H_dip @ U - target)[np.ix_(low, low)]
         reference = np.linalg.norm(R, 2)
@@ -468,7 +477,7 @@ class TestSemigroup:
         lam, Q = np.linalg.eigh(fiber_hamiltonian(ops, kappa, p, 1.0).toarray())
         shift = kappa**2 * bogoliubov_energy(TWO_MODE)
         left = (Q * np.exp(np.clip(-T * (lam - shift), -745.0, 50.0))) @ Q.T
-        g = np.linalg.eigh(ops.half_A2_plus_Hf().toarray())[1][:, 0]
+        g = np.linalg.eigh(fiber_hamiltonian(ops, 1.0, 0.0, 0.0).toarray())[1][:, 0]
         free = np.exp(np.clip(-T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()),
                               -745.0, 50.0))
         reference = np.linalg.norm(left - np.outer(g, g) * free[None, :], 2)
@@ -508,7 +517,7 @@ class TestSemigroup:
             e_disc = mp.fsum(mp.sqrt(m) - w for m, w in zip(mu, omega)) / 2
             decay = [mp.exp(-T * (lam[i] - kappa**2 * e_disc)) for i in range(ops.dim)]
             semigroup = Q * mp.diag(decay) * Q.T
-            lam_f, Q_f = mp.eigsy(exact(ops.half_A2_plus_Hf()))
+            lam_f, Q_f = mp.eigsy(exact(fiber_hamiltonian(ops, 1.0, 0.0, 0.0)))
             g = Q_f[:, min(range(ops.dim), key=lambda i: lam_f[i])]
             m_eff = 1 + mp.fsum(mp.mpf(W) / mp.mpf(w)**2 for w, W, _ in TWO_MODE)
             free = [mp.exp(-T * (p - mp.mpf(float(q)))**2 / (2 * m_eff))
@@ -527,6 +536,21 @@ class TestSemigroup:
         res_big = semigroup_wcl_residual(big, kappa, 0.2, 1.0)
         res_61 = semigroup_wcl_residual(two_mode_ops, kappa, 0.2, 1.0)
         assert res_big == pytest.approx(res_61, rel=1e-11)
+
+    @pytest.mark.parametrize("T", [1e4, 4e4, 1e5])
+    def test_long_horizon_rank_one_limit(self, T):
+        # one mode (1, 1, 0.6) at p = 0.2: the free term is at least e^{-T/100} and
+        # the semigroup term below e^{-T/50}, so at these T, X = -f g^T to all
+        # digits and ||X|| = ||f||.  Past e^-300 svds runs on a rescaled X (the
+        # unscaled X^T X underflows to the zero operator); e^-1000 at T = 1e5 is 0
+        ops = build_operators(build_basis([(1.0, 1.0, 0.6)], 8))
+        g = ops.ground_vector
+        scaled = np.exp(T / 100 - T * (0.2 - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()))
+        expected = math.exp(-T / 100) * np.linalg.norm(g * scaled)
+        got = semigroup_wcl_residual(ops, 1.0, 0.2, T)
+        assert got == pytest.approx(expected, rel=1e-9, abs=0)
+        if T == 1e4:
+            assert got == pytest.approx(3.692390045532778e-44, rel=1e-12)   # as before
 
     @pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
     def test_horizon_must_be_finite_nonnegative(self, T):
@@ -553,6 +577,6 @@ class TestDeskLimitCheck:
         devs = []
         for n_tot in (2, 4, 8, 16):
             ops = build_operators(build_basis(modes, n_tot))
-            e0 = ground_energy(fiber_hamiltonian(ops, 1.0, 0.0, 1.0))
+            e0 = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 1.0))[0]
             devs.append(abs(e0 - ref))
         assert devs[0] > devs[1] >= devs[2] >= devs[3]
