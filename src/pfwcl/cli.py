@@ -8,7 +8,8 @@ significant digits and the resolved config is echoed into the output header.
 
 Each subcommand is declared once, in ``COMMANDS``.  A flag's dest is the
 config ``params`` key it overrides.  The Wiener-Hopf and Fock modules are
-imported only by the subcommands that use them, and scipy only by ``fock``.
+imported only by the subcommands that use them; every subcommand runs on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -265,11 +266,7 @@ def _cmd_wiener_hopf(args) -> int:
 
 
 def _cmd_fock(args) -> int:
-    try:
-        from . import fockdesk
-    except ModuleNotFoundError as exc:
-        raise ConfigError(f"fock needs scipy ({exc}); install it with "
-                          "pip install 'pfwcl[fock]'") from exc
+    from . import fockdesk
 
     resolved = _resolve(args)
     params = resolved["params"]

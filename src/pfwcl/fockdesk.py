@@ -19,37 +19,45 @@ cross-checks line up: the exact ground energy of (1/2) A^2 + H_f is the
 rank-one Bogoliubov value (1/2) sum_i (sqrt(mu_i) - omega_i) with mu_i the
 eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j).
 
-Every ground state comes from ``ground_state``: seeded Lanczos with a residual
-check, and dense ``eigh`` for matrices of at most DENSE_DIM_LIMIT states (ARPACK
-cannot run at dim <= 2, and a small matrix gets its exact dense eigenvalue).  The
-matrix functions never form a dim x dim array: the semigroup exp(-T(H - c)) and
-the dressing exp(s G) act on vectors as Chebyshev series with Bessel
-coefficients (the Chebyshev propagator of Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-1984) on the sparse operators, so no dimension has a dense-size cliff.
+No operator is stored as a matrix.  A and the dressing generator are gather
+tables over the basis ranks, and H_kappa(p, eps) applies B = p - eps P_f - kappa A
+twice.  Every ground state comes from ``ground_state``: dense ``eigh`` for at
+most DENSE_DIM_LIMIT states, Lanczos from a seeded start vector with a residual
+check above.  The semigroup exp(-T(H - c)) and the dressing exp(s G) act on
+vectors as Chebyshev series with Bessel coefficients (the Chebyshev propagator
+of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984), so no dimension has a
+dense-size cliff.  The module needs numpy only.  Above DENSE_DIM_LIMIT every
+reduction runs in numpy's own loops or in Python floats, never in a threaded
+BLAS, so the output bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, svds
 
 from .errors import BasisSizeError, NumericalError
 
 BASIS_SIZE_GUARD = 200_000
-DENSE_DIM_LIMIT = 350      # ground states: dense eigh at or below, Lanczos above;
-                           # the measured dense/Lanczos crossover at kappa = 1
+DENSE_DIM_LIMIT = 170      # ground states: dense eigh at or below, Lanczos above;
+                           # the measured crossover lies at dim 140-190 for kappa 1-8
 LANCZOS_RESIDUAL_TOL = 1e-9
+LANCZOS_MAX_STEPS = 3000   # each step keeps one basis vector of 8 dim bytes
+#: Lanczos stops at a Ritz residual estimate of _RITZ_MARGIN LANCZOS_RESIDUAL_TOL
+#: (the ground vector enters the semigroup residual to first order), or of
+#: _RITZ_FLOOR eps_mach ||T_k||, the rounding floor the estimate reaches
+_RITZ_MARGIN = 1e-3
+_RITZ_FLOOR = 4.0
+_EPS = float(np.finfo(float).eps)
 DIAMAGNETIC_ALLOWANCE = 1e-6    # truncation plus eigensolver slack of E_kappa(0) <= E_kappa(p)
 BESSEL_TAIL = 1e-17        # Chebyshev-Bessel series end where the coefficients fall below
 _LOG_MAX = math.log(np.finfo(float).max)
-#: below exp(SMALL_NORM_LEVEL) svds's X^T X nears underflow, so the norm is
-#: taken on a rescaled X
+#: outside exp(+-SMALL_NORM_LEVEL) the entries of X X^T near underflow (or
+#: overflow), so the norm is taken on a rescaled X
 SMALL_NORM_LEVEL = -300.0
 
 
@@ -119,13 +127,59 @@ class FockBasis:
             raise KeyError(tuple(occupation))
         return int(self.rank(occ))
 
-    def annihilator(self, j: int) -> sp.csr_matrix:
+    @cached_property
+    def ladders(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gather tables (index, factor) of the ladder operators: row 2j is
+        (a_j^T v)_n = sqrt(n_j) v[rank(n - e_j)], row 2j + 1 is
+        (a_j v)_n = sqrt(n_j + 1) v[rank(n + e_j)].  A state whose neighbour
+        leaves the basis points at itself with factor 0."""
+        M = len(self.modes)
+        index = np.tile(np.arange(self.dim), (2 * M, 1))
+        factor = np.zeros((2 * M, self.dim))
+        below_top = self.states.sum(axis=1) < self.n_tot
+        for j in range(M):
+            for row, step, inside in ((2 * j, -1, self.states[:, j] > 0),
+                                      (2 * j + 1, 1, below_top)):
+                moved = self.states[inside]
+                moved[:, j] += step
+                index[row, inside] = self.rank(moved)
+                factor[row, inside] = np.sqrt(self.states[inside, j] + max(step, 0))
+        return index, factor
+
+    def annihilator(self, j: int) -> GatherOperator:
         """a_j in the truncated basis: a_j |n> = sqrt(n_j) |n - e_j>."""
-        cols = np.flatnonzero(self.states[:, j])
-        lowered = self.states[cols]
-        data = np.sqrt(lowered[:, j].astype(float))
-        lowered[:, j] -= 1
-        return sp.csr_matrix((data, (self.rank(lowered), cols)), shape=(self.dim, self.dim))
+        index, factor = self.ladders
+        return GatherOperator(index[2 * j + 1:2 * j + 2], factor[2 * j + 1:2 * j + 2])
+
+
+@dataclass(frozen=True, eq=False)
+class GatherOperator:
+    """A sparse matrix with R entries per row: row i holds weights[r, i] in
+    column index[r, i] (zero weights pad short rows), so that
+    M v = sum_r weights[r] v[index[r]], one numpy gather per r."""
+
+    index: np.ndarray = field(repr=False)      # (R, dim) int
+    weights: np.ndarray = field(repr=False)    # (R, dim) float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.index.shape[1], self.index.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.weights))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """M v for a vector or a block of columns; the R terms are added in order."""
+        gathered = np.take(v, self.index, axis=0)
+        gathered *= self.weights if v.ndim == 1 else self.weights[..., None]
+        return gathered.sum(axis=0)
+
+    def scaled(self, factor: float) -> GatherOperator:
+        return GatherOperator(self.index, factor * self.weights)
+
+    def abs_row_sums(self) -> np.ndarray:
+        return np.abs(self.weights).sum(axis=0)
 
 
 def _tail_sums(M: int, n_tot: int) -> np.ndarray:
@@ -170,15 +224,23 @@ def build_basis(modes, n_tot: int) -> FockBasis:
     return FockBasis(modes=modes, n_tot=n_tot, states=states)
 
 
+def _ladder_sum(basis: FockBasis, down, up) -> GatherOperator:
+    """sum_j (down_j a_j^T + up_j a_j) as one gather table."""
+    index, factor = basis.ladders
+    coefficients = np.column_stack([down, up]).ravel()     # rows 2j, 2j + 1
+    return GatherOperator(index, coefficients[:, None] * factor)
+
+
 @dataclass(frozen=True, eq=False)
 class FiberOperators:
-    """Matrices of H_f, P_f and A on a FockBasis; the dressing generator and
-    the ground vector are built on first read (neither by the scan)."""
+    """H_f and P_f as diagonals and A as a gather table on a FockBasis; the
+    dressing generator and the ground vector are built on first read (neither
+    by the scan)."""
 
     basis: FockBasis
-    Hf: sp.csr_matrix = field(repr=False)
-    Pf: sp.csr_matrix = field(repr=False)
-    A: sp.csr_matrix = field(repr=False)
+    Hf: np.ndarray = field(repr=False)     # diagonal of H_f
+    Pf: np.ndarray = field(repr=False)     # diagonal of P_f
+    A: GatherOperator = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -188,13 +250,10 @@ class FiberOperators:
         return 1.0 + math.fsum(m.weight / m.omega**2 for m in self.basis.modes)
 
     @cached_property
-    def shift_generator(self) -> sp.csr_matrix:
+    def shift_generator(self) -> GatherOperator:
         """-i p Pi~ = (p / sqrt(2)) sum_j (g_j/omega_j) (a_j^T - a_j): real antisymmetric."""
-        G = sp.csr_matrix((self.dim, self.dim))
-        for j, mode in enumerate(self.basis.modes):
-            a = self.basis.annihilator(j)
-            G = G + mode.coupling / (mode.omega * math.sqrt(2.0)) * (a.T - a)
-        return G.tocsr()
+        c = np.array([m.coupling / (m.omega * math.sqrt(2.0)) for m in self.basis.modes])
+        return _ladder_sum(self.basis, c, -c)
 
     @cached_property
     def ground_vector(self) -> np.ndarray:
@@ -206,55 +265,223 @@ def build_operators(basis: FockBasis) -> FiberOperators:
     occ = basis.states.astype(float)
     omegas = np.array([m.omega for m in basis.modes])
     qs = np.array([m.momentum for m in basis.modes])
-    Hf = sp.diags(occ @ omegas).tocsr()
-    Pf = sp.diags(occ @ qs).tocsr()
-    A = sp.csr_matrix((basis.dim, basis.dim))
-    for j, mode in enumerate(basis.modes):
-        a = basis.annihilator(j)
-        A = A + mode.coupling / math.sqrt(2.0) * (a + a.T)
-    return FiberOperators(basis=basis, Hf=Hf, Pf=Pf, A=A.tocsr())
+    c = np.array([m.coupling / math.sqrt(2.0) for m in basis.modes])
+    return FiberOperators(basis=basis, Hf=(occ * omegas).sum(axis=1),
+                          Pf=(occ * qs).sum(axis=1), A=_ladder_sum(basis, c, c))
+
+
+@dataclass(frozen=True, eq=False)
+class FiberHamiltonian:
+    """scale H_kappa(p, eps) + shift, applied matrix-free:
+    H v = (1/2) B (B v) + kappa^2 H_f v with B = p - eps P_f - kappa A."""
+
+    ops: FiberOperators
+    kappa: float
+    p: float
+    eps: float
+    scale: float = 1.0
+    shift: float = 0.0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.ops.dim, self.ops.dim
+
+    @cached_property
+    def _parts(self):
+        """The diagonal of B, kappa A, and the diagonal part scale kappa^2 H_f + shift."""
+        diag = self.scale * self.kappa**2 * self.ops.Hf + self.shift
+        return self.p - self.eps * self.ops.Pf, self.ops.A.scaled(self.kappa), diag
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        D, kA, diag = self._parts
+        if v.ndim == 2:
+            D, diag = D[:, None], diag[:, None]
+        u = D * v - kA @ v
+        out = D * u - kA @ u
+        out *= 0.5 * self.scale
+        out += diag * v
+        return out
+
+    def row_sum_bound(self) -> float:
+        """Bounds |lambda| for every eigenvalue of H (scale 1, shift 0): the largest row
+        sum of (1/2)|B|(|B| 1) + kappa^2 H_f, which dominates that of |H| (Gershgorin)."""
+        D, kA, _ = self._parts
+        absD, abs_kA = np.abs(D), GatherOperator(kA.index, np.abs(kA.weights))
+        row = absD + abs_kA.abs_row_sums()                  # |B| 1
+        return float(np.max(0.5 * (absD * row + abs_kA @ row) + self.kappa**2 * self.ops.Hf))
 
 
 def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,
-                      eps: float) -> sp.csr_matrix:
+                      eps: float) -> FiberHamiltonian:
     """H_kappa(p, eps) = (1/2)(p - eps P_f - kappa A)^2 + kappa^2 H_f."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"interpolation parameter must lie in [0, 1], got {eps}")
     for name, value in (("kappa", kappa), ("p", p)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    dim = ops.dim
-    B = (p * sp.identity(dim) - eps * ops.Pf - kappa * ops.A).tocsr()
-    H = 0.5 * (B @ B) + kappa**2 * ops.Hf
-    return H.tocsr()
+    return FiberHamiltonian(ops, kappa, p, eps)
 
 
 def _start_vector(dim: int) -> np.ndarray:
-    """Fixed Krylov start vector, so ARPACK results repeat byte for byte."""
+    """Fixed Krylov start vector, so Lanczos results repeat byte for byte."""
     return np.random.default_rng(0).standard_normal(dim)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b in numpy's own loop: unlike BLAS ddot, which threads long vectors,
+    its summation order does not depend on the thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
 
 
 def ground_state(matrix) -> tuple[float, np.ndarray]:
     """Lowest eigenpair (lam, vec): dense ``eigh`` for dim <= DENSE_DIM_LIMIT,
     else Lanczos from a fixed start vector with a relative residual check at
-    LANCZOS_RESIDUAL_TOL."""
+    LANCZOS_RESIDUAL_TOL.  ``matrix`` is a FiberHamiltonian or a dense array.
+
+    Lanczos starts from the seeded random vector, not from ``ground_vector``:
+    where p - eps P_f is far from 0 the ground state can be nearly orthogonal
+    to the Bogoliubov vector (overlap 1.8e-6 for two modes (1, 1, 0.6) at
+    kappa = 0.5, p = 6), and a start there would wait for rounding to seed it.
+    """
     dim = matrix.shape[0]
     if dim <= DENSE_DIM_LIMIT:
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-        vals, vecs = eigh(dense, subset_by_index=[0, 0])
+        vals, vecs = np.linalg.eigh(matrix @ np.eye(dim))
         return float(vals[0]), vecs[:, 0]
-    A = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(matrix)
-    try:
-        vals, vecs = eigsh(A, k=1, which="SA", maxiter=20000, v0=_start_vector(dim))
-    except Exception as exc:
-        raise NumericalError(f"Lanczos eigensolver failed: {exc}") from exc
-    lam = float(vals[0])
-    v = vecs[:, 0]
-    residual = float(np.linalg.norm(A @ v - lam * v))
+    v = _lanczos(matrix.__matmul__, _start_vector(dim), _RITZ_MARGIN * LANCZOS_RESIDUAL_TOL,
+                 1.0, "Lanczos eigensolver")
+    Hv = matrix @ v
+    lam = _dot(v, Hv)
+    residual = _norm(Hv - lam * v)
     if residual > LANCZOS_RESIDUAL_TOL * max(1.0, abs(lam)):
         raise NumericalError(
             f"eigensolver residual {residual:.3e} exceeds {LANCZOS_RESIDUAL_TOL:.0e}")
     return lam, v
+
+
+def _lanczos(apply, start: np.ndarray, tol: float, unit: float, stage: str) -> np.ndarray:
+    """Unit Ritz vector y of the lowest eigenvalue theta of the symmetric
+    operator ``apply`` in the Krylov space of ``start``, by the three-term
+    recurrence without reorthogonalisation.
+
+    At checkpoints the Ritz residual ||apply(y) - theta y|| is estimated as
+    beta_k |s_k|, s the lowest unit eigenvector of the tridiagonal T_k, and
+    the iteration stops once it is below tol max(unit, |theta|), or below
+    _RITZ_FLOOR eps_mach ||T_k||, the level rounding lets the estimate reach.
+    Past that floor the lost orthogonality brings copies of the converged
+    Ritz value, and the estimate jumps; if a checkpoint lands there, the best
+    checkpoint's vector is used.  A checkpoint costs O(k) Python float
+    operations (``_lowest_ritz``), and the next one is placed where the
+    geometric rate of the last two estimates reaches the target, so T_k is
+    never diagonalised from scratch.  The basis is kept to form y.
+    ``stage`` names the failure.
+    """
+    dim = start.shape[0]
+    v = start / _norm(start)
+    basis, alpha, beta = [], [], []
+    b, theta, best = 0.0, None, None
+    checkpoint, last = 8, None
+    for k in range(1, LANCZOS_MAX_STEPS + 1):
+        basis.append(v)
+        w = apply(v)
+        a = _dot(v, w)
+        w -= a * v
+        if k > 1:
+            w -= b * basis[-2]
+        alpha.append(a)
+        b = _norm(w)
+        if k >= min(checkpoint, dim) or b == 0.0:
+            width = max(alpha) - min(alpha) + 2.0 * max(beta, default=0.0)     # ~ ||T_k||
+            theta, s = _lowest_ritz(alpha, beta, width, theta, last and last[1])
+            estimate = b * abs(s[-1])
+            target = max(tol * max(unit, abs(theta)), _RITZ_FLOOR * _EPS * width)
+            if best is None or estimate < best[0]:
+                best = (estimate, s)
+            if estimate <= target or 100.0 * best[0] < estimate and best[0] <= 1e4 * target:
+                break
+            ahead = k // 4 + 1
+            if last is not None and 0.0 < estimate < last[1]:
+                rate = math.log(estimate / last[1]) / (k - last[0])
+                ahead = min(ahead, math.ceil(0.75 * math.log(target / estimate) / rate))
+            last, checkpoint = (k, estimate), k + max(ahead, 1)
+        beta.append(b)
+        v = w / b
+    else:
+        raise NumericalError(f"{stage} failed: no convergence in {LANCZOS_MAX_STEPS} steps")
+    s = best[1]
+    y = s[0] * basis[0]
+    for coefficient, vector in zip(s[1:], basis[1:]):
+        y += coefficient * vector
+    return y / _norm(y)
+
+
+def _lowest_ritz(alpha: list, beta: list, width: float, upper, gap) -> tuple[float, list]:
+    """(theta, s): the lowest eigenvalue of the symmetric tridiagonal T with
+    diagonal ``alpha`` and off-diagonal ``beta``, and its unit eigenvector, in
+    Python floats (O(k) per pass, and no library threads to change the bytes).
+
+    Newton's iteration sigma += 1 / tr (T - sigma)^-1 on det(T - sigma) rises
+    monotonically to theta from any sigma below it, and sigma is below theta
+    exactly when every LDL^T pivot of T - sigma is positive (Sturm).  The
+    start lies ``gap`` (the previous checkpoint's residual estimate) under
+    ``upper`` (its theta, which bounds theta from above by interlacing) and
+    moves down until it is below.  Two inverse-iteration solves at the final
+    sigma give s.  ``width``, the spread of T's spectrum, scales the steps.
+    """
+    top = min(alpha) if upper is None else min(upper, min(alpha))
+    tiny = 4.0 * _EPS * (abs(top) + width) or np.finfo(float).tiny     # T = 0 too
+    gap = max(gap or 1e-3 * width, tiny)
+    sigma = top - gap
+    while (factor := _ldl(alpha, beta, sigma)) is None:
+        gap *= 8.0
+        sigma = top - gap
+    for _ in range(100):
+        step = 1.0 / factor[1]
+        trial = _ldl(alpha, beta, sigma + step) if step > tiny else None
+        if trial is None:
+            break
+        sigma, factor = sigma + step, trial
+    pivots = factor[0]
+    s = [1.0] * len(alpha)
+    for _ in range(2):
+        s = _ldl_solve(pivots, beta, s)
+        largest = max(map(abs, s))
+        s = [x / largest for x in s]
+        scale = 1.0 / math.sqrt(math.fsum(x * x for x in s))
+        s = [x * scale for x in s]
+    return sigma, s
+
+
+def _ldl(alpha: list, beta: list, sigma: float):
+    """(pivots, tr (T - sigma)^-1) of T - sigma = L D L^T, or None when a pivot
+    is not positive (then sigma is not below the lowest eigenvalue)."""
+    d = alpha[0] - sigma
+    if not d > 0.0:
+        return None
+    slope, trace, pivots = -1.0, 1.0 / d, [d]      # slope = d(pivot)/d(sigma)
+    for a, b in zip(alpha[1:], beta):
+        q = b * b / d
+        slope = -1.0 + q * slope / d
+        d = a - sigma - q
+        if not d > 0.0:
+            return None
+        pivots.append(d)
+        trace -= slope / d
+    return pivots, trace
+
+
+def _ldl_solve(pivots: list, beta: list, rhs: list) -> list:
+    """x with L D L^T x = rhs, for the factor of ``_ldl``."""
+    y = [rhs[0]]
+    for d, b, r in zip(pivots, beta, rhs[1:]):
+        y.append(r - (b / d) * y[-1])
+    x = [y[-1] / pivots[-1]]
+    for d, b, yj in zip(reversed(pivots[:-1]), reversed(beta), reversed(y[:-1])):
+        x.append((yj - b * x[-1]) / d)
+    return x[::-1]
 
 
 def bogoliubov_energy(modes) -> float:
@@ -291,7 +518,7 @@ def bogoliubov_energy(modes) -> float:
 def _chebyshev_sum(twice_S, coeffs, v, combine) -> np.ndarray:
     """sum_k coeffs[k] y_k with y_0 = v, y_1 = S v, y_{k+1} = combine(2 S y_k, y_{k-1}).
 
-    ``twice_S`` is the sparse 2 S; ``v`` a vector or a block of columns.
+    ``twice_S`` is the operator 2 S; ``v`` a vector or a block of columns.
     combine = np.subtract gives the Chebyshev terms y_k = T_k(S) v; np.add, for
     an antisymmetric S, the real Jacobi-Anger terms y_k = i^k T_k(-i S) v.
     """
@@ -307,42 +534,65 @@ def _chebyshev_sum(twice_S, coeffs, v, combine) -> np.ndarray:
     return out
 
 
-def _bessel_coefficients(bessel, z: float) -> np.ndarray:
-    """(2 - delta_k0) bessel(k, z) for k = 0 .. d - 1, where past order d - 1
-    every |bessel(k, z)| stays below BESSEL_TAIL.
+def _bessel_coefficients(kind: str, z: float) -> np.ndarray:
+    """(2 - delta_k0) c_k for k = 0 .. d - 1, with c_k = e^{-z} I_k(z) for kind
+    "I" and J_k(z) for kind "J", where past order d - 1 every |c_k| stays
+    below BESSEL_TAIL.
 
-    Two consecutive orders below the tail mark its start: ive_k(z) falls
-    monotonically in k, and two small consecutive J_k(z) cannot occur for
-    k < z, where the recurrence would carry them down to J_0 and J_1.
+    Miller's backward recurrence (DLMF 3.6(iii)): from y_{N+1} = 0, y_N = 1,
+    y_{k-1} = (2k / z) y_k + y_{k+1} (I) or - y_{k+1} (J) falls onto the
+    minimal solution, and e^{-z}(I_0 + 2 sum I_k) = 1 or J_0 + 2 sum J_2k = 1
+    fixes its scale.  The start N is the order whose Debye exponent reaches
+    BESSEL_TAIL^2, so the start's error is far below the tail.  The recurrence
+    runs in 34-digit decimals: in doubles its rounding accumulates over the
+    N steps (to 3e-14 of the largest J_k at z = 1e5), in 34 digits it stays
+    far below one rounding of the final double, and the range needs no
+    rescaling.
     """
-    n = 16
-    while True:
-        c = bessel(np.arange(n), z)
-        d = np.flatnonzero(np.abs(c) > BESSEL_TAIL)[-1] + 1
-        if d <= n - 2:
-            break
-        n *= 2
-    c = c[:d]
+    if z == 0.0:
+        return np.ones(1)
+    n = _miller_start(kind, z)
+    with decimal.localcontext(decimal.Context(prec=34)):
+        scale, sign = 2 / decimal.Decimal(z), 1 if kind == "I" else -1
+        y = [decimal.Decimal(0), decimal.Decimal(1)]          # y_{N+1}, y_N
+        for k in range(n, 0, -1):
+            y.append(k * scale * y[-1] + sign * y[-2])
+        y = y[:0:-1]                                          # y_0 .. y_N
+        step = 1 if kind == "I" else 2
+        norm = y[0] + 2 * sum(y[step::step])
+        c = np.array([float(x / norm) for x in y])
+    c = c[:np.flatnonzero(np.abs(c) > BESSEL_TAIL)[-1] + 1]
     c[1:] *= 2.0
     return c
 
 
-def _row_sum_bound(matrix) -> float:
-    """max_i sum_j |m_ij|: bounds |lambda| for every eigenvalue (Gershgorin)."""
-    return float(abs(matrix).sum(axis=1).max())
+def _miller_start(kind: str, z: float) -> int:
+    """First order k past which the Debye exponent of e^{-z} I_k(z) (kind "I")
+    or J_k(z) (kind "J", where it is 0 for k <= z) is below 2 log BESSEL_TAIL."""
+    def exponent(k):
+        if kind == "I":
+            return math.hypot(k, z) - z - k * math.asinh(k / z)
+        return math.sqrt(k * k - z * z) - k * math.acosh(k / z) if k > z else 0.0
+
+    target = 2.0 * math.log(BESSEL_TAIL)
+    lo, hi = 0.0, 1.0
+    while exponent(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if exponent(mid) > target else (lo, mid)
+    return math.ceil(hi) + 1
 
 
-def _dressing_action(G, s: float, V: np.ndarray) -> np.ndarray:
-    """exp(s G) V for a real antisymmetric sparse G, by the Jacobi-Anger series
+def _dressing_action(G: GatherOperator, s: float, V: np.ndarray) -> np.ndarray:
+    """exp(s G) V for a real antisymmetric G, by the Jacobi-Anger series
 
         exp(s G) = sum_k (2 - delta_k0) J_k(z) i^k T_k(-i s G / z),  z = |s| ||G||_inf,
 
     whose terms obey the real recurrence y_{k+1} = 2 (s G / z) y_k + y_{k-1}."""
-    from scipy.special import jv
-
-    z = abs(s) * _row_sum_bound(G)
-    twice_S = (2.0 * s / z) * G if z > 0.0 else G
-    return _chebyshev_sum(twice_S, _bessel_coefficients(jv, z), V, np.add)
+    z = abs(s) * float(np.max(G.abs_row_sums()))
+    twice_S = G.scaled(2.0 * s / z) if z > 0.0 else G
+    return _chebyshev_sum(twice_S, _bessel_coefficients("J", z), V, np.add)
 
 
 def conjugation_residual(ops: FiberOperators, kappa: float, p: float) -> float:
@@ -357,15 +607,14 @@ def conjugation_residual(ops: FiberOperators, kappa: float, p: float) -> float:
     if kappa <= 0:
         raise ValueError("the dressing needs kappa > 0")
     m_star = ops.m_eff()
-    dim = ops.dim
     low = np.flatnonzero(ops.basis.states.sum(axis=1) <= ops.basis.n_tot // 2)
-    columns = np.zeros((dim, low.size))          # the identity's low columns
+    columns = np.zeros((ops.dim, low.size))          # the identity's low columns
     columns[low, np.arange(low.size)] = 1.0
     U = _dressing_action(ops.shift_generator, p / (kappa * m_star), columns)
     H_dip = fiber_hamiltonian(ops, kappa, p, eps=0.0)
-    target = ((p * p / (2.0 * m_star)) * sp.identity(dim)
-              + kappa**2 * fiber_hamiltonian(ops, 1.0, 0.0, 0.0))
-    R = U.T @ (H_dip @ U) - (target @ columns)[low]
+    target = ((p * p / (2.0 * m_star)) * columns
+              + kappa**2 * (fiber_hamiltonian(ops, 1.0, 0.0, 0.0) @ columns))
+    R = U.T @ (H_dip @ U) - target[low]
     return float(np.linalg.norm(R, 2))
 
 
@@ -398,7 +647,7 @@ def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float) -> list[dict]:
                 "E_p": ep, "E_0": e0, "gap": gap, "target": target,
                 "gap_dev": gap - target,
                 "E0_dev": e0 - kappa**2 * reference_energy,
-                "top_shell": float(vp[top] @ vp[top]),
+                "top_shell": _dot(vp[top], vp[top]),
             })
     return rows
 
@@ -419,81 +668,87 @@ def diamagnetic_check(ops: FiberOperators, kappa: float, p_list,
     return rows
 
 
-def _semigroup_action(H, T: float, shift: float):
-    """(exponent, action) with action(level) the map v -> exp(-T (H - shift) - level) v
-    for a sparse symmetric H, matrix-free, and exponent = T (shift - low).
+def _semigroup_action(H: FiberHamiltonian, T: float, shift: float):
+    """(exponent, series) with series(m, level) the map
+    v -> exp(-m T (H - shift) - level) v, m = 1 or 2, matrix-free, and
+    exponent = T (shift - low).
 
     The spectrum of H lies in [low, top]: top the row-sum bound, low = lam0 - delta
     with lam0 = ``ground_state(H)`` and delta = b / d^2 (b the half-width of the
-    interval, d the series degree), so the Ritz value's error and the rounding
-    of the scaled H at its end stay inside.  With S = (c - H) / b, c the centre,
+    interval, d the degree of the T series), so the Ritz value's error and the
+    rounding of the scaled H at its end stay inside.  With S = (c - H) / b, c the
+    centre,
 
-        exp(-T (H - shift)) = exp(T (shift - low)) sum_k (2 - delta_k0) ive_k(beta) T_k(S),
+        exp(-m T (H - shift)) = exp(m T (shift - low)) sum_k (2 - delta_k0) ive_k(m beta) T_k(S),
 
-    beta = T b, summed until ive_k(beta) < BESSEL_TAIL (degree about
-    8.5 sqrt(beta) for large beta, so the cost grows as sqrt(T)).  Rounding
-    costs about beta * eps_mach relative to the largest term.  Raises
+    beta = T b, summed until ive_k(m beta) < BESSEL_TAIL (degree about
+    8.5 sqrt(m beta) for large beta, so the cost grows as sqrt(T)).  Rounding
+    costs about m beta eps_mach relative to the largest term.  Raises
     NumericalError when exp(T (shift - low)) overflows.
     """
-    from scipy.special import ive     # here, so scan-only runs never import it
-
     lam0 = ground_state(H)[0]
-    top = _row_sum_bound(H)
+    top = max(H.row_sum_bound(), lam0)       # a rounding-level inversion at H = c 1
     half = 0.5 * (top - lam0)
-    low = lam0 - half / len(_bessel_coefficients(ive, T * half)) ** 2
+    low = lam0 - half / len(_bessel_coefficients("I", T * half)) ** 2
     half = 0.5 * (top - low)
     exponent = T * (shift - low)
     if exponent > _LOG_MAX:
         raise NumericalError(
             f"semigroup: exp(T (kappa^2 E_disc - E_0)) = exp({exponent:.6g}) overflows")
-    bessel = _bessel_coefficients(ive, T * half)
-    centred = 0.5 * (top + low) * sp.identity(H.shape[0], format="csr") - H
-    twice_S = (2.0 / half) * centred if half > 0.0 else centred
+    twice_S = (replace(H, scale=-2.0 / half, shift=(top + low) / half) if half > 0.0
+               else replace(H, scale=-1.0, shift=0.5 * (top + low)))
 
-    def action(level):
-        coeffs = math.exp(exponent - level) * bessel
+    def series(m, level):
+        coeffs = math.exp(m * exponent - level) * _bessel_coefficients("I", m * T * half)
         coeffs = coeffs[:np.flatnonzero(coeffs).max(initial=0) + 1]   # drop underflowed terms
         return lambda v: _chebyshev_sum(twice_S, coeffs, v, np.subtract)
 
-    return exponent, action
+    return exponent, series
 
 
 def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
                            T: float) -> float:
-    """Operator norm of exp(-T(H_kappa(p) - kappa^2 E_disc))
+    """Operator norm of X = exp(-T(H_kappa(p) - kappa^2 E_disc))
     - P_g exp(-T (p - P_f)^2 / (2 m_eff_disc)).
 
     E_disc is the Bogoliubov value and P_g projects on the cached
-    ``ops.ground_vector``.  The exponential acts on vectors as a
-    Chebyshev-Bessel series (``_semigroup_action``: one ground-state solve of
-    H, then sparse products only, relative accuracy about T b eps_mach), and
-    ``svds`` takes the norm, so no dim x dim array is formed.  When both terms
-    are below exp(SMALL_NORM_LEVEL) (long T), svds runs on exp(-level) X, the
+    ``ops.ground_vector``.  With E the semigroup, g that vector and f = g
+    exp(-T (p - P_f)^2 / (2 m_eff)), X = E - g f^T, and ||X||^2 is the largest
+    eigenvalue of
+
+        X X^T = E^2 - (E f) g^T - g (E f)^T + ||f||^2 g g^T,
+
+    found by ``_lanczos``.  E f is one Chebyshev-Bessel series and each step
+    applies E^2 = exp(-2T(H - c)) as one series (``_semigroup_action``: one
+    ground-state solve of H, then operator products only, relative accuracy
+    about T b eps_mach), so no dim x dim array is formed.  The norm is read as
+    ||X^T u|| at the Lanczos vector u, one more series: it is stationary at the
+    top singular vector, and unlike the eigenvalue of X X^T it does not square
+    the rounding of E relative to ||X||.  When the larger term is outside
+    exp(+-SMALL_NORM_LEVEL) (long T), the Lanczos runs on exp(-level) X, the
     larger term scaled to 1, and the norm is scaled back, so a residual below
     the smallest double reads 0.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"the semigroup needs a finite T >= 0, got {T}")
-    dim = ops.dim
-    exponent, action = _semigroup_action(fiber_hamiltonian(ops, kappa, p, eps=1.0), T,
+    exponent, series = _semigroup_action(fiber_hamiltonian(ops, kappa, p, eps=1.0), T,
                                          kappa**2 * bogoliubov_energy(ops.basis.modes))
     g = ops.ground_vector
-    decay = -T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff())
+    decay = -T * (p - ops.Pf) ** 2 / (2.0 * ops.m_eff())
     with np.errstate(divide="ignore"):
         level = max(exponent, float(np.max(np.log(np.abs(g)) + decay)))
-    level = level if level < SMALL_NORM_LEVEL else 0.0
-    heat = action(level)
+    level = 0.0 if SMALL_NORM_LEVEL <= level <= -SMALL_NORM_LEVEL else level
     f = g * np.exp(decay - level)
+    heat, square = series(1, level), series(2, 2.0 * level)
+    Ef, ff = heat(f), _dot(f, f)
 
-    def apply(v, left, right):
-        v = np.ravel(v)
-        return heat(v) - left * (right @ v)
+    def minus_XXt(v):
+        gv = _dot(g, v)
+        out = square(v)
+        out -= gv * Ef
+        out -= (_dot(Ef, v) - ff * gv) * g
+        return -out
 
-    # exp(-T(H - c)) is symmetric, so X^T = exp(-T(H - c)) - f g^T
-    X = LinearOperator((dim, dim), dtype=float, matvec=lambda v: apply(v, g, f),
-                       rmatvec=lambda v: apply(v, f, g))
-    try:
-        top = svds(X, k=1, return_singular_vectors=False, v0=_start_vector(dim))
-    except ArpackError as exc:
-        raise NumericalError(f"semigroup operator norm (svds) failed: {exc}") from exc
-    return math.exp(level) * float(top[0])
+    u = _lanczos(minus_XXt, _start_vector(ops.dim), LANCZOS_RESIDUAL_TOL, 0.0,
+                 "semigroup operator norm")
+    return math.exp(level) * _norm(heat(u) - _dot(g, u) * f)      # ||X^T u||

@@ -3,9 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from pfwcl import fockdesk
 from pfwcl.energy import ground_energy as continuum_ground_energy
@@ -21,6 +18,11 @@ from pfwcl.wienerhopf import log_det
 TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 
 
+def dense(operator):
+    """The matrix of a gather table or fiber Hamiltonian, column by column."""
+    return operator @ np.eye(operator.shape[0])
+
+
 def _loop_states(M, n_tot):
     """The per-state reference enumeration: multisets of size k over M modes,
     k = 0 .. n_tot, each in itertools order, with a tuple -> position dict."""
@@ -33,29 +35,26 @@ def _loop_states(M, n_tot):
 
 
 def _loop_operators(modes, n_tot):
-    """H_f, P_f, A and the dressing generator from per-state annihilator loops."""
+    """H_f and P_f diagonals, and dense A and dressing generator, from
+    per-state annihilator loops."""
     states, index = _loop_states(len(modes), n_tot)
     dim = len(states)
-    occ = states.astype(float)
-    A = sp.csr_matrix((dim, dim))
-    G = sp.csr_matrix((dim, dim))
+    A = np.zeros((dim, dim))
+    G = np.zeros((dim, dim))
     for j, (omega, weight, _) in enumerate(modes):
-        rows, cols, data = [], [], []
+        g = math.sqrt(weight / omega)
         for pos, state in enumerate(states):
             if state[j] == 0:
                 continue
             lowered = state.copy()
             lowered[j] -= 1
-            rows.append(index[tuple(lowered)])
-            cols.append(pos)
-            data.append(math.sqrt(state[j]))
-        a = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-        g = math.sqrt(weight / omega)
-        A = A + g / math.sqrt(2.0) * (a + a.T)
-        G = G + g / (omega * math.sqrt(2.0)) * (a.T - a)
-    return {"Hf": sp.diags(occ @ np.array([m[0] for m in modes])).tocsr(),
-            "Pf": sp.diags(occ @ np.array([m[2] for m in modes])).tocsr(),
-            "A": A.tocsr(), "shift_generator": G.tocsr()}
+            row, entry = index[tuple(lowered)], math.sqrt(state[j])   # a[row, pos]
+            A[row, pos] = A[pos, row] = g / math.sqrt(2.0) * entry
+            G[pos, row] = g / (omega * math.sqrt(2.0)) * entry
+            G[row, pos] = -G[pos, row]
+    return {"Hf": np.array([sum(n * m[0] for n, m in zip(st, modes)) for st in states]),
+            "Pf": np.array([sum(n * m[2] for n, m in zip(st, modes)) for st in states]),
+            "A": A, "shift_generator": G}
 
 
 class TestBasis:
@@ -103,46 +102,46 @@ class TestBasis:
         reference = _loop_operators(TWO_MODE, n_tot)
         for name in ("Hf", "Pf", "A", "shift_generator"):
             got, want = getattr(ops, name), reference[name]
-            for part in ("data", "indices", "indptr"):
-                a, b = getattr(got, part), getattr(want, part)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+            got = dense(got) if name in ("A", "shift_generator") else got
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        # nnz counts the stored nonzeros of A, as a sparse matrix would
+        assert ops.A.nnz == np.count_nonzero(reference["A"])
 
     def test_ccr_on_interior(self):
         basis = build_basis([(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)], 6)
         interior = basis.states.sum(axis=1) <= basis.n_tot - 2
         eye = np.eye(basis.dim)
         for j in range(2):
-            a = basis.annihilator(j)
-            comm = (a @ a.T - a.T @ a).toarray()
+            a = dense(basis.annihilator(j))
+            comm = a @ a.T - a.T @ a
             sub = comm[np.ix_(interior, interior)] - eye[np.ix_(interior, interior)]
             assert np.max(np.abs(sub)) < 1e-13
-        a0, a1 = basis.annihilator(0), basis.annihilator(1)
-        cross = (a0 @ a1.T - a1.T @ a0).toarray()
+        a0, a1 = dense(basis.annihilator(0)), dense(basis.annihilator(1))
+        cross = a0 @ a1.T - a1.T @ a0
         assert np.max(np.abs(cross[np.ix_(interior, interior)])) == 0.0
 
 
 class TestOperators:
     def test_hermitian_and_diagonal_structure(self):
         ops = build_operators(build_basis([(1.0, 1.0, 0.5), (2.0, 2.0, -0.5)], 5))
-        A = ops.A.toarray()
+        A = dense(ops.A)
         assert np.array_equal(A, A.T)
-        Hf = ops.Hf.toarray()
-        Pf = ops.Pf.toarray()
-        assert np.count_nonzero(Hf - np.diag(np.diag(Hf))) == 0
-        assert np.count_nonzero(Pf - np.diag(np.diag(Pf))) == 0
+        assert np.count_nonzero(np.diag(A)) == 0
+        # H_f and P_f are stored as their diagonals
         occ = ops.basis.states
-        assert np.allclose(np.diag(Hf), occ @ np.array([1.0, 2.0]))
-        assert np.allclose(np.diag(Pf), occ @ np.array([0.5, -0.5]))
+        assert ops.Hf.shape == ops.Pf.shape == (ops.dim,)
+        assert np.allclose(ops.Hf, occ @ np.array([1.0, 2.0]))
+        assert np.allclose(ops.Pf, occ @ np.array([0.5, -0.5]))
 
     def test_fiber_hamiltonian_symmetric(self):
         ops = build_operators(build_basis([(1.0, 3.0, 0.2)], 8))
-        H = fiber_hamiltonian(ops, 2.0, 0.3, 0.7).toarray()
+        H = dense(fiber_hamiltonian(ops, 2.0, 0.3, 0.7))
         assert np.allclose(H, H.T, atol=1e-13)
 
     def test_kappa_zero_is_diagonal_kinetic(self):
         ops = build_operators(build_basis([(1.0, 3.0, 0.4), (2.0, 1.0, -0.3)], 6))
         p, eps = 0.7, 1.0
-        H = fiber_hamiltonian(ops, 0.0, p, eps).toarray()
+        H = dense(fiber_hamiltonian(ops, 0.0, p, eps))
         occ = ops.basis.states
         q = occ @ np.array([0.4, -0.3])
         expected = 0.5 * (p - eps * q) ** 2
@@ -152,8 +151,8 @@ class TestOperators:
 
     def test_eps_irrelevant_when_momenta_vanish(self):
         ops = build_operators(build_basis([(1.0, 3.0, 0.0), (2.0, 1.0, 0.0)], 6))
-        h0 = fiber_hamiltonian(ops, 1.5, 0.4, 0.0).toarray()
-        h1 = fiber_hamiltonian(ops, 1.5, 0.4, 1.0).toarray()
+        h0 = dense(fiber_hamiltonian(ops, 1.5, 0.4, 0.0))
+        h1 = dense(fiber_hamiltonian(ops, 1.5, 0.4, 1.0))
         assert np.array_equal(h0, h1)
 
     def test_eps_out_of_range(self):
@@ -190,22 +189,21 @@ class TestGroundEnergy:
 
     def test_dense_branch_matches_bogoliubov(self):
         modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
-        ops = build_operators(build_basis(modes, 24))     # dim 325
+        ops = build_operators(build_basis(modes, 16))     # dim 153
         assert ops.dim <= fockdesk.DENSE_DIM_LIMIT
         dense = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
         assert dense == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
 
 
 class TestGroundState:
-    @pytest.mark.parametrize("n_tot", [24, 30, 44])   # dim 325 dense; 496, 1035 Lanczos
+    @pytest.mark.parametrize("n_tot", [16, 24, 30, 44])   # dim 153 dense; 325 .. 1035 Lanczos
     def test_matches_dense_eigh(self, n_tot):
         ops = build_operators(build_basis(TWO_MODE, n_tot))
-        assert (ops.dim <= fockdesk.DENSE_DIM_LIMIT) == (n_tot == 24)
+        assert (ops.dim <= fockdesk.DENSE_DIM_LIMIT) == (n_tot == 16)
         for kappa, p in ((1.0, 0.0), (4.0, 0.2)):
             H = fiber_hamiltonian(ops, kappa, p, 1.0)
             lam, vec = ground_state(H)
-            exact = scipy.linalg.eigh(H.toarray(), eigvals_only=True,
-                                      subset_by_index=[0, 0])[0]
+            exact = np.linalg.eigvalsh(dense(H))[0]
             assert abs(lam - exact) <= 1e-11 * max(1.0, abs(exact))
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(H @ vec - lam * vec) <= 1e-9 * max(1.0, abs(lam))
@@ -218,7 +216,9 @@ class TestGroundState:
         real = fockdesk.ground_state
 
         def counted(matrix, *args):
-            solved.append("P_g" if abs(matrix - projector).max() == 0.0 else "lambda_0")
+            same = (matrix.kappa, matrix.p, matrix.eps) == (
+                projector.kappa, projector.p, projector.eps)
+            solved.append("P_g" if same else "lambda_0")
             return real(matrix, *args)
 
         monkeypatch.setattr(fockdesk, "ground_state", counted)
@@ -230,13 +230,41 @@ class TestGroundState:
         assert ops.ground_vector is ops.ground_vector
 
 
+    def test_far_from_bogoliubov_vector(self):
+        # two identical modes at kappa = 0.5, p = 6: the ground state is nearly
+        # orthogonal to the Bogoliubov vector ops.ground_vector (overlap 1.8e-6).
+        # This case is why Lanczos starts from the seeded random vector and not
+        # warm from ground_vector.
+        ops = build_operators(build_basis([(1.0, 1.0, 0.6)] * 2, 30))
+        assert ops.dim == 496 > fockdesk.DENSE_DIM_LIMIT
+        H = fiber_hamiltonian(ops, 0.5, 6.0, 1.0)
+        vals, vecs = np.linalg.eigh(dense(H))
+        assert abs(vecs[:, 0] @ ops.ground_vector) < 1e-5
+        lam, vec = ground_state(H)
+        assert abs(lam - vals[0]) <= 1e-11 * max(1.0, abs(vals[0]))
+        assert abs(vec @ vecs[:, 0]) == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_multiple_of_identity_above_dense_limit(self):
+        # dim 231, kappa = 0, no mode momenta: H = p^2/2 times 1, so the start
+        # vector is an eigenvector and the recurrence ends at its first step
+        ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 20))
+        assert ops.dim > fockdesk.DENSE_DIM_LIMIT
+        for p in (0.0, 0.3):
+            lam, vec = ground_state(fiber_hamiltonian(ops, 0.0, p, 0.0))
+            assert lam == pytest.approx(p * p / 2, abs=1e-15)
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+
+
 class TestWorkCounts:
-    """Regression on work, not time, on the dim-1953 two-mode model."""
+    """Regression on work, not time, on the dim-1953 two-mode model: the
+    counts are deterministic, so two runs must agree exactly."""
 
     @staticmethod
     def _count(monkeypatch, dim):
-        """Record the solver calls fockdesk makes on dim x dim matrices."""
-        calls = []
+        """Count H applications, Lanczos solves and Chebyshev series terms,
+        and every dim x dim dense eigh or SVD fockdesk makes."""
+        counts = {"H": 0, "lanczos": 0, "terms": [], "dense": 0}
 
         def square(a, *args, **kwargs):
             return np.shape(a) == (dim, dim)
@@ -244,36 +272,145 @@ class TestWorkCounts:
         def matrix_2norm(a, ord=None, *args, **kwargs):
             return np.ndim(a) == 2 and ord == 2    # a full SVD
 
-        def spy(real, label, counts):
+        def spy(real, key, counts_it):
             def wrapper(*args, **kwargs):
-                if counts is None or counts(*args, **kwargs):
-                    calls.append(label)
+                if counts_it(*args, **kwargs):
+                    if key == "terms":
+                        counts["terms"].append(len(args[1]))
+                    else:
+                        counts[key] += 1
                 return real(*args, **kwargs)
             return wrapper
 
-        for owner, name, label, counts in (
-                (fockdesk, "eigh", "eigh", square),
-                (np.linalg, "eigh", "eigh", square),
-                (fockdesk, "eigsh", "eigsh", None),
-                (fockdesk, "svds", "svds", None),
-                (np.linalg, "svd", "svd", square),
-                (scipy.linalg, "svd", "svd", square),
-                (np.linalg, "norm", "svd", matrix_2norm)):
-            monkeypatch.setattr(owner, name, spy(getattr(owner, name), label, counts))
-        return calls
+        always = lambda *args, **kwargs: True    # noqa: E731
+        for owner, name, key, counts_it in (
+                (fockdesk.FiberHamiltonian, "__matmul__", "H", always),
+                (fockdesk, "_lanczos", "lanczos", always),
+                (fockdesk, "_chebyshev_sum", "terms", always),
+                (np.linalg, "eigh", "dense", square),
+                (np.linalg, "eigvalsh", "dense", square),
+                (np.linalg, "svd", "dense", square),
+                (np.linalg, "norm", "dense", matrix_2norm)):
+            monkeypatch.setattr(owner, name, spy(getattr(owner, name), key, counts_it))
+        return counts
 
     def test_scan_is_all_lanczos(self, two_mode_ops, monkeypatch):
-        calls = self._count(monkeypatch, two_mode_ops.dim)
-        wcl_scan(two_mode_ops, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 1.0)
-        assert calls == ["eigsh"] * 8
+        runs = []
+        for _ in range(2):
+            counts = self._count(monkeypatch, two_mode_ops.dim)
+            wcl_scan(two_mode_ops, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 1.0)
+            monkeypatch.undo()
+            runs.append(counts)
+        assert runs[0] == runs[1]
+        counts = runs[0]
+        assert counts["lanczos"] == 8 and counts["dense"] == 0
+        # about 200 steps per solve (1643 in all on x86-64), plus one residual
+        # check each
+        assert 8 * 100 < counts["H"] <= 8 * 250
 
-    def test_semigroup_one_eigsh_one_svds_no_dense(self, two_mode_ops, monkeypatch):
-        # one Lanczos solve for the bottom of the Chebyshev interval, one
-        # matrix-free norm; no dim x dim eigh or SVD
+    def test_semigroup_series_terms_no_dense(self, two_mode_ops, monkeypatch):
+        # one Lanczos solve for the bottom of the Chebyshev interval, then the
+        # norm: E f once (degree d), one E^2 series (degree about sqrt(2) d)
+        # per Lanczos step on X X^T and E u once for ||X^T u||; no dim x dim
+        # eigh or SVD
         two_mode_ops.ground_vector   # the cached kappa-independent projector
-        calls = self._count(monkeypatch, two_mode_ops.dim)
-        semigroup_wcl_residual(two_mode_ops, 1.0, 0.2, 1.0)
-        assert calls == ["eigsh", "svds"]
+        runs = []
+        for _ in range(2):
+            counts = self._count(monkeypatch, two_mode_ops.dim)
+            semigroup_wcl_residual(two_mode_ops, 1.0, 0.2, 1.0)
+            monkeypatch.undo()
+            runs.append(counts)
+        assert runs[0] == runs[1]
+        counts = runs[0]
+        assert counts["lanczos"] == 2 and counts["dense"] == 0
+        first, *squares, last = counts["terms"]
+        assert last == first and set(squares) == {squares[0]} and len(squares) <= 12
+        assert 1.3 * first < squares[0] < 1.5 * first
+        # svds on X applied the degree-d series 43 times per call
+        assert sum(counts["terms"]) < 0.35 * 43 * first
+
+
+class TestBesselCoefficients:
+    """The Miller-recurrence series coefficients: e^-z I_k(z) for the semigroup,
+    J_k(z) for the dressing, each returned as (2 - delta_k0) c_k."""
+
+    Z = [1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5]
+
+    @staticmethod
+    def _terms(kind, z):
+        c = fockdesk._bessel_coefficients(kind, z)
+        return np.concatenate([c[:1], 0.5 * c[1:]])
+
+    @staticmethod
+    def _orders(n):
+        """Every order of a short vector, else 40 spread ones with both ends."""
+        return range(n) if n <= 60 else sorted(set(np.linspace(0, n - 1, 40).astype(int)))
+
+    @staticmethod
+    def _ive(mp, k, z):
+        """e^-z I_k(z).  At z = 1e5 mpmath's series takes seconds per order, so
+        there it is (1/pi) int_0^pi e^{z (cos t - 1)} cos(k t) dt, whose
+        integrand is below e^-80 past t = 0.04."""
+        if z < 1e5:
+            return mp.besseli(k, z) * mp.exp(-z)
+        nodes = [mp.mpf(i) / 1000 for i in range(41)]
+        return mp.quad(lambda t: mp.exp(z * (mp.cos(t) - 1)) * mp.cos(k * t), nodes) / mp.pi
+
+    @staticmethod
+    def _sum_tolerance(coeffs):
+        """Rounding (each coefficient is rounded once) plus the orders cut past
+        the tail, which fall at least geometrically at the last kept ratio q."""
+        q = abs(coeffs[-1] / coeffs[-2])
+        return 2.0 * np.finfo(float).eps * math.fsum(np.abs(coeffs)) + abs(coeffs[-1]) * q / (1 - q)
+
+    @pytest.mark.parametrize("z", Z)
+    def test_modified_matches_mpmath(self, z):
+        mp = pytest.importorskip("mpmath").mp
+        c = self._terms("I", z)
+        assert c.min() > fockdesk.BESSEL_TAIL
+        orders = self._orders(len(c))
+        orders = orders[::5] + [orders[-1]] if z >= 1e5 else orders
+        with mp.workdps(40):
+            for k in orders:
+                exact = float(self._ive(mp, k, mp.mpf(z)))
+                assert abs(c[k] - exact) <= 1e-14 * exact, k
+        # e^-z (I_0 + 2 sum I_k) = 1 over the kept orders
+        coeffs = fockdesk._bessel_coefficients("I", z)
+        assert abs(math.fsum(coeffs) - 1.0) <= self._sum_tolerance(coeffs)
+
+    @pytest.mark.parametrize("z", Z)
+    def test_bessel_j_matches_mpmath(self, z):
+        # relative 1e-14 past k = z, where J_k(z) falls monotonically; below,
+        # J_k(z) oscillates in k, and near a sign change the scale is that of
+        # its neighbours.  At z >= 1e4 mpmath's series does not converge past
+        # k of a few hundred, so there the orders are 0 .. 40 (scipy checks all)
+        mp = pytest.importorskip("mpmath").mp
+        c = self._terms("J", z)
+        assert abs(c[-1]) > fockdesk.BESSEL_TAIL
+        with mp.workdps(30):
+            for k in range(41) if z >= 1e4 else self._orders(len(c)):
+                exact = [float(mp.besselj(j, z)) for j in (k - 1, k, k + 1)]
+                scale = abs(exact[1]) if k > z else max(map(abs, exact))
+                assert abs(c[k] - exact[1]) <= 1e-14 * scale, k
+        # J_0 + 2 sum J_2k = 1 over the kept orders
+        coeffs = fockdesk._bessel_coefficients("J", z)
+        assert abs(math.fsum(coeffs[::2]) - 1.0) <= self._sum_tolerance(coeffs)
+
+    @pytest.mark.parametrize("kind", ["I", "J"])
+    @pytest.mark.parametrize("z", Z)
+    def test_matches_scipy(self, kind, z):
+        # scipy is a test-only cross-check; its own error grows with z
+        special = pytest.importorskip("scipy.special")
+        c = self._terms(kind, z)
+        k = np.arange(len(c) + 40)
+        reference = (special.ive if kind == "I" else special.jv)(k, z)
+        assert np.max(np.abs(c - reference[:len(c)])) <= 1e-10 * np.max(np.abs(c))
+        # every order past the kept ones is below the tail
+        assert np.all(np.abs(reference[len(c):]) < fockdesk.BESSEL_TAIL * 1.01)
+
+    def test_zero_argument(self):
+        for kind in ("I", "J"):
+            assert fockdesk._bessel_coefficients(kind, 0.0).tolist() == [1.0]
 
 
 class TestBogoliubov:
@@ -372,10 +509,12 @@ class TestConjugation:
         # the dense formula: U = expm(s G), R = U^T H_dip U - target on low states
         ops = build_operators(build_basis(modes, n_tot))
         m_star = ops.m_eff()
-        U = scipy.linalg.expm((p / (kappa * m_star)) * ops.shift_generator.toarray())
-        H_dip = fiber_hamiltonian(ops, kappa, p, 0.0).toarray()
+        # expm(s G) for antisymmetric G from the Hermitian i s G = V diag(w) V^H
+        w, V = np.linalg.eigh(1j * (p / (kappa * m_star)) * dense(ops.shift_generator))
+        U = ((V * np.exp(-1j * w)) @ V.conj().T).real
+        H_dip = dense(fiber_hamiltonian(ops, kappa, p, 0.0))
         target = (p * p / (2 * m_star)) * np.eye(ops.dim) \
-            + kappa**2 * fiber_hamiltonian(ops, 1.0, 0.0, 0.0).toarray()
+            + kappa**2 * dense(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))
         low = ops.basis.states.sum(axis=1) <= n_tot // 2
         R = (U.T @ H_dip @ U - target)[np.ix_(low, low)]
         reference = np.linalg.norm(R, 2)
@@ -418,7 +557,7 @@ class TestScan:
         rows = wcl_scan(ops, [1.0, 4.0], [0.0, 0.2], 1.0)
         top = ops.basis.states.sum(axis=1) == 10
         for row in rows:
-            H = fiber_hamiltonian(ops, row["kappa"], row["p"], 1.0).toarray()
+            H = dense(fiber_hamiltonian(ops, row["kappa"], row["p"], 1.0))
             vec = np.linalg.eigh(H)[1][:, 0]
             assert row["top_shell"] == pytest.approx(np.sum(vec[top] ** 2), rel=1e-8)
         # a truncation indicator: it falls as the truncation grows
@@ -469,26 +608,35 @@ class TestSemigroup:
         assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
             math.exp(-T * (p * p / 2 + kappa**2)), rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_uncoupled_closed_form_above_dense_limit(self, kappa):
+        # the same at dim 231, on the Lanczos side: at kappa = 0 the Chebyshev
+        # interval has zero width, and X X^T = exp(-T p^2) (1 - P_vac)
+        ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 20))
+        assert ops.dim > fockdesk.DENSE_DIM_LIMIT
+        p, T = 0.5, 2.0
+        assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
+            math.exp(-T * (p * p / 2 + kappa**2)), rel=1e-12)
+
     @pytest.mark.parametrize("kappa", [1.0, 4.0])
     def test_matches_dense_reference(self, kappa):
         # the full-decomposition formula: both eigh's, dense P_g, full SVD
         ops = build_operators(build_basis(TWO_MODE, 20))
         p, T = 0.2, 1.0
-        lam, Q = np.linalg.eigh(fiber_hamiltonian(ops, kappa, p, 1.0).toarray())
+        lam, Q = np.linalg.eigh(dense(fiber_hamiltonian(ops, kappa, p, 1.0)))
         shift = kappa**2 * bogoliubov_energy(TWO_MODE)
         left = (Q * np.exp(np.clip(-T * (lam - shift), -745.0, 50.0))) @ Q.T
-        g = np.linalg.eigh(fiber_hamiltonian(ops, 1.0, 0.0, 0.0).toarray())[1][:, 0]
-        free = np.exp(np.clip(-T * (p - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()),
+        g = np.linalg.eigh(dense(fiber_hamiltonian(ops, 1.0, 0.0, 0.0)))[1][:, 0]
+        free = np.exp(np.clip(-T * (p - ops.Pf) ** 2 / (2.0 * ops.m_eff()),
                               -745.0, 50.0))
         reference = np.linalg.norm(left - np.outer(g, g) * free[None, :], 2)
         assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
             reference, rel=1e-12)
 
     def test_norm_failure_names_stage(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-        monkeypatch.setattr(fockdesk, "svds", no_convergence)
+        # dim 28: both ground states are dense, so only the norm's Lanczos
+        # meets the step cap
+        monkeypatch.setattr(fockdesk, "LANCZOS_MAX_STEPS", 1)
         ops = build_operators(build_basis(TWO_MODE, 6))
         with pytest.raises(NumericalError, match="semigroup operator norm"):
             semigroup_wcl_residual(ops, 1.0, 0.2, 1.0)
@@ -506,8 +654,8 @@ class TestSemigroup:
         assert ops.dim == 28
         kappa, p, T = 4.0, 0.2, 1.0
         with mp.workdps(34):
-            def exact(sparse):
-                return mp.matrix([[mp.mpf(float(x)) for x in row] for row in sparse.toarray()])
+            def exact(operator):
+                return mp.matrix([[mp.mpf(float(x)) for x in row] for row in dense(operator)])
 
             lam, Q = mp.eigsy(exact(fiber_hamiltonian(ops, kappa, p, 1.0)))
             omega = [mp.mpf(w) for w, _, _ in TWO_MODE]
@@ -521,7 +669,7 @@ class TestSemigroup:
             g = Q_f[:, min(range(ops.dim), key=lambda i: lam_f[i])]
             m_eff = 1 + mp.fsum(mp.mpf(W) / mp.mpf(w)**2 for w, W, _ in TWO_MODE)
             free = [mp.exp(-T * (p - mp.mpf(float(q)))**2 / (2 * m_eff))
-                    for q in ops.Pf.diagonal()]
+                    for q in ops.Pf]
             X = semigroup - g * (mp.matrix([g[j] * free[j] for j in range(ops.dim)])).T
             oracle = mp.sqrt(max(mp.eigsy(X.T * X, eigvals_only=True)))
             got = semigroup_wcl_residual(ops, kappa, p, T)
@@ -541,11 +689,11 @@ class TestSemigroup:
     def test_long_horizon_rank_one_limit(self, T):
         # one mode (1, 1, 0.6) at p = 0.2: the free term is at least e^{-T/100} and
         # the semigroup term below e^{-T/50}, so at these T, X = -f g^T to all
-        # digits and ||X|| = ||f||.  Past e^-300 svds runs on a rescaled X (the
-        # unscaled X^T X underflows to the zero operator); e^-1000 at T = 1e5 is 0
+        # digits and ||X|| = ||f||.  Past e^-300 the norm is taken on a rescaled X
+        # (the unscaled X X^T underflows to the zero operator); e^-1000 at T = 1e5 is 0
         ops = build_operators(build_basis([(1.0, 1.0, 0.6)], 8))
         g = ops.ground_vector
-        scaled = np.exp(T / 100 - T * (0.2 - ops.Pf.diagonal()) ** 2 / (2.0 * ops.m_eff()))
+        scaled = np.exp(T / 100 - T * (0.2 - ops.Pf) ** 2 / (2.0 * ops.m_eff()))
         expected = math.exp(-T / 100) * np.linalg.norm(g * scaled)
         got = semigroup_wcl_residual(ops, 1.0, 0.2, T)
         assert got == pytest.approx(expected, rel=1e-9, abs=0)
