@@ -22,13 +22,16 @@ eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j).
 No operator is stored as a matrix.  A and the dressing generator are gather
 tables over the basis ranks, and H_kappa(p, eps) applies B = p - eps P_f - kappa A
 twice.  Every ground state comes from ``ground_state``: dense ``eigh`` for at
-most DENSE_DIM_LIMIT states, Lanczos from a seeded start vector with a residual
-check above.  The semigroup exp(-T(H - c)) and the dressing exp(s G) act on
-vectors as Chebyshev series with Bessel coefficients (the Chebyshev propagator
-of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984), so no dimension has a
-dense-size cliff.  The module needs numpy only.  Above DENSE_DIM_LIMIT every
-reduction runs in numpy's own loops or in Python floats, never in a threaded
-BLAS, so the output bytes do not depend on the BLAS thread count.
+most DENSE_DIM_LIMIT states, above that one locally optimal conjugate-gradient
+solver (``_lobpcg``) from a seeded start vector, preconditioned by the inverse
+of H's exact diagonal, with a residual check.  The semigroup exp(-T(H - c))
+and the dressing exp(s G) act on vectors as Chebyshev series with Bessel
+coefficients (the Chebyshev propagator of Tal-Ezer & Kosloff, J. Chem. Phys.
+81, 1984), and the same solver finds the semigroup's operator norm, so no
+dimension has a dense-size cliff.  The module needs numpy only.  Above
+DENSE_DIM_LIMIT every reduction runs in numpy's own loops, never in a threaded
+BLAS (LAPACK sees only 3 x 3 projected problems), so the output bytes do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -43,15 +46,17 @@ import numpy as np
 from .errors import BasisSizeError, NumericalError
 
 BASIS_SIZE_GUARD = 200_000
-DENSE_DIM_LIMIT = 170      # ground states: dense eigh at or below, Lanczos above;
-                           # the measured crossover lies at dim 140-190 for kappa 1-8
-LANCZOS_RESIDUAL_TOL = 1e-9
-LANCZOS_MAX_STEPS = 3000   # each step keeps one basis vector of 8 dim bytes
-#: Lanczos stops at a Ritz residual estimate of _RITZ_MARGIN LANCZOS_RESIDUAL_TOL
+#: ground states: dense eigh at or below, iterative above.  Two modes, kappa 1-8:
+#: at dim 136 eigh takes 2.3-3.3 ms and the iterative solve 2.4-4.8 ms, at
+#: dim 171 eigh 3.6-5.3 ms and the solve 2.4-3.5 ms (2-core x86-64)
+DENSE_DIM_LIMIT = 170
+EIGEN_RESIDUAL_TOL = 1e-9
+EIGEN_MAX_STEPS = 3000
+#: iterative ground states stop at a residual of _TARGET_MARGIN EIGEN_RESIDUAL_TOL
 #: (the ground vector enters the semigroup residual to first order), or of
-#: _RITZ_FLOOR eps_mach ||T_k||, the rounding floor the estimate reaches
-_RITZ_MARGIN = 1e-3
-_RITZ_FLOOR = 4.0
+#: _ROUNDING_FLOOR eps_mach ||H||, the level rounding lets the residual reach
+_TARGET_MARGIN = 1e-3
+_ROUNDING_FLOOR = 4.0
 _EPS = float(np.finfo(float).eps)
 DIAMAGNETIC_ALLOWANCE = 1e-6    # truncation plus eigensolver slack of E_kappa(0) <= E_kappa(p)
 BESSEL_TAIL = 1e-17        # Chebyshev-Bessel series end where the coefficients fall below
@@ -302,6 +307,13 @@ class FiberHamiltonian:
         out += diag * v
         return out
 
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of H in closed form: (B^2)_ii = D_i^2 + (kappa A)^2_ii, as A has
+        a zero diagonal, and (A^2)_ii = sum_k A_ik^2 = sum_r weights[r, i]^2, as A is
+        symmetric with one entry per gather row."""
+        D, kA, diag = self._parts
+        return 0.5 * self.scale * (D * D + np.einsum("rd,rd->d", kA.weights, kA.weights)) + diag
+
     def row_sum_bound(self) -> float:
         """Bounds |lambda| for every eigenvalue of H (scale 1, shift 0): the largest row
         sum of (1/2)|B|(|B| 1) + kappa^2 H_f, which dominates that of |H| (Gershgorin)."""
@@ -323,7 +335,7 @@ def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,
 
 
 def _start_vector(dim: int) -> np.ndarray:
-    """Fixed Krylov start vector, so Lanczos results repeat byte for byte."""
+    """Fixed start vector, so iterative eigensolves repeat byte for byte."""
     return np.random.default_rng(0).standard_normal(dim)
 
 
@@ -339,10 +351,11 @@ def _norm(a: np.ndarray) -> float:
 
 def ground_state(matrix) -> tuple[float, np.ndarray]:
     """Lowest eigenpair (lam, vec): dense ``eigh`` for dim <= DENSE_DIM_LIMIT,
-    else Lanczos from a fixed start vector with a relative residual check at
-    LANCZOS_RESIDUAL_TOL.  ``matrix`` is a FiberHamiltonian or a dense array.
+    else ``_lobpcg`` preconditioned by the inverse of H's exact diagonal, from
+    a fixed start vector, with a relative residual check at EIGEN_RESIDUAL_TOL.
+    ``matrix`` is a FiberHamiltonian or a dense array.
 
-    Lanczos starts from the seeded random vector, not from ``ground_vector``:
+    The solve starts from the seeded random vector, not from ``ground_vector``:
     where p - eps P_f is far from 0 the ground state can be nearly orthogonal
     to the Bogoliubov vector (overlap 1.8e-6 for two modes (1, 1, 0.6) at
     kappa = 0.5, p = 6), and a start there would wait for rounding to seed it.
@@ -351,137 +364,70 @@ def ground_state(matrix) -> tuple[float, np.ndarray]:
     if dim <= DENSE_DIM_LIMIT:
         vals, vecs = np.linalg.eigh(matrix @ np.eye(dim))
         return float(vals[0]), vecs[:, 0]
-    v = _lanczos(matrix.__matmul__, _start_vector(dim), _RITZ_MARGIN * LANCZOS_RESIDUAL_TOL,
-                 1.0, "Lanczos eigensolver")
-    Hv = matrix @ v
+    diagonal = matrix.diagonal()
+    # H is positive semidefinite, so a zero diagonal entry is a zero row
+    precondition = 1.0 / np.where(diagonal > 0.0, diagonal, 1.0)
+    # stop at a residual of target max(1, |lam|), or at the rounding floor if higher
+    target = _TARGET_MARGIN * EIGEN_RESIDUAL_TOL
+    floor = _ROUNDING_FLOOR * _EPS * matrix.row_sum_bound()
+    v, Hv = _lobpcg(matrix.__matmul__, _start_vector(dim), precondition, target,
+                    max(1.0, floor / target), "eigensolver")
     lam = _dot(v, Hv)
     residual = _norm(Hv - lam * v)
-    if residual > LANCZOS_RESIDUAL_TOL * max(1.0, abs(lam)):
+    if residual > EIGEN_RESIDUAL_TOL * max(1.0, abs(lam)):
         raise NumericalError(
-            f"eigensolver residual {residual:.3e} exceeds {LANCZOS_RESIDUAL_TOL:.0e}")
+            f"eigensolver residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL:.0e}")
     return lam, v
 
 
-def _lanczos(apply, start: np.ndarray, tol: float, unit: float, stage: str) -> np.ndarray:
-    """Unit Ritz vector y of the lowest eigenvalue theta of the symmetric
-    operator ``apply`` in the Krylov space of ``start``, by the three-term
-    recurrence without reorthogonalisation.
+def _lobpcg(apply, start: np.ndarray, precondition, tol: float, unit: float,
+            stage: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x, apply(x)) for the unit vector x of the lowest eigenvalue theta of the
+    symmetric operator ``apply``, by the locally optimal preconditioned
+    conjugate gradient of Knyazev (SIAM J. Sci. Comput. 23, 2001) with one
+    vector.
 
-    At checkpoints the Ritz residual ||apply(y) - theta y|| is estimated as
-    beta_k |s_k|, s the lowest unit eigenvector of the tridiagonal T_k, and
-    the iteration stops once it is below tol max(unit, |theta|), or below
-    _RITZ_FLOOR eps_mach ||T_k||, the level rounding lets the estimate reach.
-    Past that floor the lost orthogonality brings copies of the converged
-    Ritz value, and the estimate jumps; if a checkpoint lands there, the best
-    checkpoint's vector is used.  A checkpoint costs O(k) Python float
-    operations (``_lowest_ritz``), and the next one is placed where the
-    geometric rate of the last two estimates reaches the target, so T_k is
-    never diagonalised from scratch.  The basis is kept to form y.
-    ``stage`` names the failure.
+    Each step is a Rayleigh-Ritz on span{x, p, w}: w = T r the preconditioned
+    residual r = apply(x) - theta x (T the diagonal ``precondition``, or 1
+    when it is None) and p the last step's update.  The three are kept
+    orthonormal, so the projected problem is a 3 x 3 ``eigh``, and apply(x)
+    and apply(p) follow by linearity: one product per step.  Every inner
+    product runs in numpy's own loop (``einsum``), never in BLAS.  The
+    iteration stops once ||r|| <= tol max(unit, |theta|), tested again on a
+    fresh product apply(x), since the updated one drifts.  ``stage`` names
+    the failure.
     """
-    dim = start.shape[0]
-    v = start / _norm(start)
-    basis, alpha, beta = [], [], []
-    b, theta, best = 0.0, None, None
-    checkpoint, last = 8, None
-    for k in range(1, LANCZOS_MAX_STEPS + 1):
-        basis.append(v)
-        w = apply(v)
-        a = _dot(v, w)
-        w -= a * v
-        if k > 1:
-            w -= b * basis[-2]
-        alpha.append(a)
-        b = _norm(w)
-        if k >= min(checkpoint, dim) or b == 0.0:
-            width = max(alpha) - min(alpha) + 2.0 * max(beta, default=0.0)     # ~ ||T_k||
-            theta, s = _lowest_ritz(alpha, beta, width, theta, last and last[1])
-            estimate = b * abs(s[-1])
-            target = max(tol * max(unit, abs(theta)), _RITZ_FLOOR * _EPS * width)
-            if best is None or estimate < best[0]:
-                best = (estimate, s)
-            if estimate <= target or 100.0 * best[0] < estimate and best[0] <= 1e4 * target:
-                break
-            ahead = k // 4 + 1
-            if last is not None and 0.0 < estimate < last[1]:
-                rate = math.log(estimate / last[1]) / (k - last[0])
-                ahead = min(ahead, math.ceil(0.75 * math.log(target / estimate) / rate))
-            last, checkpoint = (k, estimate), k + max(ahead, 1)
-        beta.append(b)
-        v = w / b
-    else:
-        raise NumericalError(f"{stage} failed: no convergence in {LANCZOS_MAX_STEPS} steps")
-    s = best[1]
-    y = s[0] * basis[0]
-    for coefficient, vector in zip(s[1:], basis[1:]):
-        y += coefficient * vector
-    return y / _norm(y)
-
-
-def _lowest_ritz(alpha: list, beta: list, width: float, upper, gap) -> tuple[float, list]:
-    """(theta, s): the lowest eigenvalue of the symmetric tridiagonal T with
-    diagonal ``alpha`` and off-diagonal ``beta``, and its unit eigenvector, in
-    Python floats (O(k) per pass, and no library threads to change the bytes).
-
-    Newton's iteration sigma += 1 / tr (T - sigma)^-1 on det(T - sigma) rises
-    monotonically to theta from any sigma below it, and sigma is below theta
-    exactly when every LDL^T pivot of T - sigma is positive (Sturm).  The
-    start lies ``gap`` (the previous checkpoint's residual estimate) under
-    ``upper`` (its theta, which bounds theta from above by interlacing) and
-    moves down until it is below.  Two inverse-iteration solves at the final
-    sigma give s.  ``width``, the spread of T's spectrum, scales the steps.
-    """
-    top = min(alpha) if upper is None else min(upper, min(alpha))
-    tiny = 4.0 * _EPS * (abs(top) + width) or np.finfo(float).tiny     # T = 0 too
-    gap = max(gap or 1e-3 * width, tiny)
-    sigma = top - gap
-    while (factor := _ldl(alpha, beta, sigma)) is None:
-        gap *= 8.0
-        sigma = top - gap
-    for _ in range(100):
-        step = 1.0 / factor[1]
-        trial = _ldl(alpha, beta, sigma + step) if step > tiny else None
-        if trial is None:
-            break
-        sigma, factor = sigma + step, trial
-    pivots = factor[0]
-    s = [1.0] * len(alpha)
-    for _ in range(2):
-        s = _ldl_solve(pivots, beta, s)
-        largest = max(map(abs, s))
-        s = [x / largest for x in s]
-        scale = 1.0 / math.sqrt(math.fsum(x * x for x in s))
-        s = [x * scale for x in s]
-    return sigma, s
-
-
-def _ldl(alpha: list, beta: list, sigma: float):
-    """(pivots, tr (T - sigma)^-1) of T - sigma = L D L^T, or None when a pivot
-    is not positive (then sigma is not below the lowest eigenvalue)."""
-    d = alpha[0] - sigma
-    if not d > 0.0:
-        return None
-    slope, trace, pivots = -1.0, 1.0 / d, [d]      # slope = d(pivot)/d(sigma)
-    for a, b in zip(alpha[1:], beta):
-        q = b * b / d
-        slope = -1.0 + q * slope / d
-        d = a - sigma - q
-        if not d > 0.0:
-            return None
-        pivots.append(d)
-        trace -= slope / d
-    return pivots, trace
-
-
-def _ldl_solve(pivots: list, beta: list, rhs: list) -> list:
-    """x with L D L^T x = rhs, for the factor of ``_ldl``."""
-    y = [rhs[0]]
-    for d, b, r in zip(pivots, beta, rhs[1:]):
-        y.append(r - (b / d) * y[-1])
-    x = [y[-1] / pivots[-1]]
-    for d, b, yj in zip(reversed(pivots[:-1]), reversed(beta), reversed(y[:-1])):
-        x.append((yj - b * x[-1]) / d)
-    return x[::-1]
+    x = start / _norm(start)
+    Hx = apply(x)
+    p = Hp = None
+    for _ in range(EIGEN_MAX_STEPS):
+        theta = _dot(x, Hx)
+        r = Hx - theta * x
+        if _norm(r) <= tol * max(unit, abs(theta)):
+            Hx = apply(x)
+            theta = _dot(x, Hx)
+            r = Hx - theta * x
+            if _norm(r) <= tol * max(unit, abs(theta)):
+                return x, Hx
+        basis, images = ([x], [Hx]) if p is None else ([x, p], [Hx, Hp])
+        w = r if precondition is None else precondition * r
+        for _ in range(2):                       # Gram-Schmidt, twice is enough
+            for b in basis:
+                w -= _dot(b, w) * b
+        w /= _norm(w)
+        basis, images = np.array(basis + [w]), np.array(images + [apply(w)])
+        projected = np.einsum("id,jd->ij", basis, images)
+        c = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
+        p, Hp = np.einsum("i,id->d", c[1:], basis[1:]), np.einsum("i,id->d", c[1:], images[1:])
+        x, Hx = c[0] * x + p, c[0] * Hx + Hp
+        scale = _norm(x)
+        x, Hx = x / scale, Hx / scale
+        overlap = _dot(x, p)                     # keep p orthogonal to x
+        p -= overlap * x
+        Hp -= overlap * Hx
+        scale = _norm(p)
+        p, Hp = (p / scale, Hp / scale) if scale > 0.0 else (None, None)
+    raise NumericalError(f"{stage} failed: no convergence in {EIGEN_MAX_STEPS} steps")
 
 
 def bogoliubov_energy(modes) -> float:
@@ -718,14 +664,15 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
 
         X X^T = E^2 - (E f) g^T - g (E f)^T + ||f||^2 g g^T,
 
-    found by ``_lanczos``.  E f is one Chebyshev-Bessel series and each step
-    applies E^2 = exp(-2T(H - c)) as one series (``_semigroup_action``: one
-    ground-state solve of H, then operator products only, relative accuracy
-    about T b eps_mach), so no dim x dim array is formed.  The norm is read as
-    ||X^T u|| at the Lanczos vector u, one more series: it is stationary at the
+    found by ``_lobpcg`` without a preconditioner.  E f is one Chebyshev-Bessel
+    series, and each product applies E^2 = exp(-2T(H - c)) as one series
+    (``_semigroup_action``: one ground-state solve of H, then operator products
+    only, relative accuracy about T b eps_mach), so no dim x dim array is
+    formed.  The norm is read as
+    ||X^T u|| at the solver's vector u, one more series: it is stationary at the
     top singular vector, and unlike the eigenvalue of X X^T it does not square
     the rounding of E relative to ||X||.  When the larger term is outside
-    exp(+-SMALL_NORM_LEVEL) (long T), the Lanczos runs on exp(-level) X, the
+    exp(+-SMALL_NORM_LEVEL) (long T), the solver runs on exp(-level) X, the
     larger term scaled to 1, and the norm is scaled back, so a residual below
     the smallest double reads 0.
     """
@@ -749,6 +696,6 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
         out -= (_dot(Ef, v) - ff * gv) * g
         return -out
 
-    u = _lanczos(minus_XXt, _start_vector(ops.dim), LANCZOS_RESIDUAL_TOL, 0.0,
-                 "semigroup operator norm")
+    u = _lobpcg(minus_XXt, _start_vector(ops.dim), None, EIGEN_RESIDUAL_TOL, 0.0,
+                "semigroup operator norm")[0]
     return math.exp(level) * _norm(heat(u) - _dot(g, u) * f)      # ||X^T u||

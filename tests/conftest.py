@@ -5,7 +5,7 @@ from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
                               SharpCutoff)
 
 # the two-mode weak-coupling study model; at N_tot = 61 (dim 1953) every
-# fock quantity is truncation-converged, and the ground states run Lanczos
+# fock quantity is truncation-converged, and the ground states are iterative
 TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 TWO_MODE_NTOT = 61
 

@@ -257,26 +257,27 @@ class TestDeterminism:
         assert run(["cutoff-scan", "--config", cfg, "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    LANCZOS_SCAN = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "90",
+    ITERATIVE_SCAN = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "90",
                     "--kappa-list", "1,2", "--p-list", "0,0.2"]
     SEMIGROUP = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "30",
                  "--kappa-list", "1,2", "--p-list", "0.2", "--T", "1"]
 
-    def test_lanczos_fock_byte_identical_across_processes(self):
-        # dim C(92, 2) = 4186 runs on the Lanczos path; its start vector is
+    def test_iterative_fock_byte_identical_across_processes(self):
+        # dim C(92, 2) = 4186 runs on the iterative path; its start vector is
         # seeded, so two fresh interpreters print the same bytes
-        outs = [run_python(["-m", "pfwcl.cli", *self.LANCZOS_SCAN]) for _ in range(2)]
+        outs = [run_python(["-m", "pfwcl.cli", *self.ITERATIVE_SCAN]) for _ in range(2)]
         assert outs[0] == outs[1]
 
     def test_semigroup_fock_byte_identical_across_processes(self):
-        # the Chebyshev series and the Lanczos norm are deterministic too
+        # the Chebyshev series and the iterative norm are deterministic too
         outs = [run_python(["-m", "pfwcl.cli", *self.SEMIGROUP]) for _ in range(2)]
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("argv", [LANCZOS_SCAN, SEMIGROUP], ids=["scan_4186", "T_1"])
+    @pytest.mark.parametrize("argv", [ITERATIVE_SCAN, SEMIGROUP], ids=["scan_4186", "T_1"])
     def test_fock_bytes_independent_of_blas_threads(self, argv):
-        # the Lanczos path reduces in numpy's loops and Python floats, never
-        # in a threaded BLAS, so one thread and the default agree byte for byte
+        # the iterative path reduces in numpy's own loops, never in a threaded
+        # BLAS (LAPACK sees only the 3 x 3 projected problem), so one thread
+        # and the default agree byte for byte
         one = run_python(["-m", "pfwcl.cli", *argv], threads=ONE_THREAD)
         assert one == run_python(["-m", "pfwcl.cli", *argv])
         assert one.count(b"\n") >= 3
@@ -313,7 +314,7 @@ def test_wiener_hopf_runs_without_scipy(tmp_path):
 
 def test_fock_runs_without_scipy():
     # with every scipy import blocked, fock exits 0 (run_python raises
-    # otherwise) and prints the bytes of an unblocked run, Lanczos solves and
+    # otherwise) and prints the bytes of an unblocked run, iterative solves and
     # semigroup column included
     argv = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "30", "--kappa-list", "1,2",
             "--p-list", "0,0.2", "--T", "1", "--output", "-"]
@@ -395,7 +396,7 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
         assert paths["missing"] in err
 
 
-@pytest.mark.parametrize("ntot", ["24", "30"])     # dim 325 dense, dim 496 Lanczos
+@pytest.mark.parametrize("ntot", ["16", "24", "30"])     # dim 153 dense; 325, 496 iterative
 @pytest.mark.parametrize("flags, field", [
     (["--modes", "1:1:nan,2:2:0", "--kappa-list", "1", "--p-list", "0.2"], "mode momentum"),
     (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "nan", "--p-list", "0.2"], "kappa"),
