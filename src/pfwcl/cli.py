@@ -145,6 +145,13 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number}")
+    return number
+
+
 def _measure_or_fail(resolved: dict):
     if resolved["measure"] is None:
         raise ConfigError("a 'measure' object is required (JSON schema: docs/measure_schema.md)")
@@ -206,7 +213,7 @@ def _cmd_energy(args) -> int:
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
     ff = _measure_or_fail(resolved)
-    kappa, p = _param(params, "kappa", float), _param(params, "p", float)
+    kappa, p = _param(params, "kappa", float), _param(params, "p", _finite)
     result = ground_energy(ff)
     ls = log_spectral_energy(ff, kappa)
     disp = dipole_dispersion(ff, kappa, p, cal_e=result.calE)
@@ -246,7 +253,7 @@ def _cmd_wiener_hopf(args) -> int:
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
     ff = _measure_or_fail(resolved)
-    kappa, p = _param(params, "kappa", float), _param(params, "p", float)
+    kappa, p = _param(params, "kappa", float), _param(params, "p", _finite)
     if params.get("T_ladder") is not None:
         ladder = _param(params, "T_ladder", _floats)
     elif "T" in params:

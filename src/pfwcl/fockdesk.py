@@ -21,17 +21,16 @@ eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j).
 
 No operator is stored as a matrix.  A and the dressing generator are gather
 tables over the basis ranks, and H_kappa(p, eps) applies B = p - eps P_f - kappa A
-twice.  Every ground state comes from ``ground_state``: dense ``eigh`` for at
-most DENSE_DIM_LIMIT states, above that one locally optimal conjugate-gradient
-solver (``_lobpcg``) from a seeded start vector, preconditioned by the inverse
-of H's exact diagonal, with a residual check.  The semigroup exp(-T(H - c))
-and the dressing exp(s G) act on vectors as Chebyshev series with Bessel
-coefficients (the Chebyshev propagator of Tal-Ezer & Kosloff, J. Chem. Phys.
-81, 1984), and the same solver finds the semigroup's operator norm, so no
-dimension has a dense-size cliff.  The module needs numpy only.  Above
-DENSE_DIM_LIMIT every reduction runs in numpy's own loops, never in a threaded
-BLAS (LAPACK sees only 3 x 3 projected problems), so the output bytes do not
-depend on the BLAS thread count.
+twice.  Every ground state, at every dimension, comes from ``ground_state``:
+one locally optimal conjugate-gradient solver (``_lobpcg``) from a seeded
+start vector, preconditioned by the inverse of H's exact diagonal, with a
+residual check.  The semigroup exp(-T(H - c)) and the dressing exp(s G) act on
+vectors as Chebyshev series with Bessel coefficients (the Chebyshev propagator
+of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984), and the same solver finds the
+semigroup's operator norm, so no dimension has a dense-size cliff.  The module
+needs numpy only.  Every reduction runs in numpy's own loops, never in a
+threaded BLAS (LAPACK sees only 3 x 3 projected problems), so the output bytes
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -46,19 +45,12 @@ import numpy as np
 from .errors import BasisSizeError, NumericalError
 
 BASIS_SIZE_GUARD = 200_000
-#: ground states: dense eigh at or below, iterative above.  Two modes, kappa 1-8:
-#: at dim 136 eigh takes 2.3-3.3 ms and the iterative solve 2.4-4.8 ms, at
-#: dim 171 eigh 3.6-5.3 ms and the solve 2.4-3.5 ms (2-core x86-64)
-DENSE_DIM_LIMIT = 170
 EIGEN_RESIDUAL_TOL = 1e-9
 EIGEN_MAX_STEPS = 3000
-#: iterative ground states stop at a residual of _TARGET_MARGIN EIGEN_RESIDUAL_TOL
-#: (the ground vector enters the semigroup residual to first order), or of
-#: _ROUNDING_FLOOR eps_mach ||H||, the level rounding lets the residual reach
-_TARGET_MARGIN = 1e-3
+#: ground states stop at a residual of _ROUNDING_FLOOR eps_mach ||H||, the level
+#: rounding lets the residual reach
 _ROUNDING_FLOOR = 4.0
 _EPS = float(np.finfo(float).eps)
-DIAMAGNETIC_ALLOWANCE = 1e-6    # truncation plus eigensolver slack of E_kappa(0) <= E_kappa(p)
 BESSEL_TAIL = 1e-17        # Chebyshev-Bessel series end where the coefficients fall below
 _LOG_MAX = math.log(np.finfo(float).max)
 #: outside exp(+-SMALL_NORM_LEVEL) the entries of X X^T near underflow (or
@@ -349,29 +341,23 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def ground_state(matrix) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair (lam, vec): dense ``eigh`` for dim <= DENSE_DIM_LIMIT,
-    else ``_lobpcg`` preconditioned by the inverse of H's exact diagonal, from
-    a fixed start vector, with a relative residual check at EIGEN_RESIDUAL_TOL.
-    ``matrix`` is a FiberHamiltonian or a dense array.
+def ground_state(H: FiberHamiltonian) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair (lam, vec) of H by ``_lobpcg`` preconditioned by the
+    inverse of H's exact diagonal, from a fixed start vector.  It stops at the
+    rounding floor _ROUNDING_FLOOR eps_mach ||H|| of the residual, with
+    ||H|| bounded by ``row_sum_bound``, and checks the relative residual
+    against EIGEN_RESIDUAL_TOL.
 
     The solve starts from the seeded random vector, not from ``ground_vector``:
     where p - eps P_f is far from 0 the ground state can be nearly orthogonal
     to the Bogoliubov vector (overlap 1.8e-6 for two modes (1, 1, 0.6) at
     kappa = 0.5, p = 6), and a start there would wait for rounding to seed it.
     """
-    dim = matrix.shape[0]
-    if dim <= DENSE_DIM_LIMIT:
-        vals, vecs = np.linalg.eigh(matrix @ np.eye(dim))
-        return float(vals[0]), vecs[:, 0]
-    diagonal = matrix.diagonal()
+    diagonal = H.diagonal()
     # H is positive semidefinite, so a zero diagonal entry is a zero row
     precondition = 1.0 / np.where(diagonal > 0.0, diagonal, 1.0)
-    # stop at a residual of target max(1, |lam|), or at the rounding floor if higher
-    target = _TARGET_MARGIN * EIGEN_RESIDUAL_TOL
-    floor = _ROUNDING_FLOOR * _EPS * matrix.row_sum_bound()
-    v, Hv = _lobpcg(matrix.__matmul__, _start_vector(dim), precondition, target,
-                    max(1.0, floor / target), "eigensolver")
+    v, Hv = _lobpcg(H.__matmul__, _start_vector(H.shape[0]), precondition,
+                    _ROUNDING_FLOOR * _EPS, H.row_sum_bound(), "eigensolver")
     lam = _dot(v, Hv)
     residual = _norm(Hv - lam * v)
     if residual > EIGEN_RESIDUAL_TOL * max(1.0, abs(lam)):
@@ -595,22 +581,6 @@ def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float) -> list[dict]:
                 "E0_dev": e0 - kappa**2 * reference_energy,
                 "top_shell": _dot(vp[top], vp[top]),
             })
-    return rows
-
-
-def diamagnetic_check(ops: FiberOperators, kappa: float, p_list,
-                      eps: float = 1.0) -> list[dict]:
-    """Monitor E_kappa(0) <= E_kappa(p) up to DIAMAGNETIC_ALLOWANCE, on the
-    ``wcl_scan`` rows for this one kappa.
-
-    Violations are reported (flagged, never raised) and attributed to the
-    truncation plus eigensolver residual.
-    """
-    rows = [{key: row[key] for key in ("kappa", "p", "epsilon", "E_0", "E_p")}
-            for row in wcl_scan(ops, [kappa], p_list, eps)]
-    for row in rows:
-        row["excess"] = row["E_0"] - row["E_p"]
-        row["ok"] = row["excess"] <= DIAMAGNETIC_ALLOWANCE
     return rows
 
 

@@ -261,6 +261,8 @@ class TestDeterminism:
                     "--kappa-list", "1,2", "--p-list", "0,0.2"]
     SEMIGROUP = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "30",
                  "--kappa-list", "1,2", "--p-list", "0.2", "--T", "1"]
+    SMALL_SEMIGROUP = ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "8",
+                       "--kappa-list", "1,2", "--p-list", "0,0.2", "--T", "1"]
 
     def test_iterative_fock_byte_identical_across_processes(self):
         # dim C(92, 2) = 4186 runs on the iterative path; its start vector is
@@ -273,11 +275,12 @@ class TestDeterminism:
         outs = [run_python(["-m", "pfwcl.cli", *self.SEMIGROUP]) for _ in range(2)]
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("argv", [ITERATIVE_SCAN, SEMIGROUP], ids=["scan_4186", "T_1"])
+    @pytest.mark.parametrize("argv", [ITERATIVE_SCAN, SEMIGROUP, SMALL_SEMIGROUP],
+                             ids=["scan_4186", "T_1", "T_1_dim_45"])
     def test_fock_bytes_independent_of_blas_threads(self, argv):
-        # the iterative path reduces in numpy's own loops, never in a threaded
-        # BLAS (LAPACK sees only the 3 x 3 projected problem), so one thread
-        # and the default agree byte for byte
+        # the eigensolver reduces in numpy's own loops at every dimension, never
+        # in a threaded BLAS (LAPACK sees only the 3 x 3 projected problem), so
+        # one thread and the default agree byte for byte
         one = run_python(["-m", "pfwcl.cli", *argv], threads=ONE_THREAD)
         assert one == run_python(["-m", "pfwcl.cli", *argv])
         assert one.count(b"\n") >= 3
@@ -396,14 +399,14 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
         assert paths["missing"] in err
 
 
-@pytest.mark.parametrize("ntot", ["16", "24", "30"])     # dim 153 dense; 325, 496 iterative
+@pytest.mark.parametrize("ntot", ["16", "24", "30"])     # dim 153, 325, 496
 @pytest.mark.parametrize("flags, field", [
     (["--modes", "1:1:nan,2:2:0", "--kappa-list", "1", "--p-list", "0.2"], "mode momentum"),
     (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "nan", "--p-list", "0.2"], "kappa"),
     (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "1", "--p-list", "inf"], "p"),
 ])
 def test_non_finite_fock_input_names_its_field(capsys, ntot, flags, field):
-    # on either side of DENSE_DIM_LIMIT: not a numerical failure of the solver
+    # at every size: refused as input, not a numerical failure of the solver
     assert run(["fock", "--ntot", ntot, *flags]) == 2
     assert f"configuration error: {field} must be finite" in capsys.readouterr().err
 
@@ -419,12 +422,17 @@ def test_negative_seed_names_its_field(capsys):
     (["validate", "--config", "{inf_radius}"], "tabulated radii"),
     (["energy", "--config", "{nan_dimension}"], "dimension"),
     (["energy", "--config", "{overflow_radius}"], "profile moments"),
+    (["energy", "--config", "{cfg}", "--p", "nan"], "params.p"),
+    (["energy", "--config", "{cfg}", "--p", "inf"], "params.p"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--p", "nan"], "params.p"),
 ])
 def test_non_finite_input_names_its_field(tmp_path, capsys, argv, field):
-    paths = non_finite_configs(tmp_path)
+    paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
+             **non_finite_configs(tmp_path)}
     assert run([arg.format(**paths) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert f"configuration error: {field}" in err and "must be" in err
+    assert out == ""          # refused before any row is written
 
 
 @pytest.mark.parametrize("profile, field", [

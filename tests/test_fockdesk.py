@@ -9,8 +9,7 @@ from pfwcl.energy import ground_energy as continuum_ground_energy
 from pfwcl.energy import log_spectral_energy
 from pfwcl.errors import BasisSizeError, NumericalError
 from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
-                            conjugation_residual, diamagnetic_check,
-                            fiber_hamiltonian, ground_state,
+                            conjugation_residual, fiber_hamiltonian, ground_state,
                             semigroup_wcl_residual, wcl_scan)
 from pfwcl.formfactor import PointMasses, RadialMeasure
 from pfwcl.wienerhopf import log_det
@@ -171,36 +170,36 @@ class TestOperators:
 
 
 class TestGroundEnergy:
-    def test_diagonal_matrix(self):
-        d = np.diag([3.0, -1.5, 0.2])
-        assert ground_state(d)[0] == -1.5
-
     def test_single_mode_oscillator(self):
         ops = build_operators(build_basis([(1.0, 3.0, 0.0)], 60))
         e = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
         assert e == pytest.approx(0.5, abs=1e-6)
 
     def test_dense_matches_bogoliubov(self):
-        # dim 1326, above DENSE_DIM_LIMIT: the iterative branch
+        # dim 1326
         modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
         ops = build_operators(build_basis(modes, 50))
-        dense = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
-        assert dense == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
+        lam = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
+        assert lam == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
 
     def test_dense_branch_matches_bogoliubov(self):
         modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
         ops = build_operators(build_basis(modes, 16))     # dim 153
-        assert ops.dim <= fockdesk.DENSE_DIM_LIMIT
-        dense = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
-        assert dense == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
+        lam = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
+        assert lam == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
 
 
 class TestGroundState:
-    @pytest.mark.parametrize("n_tot", [16, 24, 30, 44])   # dim 153 dense; 325 .. 1035 iterative
-    def test_matches_dense_eigh(self, n_tot):
-        ops = build_operators(build_basis(TWO_MODE, n_tot))
-        assert (ops.dim <= fockdesk.DENSE_DIM_LIMIT) == (n_tot == 16)
-        for kappa, p in ((1.0, 0.0), (4.0, 0.2)):
+    @pytest.mark.parametrize("modes, n_tot", [
+        pytest.param(TWO_MODE, n_tot, id=str(n_tot))
+        for n_tot in (1, 2, 16, 24, 30, 44)                  # dim 3, 6, 153, 325 .. 1035
+    ] + [
+        pytest.param(TWO_MODE + [(3.0, 0.5, 0.2)], 8, id="three_modes_8"),        # dim 165
+        pytest.param([(1.0, 1.0, 0.6), (2.0, 0.0, -0.6)], 12, id="zero_weight_12"),  # dim 91
+    ])
+    def test_matches_dense_eigh(self, modes, n_tot):
+        ops = build_operators(build_basis(modes, n_tot))
+        for kappa, p in ((0.0, 0.3), (1.0, 0.0), (4.0, 0.2)):
             H = fiber_hamiltonian(ops, kappa, p, 1.0)
             lam, vec = ground_state(H)
             exact = np.linalg.eigvalsh(dense(H))[0]
@@ -236,7 +235,7 @@ class TestGroundState:
         # This case is why the solver starts from the seeded random vector and
         # not warm from ground_vector.
         ops = build_operators(build_basis([(1.0, 1.0, 0.6)] * 2, 30))
-        assert ops.dim == 496 > fockdesk.DENSE_DIM_LIMIT
+        assert ops.dim == 496
         H = fiber_hamiltonian(ops, 0.5, 6.0, 1.0)
         vals, vecs = np.linalg.eigh(dense(H))
         assert abs(vecs[:, 0] @ ops.ground_vector) < 1e-5
@@ -249,7 +248,6 @@ class TestGroundState:
         # dim 231, kappa = 0, no mode momenta: H = p^2/2 times 1, so the start
         # vector is an eigenvector and the solver stops at its first test
         ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 20))
-        assert ops.dim > fockdesk.DENSE_DIM_LIMIT
         for p in (0.0, 0.3):
             lam, vec = ground_state(fiber_hamiltonian(ops, 0.0, p, 0.0))
             assert lam == pytest.approx(p * p / 2, abs=1e-15)
@@ -267,8 +265,7 @@ class TestGroundState:
     def test_dipole_scaling_oracle(self, two_mode_ops, kappa, p_over_kappa):
         # (1/2)(p - kappa A)^2 + kappa^2 H_f = kappa^2 [(1/2)(p/kappa - A)^2 + H_f]
         # in the truncated space, so E_kappa(p, 0) = kappa^2 E_1(p/kappa, 0)
-        # exactly; dim 1953, both sides iterative
-        assert two_mode_ops.dim > fockdesk.DENSE_DIM_LIMIT
+        # exactly; dim 1953
         lam = ground_state(fiber_hamiltonian(two_mode_ops, kappa, p_over_kappa * kappa, 0.0))[0]
         unit = ground_state(fiber_hamiltonian(two_mode_ops, 1.0, p_over_kappa, 0.0))[0]
         assert lam == pytest.approx(kappa**2 * unit, rel=1e-13, abs=0)
@@ -279,7 +276,7 @@ class TestGroundState:
         # diagonal is at least 3.68 there, the weakest case for the Jacobi
         # preconditioner (645 H applications, against 291 for plain Lanczos)
         ops = build_operators(build_basis([(1.0, 1.0, 0.6)] * 2, 30))
-        assert ops.dim == 496 > fockdesk.DENSE_DIM_LIMIT
+        assert ops.dim == 496
         applied = []
         real = fockdesk.FiberHamiltonian.__matmul__
 
@@ -300,7 +297,6 @@ class TestGroundState:
         # kappa = 0, p = q_0: H = (1/2) q_0^2 (1 - n_0 + n_1)^2 is diagonal with
         # exact zeros where n_0 - n_1 = 1; the preconditioner uses 1 there
         ops = build_operators(build_basis(TWO_MODE, 20))
-        assert ops.dim > fockdesk.DENSE_DIM_LIMIT
         H = fiber_hamiltonian(ops, 0.0, 0.6, 1.0)
         assert np.count_nonzero(H.diagonal() == 0.0) > 0
         lam, vec = ground_state(H)
@@ -517,14 +513,14 @@ class TestBogoliubov:
             expected, rel=1e-14)
 
     def test_oracle_chain(self):
-        # dense Fock ~ Bogoliubov = continuum ground energy
+        # Fock ground energy ~ Bogoliubov = continuum ground energy
         #   = log-spectral / 2 ~ (1/2T) log det
         atoms = [(1.0, 1.0), (2.0, 2.0)]
         modes = [(w, W, 0.0) for w, W in atoms]
         bogo = bogoliubov_energy(atoms)
         ops = build_operators(build_basis(modes, 40))
-        dense = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
-        assert dense == pytest.approx(bogo, abs=1e-6)
+        lam = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
+        assert lam == pytest.approx(bogo, abs=1e-6)
         measure = RadialMeasure(3, PointMasses(atoms))
         cont = continuum_ground_energy(measure).calE
         assert cont == pytest.approx(bogo, rel=1e-9)
@@ -629,22 +625,18 @@ class TestScan:
 
 
 class TestDiamagnetic:
-    def test_zero_momentum_equality(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.6)], 20))
-        rows = diamagnetic_check(ops, 2.0, [0.0])
-        assert rows[0]["excess"] == 0.0 and rows[0]["ok"]
-
-    def test_single_mode_inequality(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.6)], 40))
-        rows = diamagnetic_check(ops, 2.0, [0.3])
-        assert rows[0]["ok"]
-        assert rows[0]["E_0"] <= rows[0]["E_p"] + 1e-6
-
-    def test_kappa_zero_diagonal_case(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.6)], 10))
-        rows = diamagnetic_check(ops, 0.0, [0.4, 1.2])
-        for row in rows:
-            assert row["ok"]
+    @pytest.mark.parametrize("n_tot, kappa, p_list", [
+        (20, 2.0, [0.0]), (40, 2.0, [0.3]), (10, 0.0, [0.4, 1.2]),
+    ], ids=["zero_momentum", "single_mode", "kappa_zero"])
+    def test_scan_rows(self, n_tot, kappa, p_list):
+        # E_kappa(0) <= E_kappa(p) on the wcl_scan rows, up to truncation and
+        # eigensolver slack; at p = 0 the row reuses E_0, so the gap is exactly 0
+        ops = build_operators(build_basis([(1.0, 3.0, 0.6)], n_tot))
+        for row in wcl_scan(ops, [kappa], p_list, 1.0):
+            if row["p"] == 0.0:
+                assert row["gap"] == 0.0
+            else:
+                assert row["E_0"] <= row["E_p"] + 1e-6
 
 
 class TestSemigroup:
@@ -671,10 +663,9 @@ class TestSemigroup:
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_uncoupled_closed_form_above_dense_limit(self, kappa):
-        # the same at dim 231, on the iterative side: at kappa = 0 the Chebyshev
-        # interval has zero width, and X X^T = exp(-T p^2) (1 - P_vac)
+        # the same at dim 231: at kappa = 0 the Chebyshev interval has zero
+        # width, and X X^T = exp(-T p^2) (1 - P_vac)
         ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 20))
-        assert ops.dim > fockdesk.DENSE_DIM_LIMIT
         p, T = 0.5, 2.0
         assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
             math.exp(-T * (p * p / 2 + kappa**2)), rel=1e-12)
@@ -695,8 +686,13 @@ class TestSemigroup:
             reference, rel=1e-12)
 
     def test_norm_failure_names_stage(self, monkeypatch):
-        # dim 28: both ground states are dense, so only the norm's iterative
-        # solve meets the step cap
+        # dim 28: both ground states come from a dense stand-in, so only the
+        # norm's iterative solve meets the step cap
+        def dense_ground_state(H):
+            vals, vecs = np.linalg.eigh(dense(H))
+            return float(vals[0]), vecs[:, 0]
+
+        monkeypatch.setattr(fockdesk, "ground_state", dense_ground_state)
         monkeypatch.setattr(fockdesk, "EIGEN_MAX_STEPS", 1)
         ops = build_operators(build_basis(TWO_MODE, 6))
         with pytest.raises(NumericalError, match="semigroup operator norm"):
