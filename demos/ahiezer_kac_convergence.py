@@ -10,7 +10,7 @@ The single-atom kernel makes both targets exact rationals: 1 and 1/4.
 A Gaussian continuum measure follows for comparison.
 """
 
-from pfwcl import GaussianProfile, PointMasses, RadialMeasure
+from pfwcl.formfactor import GaussianProfile, PointMasses, RadialMeasure
 from pfwcl.wienerhopf import ak_convergence_report
 
 atom = RadialMeasure(3, PointMasses([(1.0, 3.0)]))

@@ -9,9 +9,10 @@ pipeline in the package and prints the spread.
 
 import numpy as np
 
-from pfwcl import PointMasses, RadialMeasure, ground_energy, log_spectral_energy
+from pfwcl.energy import ground_energy, log_spectral_energy
 from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
                             fiber_hamiltonian, ground_state)
+from pfwcl.formfactor import PointMasses, RadialMeasure
 from pfwcl.wienerhopf import log_det
 
 atom = (1.0, 3.0)

@@ -8,8 +8,8 @@ to be finite, which in d=3 fails for any profile with phi(0) != 0.
 
 import json
 
-from pfwcl import (GaussianProfile, PointMasses, RadialMeasure, SharpCutoff,
-                   Tabulated, measure_to_json, moment_report)
+from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure, SharpCutoff,
+                              Tabulated, measure_to_json, moment_report)
 
 gallery = {
     "sharp cutoff  d=3": RadialMeasure(3, SharpCutoff(1.0)),

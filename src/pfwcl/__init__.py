@@ -9,26 +9,12 @@ Submodules:
 - ``hermite``: generalized Hermite polynomials and their generating operator
 - ``fockdesk``: truncated bosonic Fock space, fiber Hamiltonians,
   weak-coupling and semigroup residual studies
+- ``errors``: the exception types shared across the package
 - ``cli``: the ``pfwcl`` command-line driver
+
+Importing the package loads none of them: import names from the submodule
+that defines them (``from pfwcl.energy import ground_energy``), so a process
+loads only what it uses.
 """
-
-from .energy import (EnergyResult, G_function, SpectralFunctions,
-                     cutoff_energy_3d, cutoff_split_I1_I2, dipole_dispersion,
-                     ground_energy, log_spectral_energy)
-from .errors import (BasisSizeError, MeasureError, NumericalError, PfwclError,
-                     QuadratureError)
-from .formfactor import (GaussianProfile, MomentReport, PointMasses,
-                         RadialMeasure, SharpCutoff, Tabulated,
-                         measure_from_json, measure_to_json, moment,
-                         moment_report)
-
-__all__ = [
-    "BasisSizeError", "EnergyResult", "G_function", "GaussianProfile",
-    "MeasureError", "MomentReport", "NumericalError", "PfwclError",
-    "PointMasses", "QuadratureError", "RadialMeasure", "SharpCutoff",
-    "SpectralFunctions", "Tabulated", "cutoff_energy_3d", "cutoff_split_I1_I2",
-    "dipole_dispersion", "ground_energy", "log_spectral_energy",
-    "measure_from_json", "measure_to_json", "moment", "moment_report",
-]
 
 __version__ = "0.1.0"

@@ -7,9 +7,13 @@ config (and seed) yields byte-identical output: floats are printed with 17
 significant digits and the resolved config is echoed into the output header.
 
 Each subcommand is declared once, in ``COMMANDS``.  A flag's dest is the
-config ``params`` key it overrides.  The Wiener-Hopf and Fock modules are
-imported only by the subcommands that use them; every subcommand runs on numpy
-alone.
+config ``params`` key it overrides.  Each handler imports the numeric modules
+it runs, so a process loads only its subcommand's: ``validate`` loads
+``formfactor`` and ``quadrature``; ``energy``, ``cutoff-scan`` and
+``wiener-hopf`` add ``energy`` (and ``wienerhopf``); ``fock`` loads
+``fockdesk`` alone; ``hermite-check`` loads ``hermite`` alone.  ``--help``
+loads none of them.  numpy is imported here, since every subcommand needs it,
+and every subcommand runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -23,11 +27,7 @@ import sys
 
 import numpy as np
 
-from . import hermite
-from .energy import (cutoff_energy_3d, cutoff_split_I1_I2, dipole_dispersion,
-                     ground_energy, log_spectral_energy)
 from .errors import NumericalError, QuadratureError
-from .formfactor import measure_from_json, moment_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,7 +152,16 @@ def _finite(value) -> float:
     return number
 
 
+def _nonnegative(value) -> float:
+    number = _finite(value)
+    if number < 0.0:
+        raise ValueError(f"must be >= 0, got {number}")
+    return number
+
+
 def _measure_or_fail(resolved: dict):
+    from .formfactor import measure_from_json
+
     if resolved["measure"] is None:
         raise ConfigError("a 'measure' object is required (JSON schema: docs/measure_schema.md)")
     return measure_from_json(resolved["measure"])
@@ -197,6 +206,8 @@ def _write_rows(args, resolved: dict, columns, rows) -> None:
 # subcommand implementations
 
 def _cmd_validate(args) -> int:
+    from .formfactor import moment_report
+
     resolved = _resolve(args)
     ff = _measure_or_fail(resolved)
     report = moment_report(ff)
@@ -210,6 +221,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    from .energy import dipole_dispersion, ground_energy, log_spectral_energy
+
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
     ff = _measure_or_fail(resolved)
@@ -226,6 +239,8 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_cutoff_scan(args) -> int:
+    from .energy import cutoff_energy_3d, cutoff_split_I1_I2
+
     resolved = _resolve(args)
     lambdas = resolved["params"].get("lambdas")
     if not lambdas:
@@ -249,6 +264,7 @@ def _cmd_cutoff_scan(args) -> int:
 
 def _cmd_wiener_hopf(args) -> int:
     from . import wienerhopf
+    from .energy import dipole_dispersion
 
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
@@ -282,7 +298,7 @@ def _cmd_fock(args) -> int:
             raise ConfigError(f"fock needs {key}")
     modes = _param(params, "modes", lambda ms: [tuple(_floats(m)) for m in ms])
     eps = _param(params, "epsilon", float) if "epsilon" in params else 1.0
-    T = _param(params, "T", float) if params.get("T") is not None else None
+    T = _param(params, "T", _nonnegative) if params.get("T") is not None else None
     if T is not None and eps != 1.0:
         raise ConfigError(f"params.epsilon: T needs epsilon = 1 (the semigroup residual "
                           f"is taken on the full fiber), got {eps!r}")
@@ -293,8 +309,9 @@ def _cmd_fock(args) -> int:
     rows = fockdesk.wcl_scan(ops, kappas, ps, eps)
     if T is not None:
         for row in rows:
+            # the row's E_p is the ground energy of the semigroup's H_kappa(p, 1)
             row["semigroup_res"] = fockdesk.semigroup_wcl_residual(
-                ops, row["kappa"], row["p"], T)
+                ops, row["kappa"], row["p"], T, lam0=row["E_p"])
     _write_rows(args, resolved, ["kappa", "p", "epsilon", "E_p", "E_0", "gap",
                                  "target", "gap_dev", "E0_dev", "semigroup_res",
                                  "top_shell"], rows)
@@ -302,6 +319,8 @@ def _cmd_fock(args) -> int:
 
 
 def _hermite_checks(seed: int) -> list[dict]:
+    from . import hermite
+
     checks = []
     res = hermite.generating_function_residual(0.5, 0.3, 0.7, 60)
     checks.append({"name": "generating_function_residual", "value": res,

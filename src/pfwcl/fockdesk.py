@@ -28,17 +28,20 @@ residual check.  The semigroup exp(-T(H - c)) and the dressing exp(s G) act on
 vectors as Chebyshev series with Bessel coefficients (the Chebyshev propagator
 of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984), and the same solver finds the
 semigroup's operator norm, so no dimension has a dense-size cliff.  The module
-needs numpy only.  Every reduction runs in numpy's own loops, never in a
-threaded BLAS (LAPACK sees only 3 x 3 projected problems), so the output bytes
-do not depend on the BLAS thread count.
+needs numpy only, and not ``numpy.random``.  On the scan and semigroup paths
+every reduction runs in numpy's own loops, never in a threaded BLAS (LAPACK
+sees only 3 x 3 projected problems), so the ``fock`` output bytes do not
+depend on the BLAS thread count; ``conjugation_residual`` alone forms block
+products with BLAS ``@`` and a 2-norm by SVD.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -326,9 +329,20 @@ def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,
     return FiberHamiltonian(ops, kappa, p, eps)
 
 
+@lru_cache(maxsize=None)
 def _start_vector(dim: int) -> np.ndarray:
-    """Fixed start vector, so iterative eigensolves repeat byte for byte."""
-    return np.random.default_rng(0).standard_normal(dim)
+    """Fixed start vector, so iterative eigensolves repeat byte for byte:
+    entry i is the i-th draw of ``random.Random(0).random() - 0.5``.
+
+    The standard library's Mersenne Twister gives the same sequence on every
+    Python version and platform, and it spares a ``fock`` process the import
+    of ``numpy.random`` (about 6 MB of resident memory).  Built once per
+    dimension and read-only, since every solve shares it.
+    """
+    draw = random.Random(0).random
+    vector = np.array([draw() - 0.5 for _ in range(dim)])
+    vector.flags.writeable = False
+    return vector
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -584,15 +598,16 @@ def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float) -> list[dict]:
     return rows
 
 
-def _semigroup_action(H: FiberHamiltonian, T: float, shift: float):
+def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
     """(exponent, series) with series(m, level) the map
     v -> exp(-m T (H - shift) - level) v, m = 1 or 2, matrix-free, and
     exponent = T (shift - low).
 
     The spectrum of H lies in [low, top]: top the row-sum bound, low = lam0 - delta
-    with lam0 = ``ground_state(H)`` and delta = b / d^2 (b the half-width of the
-    interval, d the degree of the T series), so the Ritz value's error and the
-    rounding of the scaled H at its end stay inside.  With S = (c - H) / b, c the
+    with lam0 the lowest eigenvalue of H (``ground_state(H)`` unless given) and
+    delta = b / d^2 (b the half-width of the interval, d the degree of the T
+    series), so the Ritz value's error and the rounding of the scaled H at its
+    end stay inside.  With S = (c - H) / b, c the
     centre,
 
         exp(-m T (H - shift)) = exp(m T (shift - low)) sum_k (2 - delta_k0) ive_k(m beta) T_k(S),
@@ -602,7 +617,8 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float):
     costs about m beta eps_mach relative to the largest term.  Raises
     NumericalError when exp(T (shift - low)) overflows.
     """
-    lam0 = ground_state(H)[0]
+    if lam0 is None:
+        lam0 = ground_state(H)[0]
     top = max(H.row_sum_bound(), lam0)       # a rounding-level inversion at H = c 1
     half = 0.5 * (top - lam0)
     low = lam0 - half / len(_bessel_coefficients("I", T * half)) ** 2
@@ -623,7 +639,7 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float):
 
 
 def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
-                           T: float) -> float:
+                           T: float, lam0: float | None = None) -> float:
     """Operator norm of X = exp(-T(H_kappa(p) - kappa^2 E_disc))
     - P_g exp(-T (p - P_f)^2 / (2 m_eff_disc)).
 
@@ -638,10 +654,11 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
     series, and each product applies E^2 = exp(-2T(H - c)) as one series
     (``_semigroup_action``: one ground-state solve of H, then operator products
     only, relative accuracy about T b eps_mach), so no dim x dim array is
-    formed.  The norm is read as
-    ||X^T u|| at the solver's vector u, one more series: it is stationary at the
-    top singular vector, and unlike the eigenvalue of X X^T it does not square
-    the rounding of E relative to ||X||.  When the larger term is outside
+    formed.  A caller that holds the ground energy of H = H_kappa(p, 1), as a
+    scan row's E_p, passes it as ``lam0`` and saves that solve.  The norm is
+    read as ||X^T u|| at the solver's vector u, one more series: it is
+    stationary at the top singular vector, and unlike the eigenvalue of X X^T
+    it does not square the rounding of E relative to ||X||.  When the larger term is outside
     exp(+-SMALL_NORM_LEVEL) (long T), the solver runs on exp(-level) X, the
     larger term scaled to 1, and the norm is scaled back, so a residual below
     the smallest double reads 0.
@@ -649,7 +666,8 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"the semigroup needs a finite T >= 0, got {T}")
     exponent, series = _semigroup_action(fiber_hamiltonian(ops, kappa, p, eps=1.0), T,
-                                         kappa**2 * bogoliubov_energy(ops.basis.modes))
+                                         kappa**2 * bogoliubov_energy(ops.basis.modes),
+                                         lam0)
     g = ops.ground_vector
     decay = -T * (p - ops.Pf) ** 2 / (2.0 * ops.m_eff())
     with np.errstate(divide="ignore"):

@@ -86,7 +86,7 @@ class TestEnergy:
 
     def test_one_ground_energy_per_run(self, tmp_path, capsys, monkeypatch):
         # the dispersion on stderr, 1/(2 m_eff) + kappa^2 calE, reuses the row's calE
-        from pfwcl import cli, energy
+        from pfwcl import energy
         calls = []
 
         def spy(*args, **kwargs):
@@ -95,7 +95,6 @@ class TestEnergy:
 
         real = energy.ground_energy
         monkeypatch.setattr(energy, "ground_energy", spy)
-        monkeypatch.setattr(cli, "ground_energy", spy)
         cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
         assert run(["energy", "--config", cfg, "--kappa", "2", "--p", "1"]) == 0
         assert len(calls) == 1
@@ -211,6 +210,48 @@ class TestFock:
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
         assert 0.0 < float(row["semigroup_res"]) < 1.0
 
+    @staticmethod
+    def _count_solves(monkeypatch) -> list:
+        from pfwcl import fockdesk
+        solved = []
+        real = fockdesk.ground_state
+
+        def counted(H):
+            solved.append((H.kappa, H.p, H.eps))
+            return real(H)
+
+        monkeypatch.setattr(fockdesk, "ground_state", counted)
+        return solved
+
+    def test_semigroup_reuses_scan_energy(self, monkeypatch, capsys):
+        # the benchmark's semigroup job: dim 1953, two kappa, one p.  The scan
+        # solves E_0 and E_p per kappa, ops.ground_vector is solved once, and
+        # each semigroup row takes the bottom of its Chebyshev interval from
+        # the row's E_p: 5 solves, where solving it again made 7
+        from pfwcl import fockdesk
+        from pfwcl.cli import fmt
+        modes, kappas, p, T = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)], [1.0, 2.0], 0.2, 1.0
+        solved = self._count_solves(monkeypatch)
+        assert run(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "61",
+                    "--kappa-list", "1,2", "--p-list", "0.2", "--T", "1"]) == 0
+        assert len(solved) == 5
+        monkeypatch.undo()
+        lines = capsys.readouterr().out.splitlines()
+        rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
+        # the same bytes as a residual that solves its own ground state
+        ops = fockdesk.build_operators(fockdesk.build_basis(modes, 61))
+        assert [r["semigroup_res"] for r in rows] == [
+            fmt(fockdesk.semigroup_wcl_residual(ops, kappa, p, T)) for kappa in kappas]
+
+    @pytest.mark.parametrize("T", ["nan", "-1", "inf"])
+    def test_bad_horizon_exits_before_scan(self, T, monkeypatch, capsys):
+        solved = self._count_solves(monkeypatch)
+        assert run(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "30",
+                    "--kappa-list", "1,2", "--p-list", "0,0.2", "--T", T]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "params.T" in err
+        assert solved == []
+
     @pytest.mark.parametrize("eps", ["0", "0.5"])
     def test_horizon_needs_full_fiber(self, eps, capsys):
         # the semigroup residual is computed at epsilon = 1 only
@@ -296,11 +337,52 @@ class TestDeterminism:
 
 
 def test_cli_import_skips_scipy():
-    # no module of the package imports scipy
-    code = ("import sys, pfwcl.cli, pfwcl.wienerhopf, pfwcl.fockdesk; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = run_python(["-c", code]).decode()
-    assert out.strip() == "[]"
+    # no module of the package imports scipy, and the driver alone loads no
+    # numeric module: each subcommand imports its own
+    code = ("import json, sys, pfwcl.cli; "
+            "driver = sorted(m for m in sys.modules if m.startswith('pfwcl')); "
+            "import pfwcl.wienerhopf, pfwcl.fockdesk, pfwcl.hermite; "
+            "print(json.dumps([driver, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    driver, scipy = json.loads(run_python(["-c", code]))
+    assert driver == ["pfwcl", "pfwcl.cli", "pfwcl.errors"]
+    assert scipy == []
+
+
+def loaded_modules(argv) -> set:
+    """The modules a fresh interpreter holds after ``pfwcl.cli.run(argv)``
+    exits 0, its data written to the null device."""
+    code = ("import json, os, sys; from pfwcl.cli import run; "
+            f"code = run({[*argv, '--output', os.devnull]!r}); "
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    code, modules = json.loads(run_python(["-c", code]))
+    assert code == 0
+    return set(modules)
+
+
+SPECTRAL_MODULES = {"pfwcl.energy", "pfwcl.formfactor", "pfwcl.quadrature"}
+
+
+@pytest.mark.parametrize("horizon", [[], ["--T", "1"]], ids=["scan", "T_1"])
+def test_fock_loads_only_the_fock_desk(horizon):
+    # the start vector comes from the standard library, not numpy.random
+    loaded = loaded_modules(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20",
+                             "--kappa-list", "1", "--p-list", "0.2", *horizon])
+    assert "pfwcl.fockdesk" in loaded
+    assert not loaded & {"numpy.random", "pfwcl.hermite", *SPECTRAL_MODULES}
+
+
+def test_hermite_check_loads_no_spectral_module():
+    # hermite-check keeps numpy.random: its --seed output depends on it
+    loaded = loaded_modules(["hermite-check", "--seed", "3"])
+    assert {"pfwcl.hermite", "numpy.random"} <= loaded
+    assert not loaded & SPECTRAL_MODULES
+
+
+def test_validate_loads_neither_energy_nor_hermite(tmp_path):
+    cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
+    loaded = loaded_modules(["validate", "--config", cfg])
+    assert "pfwcl.formfactor" in loaded
+    assert not loaded & {"pfwcl.energy", "pfwcl.hermite"}
 
 
 def test_wiener_hopf_runs_without_scipy(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ class TestGroundState:
             assert len(applied) <= fockdesk.EIGEN_MAX_STEPS // 2
             exact = np.linalg.eigvalsh(real(H, np.eye(ops.dim)))[0]
             assert abs(lam - exact) <= 1e-11 * max(1.0, abs(exact))
+
+    def test_start_vector_pinned_and_read_only(self):
+        # the standard library's sequence, the same on every Python version;
+        # one shared array per dimension, which no solve may write into
+        v = fockdesk._start_vector(50)
+        draw = random.Random(0).random
+        assert v.tolist() == [draw() - 0.5 for _ in range(50)]
+        assert v[0] == 0.8444218515250481 - 0.5
+        assert fockdesk._start_vector(50) is v
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
 
     def test_zero_on_the_diagonal(self):
         # kappa = 0, p = q_0: H = (1/2) q_0^2 (1 - n_0 + n_1)^2 is diagonal with
