@@ -13,7 +13,9 @@ it runs, so a process loads only its subcommand's: ``validate`` loads
 ``wiener-hopf`` add ``energy`` (and ``wienerhopf``); ``fock`` loads
 ``fockdesk`` alone; ``hermite-check`` loads ``hermite`` alone.  ``--help``
 loads none of them.  numpy is imported here, since every subcommand needs it,
-and every subcommand runs on numpy alone.
+and every subcommand runs on numpy alone.  None loads ``numpy.random`` or
+``numpy.polynomial``: seeded draws come from the standard library's
+``random`` and Gauss-Legendre rules from ``quadrature``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -304,6 +307,10 @@ def _cmd_fock(args) -> int:
                           f"is taken on the full fiber), got {eps!r}")
     kappas = _param(params, "kappa_list", _floats)
     ps = _param(params, "p_list", _floats)
+    for name, key, values in (("kappa", "kappa_list", kappas), ("p", "p_list", ps)):
+        bad = [v for v in values if not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"{name} must be finite, got {bad[0]} in params.{key}")
     basis = fockdesk.build_basis(modes, _param(params, "ntot", int))
     ops = fockdesk.build_operators(basis)
     rows = fockdesk.wcl_scan(ops, kappas, ps, eps)
@@ -347,12 +354,14 @@ def _hermite_checks(seed: int) -> list[dict]:
     checks.append({"name": "recurrence_vs_explicit", "value": worst_rel,
                    "threshold": 1e-12, "passed": worst_rel <= 1e-12})
 
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((8, 8))
+    # the standard library's Mersenne Twister: the same draws on every Python
+    # version, and no numpy.random import
+    draw = random.Random(seed).random
+    raw = np.array([draw() - 0.5 for _ in range(64)]).reshape(8, 8)
     S = 0.5 * (raw + raw.T)
     radius = float(np.max(np.abs(np.linalg.eigvalsh(S))))
     S *= 2.0 / radius
-    phi = rng.standard_normal(8)
+    phi = np.array([draw() - 0.5 for _ in range(8)])
     res_op = hermite.generating_operator_residual(S, 0.25, 0.4, phi, 80)
     checks.append({"name": "generating_operator_residual", "value": res_op,
                    "threshold": 1e-10, "passed": res_op <= 1e-10})

@@ -6,7 +6,10 @@ worst-first until the summed estimate meets max(abs_tol, REL_TOL |value|).
 An upper limit b = inf is mapped by t = a + tan(theta), theta in [0, pi/2), so
 the integrand must decay at least like 1/t^2.  It serves the outer
 t-integrals of the energy module and the cutoff energy E(Lambda).
-``gauss_panels`` builds the radial rules and the u_T residual nodes.
+``gauss_panels`` builds the radial rules and the u_T residual nodes.  Both
+take their Gauss-Legendre rules from ``_gl_rule``, Newton's method on the
+Legendre recurrence: within rounding of the exact rule, and without
+``numpy.polynomial`` or a LAPACK call.
 """
 
 from __future__ import annotations
@@ -25,11 +28,37 @@ ORDER = 12
 REL_TOL = 1e-11
 MAX_PANELS = 4000
 INITIAL_PANELS = 4
+_EPS = float(np.finfo(float).eps)
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) by the three-term recurrence, for |x| < 1."""
+    prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+    return p, n * (x * p - prev) / (x * x - 1.0)
 
 
 @lru_cache(maxsize=None)
-def _gl_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-``order`` Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n from cos(pi (k - 1/4) / (n + 1/2)) converges
+    quadratically; it stops once no node moves by more than eps_mach.  The
+    weights are 2 / ((1 - x^2) P_n'(x)^2), and the rule is symmetrised about 0.
+    Read-only, since every caller shares the cached arrays.
+    """
+    x = np.cos(math.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
+    step = np.ones_like(x)
+    while np.max(np.abs(step)) > _EPS:
+        p, dp = _legendre(order, x)
+        step = p / dp
+        x = x - step
+    dp = _legendre(order, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -205,8 +205,10 @@ def solve_uT(ff: RadialMeasure, kappa: float, T: float) -> ResolventSolution:
     u = ResolventSolution(S, u_inf, -c * beta / (1.0 + np.exp(-mu * S)), mu)
     cuts = 10.0 ** np.arange(-2.0, 6.0)
     edges = np.concatenate(([0.0], cuts[cuts < 0.5 * S], [0.5 * S]))
-    x = gauss_panels(edges, 4)[0]
-    res = float(np.max(np.abs(u.at(x) + _kernel_applied(ss, u, x) - 1.0)))
+    # one panel at a time: _kernel_applied holds (nodes, n, n) arrays; np.max,
+    # unlike max, keeps a NaN
+    res = float(np.max([np.max(np.abs(u.at(x) + _kernel_applied(ss, u, x) - 1.0))
+                        for x in gauss_panels(edges, 4)[0].reshape(-1, 4)]))
     if not res <= RESIDUAL_TOL:
         raise NumericalError(f"u_T solve residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return u

@@ -252,6 +252,19 @@ class TestFock:
         assert out == "" and "params.T" in err
         assert solved == []
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--kappa-list", "1,nan", "--p-list", "0.2"], "params.kappa_list"),
+        (["--kappa-list", "1", "--p-list", "inf"], "params.p_list"),
+    ], ids=["kappa_nan", "p_inf"])
+    def test_non_finite_lists_exit_before_basis(self, flags, field, monkeypatch, capsys):
+        from pfwcl import fockdesk
+        built = []
+        monkeypatch.setattr(fockdesk, "build_basis", lambda *a: built.append(a))
+        assert run(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "30", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and field in err
+        assert built == []
+
     @pytest.mark.parametrize("eps", ["0", "0.5"])
     def test_horizon_needs_full_fiber(self, eps, capsys):
         # the semigroup residual is computed at epsilon = 1 only
@@ -269,6 +282,23 @@ class TestHermiteCheck:
         names = {c["name"] for c in report["checks"]}
         assert names == {"generating_function_residual", "bound_grid",
                          "recurrence_vs_explicit", "generating_operator_residual"}
+
+    def test_seeds_pass_and_repeat_across_processes(self):
+        # S and phi are drawn by the standard library's Mersenne Twister, whose
+        # sequence Python fixes; each seed's report repeats byte for byte
+        code = ("import contextlib, io, json; from pfwcl.cli import run\n"
+                "reports = []\n"
+                "for seed in range(51):\n"
+                "    out = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                "        reports.append([run(['hermite-check', '--seed', str(seed)]), "
+                "out.getvalue()])\n"
+                "print(json.dumps(reports))")
+        first, second = (json.loads(run_python(["-c", code])) for _ in range(2))
+        assert first == second
+        assert [code for code, _ in first] == [0] * 51
+        assert all(json.loads(report)["passed"] is True for _, report in first)
 
 
 class TestDeterminism:
@@ -372,10 +402,30 @@ def test_fock_loads_only_the_fock_desk(horizon):
 
 
 def test_hermite_check_loads_no_spectral_module():
-    # hermite-check keeps numpy.random: its --seed output depends on it
+    # its --seed draws come from the standard library, not numpy.random
     loaded = loaded_modules(["hermite-check", "--seed", "3"])
-    assert {"pfwcl.hermite", "numpy.random"} <= loaded
+    assert "pfwcl.hermite" in loaded and "numpy.random" not in loaded
     assert not loaded & SPECTRAL_MODULES
+
+
+GAUSSIAN_MEASURE = {"dimension": 3, "profile": {"type": "gaussian", "sigma": 1.0}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--config", "{gaussian}"],
+    ["energy", "--config", "{gaussian}", "--kappa", "1", "--p", "0.5"],
+    ["cutoff-scan", "--lambda", "1,10"],
+    ["hermite-check", "--seed", "3"],
+    ["wiener-hopf", "--config", "{gaussian}", "--T-ladder", "5,10", "--p", "0.3"],
+    ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "8", "--kappa-list", "1",
+     "--p-list", "0.2", "--T", "1"],
+], ids=lambda argv: argv[0])
+def test_no_subcommand_loads_numpy_random_or_polynomial(tmp_path, argv):
+    # Gauss-Legendre rules come from quadrature's own Newton iteration and
+    # every seeded draw from the standard library
+    cfg = write_config(tmp_path, "gauss.json", {"measure": GAUSSIAN_MEASURE})
+    loaded = loaded_modules([arg.format(gaussian=cfg) for arg in argv])
+    assert not loaded & {"numpy.random", "numpy.polynomial"}
 
 
 def test_validate_loads_neither_energy_nor_hermite(tmp_path):

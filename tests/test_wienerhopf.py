@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -267,6 +268,21 @@ class TestUT:
     @pytest.mark.parametrize("T", [40.0, 1e3, 1e4])
     def test_atom_mass_excess_is_quarter_over_T(self, pm_atom, T):
         assert T * (mass_functional(pm_atom, 1.0, T) - 0.25) == pytest.approx(0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("T", [20.0, 1e6])
+    def test_residual_check_memory_is_per_panel(self, gauss1, T):
+        # the residual holds (4, n, n) arrays one panel at a time, never the
+        # (nodes, n, n) tensor of all panels (6.9 MiB at T = 1e6)
+        ss = realization(gauss1)
+        assert len(ss.lam) == 77
+        ss.modes              # cached per measure: built before the trace starts
+        tracemalloc.start()
+        try:
+            solve_uT(gauss1, 1.0, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 ** 20
 
     @pytest.mark.parametrize("name", ["pm_atom", "gauss1", "cutoff1"])
     def test_no_warning_up_to_S_1e5(self, name, request):
