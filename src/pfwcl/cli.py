@@ -11,11 +11,12 @@ config ``params`` key it overrides.  Each handler imports the numeric modules
 it runs, so a process loads only its subcommand's: ``validate`` loads
 ``formfactor`` and ``quadrature``; ``energy``, ``cutoff-scan`` and
 ``wiener-hopf`` add ``energy`` (and ``wienerhopf``); ``fock`` loads
-``fockdesk`` alone; ``hermite-check`` loads ``hermite`` alone.  ``--help``
-loads none of them.  numpy is imported here, since every subcommand needs it,
-and every subcommand runs on numpy alone.  None loads ``numpy.random`` or
-``numpy.polynomial``: seeded draws come from the standard library's
-``random`` and Gauss-Legendre rules from ``quadrature``.
+``fockdesk`` alone; ``hermite-check`` loads ``hermite`` alone.  This module
+runs on the standard library: ``--help``, the config merge and each handler's
+params checks load no numpy, which comes in with the first numeric module a
+handler imports, below its checks.  Every subcommand runs on numpy alone, and
+none loads ``numpy.random`` or ``numpy.polynomial``: seeded draws come from
+the standard library's ``random`` and Gauss-Legendre rules from ``quadrature``.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ import contextlib
 import dataclasses
 import json
 import math
-import random
 import sys
-
-import numpy as np
 
 from .errors import NumericalError, QuadratureError
 
@@ -162,6 +160,19 @@ def _nonnegative(value) -> float:
     return number
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _unit_interval(value) -> float:
+    number = float(value)
+    if not 0.0 <= number <= 1.0:
+        raise ValueError(f"must lie in [0, 1], got {number}")
+    return number
+
+
 def _measure_or_fail(resolved: dict):
     from .formfactor import measure_from_json
 
@@ -209,9 +220,9 @@ def _write_rows(args, resolved: dict, columns, rows) -> None:
 # subcommand implementations
 
 def _cmd_validate(args) -> int:
+    resolved = _resolve(args)
     from .formfactor import moment_report
 
-    resolved = _resolve(args)
     ff = _measure_or_fail(resolved)
     report = moment_report(ff)
     # construction refuses a measure with M_{+1}, M_{-1} or M_{-2} infinite,
@@ -224,12 +235,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    from .energy import dipole_dispersion, ground_energy, log_spectral_energy
-
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
-    ff = _measure_or_fail(resolved)
     kappa, p = _param(params, "kappa", float), _param(params, "p", _finite)
+    from .energy import dipole_dispersion, ground_energy, log_spectral_energy
+
+    ff = _measure_or_fail(resolved)
     result = ground_energy(ff)
     ls = log_spectral_energy(ff, kappa)
     disp = dipole_dispersion(ff, kappa, p, cal_e=result.calE)
@@ -242,8 +253,6 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_cutoff_scan(args) -> int:
-    from .energy import cutoff_energy_3d, cutoff_split_I1_I2
-
     resolved = _resolve(args)
     lambdas = resolved["params"].get("lambdas")
     if not lambdas:
@@ -252,6 +261,7 @@ def _cmd_cutoff_scan(args) -> int:
     if not all(0.0 < v < math.inf for v in lambdas):
         raise ConfigError(f"params.lambdas: cutoff values must be positive and finite, "
                           f"got {lambdas}")
+    from .energy import cutoff_energy_3d, cutoff_split_I1_I2
 
     def rows():
         for lam in lambdas:
@@ -266,12 +276,8 @@ def _cmd_cutoff_scan(args) -> int:
 
 
 def _cmd_wiener_hopf(args) -> int:
-    from . import wienerhopf
-    from .energy import dipole_dispersion
-
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
-    ff = _measure_or_fail(resolved)
     kappa, p = _param(params, "kappa", float), _param(params, "p", _finite)
     if params.get("T_ladder") is not None:
         ladder = _param(params, "T_ladder", _floats)
@@ -279,7 +285,10 @@ def _cmd_wiener_hopf(args) -> int:
         ladder = [_param(params, "T", float)]
     else:
         raise ConfigError("wiener-hopf needs --T or --T-ladder")
+    from . import wienerhopf
+    from .energy import dipole_dispersion
 
+    ff = _measure_or_fail(resolved)
     rows = wienerhopf.ak_convergence_report(ff, kappa, ladder)
     _write_rows(args, resolved, ["T", "n", "logdet_per_T", "ak_target", "ak_dev", "ak_B",
                                  "disc_err", "mass_fn", "mass_target", "mass_dev"], rows)
@@ -292,15 +301,14 @@ def _cmd_wiener_hopf(args) -> int:
 
 
 def _cmd_fock(args) -> int:
-    from . import fockdesk
-
     resolved = _resolve(args)
     params = resolved["params"]
     for key in ("modes", "ntot", "kappa_list", "p_list"):
         if key not in params:
             raise ConfigError(f"fock needs {key}")
     modes = _param(params, "modes", lambda ms: [tuple(_floats(m)) for m in ms])
-    eps = _param(params, "epsilon", float) if "epsilon" in params else 1.0
+    n_tot = _param(params, "ntot", _integer)
+    eps = _param(params, "epsilon", _unit_interval) if "epsilon" in params else 1.0
     T = _param(params, "T", _nonnegative) if params.get("T") is not None else None
     if T is not None and eps != 1.0:
         raise ConfigError(f"params.epsilon: T needs epsilon = 1 (the semigroup residual "
@@ -311,7 +319,11 @@ def _cmd_fock(args) -> int:
         bad = [v for v in values if not math.isfinite(v)]
         if bad:
             raise ConfigError(f"{name} must be finite, got {bad[0]} in params.{key}")
-    basis = fockdesk.build_basis(modes, _param(params, "ntot", int))
+    if min(kappas, default=0.0) < 0.0:
+        raise ConfigError(f"params.kappa_list: kappa must be >= 0, got {min(kappas)}")
+    from . import fockdesk
+
+    basis = fockdesk.build_basis(modes, n_tot)
     ops = fockdesk.build_operators(basis)
     rows = fockdesk.wcl_scan(ops, kappas, ps, eps)
     if T is not None:
@@ -325,59 +337,18 @@ def _cmd_fock(args) -> int:
     return EXIT_OK
 
 
-def _hermite_checks(seed: int) -> list[dict]:
-    from . import hermite
-
-    checks = []
-    res = hermite.generating_function_residual(0.5, 0.3, 0.7, 60)
-    checks.append({"name": "generating_function_residual", "value": res,
-                   "threshold": 1e-12, "passed": res <= 1e-12})
-
-    worst = None
-    xs = np.arange(-5.0, 5.0 + 1e-9, 0.1)
-    for n in range(0, 41):
-        for a in (0.25, 1.0, 4.0):
-            ok = hermite.bound_check(n, a, xs)
-            if not ok.all():
-                worst = (n, a, float(xs[~ok][-1]))
-    checks.append({"name": "bound_grid", "value": None if worst is None else list(worst),
-                   "threshold": None, "passed": worst is None})
-
-    worst_rel = 0.0
-    for n in (0, 1, 5, 17, 33, 48, 60):
-        for a in (0.25, 1.0, 3.5, 10.0):
-            for x in (-10.0, -4.4, -1.0, 0.0, 0.3, 2.9, 7.7, 10.0):
-                r = hermite.hermite(n, a, x)
-                e = hermite.hermite_explicit(n, a, x)
-                worst_rel = max(worst_rel,
-                                abs(r - e) / max(abs(r), abs(e), 1e-300))
-    checks.append({"name": "recurrence_vs_explicit", "value": worst_rel,
-                   "threshold": 1e-12, "passed": worst_rel <= 1e-12})
-
-    # the standard library's Mersenne Twister: the same draws on every Python
-    # version, and no numpy.random import
-    draw = random.Random(seed).random
-    raw = np.array([draw() - 0.5 for _ in range(64)]).reshape(8, 8)
-    S = 0.5 * (raw + raw.T)
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(S))))
-    S *= 2.0 / radius
-    phi = np.array([draw() - 0.5 for _ in range(8)])
-    res_op = hermite.generating_operator_residual(S, 0.25, 0.4, phi, 80)
-    checks.append({"name": "generating_operator_residual", "value": res_op,
-                   "threshold": 1e-10, "passed": res_op <= 1e-10})
-    return checks
-
-
 def _cmd_hermite_check(args) -> int:
     resolved = _resolve(args)
     seed = resolved["seed"]
     try:
-        seed = int(seed)
+        seed = _integer(seed)
         if seed < 0:
             raise ValueError
     except (TypeError, ValueError):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}") from None
-    checks = _hermite_checks(seed)
+    from .hermite import invariant_suite
+
+    checks = invariant_suite(seed)
     all_pass = all(c["passed"] for c in checks)
     report = {"config": resolved, "checks": checks, "passed": all_pass}
     with _output(args) as out:
@@ -437,11 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple:
+    """Exit-3 exceptions; numpy's LinAlgError (a ValueError) once numpy is loaded."""
+    numpy = sys.modules.get("numpy")
+    lapack = () if numpy is None else (numpy.linalg.LinAlgError,)
+    return (QuadratureError, NumericalError, OverflowError, *lapack)
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.subcommand][0](args)
-    except (QuadratureError, NumericalError, OverflowError, np.linalg.LinAlgError) as exc:
+    except _numerical_errors() as exc:
         print(f"{args.subcommand}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -17,12 +17,15 @@ double recurrence for the normalized values
 
     psi_n = H_n(a, x) / (a^{n/2} sqrt(2^n n!)),   |psi_n| <= e^{a x^2 / 2},
 
-which neither under- nor overflows where H_n/n! would.
+which neither under- nor overflows where H_n/n! would.  ``invariant_suite``
+runs these identities as the ``pfwcl hermite-check`` report.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import numpy as np
 
@@ -133,3 +136,35 @@ def generating_operator_residual(S: np.ndarray, a: float, x: float,
         vec = math.sqrt(2.0 * a / (n + 1)) * (S @ vec)
         acc = acc + psi[n + 1] * vec
     return float(np.linalg.norm(acc - target))
+
+
+def invariant_suite(seed: int) -> list[dict]:
+    """The ``hermite-check`` checks: the generating function, the growth bound
+    on a grid, the recurrence against the explicit sum, and the generating
+    operator on an 8 x 8 symmetric S and a vector phi drawn from ``seed``."""
+    def check(name, value, threshold):
+        return {"name": name, "value": value, "threshold": threshold,
+                "passed": value <= threshold}
+
+    worst, xs = None, np.arange(-5.0, 5.0 + 1e-9, 0.1)
+    for n, a in itertools.product(range(41), (0.25, 1.0, 4.0)):
+        ok = bound_check(n, a, xs)
+        if not ok.all():
+            worst = [n, a, float(xs[~ok][-1])]
+    grid = itertools.product((0, 1, 5, 17, 33, 48, 60), (0.25, 1.0, 3.5, 10.0),
+                             (-10.0, -4.4, -1.0, 0.0, 0.3, 2.9, 7.7, 10.0))
+    gaps = [abs(r - e) / max(abs(r), abs(e), 1e-300)
+            for r, e in ((hermite(*nax), hermite_explicit(*nax)) for nax in grid)]
+    # the standard library's Mersenne Twister: the same draws on every Python
+    # version, and no numpy.random import
+    draw = random.Random(seed).random
+    raw = np.array([draw() - 0.5 for _ in range(64)]).reshape(8, 8)
+    S = 0.5 * (raw + raw.T)
+    S *= 2.0 / float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    phi = np.array([draw() - 0.5 for _ in range(8)])
+    return [check("generating_function_residual",
+                  generating_function_residual(0.5, 0.3, 0.7, 60), 1e-12),
+            {"name": "bound_grid", "value": worst, "threshold": None, "passed": worst is None},
+            check("recurrence_vs_explicit", max(gaps), 1e-12),
+            check("generating_operator_residual",
+                  generating_operator_residual(S, 0.25, 0.4, phi, 80), 1e-10)]

@@ -16,6 +16,8 @@ PM_MEASURE = {"dimension": 3,
               "profile": {"type": "point_masses",
                           "atoms": [{"omega": 1.0, "weight": 3.0}]}}
 
+FOCK_ARGS = ["fock", "--modes", "1:3:0", "--kappa-list", "1", "--p-list", "0"]
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -300,6 +302,26 @@ class TestHermiteCheck:
         assert [code for code, _ in first] == [0] * 51
         assert all(json.loads(report)["passed"] is True for _, report in first)
 
+    @pytest.mark.parametrize("seed, operator_residual", [
+        (0, 3.8913621547451856e-16), (3, 8.546695787981499e-16)])
+    def test_report_bytes_pinned(self, capsys, seed, operator_residual):
+        # the bytes the suite printed before it moved from the driver into
+        # hermite.py; the two residuals are round-off of numpy's exp and eigh
+        # (x86-64, OpenBLAS)
+        def check(name, value, threshold):
+            return {"name": name, "passed": True, "threshold": threshold, "value": value}
+
+        report = {"checks": [
+            check("generating_function_residual", 1.1102230246251565e-16, 1e-12),
+            check("bound_grid", None, None),
+            check("recurrence_vs_explicit", 0.0, 1e-12),
+            check("generating_operator_residual", operator_residual, 1e-10)],
+            "config": {"format": "csv", "measure": None, "params": {}, "seed": seed,
+                       "subcommand": "hermite-check"},
+            "passed": True}
+        assert run(["hermite-check", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=1) + "\n"
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
@@ -376,6 +398,57 @@ def test_cli_import_skips_scipy():
     driver, scipy = json.loads(run_python(["-c", code]))
     assert driver == ["pfwcl", "pfwcl.cli", "pfwcl.errors"]
     assert scipy == []
+
+
+def test_lapack_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError: it must not pass for a config error
+    import numpy as np
+
+    from pfwcl import wienerhopf
+
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(wienerhopf, "cho_factor", fail)
+    cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
+    assert run(["wiener-hopf", "--config", cfg, "--T", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "wiener-hopf: numerical failure: Matrix is not positive definite" in err
+
+
+def numpy_after(argv) -> list:
+    """[exit code, numpy loaded] of a fresh interpreter after ``run(argv)``;
+    ``argv`` None only imports the driver."""
+    call = "None" if argv is None else f"run({argv!r})"
+    code = ("import contextlib, io, json, sys; from pfwcl.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    try:\n        code = {call}\n"
+            "    except SystemExit as exc:\n        code = exc.code\n"
+            "print(json.dumps([code, 'numpy' in sys.modules]))")
+    return json.loads(run_python(["-c", code]))
+
+
+@pytest.mark.parametrize("argv", [None] + [[sub, "--help"] for sub in (
+    "validate", "energy", "cutoff-scan", "wiener-hopf", "fock", "hermite-check")],
+    ids=lambda argv: "import" if argv is None else argv[0])
+def test_help_loads_no_numpy(argv):
+    assert numpy_after(argv) == [None if argv is None else 0, False]
+
+
+@pytest.mark.parametrize("argv", [
+    FOCK_ARGS + ["--ntot", "4", "--kappa-list", "nan"],
+    FOCK_ARGS + ["--config", "{ntot_frac}"],
+    ["cutoff-scan", "--lambda", "inf"],
+    ["hermite-check", "--seed", "-1"],
+    ["wiener-hopf", "--config", "{cfg}"],
+], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed", "wh_no_horizon"])
+def test_params_error_loads_no_numpy(tmp_path, argv):
+    # the driver checks its params on the standard library, before a handler
+    # imports a numeric module
+    paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
+             "ntot_frac": write_config(tmp_path, "ntot.json", {"params": {"ntot": 3.7}})}
+    assert numpy_after([arg.format(**paths) for arg in argv]) == [2, False]
 
 
 def loaded_modules(argv) -> set:
@@ -472,9 +545,6 @@ def test_flag_overrides_config_param(tmp_path, argv, params, key, expected):
     assert json.loads(out.read_text())["config"]["params"][key] == expected
 
 
-FOCK_ARGS = ["fock", "--modes", "1:3:0", "--kappa-list", "1", "--p-list", "0"]
-
-
 def non_finite_configs(tmp_path) -> dict:
     """Configs whose measure holds NaN or Infinity, which json.load accepts, or
     finite points whose moments overflow a double."""
@@ -543,8 +613,36 @@ def test_non_finite_fock_input_names_its_field(capsys, ntot, flags, field):
     assert f"configuration error: {field} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, flags, field", [
+    ({"ntot": 3.7}, [], "params.ntot: must be an integer"),
+    ({"ntot": True}, [], "params.ntot: must be an integer"),
+    ({}, ["--ntot", "4", "--kappa-list", "1,-1"], "params.kappa_list: kappa must be >= 0"),
+    ({}, ["--ntot", "4", "--epsilon", "nan"], "params.epsilon: must lie in [0, 1]"),
+    ({}, ["--ntot", "4", "--epsilon", "2"], "params.epsilon: must lie in [0, 1]"),
+], ids=["ntot_3.7", "ntot_true", "kappa_negative", "epsilon_nan", "epsilon_2"])
+def test_bad_fock_param_names_its_field(tmp_path, capsys, monkeypatch, params, flags, field):
+    # refused before the basis is built: A -> -A maps kappa to -kappa, so a
+    # negative kappa would print the numbers of |kappa|
+    from pfwcl import fockdesk
+    built = []
+    monkeypatch.setattr(fockdesk, "build_basis", lambda *a: built.append(a))
+    cfg = write_config(tmp_path, "fock.json", {"params": params})
+    assert run([*FOCK_ARGS, "--config", cfg, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"configuration error: {field}" in err
+    assert built == []
+
+
 def test_negative_seed_names_its_field(capsys):
     assert run(["hermite-check", "--seed", "-1"]) == 2
+    assert "configuration error: seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [3.7, True])
+def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
+    # int() would run 3.7 as seed 3 while the report echoes 3.7
+    cfg = write_config(tmp_path, "seed.json", {"seed": seed})
+    assert run(["hermite-check", "--config", cfg]) == 2
     assert "configuration error: seed must be a nonnegative integer" in capsys.readouterr().err
 
 
