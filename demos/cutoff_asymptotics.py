@@ -9,7 +9,7 @@ growth; I2/sqrt(Lambda) dies out.
 
 import math
 
-from pfwcl.energy import cutoff_energy_3d, cutoff_split_I1_I2
+from pfwcl.cutoff import cutoff_energy_3d, cutoff_split_I1_I2
 
 lo, hi = math.sqrt(2 * math.pi / 3), math.sqrt(2 * math.pi)
 print(f"bracket for E/Lambda^(3/2): [{lo:.5f}, {hi:.5f}]\n")

@@ -3,8 +3,8 @@
 Submodules:
 
 - ``formfactor``: rotation-invariant measures, moment integrals, delta_m, m_eff
-- ``energy``: spectral functions rho/rho-hat/G, the dipole ground energy,
-  and the d=3 sharp-cutoff asymptotics E(Lambda)
+- ``energy``: spectral functions rho/rho-hat/G and the dipole ground energy
+- ``cutoff``: the d=3 sharp-cutoff asymptotics E(Lambda)
 - ``wienerhopf``: truncated Wiener-Hopf determinants, u_T, vacuum amplitudes
 - ``hermite``: generalized Hermite polynomials and their generating operator
 - ``fockdesk``: truncated bosonic Fock space, fiber Hamiltonians,

@@ -9,14 +9,15 @@ significant digits and the resolved config is echoed into the output header.
 Each subcommand is declared once, in ``COMMANDS``.  A flag's dest is the
 config ``params`` key it overrides.  Each handler imports the numeric modules
 it runs, so a process loads only its subcommand's: ``validate`` loads
-``formfactor`` and ``quadrature``; ``energy``, ``cutoff-scan`` and
-``wiener-hopf`` add ``energy`` (and ``wienerhopf``); ``fock`` loads
-``fockdesk`` alone; ``hermite-check`` loads ``hermite`` alone.  This module
-runs on the standard library: ``--help``, the config merge and each handler's
-params checks load no numpy, which comes in with the first numeric module a
-handler imports, below its checks.  Every subcommand runs on numpy alone, and
-none loads ``numpy.random`` or ``numpy.polynomial``: seeded draws come from
-the standard library's ``random`` and Gauss-Legendre rules from ``quadrature``.
+``formfactor`` and ``quadrature``, ``cutoff-scan`` ``cutoff`` and
+``quadrature``, all on the standard library; ``energy`` and ``wiener-hopf``
+add ``energy`` (and ``wienerhopf``); ``fock`` loads ``fockdesk`` alone;
+``hermite-check`` loads ``hermite`` alone.  This module runs on the standard
+library: ``--help``, the params checks, ``validate`` and ``cutoff-scan`` load
+no numpy, which comes in with ``energy``, ``fockdesk`` or ``hermite``, below
+the checks.  Those run on numpy alone, and no subcommand loads
+``numpy.random`` or ``numpy.polynomial``: seeded draws come from the standard
+library's ``random`` and Gauss-Legendre rules from ``quadrature``.
 """
 
 from __future__ import annotations
@@ -160,6 +161,13 @@ def _nonnegative(value) -> float:
     return number
 
 
+def _horizons(values) -> list[float]:
+    ladder = [_finite(v) for v in values]
+    if not ladder or ladder[0] <= 0.0 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"horizons must be > 0 and increasing, got {ladder}")
+    return ladder
+
+
 def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
@@ -237,7 +245,7 @@ def _cmd_validate(args) -> int:
 def _cmd_energy(args) -> int:
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
-    kappa, p = _param(params, "kappa", float), _param(params, "p", _finite)
+    kappa, p = _param(params, "kappa", _nonnegative), _param(params, "p", _finite)
     from .energy import dipole_dispersion, ground_energy, log_spectral_energy
 
     ff = _measure_or_fail(resolved)
@@ -261,7 +269,7 @@ def _cmd_cutoff_scan(args) -> int:
     if not all(0.0 < v < math.inf for v in lambdas):
         raise ConfigError(f"params.lambdas: cutoff values must be positive and finite, "
                           f"got {lambdas}")
-    from .energy import cutoff_energy_3d, cutoff_split_I1_I2
+    from .cutoff import cutoff_energy_3d, cutoff_split_I1_I2
 
     def rows():
         for lam in lambdas:
@@ -278,11 +286,11 @@ def _cmd_cutoff_scan(args) -> int:
 def _cmd_wiener_hopf(args) -> int:
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
-    kappa, p = _param(params, "kappa", float), _param(params, "p", _finite)
+    kappa, p = _param(params, "kappa", _nonnegative), _param(params, "p", _finite)
     if params.get("T_ladder") is not None:
-        ladder = _param(params, "T_ladder", _floats)
+        ladder = _param(params, "T_ladder", _horizons)
     elif "T" in params:
-        ladder = [_param(params, "T", float)]
+        ladder = _param(params, "T", lambda T: _horizons([T]))
     else:
         raise ConfigError("wiener-hopf needs --T or --T-ladder")
     from . import wienerhopf

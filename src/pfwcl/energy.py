@@ -23,8 +23,8 @@ is an exact identity and is computed independently as a cross-check.
 
 Each spectral function is one sum over the measure's radial rule
 (``RadialMeasure.rule``) and takes an array of t as well as a scalar.  The
-outer integrals, here and in the d = 3 cutoff energy E(Lambda) below, run on
-``adaptive_quad``; the whole-line ones fold onto [0, inf) by evenness.
+outer integrals run on ``adaptive_quad`` and fold onto [0, inf) by evenness.
+The d = 3 cutoff energy E(Lambda) needs no measure and lives in ``cutoff``.
 """
 
 from __future__ import annotations
@@ -153,78 +153,3 @@ def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float,
     if cal_e is None:
         cal_e = ground_energy(ff).calE
     return p * p / (2.0 * rep.m_eff) + kappa * kappa * cal_e
-
-
-# ---------------------------------------------------------------------------
-# d = 3 sharp-cutoff asymptotics
-
-_SERIES_SWITCH = 1e-3
-
-
-def _arctan_minus_rational(u):
-    """arctan(u) - u/(1+u^2); series (2/3)u^3 - (4/5)u^5 + (6/7)u^7 - ... for small u."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SERIES_SWITCH
-    out = np.empty_like(u)
-    us = u[small]
-    u2 = us * us
-    out[small] = us**3 * (2.0 / 3.0 + u2 * (-4.0 / 5.0 + u2 * (
-        6.0 / 7.0 + u2 * (-8.0 / 9.0 + u2 * (10.0 / 11.0)))))
-    ub = u[~small]
-    out[~small] = np.arctan(ub) - ub / (1.0 + ub * ub)
-    return out
-
-
-def _u_minus_arctan(u):
-    """u - arctan(u); series u^3/3 - u^5/5 + u^7/7 - ... for small u."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SERIES_SWITCH
-    out = np.empty_like(u)
-    us = u[small]
-    u2 = us * us
-    out[small] = us**3 * (1.0 / 3.0 + u2 * (-1.0 / 5.0 + u2 * (
-        1.0 / 7.0 + u2 * (-1.0 / 9.0 + u2 * (1.0 / 11.0)))))
-    ub = u[~small]
-    out[~small] = ub - np.arctan(ub)
-    return out
-
-
-def _cutoff_integrand(lam: float):
-    c = 8.0 * math.pi / 3.0 * lam
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        num = _arctan_minus_rational(u)
-        den = (u + c * _u_minus_arctan(u)) * u * u
-        return num / den
-
-    return g
-
-
-def cutoff_energy_3d(lam: float) -> float:
-    """Ground energy E(Lambda) of the d = 3 sharp-cutoff model at kappa = 1:
-
-        E = 4 Lambda^2 int_0^inf [arctan u - u/(1+u^2)]
-            / [u + (8 pi/3) Lambda (u - arctan u)] du / u^2.
-
-    Agrees with ground_energy(SharpCutoff(Lambda), d=3).calE; grows like
-    Lambda^{3/2} with E/Lambda^{3/2} eventually inside
-    [sqrt(2 pi/3), sqrt(2 pi)].
-    """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"cutoff Lambda must be positive and finite, got {lam}")
-    return 4.0 * lam * lam * adaptive_quad(_cutoff_integrand(lam), 0.0, math.inf)[0]
-
-
-def cutoff_split_I1_I2(lam: float) -> tuple[float, float]:
-    """Split E(Lambda)/(4 Lambda) = I1 + I2 at u = Lambda^{-1/4}.
-
-    I2/sqrt(Lambda) -> 0 while I1/sqrt(Lambda) carries the Lambda^{3/2}
-    growth of E.
-    """
-    if not 1.0 < lam < math.inf:
-        raise ValueError(f"the split needs a finite Lambda > 1, got {lam}")
-    g = _cutoff_integrand(lam)
-    u_split = lam ** -0.25
-    return (lam * adaptive_quad(g, 0.0, u_split)[0],
-            lam * adaptive_quad(g, u_split, math.inf)[0])

@@ -10,7 +10,7 @@ with S_{d-1} = 2 pi^{d/2} / Gamma(d/2).  Discrete measures are lists of atoms
 (omega_j, W_j) whose weights already absorb the transversal polarization
 average (d-1)/d, so M_s = sum_j W_j omega_j^s directly.
 
-Every radial integral runs on one discrete rule per measure, ``rule()``:
+Every radial integral runs on one rule per measure, in floats (``rule()``):
 nodes r_k and weights w_k = pf * S_{d-1} * phi(r_k)^2 r_k^{d-1} * (panel
 weight), so that pf * int f(omega) |phi|^2 dk = sum_k w_k f(r_k).  Continuum
 profiles get order-20 Gauss-Legendre panels on [0, lambda] (sharp cutoff), on
@@ -26,13 +26,12 @@ mass m_eff = 1 + delta_m.  A measure is infrared regular iff M_{-3} < inf.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
-
-import numpy as np
 
 from .errors import MeasureError
 from .quadrature import gauss_panels
@@ -111,8 +110,13 @@ class Tabulated:
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
 
-    def __call__(self, r):
-        return np.interp(r, self.radii, self.values, left=0.0, right=0.0)
+    def __call__(self, r: float) -> float:
+        """phi(r), as ``numpy.interp(r, radii, values, left=0, right=0)``."""
+        x, y = self.radii, self.values
+        j = bisect.bisect_right(x, r) - 1
+        if not 0 <= j < len(x) - 1:
+            return y[-1] if r == x[-1] else 0.0
+        return (y[j + 1] - y[j]) / (x[j + 1] - x[j]) * (r - x[j]) + y[j]
 
     @property
     def nonzero_at_origin(self) -> bool:
@@ -151,42 +155,65 @@ class RadialMeasure:
         return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
     def rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (r_k, w_k) with pf * int f(omega) |phi|^2 dk = w @ f(r)."""
+        """``_float_rule`` as read-only numpy arrays (r_k, w_k): w @ f(r)."""
         return self._rule
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        p = self.profile
-        if isinstance(p, PointMasses):
-            r, w = np.array(p.atoms, dtype=float).reshape(-1, 2).T.copy()
-        else:
-            if isinstance(p, SharpCutoff):
-                edges, phi2 = [_panel_edges(0.0, p.lam)], np.ones_like
-            elif isinstance(p, GaussianProfile):
-                edges = [_panel_edges(0.0, p.sigma),
-                         np.linspace(p.sigma, GAUSSIAN_CUT * p.sigma, GAUSSIAN_TAIL_PANELS + 1)]
-                phi2 = lambda r: np.exp(-(r / p.sigma) ** 2)
-            else:
-                edges = [_panel_edges(a, b) for a, b in zip(p.radii[:-1], p.radii[1:])]
-                phi2 = lambda r: p(r) ** 2
-            r, w = (np.concatenate(part)
-                    for part in zip(*(gauss_panels(e, RULE_ORDER) for e in edges)))
-            w *= phi2(r) * self.polarization_factor * self.sphere_area() * r ** (self.dimension - 1)
-        r.flags.writeable = False
-        w.flags.writeable = False
+        import numpy as np
+
+        r, w = (np.array(part, dtype=float) for part in self._float_rule)
+        r.flags.writeable = w.flags.writeable = False
         return r, w
 
+    @cached_property
+    def _float_rule(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(r_k, w_k) with pf * int f(omega) |phi|^2 dk = sum_k w_k f(r_k), in floats."""
+        p = self.profile
+        if isinstance(p, PointMasses):
+            return tuple(a[0] for a in p.atoms), tuple(a[1] for a in p.atoms)
+        # consecutive segments share an edge, so one edge list holds their panels
+        if isinstance(p, SharpCutoff):
+            edges, phi2 = _panel_edges(0.0, p.lam), lambda r: 1.0
+        elif isinstance(p, GaussianProfile):
+            edges = _panel_edges(0.0, p.sigma) + _linspace(
+                p.sigma, GAUSSIAN_CUT * p.sigma, GAUSSIAN_TAIL_PANELS)[1:]
+            phi2 = lambda r: math.exp(-(r / p.sigma) ** 2)
+        else:
+            edges = p.radii[:1] + tuple(e for a, b in zip(p.radii, p.radii[1:])
+                                        for e in _panel_edges(a, b)[1:])
+            phi2 = lambda r: _or_inf(pow, p(r), 2)
+        r, w = gauss_panels(edges, RULE_ORDER)
+        pf, area, k = self.polarization_factor, self.sphere_area(), self.dimension - 1
+        return tuple(r), tuple(wk * (phi2(rk) * pf * area * _or_inf(pow, rk, k))
+                               for rk, wk in zip(r, w))
 
-def _panel_edges(a: float, b: float) -> np.ndarray:
+
+def _or_inf(fn, *args) -> float:
+    """fn(*args), or inf where numpy gives inf: overflow in pow/fsum, 0.0 ** -n."""
+    try:
+        return fn(*args)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _linspace(a: float, b: float, panels: int) -> list[float]:
+    """``numpy.linspace(a, b, panels + 1)``: a + i (b - a) / panels, b pinned."""
+    step = (b - a) / panels
+    return [a + i * step for i in range(panels)] + [b]
+
+
+def _panel_edges(a: float, b: float) -> list[float]:
     """Edges on [a, b] at most a factor 4 apart, at least MIN_SEGMENT_PANELS panels.
 
     For a = 0 the edges run geometrically from b 4^-ORIGIN_LEVELS to b and one
-    more panel reaches the origin.
+    more panel reaches the origin, as ``numpy.geomspace`` (endpoints pinned).
     """
     lo = a if a > 0.0 else b * 4.0 ** -ORIGIN_LEVELS
     count = max(MIN_SEGMENT_PANELS, math.ceil(0.5 * math.log2(b / lo)))
-    edges = np.geomspace(lo, b, count + 1)
-    return edges if a > 0.0 else np.concatenate(([0.0], edges))
+    logs = _linspace(math.log10(lo), math.log10(b), count)
+    edges = [lo] + [10.0 ** v for v in logs[1:-1]] + [b]
+    return edges if a > 0.0 else [0.0] + edges
 
 
 def _origin_exponent_divergent(ff: RadialMeasure, s: int) -> bool:
@@ -204,8 +231,8 @@ def moment(ff: RadialMeasure, s: int) -> float:
         raise ValueError(f"moment order must be one of {VALID_MOMENT_ORDERS}, got {s}")
     if _origin_exponent_divergent(ff, s):
         return math.inf
-    r, w = ff.rule()
-    return float(w @ r ** s) / ff.polarization_factor
+    terms = (wk * _or_inf(pow, rk, s) for rk, wk in zip(*ff._float_rule))
+    return _or_inf(math.fsum, terms) / ff.polarization_factor
 
 
 @dataclass(frozen=True)
@@ -251,8 +278,7 @@ def _check_square_integrability(ff: RadialMeasure) -> None:
         reasons = "; ".join(_ASSUMPTION_LABELS[s] for s in bad)
         raise MeasureError(
             f"form factor violates the standing integrability conditions: {reasons}")
-    with np.errstate(all="ignore"):
-        bad = [s for s in (1, -1, -2) if not math.isfinite(moment(ff, s))]
+    bad = [s for s in (1, -1, -2) if not math.isfinite(moment(ff, s))]
     if bad:
         raise MeasureError(f"profile moments M_s, s in {bad}, must be finite, but they "
                            "overflow a double on the radial rule")

@@ -1,15 +1,16 @@
-"""Gauss-Legendre quadrature: one adaptive integrator and one fixed panel rule.
+"""Gauss-Legendre quadrature on the standard library: one adaptive integrator
+and one fixed panel rule.
 
 ``adaptive_quad`` compares the order-ORDER rule on each panel with the same
 rule on its two halves, keeps the two-half value, and splits panels
 worst-first until the summed estimate meets max(abs_tol, REL_TOL |value|).
 An upper limit b = inf is mapped by t = a + tan(theta), theta in [0, pi/2), so
-the integrand must decay at least like 1/t^2.  It serves the outer
-t-integrals of the energy module and the cutoff energy E(Lambda).
-``gauss_panels`` builds the radial rules and the u_T residual nodes.  Both
-take their Gauss-Legendre rules from ``_gl_rule``, Newton's method on the
-Legendre recurrence: within rounding of the exact rule, and without
-``numpy.polynomial`` or a LAPACK call.
+the integrand must decay at least like 1/t^2.  The integrand takes a list of
+nodes and returns a sequence of floats (a list or a numpy array), summed by
+``fsum``.  It serves the energy module's t-integrals and E(Lambda).
+``gauss_panels`` builds the radial rules and the u_T residual nodes, as lists.
+Both take their rules from ``_gl_rule``, Newton's method on the Legendre
+recurrence: within rounding of the exact rule.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
+import sys
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .errors import QuadratureError
 
@@ -28,63 +29,62 @@ ORDER = 12
 REL_TOL = 1e-11
 MAX_PANELS = 4000
 INITIAL_PANELS = 4
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _legendre(n: int, x: float) -> tuple[float, float]:
     """(P_n(x), P_n'(x)) by the three-term recurrence, for |x| < 1."""
-    prev, p = np.ones_like(x), x
+    prev, p = 1.0, x
     for k in range(2, n + 1):
         prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
     return p, n * (x * p - prev) / (x * x - 1.0)
 
 
 @lru_cache(maxsize=None)
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _gl_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Order-``order`` Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
     Newton's method on P_n from cos(pi (k - 1/4) / (n + 1/2)) converges
-    quadratically; it stops once no node moves by more than eps_mach.  The
-    weights are 2 / ((1 - x^2) P_n'(x)^2), and the rule is symmetrised about 0.
-    Read-only, since every caller shares the cached arrays.
+    quadratically; every node steps until none moves by more than eps_mach.
+    The weights are 2 / ((1 - x^2) P_n'(x)^2), and the rule is symmetrised
+    about 0.  Tuples, since every caller shares the cached rule.
     """
-    x = np.cos(math.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
-    step = np.ones_like(x)
-    while np.max(np.abs(step)) > _EPS:
-        p, dp = _legendre(order, x)
-        step = p / dp
-        x = x - step
-    dp = _legendre(order, x)[1]
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    x = [math.cos(math.pi * (k - 0.25) / (order + 0.5)) for k in range(order, 0, -1)]
+    steps = [1.0]
+    while max(map(abs, steps)) > _EPS:
+        steps = [p / dp for p, dp in (_legendre(order, t) for t in x)]
+        x = [t - step for t, step in zip(x, steps)]
+    dps = [_legendre(order, t)[1] for t in x]
+    w = [2.0 / ((1.0 - t * t) * dp * dp) for t, dp in zip(x, dps)]
+    return (tuple(0.5 * (a - b) for a, b in zip(x, reversed(x))),
+            tuple(0.5 * (a + b) for a, b in zip(w, reversed(w))))
 
 
-def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_panels(edges: Sequence[float], order: int) -> tuple[list[float], list[float]]:
     """Order-``order`` Gauss-Legendre nodes and weights on consecutive panels."""
     x, w = _gl_rule(order)
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (1.0 + x)).ravel(), (half * w).ravel()
+    halves = [(lo, 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
+    return ([lo + h * (1.0 + t) for lo, h in halves for t in x],
+            [h * v for _, h in halves for v in w])
 
 
 def _panel_value(f, lo, hi, x, w):
-    half = 0.5 * (hi - lo)
-    vals = np.asarray(f(0.5 * (lo + hi) + half * x), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    vals = f([mid + half * t for t in x])
+    if not all(map(math.isfinite, vals)):
         raise QuadratureError(f"integrand returned non-finite values on [{lo!r}, {hi!r}]")
-    return half * float(vals @ w)
+    return half * math.fsum(map(operator.mul, vals, w))
 
 
 def _tan_map(f, a: float):
     """theta -> f(a + tan theta) (1 + tan^2 theta), from [0, pi/2) onto [a, inf)."""
     def mapped(theta):
-        s = np.tan(theta)
-        return f(a + s) * (1.0 + s * s)
+        s = list(map(math.tan, theta))
+        return [v * (1.0 + t * t) for v, t in zip(f([a + t for t in s]), s)]
     return mapped
 
 
-def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
+def adaptive_quad(f: Callable[[list[float]], Sequence[float]], a: float, b: float, *,
                   abs_tol: float = 0.0) -> tuple[float, float]:
     """(integral of ``f`` over [a, b], error estimate); ``b`` may be ``math.inf``.
 
@@ -105,8 +105,8 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
         heapq.heappush(heap, (-abs(coarse - left - right), next(counter),
                               lo, hi, left + right, left, right))
 
-    edges = np.linspace(a, b, INITIAL_PANELS + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    edges = [a + i * ((b - a) / INITIAL_PANELS) for i in range(INITIAL_PANELS)] + [b]
+    for lo, hi in zip(edges, edges[1:]):
         push(lo, hi, _panel_value(f, lo, hi, x, w))
     while True:
         total = math.fsum(item[4] for item in heap)

@@ -208,7 +208,7 @@ def solve_uT(ff: RadialMeasure, kappa: float, T: float) -> ResolventSolution:
     # one panel at a time: _kernel_applied holds (nodes, n, n) arrays; np.max,
     # unlike max, keeps a NaN
     res = float(np.max([np.max(np.abs(u.at(x) + _kernel_applied(ss, u, x) - 1.0))
-                        for x in gauss_panels(edges, 4)[0].reshape(-1, 4)]))
+                        for x in np.reshape(gauss_panels(edges, 4)[0], (-1, 4))]))
     if not res <= RESIDUAL_TOL:
         raise NumericalError(f"u_T solve residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return u

@@ -13,8 +13,8 @@ import numpy as np
 
 from pfwcl import fockdesk, wienerhopf
 from pfwcl.cli import run as cli_run
-from pfwcl.energy import (cutoff_energy_3d, cutoff_split_I1_I2, ground_energy,
-                          log_spectral_energy)
+from pfwcl.cutoff import cutoff_energy_3d, cutoff_split_I1_I2
+from pfwcl.energy import ground_energy, log_spectral_energy
 from pfwcl.hermite import (bound_check, generating_function_residual,
                            generating_operator_residual)
 

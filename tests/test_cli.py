@@ -442,7 +442,12 @@ def test_help_loads_no_numpy(argv):
     ["cutoff-scan", "--lambda", "inf"],
     ["hermite-check", "--seed", "-1"],
     ["wiener-hopf", "--config", "{cfg}"],
-], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed", "wh_no_horizon"])
+    ["energy", "--config", "{cfg}", "--kappa", "nan"],
+    ["wiener-hopf", "--config", "{cfg}", "--T", "inf"],
+    ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "10,5"],
+    ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "-1"],
+], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed", "wh_no_horizon",
+        "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative"])
 def test_params_error_loads_no_numpy(tmp_path, argv):
     # the driver checks its params on the standard library, before a handler
     # imports a numeric module
@@ -462,7 +467,7 @@ def loaded_modules(argv) -> set:
     return set(modules)
 
 
-SPECTRAL_MODULES = {"pfwcl.energy", "pfwcl.formfactor", "pfwcl.quadrature"}
+SPECTRAL_MODULES = {"pfwcl.cutoff", "pfwcl.energy", "pfwcl.formfactor", "pfwcl.quadrature"}
 
 
 @pytest.mark.parametrize("horizon", [[], ["--T", "1"]], ids=["scan", "T_1"])
@@ -506,6 +511,43 @@ def test_validate_loads_neither_energy_nor_hermite(tmp_path):
     loaded = loaded_modules(["validate", "--config", cfg])
     assert "pfwcl.formfactor" in loaded
     assert not loaded & {"pfwcl.energy", "pfwcl.hermite"}
+
+
+STDLIB_PROFILES = {
+    "sharp": {"type": "sharp", "lambda": 1.5},
+    "gaussian": {"type": "gaussian", "sigma": 0.8},
+    "tabulated": {"type": "tabulated",
+                  "points": [[0.25, 0.0], [0.7, 0.9], [1.3, 0.4], [1.8, 0.0]]},
+    "point_masses": {"type": "point_masses", "atoms": [[1.0, 3.0], [2.5, 0.7]]},
+}
+STDLIB_RUNS = [["validate", "--config", kind] for kind in STDLIB_PROFILES] + [
+    ["cutoff-scan", "--lambda", "0.5,1,10,1e4"]]
+
+
+def stdlib_argv(tmp_path, argv) -> list:
+    """``argv`` with a profile name after ``--config`` replaced by its config file."""
+    return [write_config(tmp_path, f"{arg}.json", {"measure": {"dimension": 3,
+                                                               "profile": STDLIB_PROFILES[arg]}})
+            if arg in STDLIB_PROFILES else arg for arg in argv]
+
+
+@pytest.mark.parametrize("argv", STDLIB_RUNS, ids=lambda argv: argv[0] + "-" + argv[-1])
+def test_validate_and_cutoff_scan_load_no_numpy(tmp_path, argv):
+    # the radial rule, its moments, the quadrature and the E(Lambda) integrand
+    # run on the standard library
+    loaded = loaded_modules(stdlib_argv(tmp_path, argv))
+    assert "pfwcl.quadrature" in loaded and "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", STDLIB_RUNS, ids=lambda argv: argv[0] + "-" + argv[-1])
+def test_validate_and_cutoff_scan_run_without_numpy(tmp_path, argv):
+    # with every numpy import blocked, the run exits 0 (run_python raises
+    # otherwise) and prints the bytes of an unblocked run
+    argv = stdlib_argv(tmp_path, argv) + ["--output", "-"]
+    blocked = run_python(["-c", "import sys; sys.modules['numpy'] = None; "
+                          "from pfwcl.cli import main; sys.argv[1:] = " + repr(argv) + "; main()"])
+    assert blocked == run_python(["-m", "pfwcl.cli", *argv])
+    assert blocked.count(b"\n") >= 3
 
 
 def test_wiener_hopf_runs_without_scipy(tmp_path):
@@ -587,6 +629,13 @@ def non_finite_configs(tmp_path) -> dict:
     ["validate", "--config", "{overflow_value}"],
     ["validate", "--config", "{overflow_radius}"],
     ["wiener-hopf", "--config", "{overflow_value}", "--T", "5"],
+    ["energy", "--config", "{cfg}", "--kappa", "nan"],
+    ["energy", "--config", "{cfg}", "--kappa", "-1"],
+    ["wiener-hopf", "--config", "{cfg}", "--T", "inf"],
+    ["wiener-hopf", "--config", "{cfg}", "--T", "0"],
+    ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "inf"],
+    ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "5,inf"],
+    ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "0,5"],
 ], ids=" ".join)
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
@@ -655,6 +704,11 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
     (["energy", "--config", "{cfg}", "--p", "nan"], "params.p"),
     (["energy", "--config", "{cfg}", "--p", "inf"], "params.p"),
     (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--p", "nan"], "params.p"),
+    (["energy", "--config", "{cfg}", "--kappa", "nan"], "params.kappa"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "-1"], "params.kappa"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "inf"], "params.T"),
+    (["wiener-hopf", "--config", "{cfg}", "--T-ladder", "5,inf"], "params.T_ladder"),
+    (["wiener-hopf", "--config", "{cfg}", "--T-ladder", "10,5"], "params.T_ladder"),
 ])
 def test_non_finite_input_names_its_field(tmp_path, capsys, argv, field):
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from pfwcl.energy import (G_function, SpectralFunctions, cutoff_energy_3d,
-                          cutoff_split_I1_I2, dipole_dispersion,
+from pfwcl.cutoff import cutoff_energy_3d, cutoff_split_I1_I2
+from pfwcl.energy import (G_function, SpectralFunctions, dipole_dispersion,
                           dispersion_parts, ground_energy, log_spectral_energy)
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
                               moment_report)
@@ -203,12 +203,12 @@ class TestCutoffAsymptotics:
 
     def test_series_switch_continuity(self):
         # the series / direct switchover at u = 1e-3 must be seamless
-        from pfwcl.energy import _arctan_minus_rational, _u_minus_arctan
+        from pfwcl.cutoff import _arctan_minus_rational, _u_minus_arctan
         for u in (0.999e-3, 1.001e-3):
             exact_num = math.atan(u) - u / (1 + u * u)
             exact_den = u - math.atan(u)
-            assert float(_arctan_minus_rational(np.array([u]))[0]) == pytest.approx(exact_num, rel=1e-10)
-            assert float(_u_minus_arctan(np.array([u]))[0]) == pytest.approx(exact_den, rel=1e-10)
+            assert _arctan_minus_rational(u) == pytest.approx(exact_num, rel=1e-10)
+            assert _u_minus_arctan(u) == pytest.approx(exact_den, rel=1e-10)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

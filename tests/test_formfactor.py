@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -121,6 +122,21 @@ class TestValidation:
             PointMasses([(0.0, 1.0)])
         with pytest.raises(MeasureError):
             PointMasses([(1.0, -1.0)])
+
+    @pytest.mark.parametrize("profile, orders", [
+        (PointMasses([(1e-200, 1.0)]), [-2]),
+        (Tabulated([(0.0, 1e200), (1.0, 0.0)]), [1, -1, -2]),
+        (Tabulated([(0.0, 1.0), (1e200, 1.0)]), [1, -1, -2]),
+        (PointMasses([(1.0, 1e308), (1.0, 1e308)]), [1, -1, -2]),
+    ], ids=["atom_m_minus2", "tabulated_value", "tabulated_radius", "fsum_overflow"])
+    def test_overflow_is_measure_error(self, profile, orders):
+        # the rule runs on Python floats, whose ** and fsum raise OverflowError
+        # (and 0.0 ** -n ZeroDivisionError) where numpy gave inf: each must
+        # still be the MeasureError of a non-finite moment, not a numerical failure
+        with pytest.raises(MeasureError, match=re.escape(
+                f"profile moments M_s, s in {orders}, must be finite, but they overflow "
+                "a double on the radial rule")):
+            RadialMeasure(3, profile)
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(MeasureError):
