@@ -161,6 +161,14 @@ def _nonnegative(value) -> float:
     return number
 
 
+def _coupling(value) -> float:
+    """A kappa: >= 0, with kappa^2 a finite double."""
+    number = _nonnegative(value)
+    if not math.isfinite(number * number):
+        raise ValueError(f"kappa^2 must be finite, got {number}")
+    return number
+
+
 def _horizons(values) -> list[float]:
     ladder = [_finite(v) for v in values]
     if not ladder or ladder[0] <= 0.0 or any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -245,12 +253,12 @@ def _cmd_validate(args) -> int:
 def _cmd_energy(args) -> int:
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
-    kappa, p = _param(params, "kappa", _nonnegative), _param(params, "p", _finite)
-    from .energy import dipole_dispersion, ground_energy, log_spectral_energy
+    kappa, p = _param(params, "kappa", _coupling), _param(params, "p", _finite)
+    from .energy import dipole_dispersion, ground_energy
 
     ff = _measure_or_fail(resolved)
     result = ground_energy(ff)
-    ls = log_spectral_energy(ff, kappa)
+    ls = kappa * kappa * result.log_spectral     # = log_spectral_energy(ff, kappa)
     disp = dipole_dispersion(ff, kappa, p, cal_e=result.calE)
     row = {"kappa": kappa, "p": p, "calE": result.calE, "log_spectral": ls}
     _write_rows(args, resolved, list(row), [row])
@@ -286,7 +294,7 @@ def _cmd_cutoff_scan(args) -> int:
 def _cmd_wiener_hopf(args) -> int:
     resolved = _resolve(args, kappa=1.0, p=0.0)
     params = resolved["params"]
-    kappa, p = _param(params, "kappa", _nonnegative), _param(params, "p", _finite)
+    kappa, p = _param(params, "kappa", _coupling), _param(params, "p", _finite)
     if params.get("T_ladder") is not None:
         ladder = _param(params, "T_ladder", _horizons)
     elif "T" in params:
@@ -329,6 +337,9 @@ def _cmd_fock(args) -> int:
             raise ConfigError(f"{name} must be finite, got {bad[0]} in params.{key}")
     if min(kappas, default=0.0) < 0.0:
         raise ConfigError(f"params.kappa_list: kappa must be >= 0, got {min(kappas)}")
+    largest = max(kappas, default=0.0)
+    if not math.isfinite(largest * largest):
+        raise ConfigError(f"params.kappa_list: kappa^2 must be finite, got {largest}")
     from . import fockdesk
 
     basis = fockdesk.build_basis(modes, n_tot)

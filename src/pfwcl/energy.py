@@ -19,7 +19,9 @@ Bogoliubov oracles directly comparable).  The log-spectral pipeline
 
     (1/2 pi) int_R log(1 + kappa^2 rho_hat(t)) dt = (kappa^2 / pi) int_R G(t) dt
 
-is an exact identity and is computed independently as a cross-check.
+is an exact identity and is computed independently as a cross-check.  Its
+left side is exactly kappa^2 times its kappa = 1 value, so one kappa = 1
+quadrature serves every kappa.
 
 Each spectral function is one sum over the measure's radial rule
 (``RadialMeasure.rule``) and takes an array of t as well as a scalar.  The
@@ -118,28 +120,32 @@ def ground_energy(ff: RadialMeasure) -> EnergyResult:
     d_eff = _effective_component_count(ff)
     i_g, err_g = _even_line(lambda ts: G_function(ff, ts))
     cal_e = d_eff / (2.0 * math.pi) * i_g
+    log_spectral, err_log = _unit_log_spectral(ff)
 
-    sf1 = SpectralFunctions(ff, kappa=1.0)
-    i_log, err_log = _even_line(lambda ts: np.log1p(sf1.rho_hat(ts)))
-    log_spectral = i_log / (2.0 * math.pi)
-
-    propagated = d_eff / (2.0 * math.pi) * err_g + err_log / (2.0 * math.pi)
+    propagated = d_eff / (2.0 * math.pi) * err_g + err_log
     residual = abs(log_spectral - (2.0 / d_eff) * cal_e)
     floor = ROUNDING_FLOOR_ULPS * math.ulp(cal_e)
     return EnergyResult(calE=cal_e, log_spectral=log_spectral,
                         estimated_abs_error=max(propagated, residual, floor))
 
 
+def _unit_log_spectral(ff: RadialMeasure) -> tuple[float, float]:
+    """((1/2 pi) int_R log(1 + rho_hat_1(t)) dt, its error estimate)."""
+    sf1 = SpectralFunctions(ff, kappa=1.0)
+    val, err = _even_line(lambda ts: np.log1p(sf1.rho_hat(ts)))
+    return val / (2.0 * math.pi), err / (2.0 * math.pi)
+
+
 def log_spectral_energy(ff: RadialMeasure, kappa: float) -> float:
     """(1/2 pi) int_R log(1 + kappa^2 rho_hat_kappa(t)) dt.
 
-    Scales exactly as kappa^2 times the kappa = 1 value (change of variables
-    t -> kappa^2 t), and equals (2 kappa^2 / d_eff) * calE.
+    This is exactly kappa^2 times the kappa = 1 value (change of variables
+    t -> kappa^2 t), so it is computed as that product, from one kappa = 1
+    quadrature: the integrand at kappa itself spreads out to t ~ kappa^2,
+    where the quadrature on [0, inf) loses accuracy, then fails, then misses
+    it (reading 0) as kappa grows.  It equals (2 kappa^2 / d_eff) * calE.
     """
-    sf = SpectralFunctions(ff, kappa=kappa)
-    k2 = kappa * kappa
-    val, _ = _even_line(lambda ts: np.log1p(k2 * sf.rho_hat(ts)))
-    return val / (2.0 * math.pi)
+    return kappa * kappa * _unit_log_spectral(ff)[0]
 
 
 def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float,

@@ -19,20 +19,18 @@ cross-checks line up: the exact ground energy of (1/2) A^2 + H_f is the
 rank-one Bogoliubov value (1/2) sum_i (sqrt(mu_i) - omega_i) with mu_i the
 eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j).
 
-No operator is stored as a matrix.  A and the dressing generator are gather
-tables over the basis ranks, and H_kappa(p, eps) applies B = p - eps P_f - kappa A
-twice.  Every ground state, at every dimension, comes from ``ground_state``:
-one locally optimal conjugate-gradient solver (``_lobpcg``) from a seeded
-start vector, preconditioned by the inverse of H's exact diagonal, with a
-residual check.  The semigroup exp(-T(H - c)) and the dressing exp(s G) act on
-vectors as Chebyshev series with Bessel coefficients (the Chebyshev propagator
-of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984), and the same solver finds the
-semigroup's operator norm, so no dimension has a dense-size cliff.  The module
-needs numpy only, and not ``numpy.random``.  On the scan and semigroup paths
-every reduction runs in numpy's own loops, never in a threaded BLAS (LAPACK
-sees only 3 x 3 projected problems), so the ``fock`` output bytes do not
-depend on the BLAS thread count; ``conjugation_residual`` alone forms block
-products with BLAS ``@`` and a 2-norm by SVD.
+No operator is stored as a matrix.  A alone is a gather table over the basis
+ranks, and H_kappa(p, eps) applies B = p - eps P_f - kappa A twice.  Every
+ground state, at every dimension, comes from ``ground_state``: one locally
+optimal conjugate-gradient solver (``_lobpcg``) from a seeded start vector,
+preconditioned by the inverse of H's exact diagonal, with a residual check.
+The semigroup exp(-T(H - c)) acts on vectors as a Chebyshev series with
+modified Bessel coefficients (the Chebyshev propagator of Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 1984), and the same solver finds the semigroup's operator
+norm, so no dimension has a dense-size cliff.  The module needs numpy only,
+and not ``numpy.random``.  Every reduction runs in numpy's own loops, never in
+a threaded BLAS (LAPACK sees only 3 x 3 projected problems), so the ``fock``
+output bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -224,18 +222,10 @@ def build_basis(modes, n_tot: int) -> FockBasis:
     return FockBasis(modes=modes, n_tot=n_tot, states=states)
 
 
-def _ladder_sum(basis: FockBasis, down, up) -> GatherOperator:
-    """sum_j (down_j a_j^T + up_j a_j) as one gather table."""
-    index, factor = basis.ladders
-    coefficients = np.column_stack([down, up]).ravel()     # rows 2j, 2j + 1
-    return GatherOperator(index, coefficients[:, None] * factor)
-
-
 @dataclass(frozen=True, eq=False)
 class FiberOperators:
     """H_f and P_f as diagonals and A as a gather table on a FockBasis; the
-    dressing generator and the ground vector are built on first read (neither
-    by the scan)."""
+    ground vector is built on first read (the scan never reads it)."""
 
     basis: FockBasis
     Hf: np.ndarray = field(repr=False)     # diagonal of H_f
@@ -250,24 +240,22 @@ class FiberOperators:
         return 1.0 + math.fsum(m.weight / m.omega**2 for m in self.basis.modes)
 
     @cached_property
-    def shift_generator(self) -> GatherOperator:
-        """-i p Pi~ = (p / sqrt(2)) sum_j (g_j/omega_j) (a_j^T - a_j): real antisymmetric."""
-        c = np.array([m.coupling / (m.omega * math.sqrt(2.0)) for m in self.basis.modes])
-        return _ladder_sum(self.basis, c, -c)
-
-    @cached_property
     def ground_vector(self) -> np.ndarray:
         """Ground eigenvector of (1/2) A^2 + H_f (kappa-independent)."""
         return ground_state(fiber_hamiltonian(self, 1.0, 0.0, 0.0))[1]
 
 
 def build_operators(basis: FockBasis) -> FiberOperators:
+    """H_f, P_f, and A = sum_j (g_j / sqrt(2)) (a_j^T + a_j): the ladder table
+    with rows 2j and 2j + 1 scaled by g_j / sqrt(2)."""
     occ = basis.states.astype(float)
     omegas = np.array([m.omega for m in basis.modes])
     qs = np.array([m.momentum for m in basis.modes])
     c = np.array([m.coupling / math.sqrt(2.0) for m in basis.modes])
+    index, factor = basis.ladders
     return FiberOperators(basis=basis, Hf=(occ * omegas).sum(axis=1),
-                          Pf=(occ * qs).sum(axis=1), A=_ladder_sum(basis, c, c))
+                          Pf=(occ * qs).sum(axis=1),
+                          A=GatherOperator(index, np.repeat(c, 2)[:, None] * factor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,64 +449,54 @@ def bogoliubov_energy(modes) -> float:
     return 0.5 * total
 
 
-def _chebyshev_sum(twice_S, coeffs, v, combine) -> np.ndarray:
-    """sum_k coeffs[k] y_k with y_0 = v, y_1 = S v, y_{k+1} = combine(2 S y_k, y_{k-1}).
-
-    ``twice_S`` is the operator 2 S; ``v`` a vector or a block of columns.
-    combine = np.subtract gives the Chebyshev terms y_k = T_k(S) v; np.add, for
-    an antisymmetric S, the real Jacobi-Anger terms y_k = i^k T_k(-i S) v.
-    """
+def _chebyshev_sum(twice_S, coeffs, v) -> np.ndarray:
+    """sum_k coeffs[k] T_k(S) v by the recurrence y_0 = v, y_1 = S v,
+    y_{k+1} = 2 S y_k - y_{k-1}; ``twice_S`` is the operator 2 S."""
     out = coeffs[0] * v
     if len(coeffs) > 1:
         prev, cur = v, 0.5 * (twice_S @ v)
         out += coeffs[1] * cur
         for c in coeffs[2:]:
             nxt = twice_S @ cur
-            combine(nxt, prev, out=nxt)
+            nxt -= prev
             prev, cur = cur, nxt
             out += c * cur
     return out
 
 
-def _bessel_coefficients(kind: str, z: float) -> np.ndarray:
-    """(2 - delta_k0) c_k for k = 0 .. d - 1, with c_k = e^{-z} I_k(z) for kind
-    "I" and J_k(z) for kind "J", where past order d - 1 every |c_k| stays
-    below BESSEL_TAIL.
+def _bessel_coefficients(z: float) -> np.ndarray:
+    """(2 - delta_k0) e^{-z} I_k(z) for k = 0 .. d - 1, where past order d - 1
+    every term stays below BESSEL_TAIL.
 
     Miller's backward recurrence (DLMF 3.6(iii)): from y_{N+1} = 0, y_N = 1,
-    y_{k-1} = (2k / z) y_k + y_{k+1} (I) or - y_{k+1} (J) falls onto the
-    minimal solution, and e^{-z}(I_0 + 2 sum I_k) = 1 or J_0 + 2 sum J_2k = 1
-    fixes its scale.  The start N is the order whose Debye exponent reaches
-    BESSEL_TAIL^2, so the start's error is far below the tail.  The recurrence
-    runs in 34-digit decimals: in doubles its rounding accumulates over the
-    N steps (to 3e-14 of the largest J_k at z = 1e5), in 34 digits it stays
-    far below one rounding of the final double, and the range needs no
-    rescaling.
+    y_{k-1} = (2k / z) y_k + y_{k+1} falls onto the minimal solution, and
+    e^{-z}(I_0 + 2 sum I_k) = 1 fixes its scale.  The start N is the order
+    whose Debye exponent reaches BESSEL_TAIL^2, so the start's error is far
+    below the tail.  The recurrence runs in 34-digit decimals: in 34 digits
+    its rounding over the N steps stays far below one rounding of the final
+    double, and the range needs no rescaling.
     """
     if z == 0.0:
         return np.ones(1)
-    n = _miller_start(kind, z)
+    n = _miller_start(z)
     with decimal.localcontext(decimal.Context(prec=34)):
-        scale, sign = 2 / decimal.Decimal(z), 1 if kind == "I" else -1
+        scale = 2 / decimal.Decimal(z)
         y = [decimal.Decimal(0), decimal.Decimal(1)]          # y_{N+1}, y_N
         for k in range(n, 0, -1):
-            y.append(k * scale * y[-1] + sign * y[-2])
+            y.append(k * scale * y[-1] + y[-2])
         y = y[:0:-1]                                          # y_0 .. y_N
-        step = 1 if kind == "I" else 2
-        norm = y[0] + 2 * sum(y[step::step])
+        norm = y[0] + 2 * sum(y[1:])
         c = np.array([float(x / norm) for x in y])
     c = c[:np.flatnonzero(np.abs(c) > BESSEL_TAIL)[-1] + 1]
     c[1:] *= 2.0
     return c
 
 
-def _miller_start(kind: str, z: float) -> int:
-    """First order k past which the Debye exponent of e^{-z} I_k(z) (kind "I")
-    or J_k(z) (kind "J", where it is 0 for k <= z) is below 2 log BESSEL_TAIL."""
+def _miller_start(z: float) -> int:
+    """First order k past which the Debye exponent of e^{-z} I_k(z) is below
+    2 log BESSEL_TAIL."""
     def exponent(k):
-        if kind == "I":
-            return math.hypot(k, z) - z - k * math.asinh(k / z)
-        return math.sqrt(k * k - z * z) - k * math.acosh(k / z) if k > z else 0.0
+        return math.hypot(k, z) - z - k * math.asinh(k / z)
 
     target = 2.0 * math.log(BESSEL_TAIL)
     lo, hi = 0.0, 1.0
@@ -528,40 +506,6 @@ def _miller_start(kind: str, z: float) -> int:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if exponent(mid) > target else (lo, mid)
     return math.ceil(hi) + 1
-
-
-def _dressing_action(G: GatherOperator, s: float, V: np.ndarray) -> np.ndarray:
-    """exp(s G) V for a real antisymmetric G, by the Jacobi-Anger series
-
-        exp(s G) = sum_k (2 - delta_k0) J_k(z) i^k T_k(-i s G / z),  z = |s| ||G||_inf,
-
-    whose terms obey the real recurrence y_{k+1} = 2 (s G / z) y_k + y_{k-1}."""
-    z = abs(s) * float(np.max(G.abs_row_sums()))
-    twice_S = G.scaled(2.0 * s / z) if z > 0.0 else G
-    return _chebyshev_sum(twice_S, _bessel_coefficients("J", z), V, np.add)
-
-
-def conjugation_residual(ops: FiberOperators, kappa: float, p: float) -> float:
-    """Operator-norm defect of the dressing identity on low occupations.
-
-    U_p = exp(p G / (kappa m_eff)) with G the stored antisymmetric generator;
-    exactly (untruncated) U_p^{-1} H_dip,kappa U_p = p^2/(2 m_eff)
-    + kappa^2 ((1/2) A^2 + H_f).  The residual is measured on states with
-    total occupation <= N_tot / 2 and shrinks as the truncation grows.  U_p
-    acts on those columns only, matrix-free (``_dressing_action``).
-    """
-    if kappa <= 0:
-        raise ValueError("the dressing needs kappa > 0")
-    m_star = ops.m_eff()
-    low = np.flatnonzero(ops.basis.states.sum(axis=1) <= ops.basis.n_tot // 2)
-    columns = np.zeros((ops.dim, low.size))          # the identity's low columns
-    columns[low, np.arange(low.size)] = 1.0
-    U = _dressing_action(ops.shift_generator, p / (kappa * m_star), columns)
-    H_dip = fiber_hamiltonian(ops, kappa, p, eps=0.0)
-    target = ((p * p / (2.0 * m_star)) * columns
-              + kappa**2 * (fiber_hamiltonian(ops, 1.0, 0.0, 0.0) @ columns))
-    R = U.T @ (H_dip @ U) - target[low]
-    return float(np.linalg.norm(R, 2))
 
 
 def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float) -> list[dict]:
@@ -621,7 +565,7 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
         lam0 = ground_state(H)[0]
     top = max(H.row_sum_bound(), lam0)       # a rounding-level inversion at H = c 1
     half = 0.5 * (top - lam0)
-    low = lam0 - half / len(_bessel_coefficients("I", T * half)) ** 2
+    low = lam0 - half / len(_bessel_coefficients(T * half)) ** 2
     half = 0.5 * (top - low)
     exponent = T * (shift - low)
     if exponent > _LOG_MAX:
@@ -631,9 +575,9 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
                else replace(H, scale=-1.0, shift=0.5 * (top + low)))
 
     def series(m, level):
-        coeffs = math.exp(m * exponent - level) * _bessel_coefficients("I", m * T * half)
+        coeffs = math.exp(m * exponent - level) * _bessel_coefficients(m * T * half)
         coeffs = coeffs[:np.flatnonzero(coeffs).max(initial=0) + 1]   # drop underflowed terms
-        return lambda v: _chebyshev_sum(twice_S, coeffs, v, np.subtract)
+        return lambda v: _chebyshev_sum(twice_S, coeffs, v)
 
     return exponent, series
 

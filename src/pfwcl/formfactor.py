@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
@@ -40,6 +41,9 @@ VALID_MOMENT_ORDERS = (-3, -2, -1, 1)
 RULE_ORDER = 20
 #: panels at the origin reach down to 4^-ORIGIN_LEVELS of the first edge
 ORIGIN_LEVELS = 40
+#: the smallest first edge b of a segment at the origin: below it the innermost
+#: edge b 4^-ORIGIN_LEVELS is not a normal double (below about 1e-300 it is 0)
+MIN_ORIGIN_EDGE = sys.float_info.min * 4.0 ** ORIGIN_LEVELS
 #: gaussian profiles are cut at GAUSSIAN_CUT sigma (|phi|^2 < 1e-35 beyond)
 GAUSSIAN_CUT = 9.0
 GAUSSIAN_TAIL_PANELS = 12
@@ -56,6 +60,7 @@ class SharpCutoff:
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise MeasureError(f"sharp cutoff needs lambda > 0, got {self.lam}")
+        _check_origin_edge(self.lam, "profile.lambda")
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,7 @@ class GaussianProfile:
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise MeasureError(f"gaussian profile needs sigma > 0, got {self.sigma}")
+        _check_origin_edge(self.sigma, "profile.sigma")
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,8 @@ class Tabulated:
             raise MeasureError("tabulated radii must be nonnegative")
         if any(b <= a for a, b in zip(radii[:-1], radii[1:])):
             raise MeasureError("tabulated radii must be strictly increasing")
+        if radii[0] == 0.0:
+            _check_origin_edge(radii[1], "profile.points[1] radius")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
 
@@ -121,6 +129,13 @@ class Tabulated:
     @property
     def nonzero_at_origin(self) -> bool:
         return self.radii[0] == 0.0 and self.values[0] != 0.0
+
+
+def _check_origin_edge(b: float, field: str) -> None:
+    """Refuse a first edge b of a segment at the origin below MIN_ORIGIN_EDGE."""
+    if b < MIN_ORIGIN_EDGE:
+        raise MeasureError(f"{field} must be >= {MIN_ORIGIN_EDGE:.3g} (the rule's innermost "
+                           f"panel edge b 4^-{ORIGIN_LEVELS} underflows), got {b}")
 
 
 Profile = Union[SharpCutoff, GaussianProfile, PointMasses, Tabulated]
@@ -231,7 +246,8 @@ def moment(ff: RadialMeasure, s: int) -> float:
         raise ValueError(f"moment order must be one of {VALID_MOMENT_ORDERS}, got {s}")
     if _origin_exponent_divergent(ff, s):
         return math.inf
-    terms = (wk * _or_inf(pow, rk, s) for rk, wk in zip(*ff._float_rule))
+    # a zero weight (phi = 0, or underflow) against an overflowing r^s is no term
+    terms = (wk * _or_inf(pow, rk, s) for rk, wk in zip(*ff._float_rule) if wk != 0.0)
     return _or_inf(math.fsum, terms) / ff.polarization_factor
 
 

@@ -102,6 +102,17 @@ class TestEnergy:
         assert len(calls) == 1
         assert "dispersion(p=1.0,kappa=2.0)=2.125 " in capsys.readouterr().err
 
+    def test_log_spectral_at_large_kappa(self, tmp_path):
+        # kappa^2 times the kappa = 1 integral: at 1e150 the row read 0
+        cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
+        values = []
+        for kappa in ("1", "1e150"):
+            out = tmp_path / f"energy_{kappa}.csv"
+            assert run(["energy", "--config", cfg, "--kappa", kappa, "--output", str(out)]) == 0
+            header, row = out.read_text().splitlines()[1:3]
+            values.append(float(dict(zip(header.split(","), row.split(",")))["log_spectral"]))
+        assert values[1] == pytest.approx(1e300 * values[0], rel=1e-15, abs=0)
+
     def test_divergent_measure_exits_two_naming_condition(self, tmp_path, capsys):
         bad = write_config(tmp_path, "bad.json", {
             "measure": {"dimension": 2, "profile": {"type": "sharp", "lambda": 1.0}}})
@@ -446,13 +457,20 @@ def test_help_loads_no_numpy(argv):
     ["wiener-hopf", "--config", "{cfg}", "--T", "inf"],
     ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "10,5"],
     ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "-1"],
+    ["energy", "--config", "{cfg}", "--kappa", "1e200"],
+    ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "1e200"],
+    FOCK_ARGS + ["--ntot", "4", "--kappa-list", "1,1e200"],
+    ["validate", "--config", "{tiny_lambda}"],
 ], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed", "wh_no_horizon",
-        "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative"])
+        "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
+        "energy_kappa_squared_inf", "wh_kappa_squared_inf", "fock_kappa_squared_inf",
+        "validate_tiny_lambda"])
 def test_params_error_loads_no_numpy(tmp_path, argv):
-    # the driver checks its params on the standard library, before a handler
-    # imports a numeric module
+    # the driver checks its params, and the measure its edges, on the standard
+    # library, before a handler imports a numeric module
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
-             "ntot_frac": write_config(tmp_path, "ntot.json", {"params": {"ntot": 3.7}})}
+             "ntot_frac": write_config(tmp_path, "ntot.json", {"params": {"ntot": 3.7}}),
+             **non_finite_configs(tmp_path)}
     assert numpy_after([arg.format(**paths) for arg in argv]) == [2, False]
 
 
@@ -588,11 +606,15 @@ def test_flag_overrides_config_param(tmp_path, argv, params, key, expected):
 
 
 def non_finite_configs(tmp_path) -> dict:
-    """Configs whose measure holds NaN or Infinity, which json.load accepts, or
-    finite points whose moments overflow a double."""
+    """Configs whose measure holds NaN or Infinity, which json.load accepts,
+    finite points whose moments overflow a double, or a first edge at the
+    origin whose innermost panel edge underflows."""
     def measure(points, dimension=3):
         return {"measure": {"dimension": dimension,
                             "profile": {"type": "tabulated", "points": points}}}
+
+    def profile(**fields):
+        return {"measure": {"dimension": 3, "profile": fields}}
 
     good = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]
     configs = {"nan_value": measure([[0.0, 1.0], [1.0, math.nan], [2.0, 0.0]]),
@@ -602,7 +624,10 @@ def non_finite_configs(tmp_path) -> dict:
                "nan_dimension": measure(good, math.nan),
                "inf_dimension": measure(good, math.inf),
                "overflow_value": measure([[0.0, 1e200], [1.0, 0.0]]),
-               "overflow_radius": measure([[0.0, 1.0], [1e200, 1.0]])}
+               "overflow_radius": measure([[0.0, 1.0], [1e200, 1.0]]),
+               "tiny_lambda": profile(type="sharp", **{"lambda": 1e-300}),
+               "tiny_sigma": profile(type="gaussian", sigma=1e-300),
+               "tiny_edge": measure([[0.0, 1.0], [1e-300, 1.0], [1.0, 0.0]])}
     return {key: write_config(tmp_path, f"{key}.json", cfg) for key, cfg in configs.items()}
 
 
@@ -636,6 +661,12 @@ def non_finite_configs(tmp_path) -> dict:
     ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "inf"],
     ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "5,inf"],
     ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "0,5"],
+    ["energy", "--config", "{cfg}", "--kappa", "1e200"],
+    ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "1e200"],
+    FOCK_ARGS + ["--ntot", "4", "--kappa-list", "1e200"],
+    ["validate", "--config", "{tiny_lambda}"],
+    ["validate", "--config", "{tiny_sigma}"],
+    ["energy", "--config", "{tiny_edge}"],
 ], ids=" ".join)
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
@@ -666,9 +697,12 @@ def test_non_finite_fock_input_names_its_field(capsys, ntot, flags, field):
     ({"ntot": 3.7}, [], "params.ntot: must be an integer"),
     ({"ntot": True}, [], "params.ntot: must be an integer"),
     ({}, ["--ntot", "4", "--kappa-list", "1,-1"], "params.kappa_list: kappa must be >= 0"),
+    ({}, ["--ntot", "4", "--kappa-list", "1e200"],
+     "params.kappa_list: kappa^2 must be finite"),
     ({}, ["--ntot", "4", "--epsilon", "nan"], "params.epsilon: must lie in [0, 1]"),
     ({}, ["--ntot", "4", "--epsilon", "2"], "params.epsilon: must lie in [0, 1]"),
-], ids=["ntot_3.7", "ntot_true", "kappa_negative", "epsilon_nan", "epsilon_2"])
+], ids=["ntot_3.7", "ntot_true", "kappa_negative", "kappa_squared_inf", "epsilon_nan",
+        "epsilon_2"])
 def test_bad_fock_param_names_its_field(tmp_path, capsys, monkeypatch, params, flags, field):
     # refused before the basis is built: A -> -A maps kappa to -kappa, so a
     # negative kappa would print the numbers of |kappa|
@@ -709,6 +743,11 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
     (["wiener-hopf", "--config", "{cfg}", "--T", "inf"], "params.T"),
     (["wiener-hopf", "--config", "{cfg}", "--T-ladder", "5,inf"], "params.T_ladder"),
     (["wiener-hopf", "--config", "{cfg}", "--T-ladder", "10,5"], "params.T_ladder"),
+    (["energy", "--config", "{cfg}", "--kappa", "1e200"], "params.kappa"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "1e200"], "params.kappa"),
+    (["validate", "--config", "{tiny_lambda}"], "profile.lambda"),
+    (["validate", "--config", "{tiny_sigma}"], "profile.sigma"),
+    (["validate", "--config", "{tiny_edge}"], "profile.points[1]"),
 ])
 def test_non_finite_input_names_its_field(tmp_path, capsys, argv, field):
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),

@@ -9,6 +9,7 @@ from pfwcl.energy import (G_function, SpectralFunctions, dipole_dispersion,
                           dispersion_parts, ground_energy, log_spectral_energy)
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
                               moment_report)
+from pfwcl.quadrature import adaptive_quad
 
 NULL = RadialMeasure(3, PointMasses([]))
 
@@ -124,11 +125,23 @@ class TestLogSpectral:
         assert log_spectral_energy(NULL, 2.0) == 0.0
 
     def test_kappa_squared_scaling(self, pm_atom, cutoff1, gauss1):
+        # the change of variables t -> kappa^2 t, against the integrand at kappa
         for ff in (pm_atom, cutoff1, gauss1):
             base = log_spectral_energy(ff, 1.0)
             for kappa in (2.0, 3.0):
-                val = log_spectral_energy(ff, kappa)
-                assert val == pytest.approx(kappa**2 * base, rel=1e-10)
+                sf = SpectralFunctions(ff, kappa=kappa)
+                half, _ = adaptive_quad(lambda ts: np.log1p(kappa**2 * sf.rho_hat(ts)),
+                                        0.0, math.inf, abs_tol=1e-14)
+                assert half / math.pi == pytest.approx(kappa**2 * base, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e6, 1e20, 1e100])
+    def test_large_kappa_from_the_unit_integral(self, pm_atom, cutoff1, gauss1, kappa):
+        # the integrand at kappa itself spreads out to t ~ kappa^2: integrated
+        # there it was off by 5e-11 at 1e3, failed at 1e6 and read 0 beyond
+        for ff in (pm_atom, cutoff1, gauss1):
+            unit = ground_energy(ff).log_spectral
+            assert log_spectral_energy(ff, kappa) == pytest.approx(
+                kappa**2 * unit, rel=1e-15, abs=0)
 
     def test_log_bound_pointwise(self, cutoff1):
         sf = SpectralFunctions(cutoff1, kappa=2.0)

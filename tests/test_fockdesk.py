@@ -10,10 +10,10 @@ from pfwcl.energy import ground_energy as continuum_ground_energy
 from pfwcl.energy import log_spectral_energy
 from pfwcl.errors import BasisSizeError, NumericalError
 from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
-                            conjugation_residual, fiber_hamiltonian, ground_state,
-                            semigroup_wcl_residual, wcl_scan)
+                            fiber_hamiltonian, ground_state, semigroup_wcl_residual,
+                            wcl_scan)
 from pfwcl.formfactor import PointMasses, RadialMeasure
-from pfwcl.wienerhopf import log_det
+from pfwcl.wienerhopf import log_det, mass_functional, vacuum_rate
 
 TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 
@@ -35,12 +35,10 @@ def _loop_states(M, n_tot):
 
 
 def _loop_operators(modes, n_tot):
-    """H_f and P_f diagonals, and dense A and dressing generator, from
-    per-state annihilator loops."""
+    """H_f and P_f diagonals, and dense A, from per-state annihilator loops."""
     states, index = _loop_states(len(modes), n_tot)
     dim = len(states)
     A = np.zeros((dim, dim))
-    G = np.zeros((dim, dim))
     for j, (omega, weight, _) in enumerate(modes):
         g = math.sqrt(weight / omega)
         for pos, state in enumerate(states):
@@ -50,11 +48,9 @@ def _loop_operators(modes, n_tot):
             lowered[j] -= 1
             row, entry = index[tuple(lowered)], math.sqrt(state[j])   # a[row, pos]
             A[row, pos] = A[pos, row] = g / math.sqrt(2.0) * entry
-            G[pos, row] = g / (omega * math.sqrt(2.0)) * entry
-            G[row, pos] = -G[pos, row]
     return {"Hf": np.array([sum(n * m[0] for n, m in zip(st, modes)) for st in states]),
             "Pf": np.array([sum(n * m[2] for n, m in zip(st, modes)) for st in states]),
-            "A": A, "shift_generator": G}
+            "A": A}
 
 
 class TestBasis:
@@ -100,9 +96,9 @@ class TestBasis:
     def test_operators_byte_equal_to_loop_construction(self, n_tot):
         ops = build_operators(build_basis(TWO_MODE, n_tot))
         reference = _loop_operators(TWO_MODE, n_tot)
-        for name in ("Hf", "Pf", "A", "shift_generator"):
+        for name in ("Hf", "Pf", "A"):
             got, want = getattr(ops, name), reference[name]
-            got = dense(got) if name in ("A", "shift_generator") else got
+            got = dense(got) if name == "A" else got
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         # nnz counts the stored nonzeros of A, as a sparse matrix would
         assert ops.A.nnz == np.count_nonzero(reference["A"])
@@ -159,15 +155,6 @@ class TestOperators:
         ops = build_operators(build_basis([(1.0, 1.0, 0.0)], 4))
         with pytest.raises(ValueError):
             fiber_hamiltonian(ops, 1.0, 0.0, 1.5)
-
-    def test_shift_generator_built_on_first_read(self):
-        # the scan never reads the dressing generator; conjugation_residual does
-        ops = build_operators(build_basis(TWO_MODE, 8))
-        assert "shift_generator" not in vars(ops)
-        wcl_scan(ops, [1.0], [0.0, 0.2], 1.0)
-        assert "shift_generator" not in vars(ops)
-        conjugation_residual(ops, 1.0, 0.2)
-        assert vars(ops)["shift_generator"] is ops.shift_generator
 
 
 class TestGroundEnergy:
@@ -401,14 +388,14 @@ class TestWorkCounts:
 
 
 class TestBesselCoefficients:
-    """The Miller-recurrence series coefficients: e^-z I_k(z) for the semigroup,
-    J_k(z) for the dressing, each returned as (2 - delta_k0) c_k."""
+    """The Miller-recurrence series coefficients of the semigroup, returned as
+    (2 - delta_k0) e^-z I_k(z)."""
 
     Z = [1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5]
 
     @staticmethod
-    def _terms(kind, z):
-        c = fockdesk._bessel_coefficients(kind, z)
+    def _terms(z):
+        c = fockdesk._bessel_coefficients(z)
         return np.concatenate([c[:1], 0.5 * c[1:]])
 
     @staticmethod
@@ -436,7 +423,7 @@ class TestBesselCoefficients:
     @pytest.mark.parametrize("z", Z)
     def test_modified_matches_mpmath(self, z):
         mp = pytest.importorskip("mpmath").mp
-        c = self._terms("I", z)
+        c = self._terms(z)
         assert c.min() > fockdesk.BESSEL_TAIL
         orders = self._orders(len(c))
         orders = orders[::5] + [orders[-1]] if z >= 1e5 else orders
@@ -445,42 +432,22 @@ class TestBesselCoefficients:
                 exact = float(self._ive(mp, k, mp.mpf(z)))
                 assert abs(c[k] - exact) <= 1e-14 * exact, k
         # e^-z (I_0 + 2 sum I_k) = 1 over the kept orders
-        coeffs = fockdesk._bessel_coefficients("I", z)
+        coeffs = fockdesk._bessel_coefficients(z)
         assert abs(math.fsum(coeffs) - 1.0) <= self._sum_tolerance(coeffs)
 
-    @pytest.mark.parametrize("z", Z)
-    def test_bessel_j_matches_mpmath(self, z):
-        # relative 1e-14 past k = z, where J_k(z) falls monotonically; below,
-        # J_k(z) oscillates in k, and near a sign change the scale is that of
-        # its neighbours.  At z >= 1e4 mpmath's series does not converge past
-        # k of a few hundred, so there the orders are 0 .. 40 (scipy checks all)
-        mp = pytest.importorskip("mpmath").mp
-        c = self._terms("J", z)
-        assert abs(c[-1]) > fockdesk.BESSEL_TAIL
-        with mp.workdps(30):
-            for k in range(41) if z >= 1e4 else self._orders(len(c)):
-                exact = [float(mp.besselj(j, z)) for j in (k - 1, k, k + 1)]
-                scale = abs(exact[1]) if k > z else max(map(abs, exact))
-                assert abs(c[k] - exact[1]) <= 1e-14 * scale, k
-        # J_0 + 2 sum J_2k = 1 over the kept orders
-        coeffs = fockdesk._bessel_coefficients("J", z)
-        assert abs(math.fsum(coeffs[::2]) - 1.0) <= self._sum_tolerance(coeffs)
-
-    @pytest.mark.parametrize("kind", ["I", "J"])
-    @pytest.mark.parametrize("z", Z)
-    def test_matches_scipy(self, kind, z):
+    @pytest.mark.parametrize("z", Z, ids=[f"{z}-I" for z in Z])     # I: e^-z I_k(z)
+    def test_matches_scipy(self, z):
         # scipy is a test-only cross-check; its own error grows with z
         special = pytest.importorskip("scipy.special")
-        c = self._terms(kind, z)
+        c = self._terms(z)
         k = np.arange(len(c) + 40)
-        reference = (special.ive if kind == "I" else special.jv)(k, z)
+        reference = special.ive(k, z)
         assert np.max(np.abs(c - reference[:len(c)])) <= 1e-10 * np.max(np.abs(c))
         # every order past the kept ones is below the tail
         assert np.all(np.abs(reference[len(c):]) < fockdesk.BESSEL_TAIL * 1.01)
 
     def test_zero_argument(self):
-        for kind in ("I", "J"):
-            assert fockdesk._bessel_coefficients(kind, 0.0).tolist() == [1.0]
+        assert fockdesk._bessel_coefficients(0.0).tolist() == [1.0]
 
 
 class TestBogoliubov:
@@ -542,62 +509,34 @@ class TestBogoliubov:
         assert rate == pytest.approx(bogo, rel=0.02)
 
 
-class TestConjugation:
-    def test_identity_at_zero_momentum(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.0)], 20))
-        assert conjugation_residual(ops, 1.0, 0.0) == 0.0
+class TestDipoleVacuumAmplitude:
+    """log <Omega, exp(-T H_kappa(p, 0)) Omega> on the Fock desk against the
+    Wiener-Hopf pipeline on the same atoms, -T vacuum_rate.  The dressing
+    U_p turns the dipole fiber into p^2/(2 m_eff) + kappa^2 H_0, so the vacuum
+    amplitude is exact on both sides: the whole semigroup, mass term included,
+    against the determinant and the mass functional."""
 
-    def test_identity_without_coupling(self):
-        # G = 0: the dressing is the identity and the identity holds exactly
-        ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 4))
-        assert conjugation_residual(ops, 1.0, 0.5) == 0.0
+    POINTS = [(1.0, 0.0, 1.0), (1.0, 0.5, 1.0), (2.0, 0.3, 2.0), (0.5, 1.0, 5.0),
+              (1.0, 0.2, 10.0), (4.0, 0.2, 1.0)]
 
-    def test_refinement_in_truncation(self):
-        # displacement large enough that the truncation error is visible
-        res = {}
-        for n_tot in (20, 40):
-            ops = build_operators(build_basis([(1.0, 3.0, 0.0)], n_tot))
-            res[n_tot] = conjugation_residual(ops, 1.0, 6.0)
-        assert res[40] <= res[20]
-        # at the documented small displacement both rungs sit at round-off
-        small = {}
-        for n_tot in (20, 40):
-            ops = build_operators(build_basis([(1.0, 3.0, 0.0)], n_tot))
-            small[n_tot] = conjugation_residual(ops, 1.0, 0.5)
-        assert small[40] <= max(small[20], 1e-12)
+    @staticmethod
+    def _fock_log_amplitude(ops, kappa, p, T):
+        exponent, series = fockdesk._semigroup_action(
+            fiber_hamiltonian(ops, kappa, p, 0.0), T, 0.0)
+        vacuum = np.zeros(ops.dim)
+        vacuum[ops.basis.position([0] * len(ops.basis.modes))] = 1.0
+        return math.log(series(1, exponent)(vacuum)[0]) + exponent
 
-    def test_kappa_trend_reported(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.0)], 8))
-        res = [conjugation_residual(ops, kap, 6.0) for kap in (1.0, 2.0, 4.0, 8.0)]
-        assert res[0] > res[1] > res[2] > res[3]
-
-    @pytest.mark.parametrize("modes,n_tot,kappa,p", [
-        ([(1.0, 3.0, 0.0)], 20, 1.0, -3.0),
-        (TWO_MODE, 10, 4.0, 6.0),
-        (TWO_MODE, 20, 1.0, 6.0)])
-    def test_matches_dense_expm(self, modes, n_tot, kappa, p):
-        # the dense formula: U = expm(s G), R = U^T H_dip U - target on low states
-        ops = build_operators(build_basis(modes, n_tot))
-        m_star = ops.m_eff()
-        # expm(s G) for antisymmetric G from the Hermitian i s G = V diag(w) V^H
-        w, V = np.linalg.eigh(1j * (p / (kappa * m_star)) * dense(ops.shift_generator))
-        U = ((V * np.exp(-1j * w)) @ V.conj().T).real
-        H_dip = dense(fiber_hamiltonian(ops, kappa, p, 0.0))
-        target = (p * p / (2 * m_star)) * np.eye(ops.dim) \
-            + kappa**2 * dense(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))
-        low = ops.basis.states.sum(axis=1) <= n_tot // 2
-        R = (U.T @ H_dip @ U - target)[np.ix_(low, low)]
-        reference = np.linalg.norm(R, 2)
-        assert conjugation_residual(ops, kappa, p) == pytest.approx(reference, rel=1e-10)
-
-    def test_runs_above_old_dense_limit(self):
-        # dim 2016 > 2000, the size the dense expm refused; the truncation
-        # error at a large displacement keeps shrinking with N_tot
-        big = build_operators(build_basis(TWO_MODE, 62))
-        small = build_operators(build_basis(TWO_MODE, 40))
-        assert big.dim == 2016
-        assert conjugation_residual(big, 1.0, 6.0) < 0.01 * conjugation_residual(small, 1.0, 6.0)
-        assert conjugation_residual(big, 1.0, 0.2) < 1e-12
+    @pytest.mark.parametrize("n_tot, dim", [(20, 231), (40, 861), (61, 1953)])
+    @pytest.mark.parametrize("kappa, p, T", POINTS)
+    def test_matches_wiener_hopf(self, n_tot, dim, kappa, p, T):
+        ops = build_operators(build_basis(TWO_MODE, n_tot))
+        assert ops.dim == dim
+        measure = RadialMeasure(3, PointMasses([(w, W) for w, W, _ in TWO_MODE]))
+        exact = -T * vacuum_rate(measure, p, log_det(measure, kappa, T) / T,
+                                 mass_functional(measure, kappa, T))
+        got = self._fock_log_amplitude(ops, kappa, p, T)
+        assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 class TestScan:

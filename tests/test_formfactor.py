@@ -4,8 +4,8 @@ import re
 import pytest
 
 from pfwcl.errors import MeasureError
-from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
-                              SharpCutoff, Tabulated, measure_from_json,
+from pfwcl.formfactor import (MIN_ORIGIN_EDGE, GaussianProfile, PointMasses,
+                              RadialMeasure, SharpCutoff, Tabulated, measure_from_json,
                               measure_to_json, moment, moment_report)
 
 
@@ -78,6 +78,15 @@ class TestMomentReport:
         assert math.isfinite(rep.m_minus3)
         assert rep.ir_regular is True
 
+    def test_zero_weights_skip_overflowing_powers(self):
+        # phi = 0 on [0, 1e-80], then phi(r) = r to rounding: the graded origin
+        # panels put zero weights on nodes near 1e-104, where r^-3 overflows;
+        # M_{-3} = 4 pi int phi^2 / r dr = 2 pi is finite
+        report = moment_report(RadialMeasure(3, Tabulated([(0.0, 0.0), (1e-80, 0.0),
+                                                           (1.0, 1.0)])))
+        assert report.m_minus3 == pytest.approx(2.0 * math.pi, rel=1e-10)
+        assert report.ir_regular
+
     def test_m_eff_one_iff_null(self):
         null = RadialMeasure(3, PointMasses([]))
         assert moment_report(null).m_eff == 1.0
@@ -137,6 +146,21 @@ class TestValidation:
                 f"profile moments M_s, s in {orders}, must be finite, but they overflow "
                 "a double on the radial rule")):
             RadialMeasure(3, profile)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SharpCutoff(1e-300), "profile.lambda must be >="),
+        (lambda: GaussianProfile(1e-300), "profile.sigma must be >="),
+        (lambda: Tabulated([(0.0, 1.0), (1e-300, 1.0), (1.0, 0.0)]),
+         "profile.points[1] radius must be >="),
+    ], ids=["sharp", "gaussian", "tabulated"])
+    def test_underflowing_origin_panel_is_measure_error(self, make, message):
+        # the innermost edge b 4^-40 of a first edge b = 1e-300 underflows to 0
+        with pytest.raises(MeasureError, match=re.escape(message)):
+            make()
+
+    def test_smallest_origin_edge_builds_its_rule(self):
+        ff = RadialMeasure(3, SharpCutoff(MIN_ORIGIN_EDGE))
+        assert min(ff.rule()[0]) > 0.0 and moment_report(ff).m_eff == 1.0
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(MeasureError):
