@@ -6,9 +6,9 @@ Submodules:
 - ``energy``: spectral functions rho/rho-hat/G and the dipole ground energy
 - ``cutoff``: the d=3 sharp-cutoff asymptotics E(Lambda)
 - ``wienerhopf``: truncated Wiener-Hopf determinants, u_T, vacuum amplitudes
+- ``normalmodes``: the normal modes that ``wienerhopf`` and ``fockdesk`` share
 - ``hermite``: generalized Hermite polynomials and their generating operator
-- ``fockdesk``: truncated bosonic Fock space, fiber Hamiltonians,
-  weak-coupling and semigroup residual studies
+- ``fockdesk``: Fock space, fiber Hamiltonians, weak-coupling and semigroup studies
 - ``errors``: the exception types shared across the package
 - ``cli``: the ``pfwcl`` command-line driver
 

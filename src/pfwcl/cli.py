@@ -11,13 +11,13 @@ config ``params`` key it overrides.  Each handler imports the numeric modules
 it runs, so a process loads only its subcommand's: ``validate`` loads
 ``formfactor`` and ``quadrature``, ``cutoff-scan`` ``cutoff`` and
 ``quadrature``, all on the standard library; ``energy`` and ``wiener-hopf``
-add ``energy`` (and ``wienerhopf``); ``fock`` loads ``fockdesk`` alone;
-``hermite-check`` loads ``hermite`` alone.  This module runs on the standard
-library: ``--help``, the params checks, ``validate`` and ``cutoff-scan`` load
-no numpy, which comes in with ``energy``, ``fockdesk`` or ``hermite``, below
-the checks.  Those run on numpy alone, and no subcommand loads
-``numpy.random`` or ``numpy.polynomial``: seeded draws come from the standard
-library's ``random`` and Gauss-Legendre rules from ``quadrature``.
+add ``energy`` (and ``wienerhopf``, ``normalmodes``); ``fock`` loads
+``fockdesk`` and ``normalmodes``; ``hermite-check`` loads ``hermite`` alone.
+This module runs on the standard library: ``--help``, the params checks,
+``validate`` and ``cutoff-scan`` load no numpy, which comes in with ``energy``,
+``fockdesk`` or ``hermite``, below the checks.  Those run on numpy alone, and
+no subcommand loads ``numpy.random`` or ``numpy.polynomial``: seeded draws come
+from the standard library's ``random`` and Gauss-Legendre rules from ``quadrature``.
 """
 
 from __future__ import annotations

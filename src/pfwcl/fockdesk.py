@@ -16,8 +16,9 @@ and the interpolating fiber Hamiltonian
 with eps = 0 the dipole fiber and eps = 1 the full fiber.  The weights W_j
 match the PointMasses convention of the formfactor module, so all continuum
 cross-checks line up: the exact ground energy of (1/2) A^2 + H_f is the
-rank-one Bogoliubov value (1/2) sum_i (sqrt(mu_i) - omega_i) with mu_i the
-eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j).
+rank-one Bogoliubov value (1/2) sum_i (mu_i - omega_i) with mu_i^2 the
+eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j), from the secular-equation
+solver the Wiener-Hopf realization shares (``normalmodes``).
 
 No operator is stored as a matrix.  A alone is a gather table over the basis
 ranks, and H_kappa(p, eps) applies B = p - eps P_f - kappa A twice.  Every
@@ -35,7 +36,6 @@ output bytes do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
-import decimal
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -44,6 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BasisSizeError, NumericalError
+from .normalmodes import merged, secular_roots
 
 BASIS_SIZE_GUARD = 200_000
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -79,13 +80,7 @@ class Mode:
 
 
 def as_modes(modes) -> tuple[Mode, ...]:
-    out = []
-    for m in modes:
-        if isinstance(m, Mode):
-            out.append(m)
-        else:
-            out.append(Mode(*m))
-    return tuple(out)
+    return tuple(m if isinstance(m, Mode) else Mode(*m) for m in modes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,34 +414,13 @@ def _lobpcg(apply, start: np.ndarray, precondition, tol: float, unit: float,
 
 
 def bogoliubov_energy(modes) -> float:
-    """Exact ground energy of (1/2) A^2 + H_f for the discrete measure:
-
-        (1/2) sum_i (sqrt(mu_i) - omega_i) = (1/2) sum_i delta_i / (sqrt(mu_i) + omega_i),
-
-    mu_i = omega_i^2 + delta_i the eigenvalues of diag(omega_j^2) + v v^T,
-    v_j = sqrt(W_j).  With equal frequencies merged and W = 0 atoms dropped,
-    delta_i is the root in (0, omega_{i+1}^2 - omega_i^2) (in (0, sum W] for the
-    largest omega) of 1 + sum_j W_j / ((omega_j - omega_i)(omega_j + omega_i) - delta),
-    found by bisection; nothing cancels, so stiff atoms keep full relative
-    accuracy.  The continuum-side counterpart is the energy-module
-    ground_energy at the same PointMasses measure.
-    """
-    merged = {}
-    for m in as_modes(modes):
-        if m.weight > 0.0:
-            merged[m.omega] = merged.get(m.omega, 0.0) + m.weight
-    if not merged:
-        return 0.0
-    omega = np.array(sorted(merged))
-    W = np.array([merged[w] for w in omega])
-    gaps = (omega[None, :] - omega[:, None]) * (omega[None, :] + omega[:, None])
-    total = 0.0
-    for i, hi in enumerate(np.append(np.diag(gaps, 1), W.sum())):
-        lo = 0.0
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (lo, mid) if 1.0 + np.sum(W / (gaps[i] - mid)) > 0.0 else (mid, hi)
-        total += hi / (math.sqrt(omega[i] ** 2 + hi) + omega[i])
-    return 0.5 * total
+    """Exact ground energy (1/2) sum_i (mu_i - omega_i) of (1/2) A^2 + H_f, with
+    mu - omega from the secular-equation solver ``normalmodes.secular_roots``
+    that the Wiener-Hopf realization shares: nothing cancels, so stiff atoms keep
+    full relative accuracy.  The continuum-side counterpart is the energy-module
+    ground_energy at the same PointMasses measure."""
+    omega, W = merged((m.omega, m.weight) for m in as_modes(modes))
+    return 0.5 * float(np.sum(secular_roots(omega, W)[1])) if len(omega) else 0.0
 
 
 def _chebyshev_sum(twice_S, coeffs, v) -> np.ndarray:
@@ -476,6 +450,8 @@ def _bessel_coefficients(z: float) -> np.ndarray:
     its rounding over the N steps stays far below one rounding of the final
     double, and the range needs no rescaling.
     """
+    import decimal                 # only the --T semigroup series loads it
+
     if z == 0.0:
         return np.ones(1)
     n = _miller_start(z)

@@ -115,6 +115,8 @@ class Tabulated:
             raise MeasureError("tabulated radii must be strictly increasing")
         if radii[0] == 0.0:
             _check_origin_edge(radii[1], "profile.points[1] radius")
+        if any(b / a == math.inf for a, b in zip(radii, radii[1:]) if a > 0.0):
+            raise MeasureError(f"profile.points radii overflow r_(i+1) / r_i, got {list(radii)}")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
 

@@ -5,12 +5,12 @@ over the measure's radial rule.  In x = kappa^2 t, 1 + kappa^2 C_T is 1 + K_S
 on [0, S], S = kappa^2 T, with kernel rho_1(x) = sum_j g_j^2 exp(-lam_j |x|):
 the covariance of y = g.z for the stationary state dz = -diag(lam) z dx + dw,
 Cov z = I.  So one realization (lam, g) per measure serves every kappa and T.
-A point-mass rule is its own realization; a continuum rule (A = -diag(r), b =
-sqrt(w/(2r))) is cut by balanced truncation (Moore 1981) to the states whose
-Hankel singular value exceeds TRUNCATION_TOL of the largest.
+A point-mass rule, equal frequencies merged, is its own realization; a continuum
+rule (A = -diag(r), b = sqrt(w/(2r))) is cut by balanced truncation (Moore 1981)
+to the states whose Hankel singular value exceeds TRUNCATION_TOL of the largest.
 
 The symbol 1 + rho_hat_1 = prod (t^2 + mu^2) / prod (t^2 + lam^2) is rational,
-mu^2, Q the eigenpairs of diag(lam) (1 + 2 e e^T) diag(lam), e = g / sqrt(lam),
+mu^2, Q the normal modes of diag(lam^2) + v v^T, v = sqrt(2 lam) g (normalmodes),
 and with Dt = Q^T diag(lam) Q its determinant formulas (Boettcher-Silbermann,
 Analysis of Toeplitz Operators, ch. 10) give at every S
 
@@ -20,7 +20,7 @@ Analysis of Toeplitz Operators, ch. 10) give at every S
 D1 = diag(mu tanh(mu S/2)), D2 = diag(tanh(mu S/2)/mu), each log det a sum of
 log1p over eigenvalues.  As S -> inf this is S times the Ahiezer-Kac rate
 sum(mu - lam) plus B = sum_ij log1p(d_i d_j / ((lam_i + lam_j)(mu_i + mu_j))),
-d = sort(mu) - sort(lam) >= 0 (the two interlace).  u_T solves a two-point
+d_i = mu_i - lam_i >= 0 (the two interlace).  u_T solves a two-point
 boundary-value problem in the states, with modes anchored where they decay,
 so int u_T is closed form and no exponential exceeds 1.
 """
@@ -34,11 +34,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 # bench/tracing.py counts factorisations through the names cho_factor and eigvalsh
 from numpy.linalg import cholesky as cho_factor
-from numpy.linalg import eigh, eigvalsh, qr, solve, svd
+from numpy.linalg import eigh, eigvalsh, solve, svd
 
 from .energy import _effective_component_count, log_spectral_energy
 from .errors import NumericalError
 from .formfactor import RadialMeasure, moment_report
+from .normalmodes import merged, secular_roots, secular_vectors
 from .quadrature import gauss_panels
 
 TRUNCATION_TOL = 1e-15
@@ -57,27 +58,23 @@ class StateSpace:
     mass: float = 0.0
 
     @cached_property
+    def _roots(self):       # (mu, mu - lam, lam_j^2 - mu_i^2) of diag(lam^2) + v v^T
+        return secular_roots(self.lam, 2.0 * self.lam * self.g ** 2)
+
+    @cached_property
     def modes(self):
         """(mu, Dt = Q^T diag(lam) Q, Dt^-1, Q^T (sqrt(lam) g), e = Q^T (g / sqrt(lam)),
-        u_inf); mu^2, Q are the eigenpairs of M^T M, M = [I; sqrt(2) g^T / sqrt(lam)]
-        diag(lam), from a QR with the columns in decreasing norm and an SVD of
-        R, which keep tiny mu accurate."""
+        u_inf) from the normal modes mu^2, Q of diag(lam^2) + v v^T."""
         lam, e = self.lam, self.g / np.sqrt(self.lam)
-        M = np.vstack((np.eye(len(lam)), math.sqrt(2.0) * e)) * lam
-        perm = np.argsort(-np.linalg.norm(M, axis=0), kind="stable")
-        _, mu, Vt = svd(qr(M[:, perm], mode="r"))
-        Q = np.empty_like(Vt)
-        Q[perm] = Vt.T
-        return (mu, (Q.T * lam) @ Q, (Q.T / lam) @ Q, Q.T @ (np.sqrt(lam) * self.g),
-                Q.T @ e, 1.0 / (1.0 + 2.0 * float(e @ e)))
+        Q = secular_vectors(lam, np.sqrt(2.0 * lam) * self.g, self._roots[2])
+        return (self._roots[0], (Q.T * lam) @ Q, (Q.T / lam) @ Q,
+                Q.T @ (np.sqrt(lam) * self.g), Q.T @ e, 1.0 / (1.0 + 2.0 * float(e @ e)))
 
     @cached_property
     def asymptote(self):
         """(rate, B) with log det(1 + K_S) = rate S + B + o(1): the Ahiezer-Kac
-        rate sum(mu - lam) and the constant term B, both from the interlaced
-        gaps d = sort(mu) - sort(lam) >= 0."""
-        mu, lam = np.sort(self.modes[0]), np.sort(self.lam)
-        d = mu - lam
+        rate sum(mu - lam) and the constant term B, both from d = mu - lam."""
+        (mu, d, _), lam = self._roots, self.lam
         return float(d.sum()), float(np.sum(np.log1p(
             np.outer(d, d) / ((lam[:, None] + lam) * (mu[:, None] + mu)))))
 
@@ -127,7 +124,7 @@ def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
 @lru_cache(maxsize=32)
 def realization(ff: RadialMeasure) -> StateSpace:
     """The measure's state-space realization, shared by every kappa and T."""
-    r, w = ff.rule()
+    r, w = merged(zip(*ff.rule())) if ff.is_discrete else ff.rule()
     r, w = r[w > 0.0], w[w > 0.0]
     if ff.is_discrete or not len(r):
         return StateSpace(r, np.sqrt(w / (2.0 * r)))

@@ -461,10 +461,11 @@ def test_help_loads_no_numpy(argv):
     ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "1e200"],
     FOCK_ARGS + ["--ntot", "4", "--kappa-list", "1,1e200"],
     ["validate", "--config", "{tiny_lambda}"],
+    ["validate", "--config", "{tiny_first_radius}"],
 ], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed", "wh_no_horizon",
         "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
         "energy_kappa_squared_inf", "wh_kappa_squared_inf", "fock_kappa_squared_inf",
-        "validate_tiny_lambda"])
+        "validate_tiny_lambda", "validate_tiny_first_radius"])
 def test_params_error_loads_no_numpy(tmp_path, argv):
     # the driver checks its params, and the measure its edges, on the standard
     # library, before a handler imports a numeric module
@@ -490,11 +491,13 @@ SPECTRAL_MODULES = {"pfwcl.cutoff", "pfwcl.energy", "pfwcl.formfactor", "pfwcl.q
 
 @pytest.mark.parametrize("horizon", [[], ["--T", "1"]], ids=["scan", "T_1"])
 def test_fock_loads_only_the_fock_desk(horizon):
-    # the start vector comes from the standard library, not numpy.random
+    # the start vector comes from the standard library, not numpy.random, and
+    # only the semigroup's Bessel coefficients need decimal
     loaded = loaded_modules(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20",
                              "--kappa-list", "1", "--p-list", "0.2", *horizon])
-    assert "pfwcl.fockdesk" in loaded
+    assert {"pfwcl.fockdesk", "pfwcl.normalmodes"} <= loaded
     assert not loaded & {"numpy.random", "pfwcl.hermite", *SPECTRAL_MODULES}
+    assert ("decimal" in loaded) == bool(horizon)
 
 
 def test_hermite_check_loads_no_spectral_module():
@@ -522,6 +525,8 @@ def test_no_subcommand_loads_numpy_random_or_polynomial(tmp_path, argv):
     cfg = write_config(tmp_path, "gauss.json", {"measure": GAUSSIAN_MEASURE})
     loaded = loaded_modules([arg.format(gaussian=cfg) for arg in argv])
     assert not loaded & {"numpy.random", "numpy.polynomial"}
+    # both pipelines read their normal modes from one solver
+    assert ("pfwcl.normalmodes" in loaded) == (argv[0] in ("wiener-hopf", "fock"))
 
 
 def test_validate_loads_neither_energy_nor_hermite(tmp_path):
@@ -607,8 +612,8 @@ def test_flag_overrides_config_param(tmp_path, argv, params, key, expected):
 
 def non_finite_configs(tmp_path) -> dict:
     """Configs whose measure holds NaN or Infinity, which json.load accepts,
-    finite points whose moments overflow a double, or a first edge at the
-    origin whose innermost panel edge underflows."""
+    finite points whose moments overflow a double, a first edge at the
+    origin whose innermost panel edge underflows, or radii whose ratio overflows."""
     def measure(points, dimension=3):
         return {"measure": {"dimension": dimension,
                             "profile": {"type": "tabulated", "points": points}}}
@@ -627,7 +632,8 @@ def non_finite_configs(tmp_path) -> dict:
                "overflow_radius": measure([[0.0, 1.0], [1e200, 1.0]]),
                "tiny_lambda": profile(type="sharp", **{"lambda": 1e-300}),
                "tiny_sigma": profile(type="gaussian", sigma=1e-300),
-               "tiny_edge": measure([[0.0, 1.0], [1e-300, 1.0], [1.0, 0.0]])}
+               "tiny_edge": measure([[0.0, 1.0], [1e-300, 1.0], [1.0, 0.0]]),
+               "tiny_first_radius": measure([[1e-320, 1.0], [1.0, 0.0]])}
     return {key: write_config(tmp_path, f"{key}.json", cfg) for key, cfg in configs.items()}
 
 
@@ -667,6 +673,7 @@ def non_finite_configs(tmp_path) -> dict:
     ["validate", "--config", "{tiny_lambda}"],
     ["validate", "--config", "{tiny_sigma}"],
     ["energy", "--config", "{tiny_edge}"],
+    ["validate", "--config", "{tiny_first_radius}"],
 ], ids=" ".join)
 def test_bad_input_exits_two(tmp_path, capsys, argv):
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),

@@ -158,6 +158,11 @@ class TestValidation:
         with pytest.raises(MeasureError, match=re.escape(message)):
             make()
 
+    def test_overflowing_radius_ratio_is_measure_error(self):
+        # b / a of the panel count overflows a double for a = 1e-320, b = 1
+        with pytest.raises(MeasureError, match=re.escape("profile.points radii overflow r_(i+1) / r_i")):
+            Tabulated([(1e-320, 1.0), (1.0, 0.0)])
+
     def test_smallest_origin_edge_builds_its_rule(self):
         ff = RadialMeasure(3, SharpCutoff(MIN_ORIGIN_EDGE))
         assert min(ff.rule()[0]) > 0.0 and moment_report(ff).m_eff == 1.0

@@ -8,6 +8,7 @@ import pytest
 from pfwcl import wienerhopf
 from pfwcl.energy import SpectralFunctions, dipole_dispersion, log_spectral_energy
 from pfwcl.errors import NumericalError
+from pfwcl.fockdesk import bogoliubov_energy
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure, SharpCutoff,
                               Tabulated)
 from pfwcl.wienerhopf import (ak_convergence_report, log_det, mass_functional, realization,
@@ -225,6 +226,58 @@ class TestLogDet:
         trK2 = float(np.sum(w * (S ** 2 - c * S ** 3 / 3.0 + c * c * S ** 4 / 12.0)))
         assert log_det(ff, 1.0, S) == pytest.approx(trK - 0.5 * trK2 + trK ** 3 / 3.0,
                                                     rel=1e-12)
+
+
+def normal_modes_mp(atoms):
+    """(rate, B) of the atoms from the eigenvalues of diag(omega^2) + v v^T,
+    v_j = sqrt(W_j), at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        omega = [mp.mpf(w) for w, _ in atoms]
+        v = mp.matrix([mp.sqrt(W) for _, W in atoms])
+        mu = [mp.sqrt(m) for m in sorted(mp.eigsy(mp.diag([w ** 2 for w in omega]) + v * v.T,
+                                                  eigvals_only=True))]
+        omega.sort()
+        d = [m - w for m, w in zip(mu, omega)]
+        B = sum(mp.log1p(d[i] * d[j] / ((omega[i] + omega[j]) * (mu[i] + mu[j])))
+                for i in range(len(d)) for j in range(len(d)))
+        return float(sum(d)), float(B)
+
+
+class TestNormalModes:
+    @pytest.mark.parametrize("omega", [1e-2, 1.0, 1e3])
+    def test_single_atom_rate_keeps_relative_accuracy(self, omega):
+        # sqrt(omega^2 + W) - omega with nothing cancelled, W / omega^2 in [1e-12, 1e3]
+        for W in omega * omega * 10.0 ** np.arange(-12.0, 4.0):
+            rate = realization(RadialMeasure(3, PointMasses([(omega, W)]))).asymptote[0]
+            assert rate == pytest.approx(W / (math.sqrt(omega * omega + W) + omega),
+                                         rel=1e-15, abs=0), W
+
+    def test_rate_B_and_bogoliubov_match_mpmath(self):
+        # 300 random 1-6 atom sets, omega in [1e-3, 1e3], W in [1e-6, 1e4]
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            atoms = [(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-6, 4))
+                     for _ in range(rng.integers(1, 7))]
+            rate, B = normal_modes_mp(atoms)
+            ss = realization(RadialMeasure(3, PointMasses(atoms)))
+            assert ss.asymptote[0] == pytest.approx(rate, rel=2e-15, abs=0), atoms
+            assert ss.asymptote[1] == pytest.approx(B, rel=2e-15, abs=0), atoms
+            assert 2.0 * bogoliubov_energy(atoms) == pytest.approx(rate, rel=2e-15, abs=0), atoms
+
+    def test_weak_atom_long_horizon(self):
+        # log det / T carries the rate W / (sqrt(omega^2 + W) + omega) = 5e-7
+        ff = RadialMeasure(3, PointMasses([(1e3, 1e-3)]))
+        assert log_det(ff, 1.0, 1e6) / 1e6 == pytest.approx(
+            atom_logdet_mp(1e3, 1e-3, 1.0, 1e6) / 1e6, rel=1e-14, abs=0)
+
+    def test_shared_frequencies_merge_into_one_state(self):
+        split = RadialMeasure(3, PointMasses([(1.0, 1.0), (1.0, 2.0), (2.0, 0.5)]))
+        merged = RadialMeasure(3, PointMasses([(1.0, 3.0), (2.0, 0.5)]))
+        assert ak_convergence_report(split, 1.0, [10.0])[0]["n"] == 2
+        for T in (10.0, 1e3):
+            assert log_det(split, 1.0, T) == log_det(merged, 1.0, T)
+            assert mass_functional(split, 1.0, T) == mass_functional(merged, 1.0, T)
 
 
 class TestUT:
