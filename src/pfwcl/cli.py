@@ -6,18 +6,18 @@ stdout only with ``--output -``; diagnostics always go to stderr.  Identical
 config (and seed) yields byte-identical output: floats are printed with 17
 significant digits and the resolved config is echoed into the output header.
 
-Each subcommand is declared once, in ``COMMANDS``.  A flag's dest is the
-config ``params`` key it overrides.  Each handler imports the numeric modules
-it runs, so a process loads only its subcommand's: ``validate`` loads
-``formfactor`` and ``quadrature``, ``cutoff-scan`` ``cutoff`` and
-``quadrature``, all on the standard library; ``energy`` and ``wiener-hopf``
-add ``energy`` (and ``wienerhopf``, ``normalmodes``); ``fock`` loads
-``fockdesk`` and ``normalmodes``; ``hermite-check`` loads ``hermite`` alone.
-This module runs on the standard library: ``--help``, the params checks,
-``validate`` and ``cutoff-scan`` load no numpy, which comes in with ``energy``,
-``fockdesk`` or ``hermite``, below the checks.  Those run on numpy alone, and
-no subcommand loads ``numpy.random`` or ``numpy.polynomial``: seeded draws come
-from the standard library's ``random`` and Gauss-Legendre rules from ``quadrature``.
+Each subcommand is declared once, in ``COMMANDS``, with its params: a param's
+flag dest is its config ``params`` key, and one converter serves flag text and
+config value alike, so a refusal names ``params.<key>`` and the echo is the
+same typed config either way.  A process loads only its subcommand's numeric
+modules: ``validate`` loads ``formfactor`` and ``quadrature``, ``cutoff-scan``
+``cutoff`` and ``quadrature``, both on the standard library; ``energy`` adds
+``energy``, ``wiener-hopf`` ``wienerhopf`` and ``normalmodes``, ``fock`` loads
+``fockdesk`` and ``normalmodes``, and ``hermite-check`` ``hermite``.  So
+``--help``, the params checks, ``validate`` and ``cutoff-scan`` load no numpy.
+The others run on numpy alone, and none loads ``numpy.random`` or
+``numpy.polynomial``: seeded draws come from the standard library's ``random``
+and Gauss-Legendre rules from ``quadrature``.
 """
 
 from __future__ import annotations
@@ -51,25 +51,6 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _parse_modes(text: str) -> list[tuple[float, float, float]]:
-    modes = []
-    for part in text.split(","):
-        fields = [float(v) for v in part.split(":")]
-        if len(fields) not in (2, 3):
-            raise ValueError(f"mode {part!r} must look like omega:weight[:momentum]")
-        modes.append(tuple(fields + [0.0] * (3 - len(fields))))
-    return modes
-
-
-#: params whose flag value is text to parse after argparse
-_LIST_PARSERS = {"lambdas": _float_list, "T_ladder": _float_list,
-                 "kappa_list": _float_list, "p_list": _float_list,
-                 "modes": _parse_modes}
-
 _CONFIG_KEYS = {"subcommand", "measure", "params", "format", "seed"}
 
 
@@ -96,19 +77,22 @@ def _dest(option: str, kwargs: dict) -> str:
     return kwargs.get("dest", option.lstrip("-").replace("-", "_"))
 
 
-def _resolve(args, **defaults) -> dict:
+def _resolve(args) -> dict:
     """Merge file config and CLI flags into the fully-resolved run config.
 
-    The subcommand's flags in ``COMMANDS`` name the params it accepts; a
-    flag that is given overrides its param, and ``defaults`` fill the rest.
+    The subcommand's params in ``COMMANDS`` name the keys it accepts.  Each
+    value, from its flag, else the config, else the declared default, goes
+    through the param's one converter and is written back converted, so the
+    echo is the same typed config whichever way a value came in.
     """
     cfg = _load_config(args.config) if args.config else {}
     if cfg.get("subcommand", args.subcommand) != args.subcommand:
         raise ConfigError(
             f"config is for subcommand {cfg['subcommand']!r}, not {args.subcommand!r}")
     params = dict(cfg.get("params", {}))
-    flags = {_dest(option, kwargs): option for option, kwargs in COMMANDS[args.subcommand][2]}
-    unknown = set(params) - set(flags)
+    spec = {_dest(option, kwargs): (option, convert, default)
+            for option, kwargs, convert, default in COMMANDS[args.subcommand][2]}
+    unknown = set(params) - set(spec)
     if unknown:
         raise ConfigError(f"unknown params {sorted(unknown)} for {args.subcommand}")
     resolved = {
@@ -120,31 +104,20 @@ def _resolve(args, **defaults) -> dict:
     }
     if resolved["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {resolved['format']!r}")
-    for key, option in flags.items():
+    for key, (option, convert, default) in spec.items():
         value = getattr(args, key)
         if value is None:
+            value = default if params.get(key) is None else params[key]
+        if value is REQUIRED:
+            raise ConfigError(f"{args.subcommand} needs {option} or params.{key}")
+        if value is None:
+            params.pop(key, None)
             continue
-        if key in _LIST_PARSERS:
-            try:
-                value = _LIST_PARSERS[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"{option}: {exc}") from exc
-        params[key] = value
-    for key, value in defaults.items():
-        params.setdefault(key, value)
+        try:
+            params[key] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params.{key}: {exc}") from exc
     return resolved
-
-
-def _param(params: dict, key: str, convert):
-    """``convert(params[key])``; a value it rejects is a ConfigError naming the field."""
-    try:
-        return convert(params[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params.{key}: {exc}") from exc
-
-
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
 
 
 def _finite(value) -> float:
@@ -161,6 +134,13 @@ def _nonnegative(value) -> float:
     return number
 
 
+def _positive(value) -> float:
+    number = _finite(value)
+    if number <= 0.0:
+        raise ValueError(f"must be > 0, got {number}")
+    return number
+
+
 def _coupling(value) -> float:
     """A kappa: >= 0, with kappa^2 a finite double."""
     number = _nonnegative(value)
@@ -169,17 +149,17 @@ def _coupling(value) -> float:
     return number
 
 
-def _horizons(values) -> list[float]:
-    ladder = [_finite(v) for v in values]
-    if not ladder or ladder[0] <= 0.0 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"horizons must be > 0 and increasing, got {ladder}")
-    return ladder
-
-
 def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
+
+
+def _count(value) -> int:
+    number = _integer(value)
+    if number < 1:
+        raise ValueError(f"must be >= 1, got {number}")
+    return number
 
 
 def _unit_interval(value) -> float:
@@ -187,6 +167,43 @@ def _unit_interval(value) -> float:
     if not 0.0 <= number <= 1.0:
         raise ValueError(f"must lie in [0, 1], got {number}")
     return number
+
+
+def _list(item):
+    """The converter of comma-separated text or a JSON list, ``item`` applied
+    to each entry; an empty list is refused."""
+    def convert(value) -> list:
+        if isinstance(value, str):
+            value = [token for token in value.split(",") if token.strip()]
+        if not isinstance(value, list):
+            raise TypeError(f"must be a list or comma-separated text, got {value!r}")
+        if not value:
+            raise ValueError("must not be empty")
+        return [item(entry) for entry in value]
+    return convert
+
+
+def _ladder(value) -> list[float]:
+    ladder = _list(_positive)(value)
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"horizons must be increasing, got {ladder}")
+    return ladder
+
+
+def _mode(value) -> tuple[float, float, float]:
+    """A fock mode (omega, W, q) from ``omega:W[:q]`` text or a list of 2-3
+    numbers, q = 0 when absent; the checks of ``fockdesk.Mode``."""
+    fields = value.split(":") if isinstance(value, str) else value
+    if not isinstance(fields, (list, tuple)) or len(fields) not in (2, 3):
+        raise ValueError(f"a mode is omega:W[:q] or [omega, W, q], got {value!r}")
+    omega, weight, q = [_finite(v) for v in fields] + [0.0] * (3 - len(fields))
+    try:
+        ratio = weight / omega**2
+    except (OverflowError, ZeroDivisionError):      # omega^2 overflows or underflows
+        ratio = math.inf
+    if not (omega > 0.0 and weight >= 0.0 and math.isfinite(ratio)):
+        raise ValueError(f"a mode needs omega > 0, W >= 0 and W/omega^2 finite, got {value!r}")
+    return omega, weight, q
 
 
 def _measure_or_fail(resolved: dict):
@@ -251,9 +268,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    resolved = _resolve(args, kappa=1.0, p=0.0)
-    params = resolved["params"]
-    kappa, p = _param(params, "kappa", _coupling), _param(params, "p", _finite)
+    resolved = _resolve(args)
+    kappa, p = resolved["params"]["kappa"], resolved["params"]["p"]
     from .energy import dipole_dispersion, ground_energy
 
     ff = _measure_or_fail(resolved)
@@ -270,17 +286,10 @@ def _cmd_energy(args) -> int:
 
 def _cmd_cutoff_scan(args) -> int:
     resolved = _resolve(args)
-    lambdas = resolved["params"].get("lambdas")
-    if not lambdas:
-        raise ConfigError("cutoff-scan needs --lambda or params.lambdas")
-    lambdas = resolved["params"]["lambdas"] = _param(resolved["params"], "lambdas", _floats)
-    if not all(0.0 < v < math.inf for v in lambdas):
-        raise ConfigError(f"params.lambdas: cutoff values must be positive and finite, "
-                          f"got {lambdas}")
     from .cutoff import cutoff_energy_3d, cutoff_split_I1_I2
 
     def rows():
-        for lam in lambdas:
+        for lam in resolved["params"]["lambdas"]:
             e = cutoff_energy_3d(lam)
             i1, i2 = cutoff_split_I1_I2(lam) if lam > 1.0 else (None, None)
             yield {"lambda": lam, "kappa": 1.0, "p": 0.0, "calE": e,
@@ -292,59 +301,40 @@ def _cmd_cutoff_scan(args) -> int:
 
 
 def _cmd_wiener_hopf(args) -> int:
-    resolved = _resolve(args, kappa=1.0, p=0.0)
+    resolved = _resolve(args)
     params = resolved["params"]
-    kappa, p = _param(params, "kappa", _coupling), _param(params, "p", _finite)
-    if params.get("T_ladder") is not None:
-        ladder = _param(params, "T_ladder", _horizons)
-    elif "T" in params:
-        ladder = _param(params, "T", lambda T: _horizons([T]))
-    else:
+    if "T" not in params and "T_ladder" not in params:
         raise ConfigError("wiener-hopf needs --T or --T-ladder")
     from . import wienerhopf
-    from .energy import dipole_dispersion
 
     ff = _measure_or_fail(resolved)
-    rows = wienerhopf.ak_convergence_report(ff, kappa, ladder)
+    rows = wienerhopf.ak_convergence_report(ff, params["kappa"],
+                                            params.get("T_ladder") or [params["T"]])
     _write_rows(args, resolved, ["T", "n", "logdet_per_T", "ak_target", "ak_dev", "ak_B",
                                  "disc_err", "mass_fn", "mass_target", "mass_dev"], rows)
+    p = params["p"]
     if p != 0.0:
-        rate = wienerhopf.vacuum_rate(ff, p, rows[-1]["logdet_per_T"], rows[-1]["mass_fn"])
+        last = rows[-1]
+        rate = wienerhopf.vacuum_rate(ff, p, last["logdet_per_T"], last["mass_fn"])
+        # at the T -> inf targets: p^2/(2 m_eff) + kappa^2 calE
+        limit = wienerhopf.vacuum_rate(ff, p, last["ak_target"], last["mass_target"])
         print(f"wiener-hopf: -(1/T) log vacuum_amplitude = {rate:.12g} vs "
-              f"dipole dispersion {dipole_dispersion(ff, kappa, p):.12g}",
-              file=sys.stderr)
+              f"dipole dispersion {limit:.12g}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_fock(args) -> int:
     resolved = _resolve(args)
     params = resolved["params"]
-    for key in ("modes", "ntot", "kappa_list", "p_list"):
-        if key not in params:
-            raise ConfigError(f"fock needs {key}")
-    modes = _param(params, "modes", lambda ms: [tuple(_floats(m)) for m in ms])
-    n_tot = _param(params, "ntot", _integer)
-    eps = _param(params, "epsilon", _unit_interval) if "epsilon" in params else 1.0
-    T = _param(params, "T", _nonnegative) if params.get("T") is not None else None
+    T, eps = params.get("T"), params["epsilon"]
     if T is not None and eps != 1.0:
         raise ConfigError(f"params.epsilon: T needs epsilon = 1 (the semigroup residual "
                           f"is taken on the full fiber), got {eps!r}")
-    kappas = _param(params, "kappa_list", _floats)
-    ps = _param(params, "p_list", _floats)
-    for name, key, values in (("kappa", "kappa_list", kappas), ("p", "p_list", ps)):
-        bad = [v for v in values if not math.isfinite(v)]
-        if bad:
-            raise ConfigError(f"{name} must be finite, got {bad[0]} in params.{key}")
-    if min(kappas, default=0.0) < 0.0:
-        raise ConfigError(f"params.kappa_list: kappa must be >= 0, got {min(kappas)}")
-    largest = max(kappas, default=0.0)
-    if not math.isfinite(largest * largest):
-        raise ConfigError(f"params.kappa_list: kappa^2 must be finite, got {largest}")
     from . import fockdesk
 
-    basis = fockdesk.build_basis(modes, n_tot)
+    basis = fockdesk.build_basis(params["modes"], params["ntot"])
     ops = fockdesk.build_operators(basis)
-    rows = fockdesk.wcl_scan(ops, kappas, ps, eps)
+    rows = fockdesk.wcl_scan(ops, params["kappa_list"], params["p_list"], eps)
     if T is not None:
         for row in rows:
             # the row's E_p is the ground energy of the semigroup's H_kappa(p, 1)
@@ -384,25 +374,30 @@ def _cmd_hermite_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-_KAPPA = ("--kappa", {"type": float})
-_P = ("--p", {"type": float})
-_T = ("--T", {"type": float})
+#: a param without a default: the run needs its flag or config key
+REQUIRED = object()
 
-#: subcommand -> (handler, help, flags), in ``--help`` order.  A flag is its
-#: option string and argparse keywords; its dest is the params key it sets.
+_KAPPA = ("--kappa", {}, _coupling, 1.0)
+_P = ("--p", {}, _finite, 0.0)
+
+#: subcommand -> (handler, help, params), in ``--help`` order.  A param is its
+#: option string, argparse keywords, converter and default (a value, REQUIRED,
+#: or None: may stay absent); its dest is its config ``params`` key.
 COMMANDS = {
     "validate": (_cmd_validate, "moment report and assumption check", ()),
     "energy": (_cmd_energy, "ground energy and log-spectral value", (_KAPPA, _P)),
     "cutoff-scan": (_cmd_cutoff_scan, "d=3 sharp-cutoff energy asymptotics", (
         ("--lambda", {"dest": "lambdas", "metavar": "LAM",
-                      "help": "comma-separated cutoff values"}),)),
+                      "help": "comma-separated cutoff values"}, _list(_positive), REQUIRED),)),
     "wiener-hopf": (_cmd_wiener_hopf, "truncated Wiener-Hopf determinant study", (
-        _T, _KAPPA, _P,
-        ("--T-ladder", {"help": "comma-separated increasing horizons"}))),
+        ("--T", {}, _positive, None), _KAPPA, _P,
+        ("--T-ladder", {"help": "comma-separated increasing horizons"}, _ladder, None))),
     "fock": (_cmd_fock, "truncated Fock-space weak-coupling scan", (
-        ("--modes", {"help": "omega:weight:momentum, comma-separated"}),
-        ("--ntot", {"type": int}), ("--kappa-list", {}), ("--p-list", {}),
-        ("--epsilon", {"type": float}), _T)),
+        ("--modes", {"help": "omega:weight:momentum, comma-separated"},
+         _list(_mode), REQUIRED),
+        ("--ntot", {}, _count, REQUIRED), ("--kappa-list", {}, _list(_coupling), REQUIRED),
+        ("--p-list", {}, _list(_finite), REQUIRED),
+        ("--epsilon", {}, _unit_interval, 1.0), ("--T", {}, _nonnegative, None))),
     "hermite-check": (_cmd_hermite_check, "Hermite-polynomial invariant suite", ()),
 }
 
@@ -422,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default csv)")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed for randomized checks")
-        for option, kwargs in flags:
+        for option, kwargs, _, _ in flags:
             sp.add_argument(option, **kwargs)
     return parser
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formfactor import RadialMeasure, moment_report
+from .formfactor import RadialMeasure, _effective_component_count, moment_report
 from .quadrature import adaptive_quad
 
 
@@ -83,11 +83,6 @@ def G_function(ff: RadialMeasure, t):
     """G(t) >= 0, even, with G(0) = 0 for measures without a zero-frequency atom."""
     num, den = dispersion_parts(ff, t)
     return num / (1.0 + den)
-
-
-def _effective_component_count(ff: RadialMeasure) -> int:
-    # discrete measures use the per-component scalar convention
-    return 1 if ff.is_discrete else ff.dimension
 
 
 #: floor of ``estimated_abs_error`` in units in the last place of calE, for the

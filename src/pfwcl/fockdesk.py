@@ -73,6 +73,13 @@ class Mode:
             raise ValueError(f"mode weight must be nonnegative, got {self.weight}")
         if not math.isfinite(self.momentum):
             raise ValueError(f"mode momentum must be finite, got {self.momentum}")
+        try:
+            ratio = self.weight / self.omega**2     # the mode's share of m_eff
+        except (OverflowError, ZeroDivisionError):  # omega^2 overflows or underflows
+            ratio = math.inf
+        if not math.isfinite(ratio):
+            raise ValueError(f"mode W/omega^2 must be a finite double, "
+                             f"got W = {self.weight}, omega = {self.omega}")
 
     @property
     def coupling(self) -> float:
@@ -138,11 +145,6 @@ class FockBasis:
                 index[row, inside] = self.rank(moved)
                 factor[row, inside] = np.sqrt(self.states[inside, j] + max(step, 0))
         return index, factor
-
-    def annihilator(self, j: int) -> GatherOperator:
-        """a_j in the truncated basis: a_j |n> = sqrt(n_j) |n - e_j>."""
-        index, factor = self.ladders
-        return GatherOperator(index[2 * j + 1:2 * j + 2], factor[2 * j + 1:2 * j + 2])
 
 
 @dataclass(frozen=True, eq=False)

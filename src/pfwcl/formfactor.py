@@ -206,6 +206,11 @@ class RadialMeasure:
                                for rk, wk in zip(r, w))
 
 
+def _effective_component_count(ff: RadialMeasure) -> int:
+    # discrete measures use the per-component scalar convention
+    return 1 if ff.is_discrete else ff.dimension
+
+
 def _or_inf(fn, *args) -> float:
     """fn(*args), or inf where numpy gives inf: overflow in pow/fsum, 0.0 ** -n."""
     try:

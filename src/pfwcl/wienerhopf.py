@@ -36,9 +36,8 @@ import numpy as np
 from numpy.linalg import cholesky as cho_factor
 from numpy.linalg import eigh, eigvalsh, solve, svd
 
-from .energy import _effective_component_count, log_spectral_energy
 from .errors import NumericalError
-from .formfactor import RadialMeasure, moment_report
+from .formfactor import RadialMeasure, _effective_component_count, moment_report
 from .normalmodes import merged, secular_roots, secular_vectors
 from .quadrature import gauss_panels
 
@@ -230,18 +229,19 @@ def vacuum_amplitude(ff: RadialMeasure, kappa: float, p: float, T: float) -> flo
 
 
 def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list) -> list[dict]:
-    """Per-horizon rows: the log-det rate against the log-spectral target, the
-    constant term ``ak_B`` (T ak_dev -> ak_B), the bound ``disc_err`` on its
-    truncation error, the mass functional against 1/m_eff, and the state
-    count ``n``."""
+    """Per-horizon rows: the log-det rate against its T -> inf limit ``ak_target``,
+    kappa^2 times the realization's Ahiezer-Kac rate (the log-spectral value,
+    exact for point masses), the constant term ``ak_B`` (T ak_dev -> ak_B), the
+    bound ``disc_err`` on the truncation error, the mass functional against
+    1/m_eff, and the state count ``n``."""
     T_list = list(T_list)
     if not T_list:
         raise ValueError("T_list must be nonempty")
     if any(b <= a for a, b in zip(T_list[:-1], T_list[1:])):
         raise ValueError("T_list must be increasing")
-    ak_target = log_spectral_energy(ff, kappa)
-    mass_target = 1.0 / moment_report(ff).m_eff
     ss = realization(ff)
+    ak_target = kappa * kappa * ss.asymptote[0] if len(ss.lam) else 0.0
+    mass_target = 1.0 / moment_report(ff).m_eff
     fixed = {"n": len(ss.lam), "ak_target": ak_target, "mass_target": mass_target,
              "ak_B": ss.asymptote[1] if len(ss.lam) and kappa > 0.0 else 0.0,
              "disc_err": ss.disc_err(kappa)}

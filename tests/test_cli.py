@@ -17,6 +17,8 @@ PM_MEASURE = {"dimension": 3,
                           "atoms": [{"omega": 1.0, "weight": 3.0}]}}
 
 FOCK_ARGS = ["fock", "--modes", "1:3:0", "--kappa-list", "1", "--p-list", "0"]
+#: a complete fock params object, which a test's params update and its flags override
+FOCK_PARAMS = {"modes": [[1, 3, 0]], "ntot": 4, "kappa_list": [1], "p_list": [0]}
 
 
 def write_config(tmp_path, name, payload):
@@ -428,15 +430,15 @@ def test_lapack_failure_exits_three(tmp_path, capsys, monkeypatch):
 
 
 def numpy_after(argv) -> list:
-    """[exit code, numpy loaded] of a fresh interpreter after ``run(argv)``;
-    ``argv`` None only imports the driver."""
+    """[exit code, numpy loaded, stdout, stderr] of a fresh interpreter after
+    ``run(argv)``; ``argv`` None only imports the driver."""
     call = "None" if argv is None else f"run({argv!r})"
     code = ("import contextlib, io, json, sys; from pfwcl.cli import run\n"
-            "with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
             f"    try:\n        code = {call}\n"
             "    except SystemExit as exc:\n        code = exc.code\n"
-            "print(json.dumps([code, 'numpy' in sys.modules]))")
+            "print(json.dumps([code, 'numpy' in sys.modules, out.getvalue(), err.getvalue()]))")
     return json.loads(run_python(["-c", code]))
 
 
@@ -444,35 +446,55 @@ def numpy_after(argv) -> list:
     "validate", "energy", "cutoff-scan", "wiener-hopf", "fock", "hermite-check")],
     ids=lambda argv: "import" if argv is None else argv[0])
 def test_help_loads_no_numpy(argv):
-    assert numpy_after(argv) == [None if argv is None else 0, False]
+    assert numpy_after(argv)[:2] == [None if argv is None else 0, False]
 
 
-@pytest.mark.parametrize("argv", [
-    FOCK_ARGS + ["--ntot", "4", "--kappa-list", "nan"],
-    FOCK_ARGS + ["--config", "{ntot_frac}"],
-    ["cutoff-scan", "--lambda", "inf"],
-    ["hermite-check", "--seed", "-1"],
-    ["wiener-hopf", "--config", "{cfg}"],
-    ["energy", "--config", "{cfg}", "--kappa", "nan"],
-    ["wiener-hopf", "--config", "{cfg}", "--T", "inf"],
-    ["wiener-hopf", "--config", "{cfg}", "--T-ladder", "10,5"],
-    ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "-1"],
-    ["energy", "--config", "{cfg}", "--kappa", "1e200"],
-    ["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "1e200"],
-    FOCK_ARGS + ["--ntot", "4", "--kappa-list", "1,1e200"],
-    ["validate", "--config", "{tiny_lambda}"],
-    ["validate", "--config", "{tiny_first_radius}"],
+@pytest.mark.parametrize("argv, field", [
+    (FOCK_ARGS + ["--ntot", "4", "--kappa-list", "nan"], "params.kappa_list"),
+    (FOCK_ARGS + ["--config", "{ntot_frac}"], "params.ntot"),
+    (["cutoff-scan", "--lambda", "inf"], "params.lambdas"),
+    (["hermite-check", "--seed", "-1"], "seed must be"),
+    (["wiener-hopf", "--config", "{cfg}"], "needs --T or --T-ladder"),
+    (["energy", "--config", "{cfg}", "--kappa", "nan"], "params.kappa"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "inf"], "params.T"),
+    (["wiener-hopf", "--config", "{cfg}", "--T-ladder", "10,5"], "params.T_ladder"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "-1"], "params.kappa"),
+    (["energy", "--config", "{cfg}", "--kappa", "1e200"], "params.kappa"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "1e200"], "params.kappa"),
+    (FOCK_ARGS + ["--ntot", "4", "--kappa-list", "1,1e200"], "params.kappa_list"),
+    (["validate", "--config", "{tiny_lambda}"], "profile.lambda"),
+    (["validate", "--config", "{tiny_first_radius}"], "profile.points"),
+    (["fock", "--config", "{modes_one_field}"], "params.modes"),
+    (["fock", "--config", "{modes_four_fields}"], "params.modes"),
+    (["fock", "--config", "{modes_empty}"], "params.modes"),
+    (["fock", "--config", "{kappa_list_empty}"], "params.kappa_list"),
+    (["fock", "--config", "{kappa_list_scalar}"], "params.kappa_list"),
+    (FOCK_ARGS + ["--ntot", "0"], "params.ntot"),
+    (["fock", "--modes", "0:1", "--ntot", "4", "--kappa-list", "1", "--p-list", "0"],
+     "params.modes"),
+    (["fock", "--modes", "1e-200:1", "--ntot", "4", "--kappa-list", "1", "--p-list", "0"],
+     "params.modes"),
 ], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed", "wh_no_horizon",
         "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
         "energy_kappa_squared_inf", "wh_kappa_squared_inf", "fock_kappa_squared_inf",
-        "validate_tiny_lambda", "validate_tiny_first_radius"])
-def test_params_error_loads_no_numpy(tmp_path, argv):
+        "validate_tiny_lambda", "validate_tiny_first_radius", "fock_modes_one_field",
+        "fock_modes_four_fields", "fock_modes_empty", "fock_kappa_list_empty",
+        "fock_kappa_list_scalar", "fock_ntot_0", "fock_omega_0",
+        "fock_omega_squared_underflows"])
+def test_params_error_loads_no_numpy(tmp_path, argv, field):
     # the driver checks its params, and the measure its edges, on the standard
-    # library, before a handler imports a numeric module
+    # library, before a handler imports a numeric module, and writes no row
+    fock = {key: {"params": {**FOCK_PARAMS, **params}} for key, params in (
+        ("modes_one_field", {"modes": [[1]]}), ("modes_four_fields", {"modes": [[1, 1, 0.5, 7]]}),
+        ("modes_empty", {"modes": []}), ("kappa_list_empty", {"kappa_list": []}),
+        ("kappa_list_scalar", {"kappa_list": 3}))}
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
              "ntot_frac": write_config(tmp_path, "ntot.json", {"params": {"ntot": 3.7}}),
+             **{key: write_config(tmp_path, f"{key}.json", cfg) for key, cfg in fock.items()},
              **non_finite_configs(tmp_path)}
-    assert numpy_after([arg.format(**paths) for arg in argv]) == [2, False]
+    code, numpy, out, err = numpy_after([arg.format(**paths) for arg in argv])
+    assert [code, numpy, out] == [2, False, ""]
+    assert field in err
 
 
 def loaded_modules(argv) -> set:
@@ -527,6 +549,8 @@ def test_no_subcommand_loads_numpy_random_or_polynomial(tmp_path, argv):
     assert not loaded & {"numpy.random", "numpy.polynomial"}
     # both pipelines read their normal modes from one solver
     assert ("pfwcl.normalmodes" in loaded) == (argv[0] in ("wiener-hopf", "fock"))
+    # wiener-hopf reads its targets from the realization: no t-quadrature
+    assert ("pfwcl.energy" in loaded) == (argv[0] == "energy")
 
 
 def test_validate_loads_neither_energy_nor_hermite(tmp_path):
@@ -610,6 +634,30 @@ def test_flag_overrides_config_param(tmp_path, argv, params, key, expected):
     assert json.loads(out.read_text())["config"]["params"][key] == expected
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["energy", "--kappa", "1", "--p", "0.5"], {"kappa": 1, "p": 0.5}),
+    (["cutoff-scan", "--lambda", "1,10"], {"lambdas": [1, 10]}),
+    (["wiener-hopf", "--T-ladder", "5,10", "--kappa", "1", "--p", "0.3"],
+     {"T_ladder": [5, 10], "kappa": 1, "p": 0.3}),
+    (["fock", "--modes", "1:1:0.6,2:2", "--ntot", "8", "--kappa-list", "1,2",
+      "--p-list", "0,0.2", "--T", "1"],
+     {"modes": [[1, 1, 0.6], [2, 2]], "ntot": 8, "kappa_list": [1, 2], "p_list": [0, 0.2],
+      "T": 1}),
+], ids=["energy", "cutoff-scan", "wiener-hopf", "fock"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_flags_and_config_print_identical_bytes(tmp_path, capsys, argv, params, fmt):
+    # one converter per param: integer config values and flag text resolve to
+    # the same typed values, so the echoed config and every row agree
+    bare = write_config(tmp_path, "bare.json", {"measure": PM_MEASURE})
+    full = write_config(tmp_path, "full.json", {"measure": PM_MEASURE, "params": params})
+    outs = []
+    for args in ([*argv, "--config", bare], [argv[0], "--config", full]):
+        assert run([*args, "--format", fmt, "--output", "-"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) >= 3
+
+
 def non_finite_configs(tmp_path) -> dict:
     """Configs whose measure holds NaN or Infinity, which json.load accepts,
     finite points whose moments overflow a double, a first edge at the
@@ -690,34 +738,46 @@ def test_bad_input_exits_two(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("ntot", ["16", "24", "30"])     # dim 153, 325, 496
 @pytest.mark.parametrize("flags, field", [
-    (["--modes", "1:1:nan,2:2:0", "--kappa-list", "1", "--p-list", "0.2"], "mode momentum"),
-    (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "nan", "--p-list", "0.2"], "kappa"),
-    (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "1", "--p-list", "inf"], "p"),
-])
+    (["--modes", "1:1:nan,2:2:0", "--kappa-list", "1", "--p-list", "0.2"], "params.modes"),
+    (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "nan", "--p-list", "0.2"],
+     "params.kappa_list"),
+    (["--modes", "1:1:0.6,2:2:-0.6", "--kappa-list", "1", "--p-list", "inf"], "params.p_list"),
+], ids=["flags0-mode momentum", "flags1-kappa", "flags2-p"])
 def test_non_finite_fock_input_names_its_field(capsys, ntot, flags, field):
     # at every size: refused as input, not a numerical failure of the solver
     assert run(["fock", "--ntot", ntot, *flags]) == 2
-    assert f"configuration error: {field} must be finite" in capsys.readouterr().err
+    assert f"configuration error: {field}: must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("params, flags, field", [
     ({"ntot": 3.7}, [], "params.ntot: must be an integer"),
     ({"ntot": True}, [], "params.ntot: must be an integer"),
-    ({}, ["--ntot", "4", "--kappa-list", "1,-1"], "params.kappa_list: kappa must be >= 0"),
-    ({}, ["--ntot", "4", "--kappa-list", "1e200"],
-     "params.kappa_list: kappa^2 must be finite"),
-    ({}, ["--ntot", "4", "--epsilon", "nan"], "params.epsilon: must lie in [0, 1]"),
-    ({}, ["--ntot", "4", "--epsilon", "2"], "params.epsilon: must lie in [0, 1]"),
+    ({}, ["--kappa-list", "1,-1"], "params.kappa_list: must be >= 0"),
+    ({}, ["--kappa-list", "1e200"], "params.kappa_list: kappa^2 must be finite"),
+    ({}, ["--epsilon", "nan"], "params.epsilon: must lie in [0, 1]"),
+    ({}, ["--epsilon", "2"], "params.epsilon: must lie in [0, 1]"),
+    ({"modes": [[1]]}, [], "params.modes: a mode is omega:W[:q]"),
+    ({"modes": [[1, 1, 0.5, 7]]}, [], "params.modes: a mode is omega:W[:q]"),
+    ({"modes": []}, [], "params.modes: must not be empty"),
+    ({"kappa_list": []}, [], "params.kappa_list: must not be empty"),
+    ({"kappa_list": 3}, [], "params.kappa_list: must be a list"),
+    ({}, ["--ntot", "0"], "params.ntot: must be >= 1"),
+    ({}, ["--modes", "0:1"], "params.modes: a mode needs omega > 0"),
+    ({}, ["--modes", "1:-1"], "params.modes: a mode needs omega > 0, W >= 0"),
+    ({}, ["--modes", "1e-200:1"], "params.modes: a mode needs omega > 0, W >= 0 and "
+                                  "W/omega^2 finite, got '1e-200:1'"),
 ], ids=["ntot_3.7", "ntot_true", "kappa_negative", "kappa_squared_inf", "epsilon_nan",
-        "epsilon_2"])
+        "epsilon_2", "modes_one_field", "modes_four_fields", "modes_empty",
+        "kappa_list_empty", "kappa_list_scalar", "ntot_0", "omega_0", "weight_negative",
+        "omega_squared_underflows"])
 def test_bad_fock_param_names_its_field(tmp_path, capsys, monkeypatch, params, flags, field):
     # refused before the basis is built: A -> -A maps kappa to -kappa, so a
     # negative kappa would print the numbers of |kappa|
     from pfwcl import fockdesk
     built = []
     monkeypatch.setattr(fockdesk, "build_basis", lambda *a: built.append(a))
-    cfg = write_config(tmp_path, "fock.json", {"params": params})
-    assert run([*FOCK_ARGS, "--config", cfg, *flags]) == 2
+    cfg = write_config(tmp_path, "fock.json", {"params": {**FOCK_PARAMS, **params}})
+    assert run(["fock", "--config", cfg, *flags]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"configuration error: {field}" in err
     assert built == []

@@ -23,6 +23,13 @@ def dense(operator):
     return operator @ np.eye(operator.shape[0])
 
 
+def annihilator(basis, j):
+    """a_j in the truncated basis, a_j |n> = sqrt(n_j) |n - e_j>: row 2j + 1 of
+    the ladder table."""
+    index, factor = basis.ladders
+    return fockdesk.GatherOperator(index[2 * j + 1:2 * j + 2], factor[2 * j + 1:2 * j + 2])
+
+
 def _loop_states(M, n_tot):
     """The per-state reference enumeration: multisets of size k over M modes,
     k = 0 .. n_tot, each in itertools order, with a tuple -> position dict."""
@@ -70,6 +77,13 @@ class TestBasis:
         with pytest.raises(BasisSizeError):
             build_basis([(1.0, 1.0, 0.0)] * 5, 30)
 
+    @pytest.mark.parametrize("omega, weight", [(1e-200, 1.0), (1e-160, 1.0), (1e-200, 0.0),
+                                               (1e200, 1.0)])
+    def test_mode_refuses_non_finite_mass_share(self, omega, weight):
+        # omega^2 underflows (or overflows), where m_eff would divide by zero
+        with pytest.raises(ValueError, match=r"W/omega\^2 must be a finite double"):
+            fockdesk.Mode(omega, weight)
+
     def test_index_round_trip(self):
         basis = build_basis([(1.0, 1.0, 0.1), (2.0, 1.0, -0.1)], 4)
         for pos, state in enumerate(basis.states):
@@ -108,11 +122,11 @@ class TestBasis:
         interior = basis.states.sum(axis=1) <= basis.n_tot - 2
         eye = np.eye(basis.dim)
         for j in range(2):
-            a = dense(basis.annihilator(j))
+            a = dense(annihilator(basis, j))
             comm = a @ a.T - a.T @ a
             sub = comm[np.ix_(interior, interior)] - eye[np.ix_(interior, interior)]
             assert np.max(np.abs(sub)) < 1e-13
-        a0, a1 = dense(basis.annihilator(0)), dense(basis.annihilator(1))
+        a0, a1 = dense(annihilator(basis, 0)), dense(annihilator(basis, 1))
         cross = a0 @ a1.T - a1.T @ a0
         assert np.max(np.abs(cross[np.ix_(interior, interior)])) == 0.0
 

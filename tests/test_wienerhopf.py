@@ -405,6 +405,14 @@ class TestAkReport:
         assert abs(rows[0]["ak_dev"]) / rows[0]["ak_target"] < 0.05
         assert 0.0 < rows[0]["mass_fn"] <= 1.0
 
+    def test_point_mass_target_is_exact(self):
+        # ak_target is kappa^2 times the realization's rate, exact for point
+        # masses, so at T = 1e6, where ak_B / T is far below rounding, ak_dev
+        # is rounding (about 170 eps with a t-quadrature's target)
+        ff = RadialMeasure(3, PointMasses([(1e3, 1e-3)]))
+        row = ak_convergence_report(ff, 1.0, [1e3, 1e6])[-1]
+        assert abs(row["ak_dev"]) <= 4.0 * np.finfo(float).eps * row["ak_target"]
+
     def test_decreasing_T_rejected(self, pm_atom):
         with pytest.raises(ValueError):
             ak_convergence_report(pm_atom, 1.0, [10.0, 5.0])
