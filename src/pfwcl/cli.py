@@ -1,10 +1,12 @@
 """Command-line driver: reproducible batch runs with JSON config and CSV/JSON output.
 
 Exit codes: 0 success, 2 configuration error (bad flags, config or arguments),
-3 numerical failure (the failing operation is named on stderr).  Data goes to
-stdout only with ``--output -``; diagnostics always go to stderr.  Identical
-config (and seed) yields byte-identical output: floats are printed with 17
-significant digits and the resolved config is echoed into the output header.
+3 numerical failure (the failing operation is named on stderr).  A stdout
+closed early (``| head``) is no failure: ``main`` points it at the null device,
+so the final flush stays silent, and exits 0 unless ``run`` returned 2 or 3.
+Data goes to stdout only with ``--output -``; diagnostics always go to stderr.
+Identical config (and seed) yields byte-identical output: floats are printed
+with 17 significant digits and the resolved config is echoed into the header.
 
 Each subcommand is declared once, in ``COMMANDS``, with its params: a param's
 flag dest is its config ``params`` key, and one converter serves flag text and
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
+import os
 import sys
 
 from .errors import NumericalError, QuadratureError
@@ -254,6 +256,7 @@ def _write_rows(args, resolved: dict, columns, rows) -> None:
 
 def _cmd_validate(args) -> int:
     resolved = _resolve(args)
+    import dataclasses                      # only here: it loads inspect and ast
     from .formfactor import moment_report
 
     ff = _measure_or_fail(resolved)
@@ -444,7 +447,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = EXIT_OK
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:                 # the reader closed stdout early
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -151,7 +151,7 @@ class FockBasis:
 class GatherOperator:
     """A sparse matrix with R entries per row: row i holds weights[r, i] in
     column index[r, i] (zero weights pad short rows), so that
-    M v = sum_r weights[r] v[index[r]], one numpy gather per r."""
+    M v = sum_r weights[r] v[index[r]], one gather and one reduction."""
 
     index: np.ndarray = field(repr=False)      # (R, dim) int
     weights: np.ndarray = field(repr=False)    # (R, dim) float
@@ -165,16 +165,8 @@ class GatherOperator:
         return int(np.count_nonzero(self.weights))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """M v for a vector or a block of columns; the R terms are added in order."""
-        gathered = np.take(v, self.index, axis=0)
-        gathered *= self.weights if v.ndim == 1 else self.weights[..., None]
-        return gathered.sum(axis=0)
-
-    def scaled(self, factor: float) -> GatherOperator:
-        return GatherOperator(self.index, factor * self.weights)
-
-    def abs_row_sums(self) -> np.ndarray:
-        return np.abs(self.weights).sum(axis=0)
+        """M v for a vector v; the R terms are added in row order."""
+        return np.einsum("rd,rd->d", self.weights, np.take(v, self.index))
 
 
 def _tail_sums(M: int, n_tot: int) -> np.ndarray:
@@ -275,12 +267,11 @@ class FiberHamiltonian:
     def _parts(self):
         """The diagonal of B, kappa A, and the diagonal part scale kappa^2 H_f + shift."""
         diag = self.scale * self.kappa**2 * self.ops.Hf + self.shift
-        return self.p - self.eps * self.ops.Pf, self.ops.A.scaled(self.kappa), diag
+        kA = GatherOperator(self.ops.A.index, self.kappa * self.ops.A.weights)
+        return self.p - self.eps * self.ops.Pf, kA, diag
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         D, kA, diag = self._parts
-        if v.ndim == 2:
-            D, diag = D[:, None], diag[:, None]
         u = D * v - kA @ v
         out = D * u - kA @ u
         out *= 0.5 * self.scale
@@ -299,7 +290,7 @@ class FiberHamiltonian:
         sum of (1/2)|B|(|B| 1) + kappa^2 H_f, which dominates that of |H| (Gershgorin)."""
         D, kA, _ = self._parts
         absD, abs_kA = np.abs(D), GatherOperator(kA.index, np.abs(kA.weights))
-        row = absD + abs_kA.abs_row_sums()                  # |B| 1
+        row = absD + abs_kA.weights.sum(axis=0)             # |B| 1
         return float(np.max(0.5 * (absD * row + abs_kA @ row) + self.kappa**2 * self.ops.Hf))
 
 
@@ -382,36 +373,36 @@ def _lobpcg(apply, start: np.ndarray, precondition, tol: float, unit: float,
     fresh product apply(x), since the updated one drifts.  ``stage`` names
     the failure.
     """
-    x = start / _norm(start)
-    Hx = apply(x)
-    p = Hp = None
+    work = np.empty((3, 2, start.size))          # rows x, p, w, each with its image
+    x, p = work[0], work[1]
+    x[0] = start / _norm(start)
+    x[1] = apply(x[0])
+    n = 1                                        # rows in use: x, and p once set
     for _ in range(EIGEN_MAX_STEPS):
-        theta = _dot(x, Hx)
-        r = Hx - theta * x
+        theta = _dot(*x)
+        r = x[1] - theta * x[0]
         if _norm(r) <= tol * max(unit, abs(theta)):
-            Hx = apply(x)
-            theta = _dot(x, Hx)
-            r = Hx - theta * x
+            x[1] = apply(x[0])
+            theta = _dot(*x)
+            r = x[1] - theta * x[0]
             if _norm(r) <= tol * max(unit, abs(theta)):
-                return x, Hx
-        basis, images = ([x], [Hx]) if p is None else ([x, p], [Hx, Hp])
-        w = r if precondition is None else precondition * r
-        for _ in range(2):                       # Gram-Schmidt, twice is enough
-            for b in basis:
-                w -= _dot(b, w) * b
-        w /= _norm(w)
-        basis, images = np.array(basis + [w]), np.array(images + [apply(w)])
-        projected = np.einsum("id,jd->ij", basis, images)
+                return x[0].copy(), x[1].copy()
+        w = work[n]
+        w[0] = r if precondition is None else precondition * r
+        for _ in range(2):                       # modified Gram-Schmidt, twice is enough
+            for b in work[:n, 0]:
+                w[0] -= _dot(b, w[0]) * b
+        w[0] /= _norm(w[0])
+        w[1] = apply(w[0])
+        projected = np.einsum("id,jd->ij", work[:n + 1, 0], work[:n + 1, 1])
         c = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
-        p, Hp = np.einsum("i,id->d", c[1:], basis[1:]), np.einsum("i,id->d", c[1:], images[1:])
-        x, Hx = c[0] * x + p, c[0] * Hx + Hp
-        scale = _norm(x)
-        x, Hx = x / scale, Hx / scale
-        overlap = _dot(x, p)                     # keep p orthogonal to x
-        p -= overlap * x
-        Hp -= overlap * Hx
-        scale = _norm(p)
-        p, Hp = (p / scale, Hp / scale) if scale > 0.0 else (None, None)
+        p[...] = np.einsum("i,ijd->jd", c[1:], work[1:n + 1])
+        x[...] = c[0] * x + p
+        x /= _norm(x[0])
+        p -= _dot(x[0], p[0]) * x                # keep p orthogonal to x
+        scale = _norm(p[0])
+        p /= scale or 1.0                        # a vanished p drops out: n = 1
+        n = 2 if scale > 0.0 else 1
     raise NumericalError(f"{stage} failed: no convergence in {EIGEN_MAX_STEPS} steps")
 
 

@@ -32,14 +32,19 @@ def write_config(tmp_path, name, payload):
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
-def run_python(args, threads=None) -> bytes:
-    """Stdout of a fresh interpreter that imports this checkout's pfwcl,
-    with the thread-count variables ``threads`` (default: none set)."""
+def child_env(threads=None) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    pfwcl, with the thread-count variables ``threads`` (default: none set)."""
     env = {key: value for key, value in os.environ.items() if key not in ONE_THREAD}
     env.update(threads or {})
     src = os.path.dirname(os.path.dirname(pfwcl.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], env=env, check=True,
+    return env
+
+
+def run_python(args, threads=None) -> bytes:
+    """Stdout of a fresh interpreter in ``child_env(threads)``."""
+    return subprocess.run([sys.executable, *args], env=child_env(threads), check=True,
                           capture_output=True).stdout
 
 
@@ -499,9 +504,12 @@ def test_params_error_loads_no_numpy(tmp_path, argv, field):
 
 def loaded_modules(argv) -> set:
     """The modules a fresh interpreter holds after ``pfwcl.cli.run(argv)``
-    exits 0, its data written to the null device."""
-    code = ("import json, os, sys; from pfwcl.cli import run; "
-            f"code = run({[*argv, '--output', os.devnull]!r}); "
+    exits 0 (a ``--help`` by ``SystemExit``), its data written to the null
+    device."""
+    code = ("import contextlib, io, json, os, sys; from pfwcl.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    try:\n        code = run({[*argv, '--output', os.devnull]!r})\n"
+            "    except SystemExit as exc:\n        code = exc.code\n"
             "print(json.dumps([code, sorted(sys.modules)]))")
     code, modules = json.loads(run_python(["-c", code]))
     assert code == 0
@@ -527,6 +535,16 @@ def test_hermite_check_loads_no_spectral_module():
     loaded = loaded_modules(["hermite-check", "--seed", "3"])
     assert "pfwcl.hermite" in loaded and "numpy.random" not in loaded
     assert not loaded & SPECTRAL_MODULES
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[sub, "--help"] for sub in (
+    "validate", "energy", "cutoff-scan", "wiener-hopf", "fock", "hermite-check")],
+    ids=lambda argv: argv[0])
+def test_help_loads_no_dataclasses(argv):
+    # only validate's moment report needs dataclasses, which loads inspect,
+    # ast, dis and tokenize
+    assert "dataclasses" not in loaded_modules(argv)
 
 
 GAUSSIAN_MEASURE = {"dimension": 3, "profile": {"type": "gaussian", "sigma": 1.0}}
@@ -584,6 +602,7 @@ def test_validate_and_cutoff_scan_load_no_numpy(tmp_path, argv):
     # run on the standard library
     loaded = loaded_modules(stdlib_argv(tmp_path, argv))
     assert "pfwcl.quadrature" in loaded and "numpy" not in loaded
+    assert ("dataclasses" in loaded) == (argv[0] == "validate")
 
 
 @pytest.mark.parametrize("argv", STDLIB_RUNS, ids=lambda argv: argv[0] + "-" + argv[-1])
@@ -595,6 +614,20 @@ def test_validate_and_cutoff_scan_run_without_numpy(tmp_path, argv):
                           "from pfwcl.cli import main; sys.argv[1:] = " + repr(argv) + "; main()"])
     assert blocked == run_python(["-m", "pfwcl.cli", *argv])
     assert blocked.count(b"\n") >= 3
+
+
+def test_early_closed_stdout_exits_0_quietly():
+    # a reader that stops after one line (``| head -1``) leaves a good run
+    # good: exit 0, and no BrokenPipeError traceback on stderr
+    lambdas = ",".join(str(1 + k) for k in range(200))
+    proc = subprocess.Popen([sys.executable, "-m", "pfwcl.cli", "cutoff-scan",
+                             "--lambda", lambdas], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# config: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert [proc.wait(), err] == [0, b""]
 
 
 def test_wiener_hopf_runs_without_scipy(tmp_path):

@@ -20,7 +20,7 @@ TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 
 def dense(operator):
     """The matrix of a gather table or fiber Hamiltonian, column by column."""
-    return operator @ np.eye(operator.shape[0])
+    return np.column_stack([operator @ e for e in np.eye(operator.shape[0])])
 
 
 def annihilator(basis, j):
@@ -142,6 +142,16 @@ class TestOperators:
         assert ops.Hf.shape == ops.Pf.shape == (ops.dim,)
         assert np.allclose(ops.Hf, occ @ np.array([1.0, 2.0]))
         assert np.allclose(ops.Pf, occ @ np.array([0.5, -0.5]))
+
+    def test_gather_sums_rows_in_order(self, two_mode_ops):
+        # A v adds its R gathered terms in row order, the order the fock output
+        # bytes rest on; the loop construction above applies A to unit vectors
+        # only, where every order gives the same bytes
+        A = two_mode_ops.A
+        assert two_mode_ops.dim == 1953
+        v = np.random.default_rng(7).standard_normal(two_mode_ops.dim)
+        expected = (np.take(v, A.index) * A.weights).sum(axis=0)
+        assert (A @ v).tobytes() == expected.tobytes()
 
     def test_fiber_hamiltonian_symmetric(self):
         ops = build_operators(build_basis([(1.0, 3.0, 0.2)], 8))
@@ -292,7 +302,8 @@ class TestGroundState:
             applied.clear()
             lam = ground_state(H)[0]
             assert len(applied) <= fockdesk.EIGEN_MAX_STEPS // 2
-            exact = np.linalg.eigvalsh(real(H, np.eye(ops.dim)))[0]
+            matrix = np.column_stack([real(H, e) for e in np.eye(ops.dim)])
+            exact = np.linalg.eigvalsh(matrix)[0]
             assert abs(lam - exact) <= 1e-11 * max(1.0, abs(exact))
 
     def test_start_vector_pinned_and_read_only(self):
