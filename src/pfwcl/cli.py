@@ -16,7 +16,10 @@ modules: ``validate`` loads ``formfactor`` and ``quadrature``, ``cutoff-scan``
 ``cutoff`` and ``quadrature``, both on the standard library; ``energy`` adds
 ``energy``, ``wiener-hopf`` ``wienerhopf`` and ``normalmodes``, ``fock`` loads
 ``fockdesk`` and ``normalmodes``, and ``hermite-check`` ``hermite``.  So
-``--help``, the params checks, ``validate`` and ``cutoff-scan`` load no numpy.
+``--help``, the params and measure checks, ``validate`` and ``cutoff-scan``
+load no numpy: ``energy`` and ``wiener-hopf`` build their measure before they
+import it, so a bad measure exits 2 without it and the memory that compiling
+and building the measure used is free again when numpy loads.
 The others run on numpy alone, and none loads ``numpy.random`` or
 ``numpy.polynomial``: seeded draws come from the standard library's ``random``
 and Gauss-Legendre rules from ``quadrature``.
@@ -273,9 +276,9 @@ def _cmd_validate(args) -> int:
 def _cmd_energy(args) -> int:
     resolved = _resolve(args)
     kappa, p = resolved["params"]["kappa"], resolved["params"]["p"]
+    ff = _measure_or_fail(resolved)     # on the standard library, before numpy loads
     from .energy import dipole_dispersion, ground_energy
 
-    ff = _measure_or_fail(resolved)
     result = ground_energy(ff)
     ls = kappa * kappa * result.log_spectral     # = log_spectral_energy(ff, kappa)
     disp = dipole_dispersion(ff, kappa, p, cal_e=result.calE)
@@ -308,9 +311,9 @@ def _cmd_wiener_hopf(args) -> int:
     params = resolved["params"]
     if "T" not in params and "T_ladder" not in params:
         raise ConfigError("wiener-hopf needs --T or --T-ladder")
+    ff = _measure_or_fail(resolved)     # on the standard library, before numpy loads
     from . import wienerhopf
 
-    ff = _measure_or_fail(resolved)
     rows = wienerhopf.ak_convergence_report(ff, params["kappa"],
                                             params.get("T_ladder") or [params["T"]])
     _write_rows(args, resolved, ["T", "n", "logdet_per_T", "ak_target", "ak_dev", "ak_B",

@@ -294,17 +294,41 @@ def _check_square_integrability(ff: RadialMeasure) -> None:
 
     The analytic endpoint test catches a divergence at the origin; the sums on
     the radial rule (built here once, about 0.2 ms) catch weights that
-    overflow a double.
+    overflow a double.  For sharp and gaussian profiles they must also be
+    normal doubles, which underflow on the rule cannot have moved by eps.
     """
     bad = [s for s in (1, -1, -2) if _origin_exponent_divergent(ff, s)]
     if bad:
         reasons = "; ".join(_ASSUMPTION_LABELS[s] for s in bad)
         raise MeasureError(
             f"form factor violates the standing integrability conditions: {reasons}")
-    bad = [s for s in (1, -1, -2) if not math.isfinite(moment(ff, s))]
+    moments = {s: moment(ff, s) for s in (1, -1, -2)}
+    bad = [s for s, m in moments.items() if not math.isfinite(m)]
     if bad:
         raise MeasureError(f"profile moments M_s, s in {bad}, must be finite, but they "
                            "overflow a double on the radial rule")
+    p = ff.profile
+    if isinstance(p, (SharpCutoff, GaussianProfile)):
+        bad = [s for s, m in moments.items() if not (
+            m >= sys.float_info.min and _underflow_bound(ff, s) <= sys.float_info.epsilon * m)]
+        if bad:
+            field, scale = (("profile.lambda", p.lam) if isinstance(p, SharpCutoff)
+                            else ("profile.sigma", p.sigma))
+            raise MeasureError(f"{field} = {scale} is too small: the profile moments M_s, s in "
+                               f"{bad}, are below the normal range of a double or lose more "
+                               "than eps to underflow on the radial rule")
+
+
+def _underflow_bound(ff: RadialMeasure, s: int) -> float:
+    """A bound on the part of M_s that underflow hides on a rule where phi > 0
+    at every node (sharp and gaussian): a weight below the normal range hides
+    a term below float_info.min r^s, a term below it at most float_info.min."""
+    tiny, bounds = sys.float_info.min, []
+    for rk, wk in zip(*ff._float_rule):
+        rs = _or_inf(pow, rk, s)
+        if wk < tiny or wk * rs < tiny:
+            bounds.append(tiny * max(1.0, rs))
+    return _or_inf(math.fsum, bounds) / ff.polarization_factor
 
 
 # ---------------------------------------------------------------------------

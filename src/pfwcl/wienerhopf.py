@@ -8,6 +8,12 @@ Cov z = I.  So one realization (lam, g) per measure serves every kappa and T.
 A point-mass rule, equal frequencies merged, is its own realization; a continuum
 rule (A = -diag(r), b = sqrt(w/(2r))) is cut by balanced truncation (Moore 1981)
 to the states whose Hankel singular value exceeds TRUNCATION_TOL of the largest.
+Its K-node stage (a pivoted Cholesky of the gramian, classical Gram-Schmidt
+twice on the factor, the projections of A and b) runs in numpy's own loops, and
+one svd of the small r0 x r0 Gram-Schmidt factor gives the singular values:
+LAPACK and BLAS see only matrices of the state count, which keeps the K x r0
+svd's memory out of the process and the output bytes independent of the BLAS
+thread count.
 
 The symbol 1 + rho_hat_1 = prod (t^2 + mu^2) / prod (t^2 + lam^2) is rational,
 mu^2, Q the normal modes of diag(lam^2) + v v^T, v = sqrt(2 lam) g (normalmodes),
@@ -98,7 +104,14 @@ def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
     """Reduce A = -diag(r), b = sqrt(w/(2r)) by a pivoted Cholesky of its gramian.
 
     The Schur complement of b_i b_j/(r_i + r_j) after pivot k is again Cauchy,
-    with b_i (r_i - r_k)/(r_i + r_k): O(K) per column, no K x K matrix.
+    with b_i (r_i - r_k)/(r_i + r_k): O(K) per column, no K x K matrix.  With
+    its r0 columns stacked as the rows of Q, the factor is Q^T R after classical
+    Gram-Schmidt applied twice (Giraud, Langou and Rozloznik 2005), so one svd
+    of the r0 x r0 R gives its singular values and kept directions V, and A
+    and b project to V^T Q diag(r) Q^T V and V^T Q b.  Every contraction over
+    the K nodes is an ``einsum`` in numpy's own loops: no LAPACK or BLAS call
+    sees a K-length axis, which saves the memory of a K x r0 svd and keeps the
+    bytes independent of the BLAS thread count.
     """
     b = np.sqrt(w / (2.0 * r))
     gen, cols = b.copy(), []
@@ -109,10 +122,24 @@ def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
         cols.append(gen * (math.sqrt(2.0 * r[k]) * np.sign(gen[k])) / (r + r[k]))
         gen = gen * (r - r[k]) / (r + r[k])
         diag = gen * gen / (2.0 * r)
-    U, sv, _ = svd(np.array(cols).T, full_matrices=False)
+    Q = np.array(cols)
+    del cols
+    R = np.zeros((len(Q), len(Q)))
+    for j, q in enumerate(Q):                   # q is row j of Q, updated in place
+        for _ in range(2):
+            h = np.einsum("ik,k->i", Q[:j], q)
+            q -= np.einsum("i,ik->k", h, Q[:j])
+            R[:j, j] += h
+        R[j, j] = math.sqrt(float(np.einsum("k,k->", q, q)))
+        if not R[j, j] > 0.0:
+            raise NumericalError(f"balanced truncation: Gram-Schmidt column {j} of "
+                                 f"{len(Q)} vanishes (norm {R[j, j]})")
+        q /= R[j, j]
+    Ur, sv, _ = svd(R)
     keep = sv * sv > TRUNCATION_TOL * sv[0] ** 2
-    lam, Z = eigh((U[:, keep].T * r) @ U[:, keep])
-    g = Z.T @ (U[:, keep].T @ b)
+    V = Ur[:, keep]
+    lam, Z = eigh(V.T @ np.einsum("ik,k,jk->ij", Q, r, Q) @ V)
+    g = Z.T @ (V.T @ np.einsum("ik,k->i", Q, b))
     # the Cholesky residual trace bounds the singular values it never reached;
     # n eps sum(g^2/lam) allows for rounding in the n states
     tail = float(diag.sum() + np.sum(sv[~keep] ** 2)

@@ -61,6 +61,17 @@ class TestValidate:
         assert cells["ir_regular"] == "true"
         assert "m_eff=4" in capsys.readouterr().err
 
+    def test_small_cutoff_reports_exact_moments(self, tmp_path):
+        # at lambda = 1e-60 every rule weight of the d = 3 sharp cutoff is a
+        # normal double, so M_{-2} = 4 pi lambda to rounding
+        cfg = write_config(tmp_path, "small.json", {"measure": {
+            "dimension": 3, "profile": {"type": "sharp", "lambda": 1e-60}}})
+        out = tmp_path / "report.csv"
+        assert run(["validate", "--config", cfg, "--output", str(out)]) == 0
+        header, row = out.read_text().splitlines()[1:3]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["m_minus2"]) == pytest.approx(4 * math.pi * 1e-60, rel=1e-15)
+
     def test_missing_measure_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "empty.json", {})
         assert run(["validate", "--config", cfg]) == 2
@@ -396,6 +407,19 @@ class TestDeterminism:
         assert one == run_python(["-m", "pfwcl.cli", *argv])
         assert one.count(b"\n") >= 3
 
+    @pytest.mark.parametrize("profile", [{"type": "gaussian", "sigma": 1.0},
+                                         {"type": "sharp", "lambda": 1.0}],
+                             ids=["gaussian", "sharp"])
+    def test_wiener_hopf_bytes_independent_of_blas_threads(self, tmp_path, profile):
+        # the realization contracts over the rule's K nodes in numpy's own loops
+        # (einsum), never in a threaded BLAS; LAPACK and BLAS see only the
+        # r x r matrices of its states (r <= 85 here)
+        cfg = write_config(tmp_path, "m.json", {"measure": {"dimension": 3, "profile": profile}})
+        argv = ["-m", "pfwcl.cli", "wiener-hopf", "--config", cfg, "--T-ladder", "5,10,20"]
+        one, two = (run_python(argv, threads={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
+        assert one == two
+        assert one.count(b"\n") == 5
+
     def test_json_format_mirror(self, tmp_path):
         out = tmp_path / "scan.json"
         assert run(["cutoff-scan", "--lambda", "1,10", "--format", "json",
@@ -474,6 +498,12 @@ def test_help_loads_no_numpy(argv):
     (["fock", "--config", "{modes_empty}"], "params.modes"),
     (["fock", "--config", "{kappa_list_empty}"], "params.kappa_list"),
     (["fock", "--config", "{kappa_list_scalar}"], "params.kappa_list"),
+    (["validate", "--config", "{lambda_1e-100}"], "profile.lambda"),
+    (["validate", "--config", "{lambda_1e-120}"], "profile.lambda"),
+    (["validate", "--config", "{lambda_1e-280}"], "profile.lambda"),
+    (["validate", "--config", "{sigma_1e-100}"], "profile.sigma"),
+    (["energy", "--config", "{tiny_edge}"], "profile.points"),
+    (["wiener-hopf", "--config", "{lambda_1e-100}", "--T", "5"], "profile.lambda"),
     (FOCK_ARGS + ["--ntot", "0"], "params.ntot"),
     (["fock", "--modes", "0:1", "--ntot", "4", "--kappa-list", "1", "--p-list", "0"],
      "params.modes"),
@@ -484,11 +514,13 @@ def test_help_loads_no_numpy(argv):
         "energy_kappa_squared_inf", "wh_kappa_squared_inf", "fock_kappa_squared_inf",
         "validate_tiny_lambda", "validate_tiny_first_radius", "fock_modes_one_field",
         "fock_modes_four_fields", "fock_modes_empty", "fock_kappa_list_empty",
-        "fock_kappa_list_scalar", "fock_ntot_0", "fock_omega_0",
+        "fock_kappa_list_scalar", "validate_lambda_1e-100", "validate_lambda_1e-120",
+        "validate_lambda_1e-280", "validate_sigma_1e-100", "energy_tiny_edge",
+        "wh_lambda_1e-100", "fock_ntot_0", "fock_omega_0",
         "fock_omega_squared_underflows"])
 def test_params_error_loads_no_numpy(tmp_path, argv, field):
-    # the driver checks its params, and the measure its edges, on the standard
-    # library, before a handler imports a numeric module, and writes no row
+    # the driver checks its params, and the measure its edges and scale, on the
+    # standard library, before a handler imports a numeric module, and writes no row
     fock = {key: {"params": {**FOCK_PARAMS, **params}} for key, params in (
         ("modes_one_field", {"modes": [[1]]}), ("modes_four_fields", {"modes": [[1, 1, 0.5, 7]]}),
         ("modes_empty", {"modes": []}), ("kappa_list_empty", {"kappa_list": []}),
@@ -500,6 +532,30 @@ def test_params_error_loads_no_numpy(tmp_path, argv, field):
     code, numpy, out, err = numpy_after([arg.format(**paths) for arg in argv])
     assert [code, numpy, out] == [2, False, ""]
     assert field in err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["wiener-hopf", "--T", "5"], None, "cannot read config"),
+    (["wiener-hopf", "--T", "5"], "{", "is not valid JSON"),
+    (["wiener-hopf", "--T", "5"], "[]", "config must be a JSON object"),
+    (["wiener-hopf", "--T", "5"], '{"params": []}', "config 'params' must be an object"),
+    (["wiener-hopf", "--T", "5"], '{"subcommand": "energy"}',
+     "config is for subcommand 'energy', not 'wiener-hopf'"),
+    (["wiener-hopf", "--T", "5"], '{"format": "xml"}', "format must be csv or json, got 'xml'"),
+    (["fock"], '{"params": {}}', "fock needs --modes or params.modes"),
+], ids=["unreadable", "invalid_json", "not_an_object", "params_not_an_object",
+        "other_subcommand", "format_xml", "missing_required_param"])
+def test_config_refusal_loads_no_numpy(tmp_path, argv, config, message):
+    # a config the driver cannot use exits 2 naming the problem, before a
+    # handler imports a numeric module; a directory stands for an unreadable file
+    path = tmp_path / "config.json"
+    if config is None:
+        path.mkdir()
+    else:
+        path.write_text(config)
+    code, numpy, out, err = numpy_after([*argv, "--config", str(path)])
+    assert [code, numpy, out] == [2, False, ""]
+    assert message in err
 
 
 def loaded_modules(argv) -> set:
@@ -694,7 +750,8 @@ def test_flags_and_config_print_identical_bytes(tmp_path, capsys, argv, params, 
 def non_finite_configs(tmp_path) -> dict:
     """Configs whose measure holds NaN or Infinity, which json.load accepts,
     finite points whose moments overflow a double, a first edge at the
-    origin whose innermost panel edge underflows, or radii whose ratio overflows."""
+    origin whose innermost panel edge underflows, radii whose ratio overflows,
+    or a sharp or gaussian scale whose moments underflow on the rule."""
     def measure(points, dimension=3):
         return {"measure": {"dimension": dimension,
                             "profile": {"type": "tabulated", "points": points}}}
@@ -714,7 +771,10 @@ def non_finite_configs(tmp_path) -> dict:
                "tiny_lambda": profile(type="sharp", **{"lambda": 1e-300}),
                "tiny_sigma": profile(type="gaussian", sigma=1e-300),
                "tiny_edge": measure([[0.0, 1.0], [1e-300, 1.0], [1.0, 0.0]]),
-               "tiny_first_radius": measure([[1e-320, 1.0], [1.0, 0.0]])}
+               "tiny_first_radius": measure([[1e-320, 1.0], [1.0, 0.0]]),
+               **{f"lambda_{lam!r}": profile(type="sharp", **{"lambda": lam})
+                  for lam in (1e-100, 1e-120, 1e-280)},
+               "sigma_1e-100": profile(type="gaussian", sigma=1e-100)}
     return {key: write_config(tmp_path, f"{key}.json", cfg) for key, cfg in configs.items()}
 
 

@@ -1,16 +1,22 @@
 import math
 import re
+import sys
 
 import pytest
 
 from pfwcl.errors import MeasureError
-from pfwcl.formfactor import (MIN_ORIGIN_EDGE, GaussianProfile, PointMasses,
-                              RadialMeasure, SharpCutoff, Tabulated, measure_from_json,
-                              measure_to_json, moment, moment_report)
+from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure, SharpCutoff,
+                              Tabulated, measure_from_json, measure_to_json, moment,
+                              moment_report)
 
 
 def sphere_area(d):
     return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+
+
+#: the radial integral int_0^inf phi(r)^2 r^(d+s-1) dr of each profile at scale 1
+UNIT_MOMENTS = {SharpCutoff: lambda d, s: 1.0 / (d + s),
+                GaussianProfile: lambda d, s: 0.5 * math.gamma((d + s) / 2)}
 
 
 class TestMoments:
@@ -163,9 +169,29 @@ class TestValidation:
         with pytest.raises(MeasureError, match=re.escape("profile.points radii overflow r_(i+1) / r_i")):
             Tabulated([(1e-320, 1.0), (1.0, 0.0)])
 
-    def test_smallest_origin_edge_builds_its_rule(self):
-        ff = RadialMeasure(3, SharpCutoff(MIN_ORIGIN_EDGE))
-        assert min(ff.rule()[0]) > 0.0 and moment_report(ff).m_eff == 1.0
+    @pytest.mark.parametrize("make, field", [(SharpCutoff, "profile.lambda"),
+                                             (GaussianProfile, "profile.sigma")],
+                             ids=["sharp", "gaussian"])
+    def test_smallest_scale_keeps_its_moments(self, make, field):
+        # in d = 3 the smallest accepted scale lies between 1e-73 and 1e-72
+        # (4.2e-73 sharp, 3.6e-73 gaussian): there the rule's standing moments
+        # are still right to rounding, below it underflow could hide more than eps
+        ff = RadialMeasure(3, make(1e-72))
+        for s in (1, -1, -2):
+            expected = sphere_area(3) * UNIT_MOMENTS[make](3, s) * 1e-72 ** (3 + s)
+            assert moment(ff, s) == pytest.approx(expected, rel=1e-15)
+        with pytest.raises(MeasureError, match=re.escape(f"{field} = 1e-73 is too small")):
+            RadialMeasure(3, make(1e-73))
+
+    @pytest.mark.parametrize("make", [SharpCutoff, GaussianProfile], ids=["sharp", "gaussian"])
+    def test_d20_unit_scale_keeps_its_moments(self, make):
+        # the innermost weights, about r^19, underflow to 0, but what they
+        # could have carried is far below eps of every standing moment
+        ff = RadialMeasure(20, make(1.0))
+        assert min(ff.rule()[1]) < sys.float_info.min
+        for s in (1, -1, -2):
+            assert moment(ff, s) == pytest.approx(
+                sphere_area(20) * UNIT_MOMENTS[make](20, s), rel=1e-14)
 
     def test_bad_dimension_rejected(self):
         with pytest.raises(MeasureError):

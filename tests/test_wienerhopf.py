@@ -280,6 +280,35 @@ class TestNormalModes:
             assert mass_functional(split, 1.0, T) == mass_functional(merged, 1.0, T)
 
 
+class TestBalancedTruncation:
+    @pytest.mark.parametrize("name", ["gauss1", "cutoff1"])
+    def test_svd_sees_only_the_square_factor(self, name, request, monkeypatch):
+        # the K-length contractions run in einsum; svd sees only the r0 x r0
+        # Gram-Schmidt factor R, r0 the pivoted Cholesky's rank (K = 1060 nodes)
+        ff = request.getfixturevalue(name)
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return np.linalg.svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(wienerhopf, "svd", spy)
+        r, w = ff.rule()
+        n = len(wienerhopf._balanced_truncation(r, w).lam)
+        [(rows, cols)] = shapes
+        assert rows == cols and n <= rows < len(r) // 10
+
+    def test_vanishing_column_is_numerical_error(self, cutoff1, monkeypatch):
+        einsum = np.einsum
+
+        def null_norm(subscripts, *operands):
+            return 0.0 if subscripts == "k,k->" else einsum(subscripts, *operands)
+
+        monkeypatch.setattr(np, "einsum", null_norm)
+        with pytest.raises(NumericalError, match="balanced truncation: Gram-Schmidt column 0"):
+            wienerhopf._balanced_truncation(*cutoff1.rule())
+
+
 class TestUT:
     def test_kappa_zero_identity(self, pm_atom):
         u = solve_uT(pm_atom, 0.0, 10.0)
