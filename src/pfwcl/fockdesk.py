@@ -29,9 +29,9 @@ The semigroup exp(-T(H - c)) acts on vectors as a Chebyshev series with
 modified Bessel coefficients (the Chebyshev propagator of Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 1984), and the same solver finds the semigroup's operator
 norm, so no dimension has a dense-size cliff.  The module needs numpy only,
-and not ``numpy.random``.  Every reduction runs in numpy's own loops, never in
-a threaded BLAS (LAPACK sees only 3 x 3 projected problems), so the ``fock``
-output bytes do not depend on the BLAS thread count.
+and not ``numpy.random``.  Every reduction runs in numpy's own loops and the
+3 x 3 projected problems in Python floats (``jacobi``): no LAPACK or BLAS call,
+so the ``fock`` output bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BasisSizeError, NumericalError
+from .jacobi import jacobi_eigh
 from .normalmodes import merged, secular_roots
 
 BASIS_SIZE_GUARD = 200_000
@@ -366,19 +367,20 @@ def _lobpcg(apply, start: np.ndarray, precondition, tol: float, unit: float,
     Each step is a Rayleigh-Ritz on span{x, p, w}: w = T r the preconditioned
     residual r = apply(x) - theta x (T the diagonal ``precondition``, or 1
     when it is None) and p the last step's update.  The three are kept
-    orthonormal, so the projected problem is a 3 x 3 ``eigh``, and apply(x)
-    and apply(p) follow by linearity: one product per step.  Every inner
-    product runs in numpy's own loop (``einsum``), never in BLAS.  The
-    iteration stops once ||r|| <= tol max(unit, |theta|), tested again on a
-    fresh product apply(x), since the updated one drifts.  ``stage`` names
-    the failure.
+    orthonormal, so the projected problem is a 3 x 3 symmetric eigenproblem,
+    solved by ``jacobi_eigh`` in Python floats, and apply(x) and apply(p)
+    follow by linearity: one product per step.  Every inner product runs in
+    numpy's own loop (``einsum``), never in BLAS.  The iteration stops once
+    ||r|| <= tol max(unit, |theta|), tested again on a fresh product
+    apply(x), since the updated one drifts.  ``stage`` names the failure,
+    also that of a non-finite projected matrix, which raises at its step.
     """
     work = np.empty((3, 2, start.size))          # rows x, p, w, each with its image
     x, p = work[0], work[1]
     x[0] = start / _norm(start)
     x[1] = apply(x[0])
     n = 1                                        # rows in use: x, and p once set
-    for _ in range(EIGEN_MAX_STEPS):
+    for step in range(EIGEN_MAX_STEPS):
         theta = _dot(*x)
         r = x[1] - theta * x[0]
         if _norm(r) <= tol * max(unit, abs(theta)):
@@ -395,7 +397,10 @@ def _lobpcg(apply, start: np.ndarray, precondition, tol: float, unit: float,
         w[0] /= _norm(w[0])
         w[1] = apply(w[0])
         projected = np.einsum("id,jd->ij", work[:n + 1, 0], work[:n + 1, 1])
-        c = np.linalg.eigh(0.5 * (projected + projected.T))[1][:, 0]
+        try:
+            c = jacobi_eigh((0.5 * (projected + projected.T)).tolist())[1][0]
+        except NumericalError as err:
+            raise NumericalError(f"{stage} failed at step {step}: {err}") from None
         p[...] = np.einsum("i,ijd->jd", c[1:], work[1:n + 1])
         x[...] = c[0] * x + p
         x /= _norm(x[0])

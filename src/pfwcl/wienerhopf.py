@@ -138,7 +138,10 @@ def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
     Ur, sv, _ = svd(R)
     keep = sv * sv > TRUNCATION_TOL * sv[0] ** 2
     V = Ur[:, keep]
-    lam, Z = eigh(V.T @ np.einsum("ik,k,jk->ij", Q, r, Q) @ V)
+    QrQ = np.empty((len(Q), len(Q)))            # Q diag(r) Q^T, exactly symmetric:
+    for i, q in enumerate(Q):                   # row i from column i on, mirrored
+        QrQ[i, i:] = QrQ[i:, i] = np.einsum("k,jk->j", q * r, Q[i:])
+    lam, Z = eigh(V.T @ QrQ @ V)
     g = Z.T @ (V.T @ np.einsum("ik,k->i", Q, b))
     # the Cholesky residual trace bounds the singular values it never reached;
     # n eps sum(g^2/lam) allows for rounding in the n states

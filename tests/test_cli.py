@@ -332,11 +332,11 @@ class TestHermiteCheck:
         assert all(json.loads(report)["passed"] is True for _, report in first)
 
     @pytest.mark.parametrize("seed, operator_residual", [
-        (0, 3.8913621547451856e-16), (3, 8.546695787981499e-16)])
+        (0, 1.691889065950833e-16), (3, 6.12040337055751e-16)])
     def test_report_bytes_pinned(self, capsys, seed, operator_residual):
         # the bytes the suite printed before it moved from the driver into
-        # hermite.py; the two residuals are round-off of numpy's exp and eigh
-        # (x86-64, OpenBLAS)
+        # hermite.py; the two residuals are round-off of numpy's exp and of
+        # the Jacobi eigensolver (x86-64), which no BLAS thread count moves
         def check(name, value, threshold):
             return {"name": name, "passed": True, "threshold": threshold, "value": value}
 
@@ -397,12 +397,14 @@ class TestDeterminism:
         outs = [run_python(["-m", "pfwcl.cli", *self.SEMIGROUP]) for _ in range(2)]
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("argv", [ITERATIVE_SCAN, SEMIGROUP, SMALL_SEMIGROUP],
-                             ids=["scan_4186", "T_1", "T_1_dim_45"])
+    @pytest.mark.parametrize("argv", [ITERATIVE_SCAN, SEMIGROUP, SMALL_SEMIGROUP,
+                                      ["hermite-check", "--seed", "3"]],
+                             ids=["scan_4186", "T_1", "T_1_dim_45", "hermite_check"])
     def test_fock_bytes_independent_of_blas_threads(self, argv):
-        # the eigensolver reduces in numpy's own loops at every dimension, never
-        # in a threaded BLAS (LAPACK sees only the 3 x 3 projected problem), so
-        # one thread and the default agree byte for byte
+        # the eigensolver reduces in numpy's own loops at every dimension and
+        # solves its 3 x 3 projected problem in Python floats, as hermite-check
+        # its 8 x 8 one: neither calls LAPACK or BLAS, so one thread and the
+        # default agree byte for byte
         one = run_python(["-m", "pfwcl.cli", *argv], threads=ONE_THREAD)
         assert one == run_python(["-m", "pfwcl.cli", *argv])
         assert one.count(b"\n") >= 3
@@ -456,6 +458,57 @@ def test_lapack_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert run(["wiener-hopf", "--config", cfg, "--T", "5"]) == 3
     err = capsys.readouterr().err
     assert "wiener-hopf: numerical failure: Matrix is not positive definite" in err
+
+
+def test_non_finite_eigensolver_exits_three(capsys, monkeypatch):
+    # H products turn NaN after the third: the solve stops at that step
+    from pfwcl import fockdesk
+    real, products = fockdesk.FiberHamiltonian.__matmul__, []
+
+    def spoiled(H, v):
+        products.append(None)
+        return real(H, v) * (math.nan if len(products) > 3 else 1.0)
+
+    monkeypatch.setattr(fockdesk.FiberHamiltonian, "__matmul__", spoiled)
+    assert run(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20",
+                "--kappa-list", "1", "--p-list", "0.2"]) == 3
+    err = capsys.readouterr().err
+    assert "fock: numerical failure: eigensolver failed at step" in err
+    assert len(products) <= 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20", "--kappa-list", "1,2",
+     "--p-list", "0,0.2"],
+    ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20", "--kappa-list", "1,2",
+     "--p-list", "0.2", "--T", "1"],
+    ["hermite-check", "--seed", "3"]], ids=["fock_scan", "fock_T_1", "hermite_check"])
+def test_fock_and_hermite_check_call_no_lapack(argv, monkeypatch, capsys):
+    # the 3 x 3 Rayleigh-Ritz problems and the 8 x 8 generating operator are
+    # solved by the Jacobi method in Python floats
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eigh", "eigvalsh", "svd", "solve", "cholesky", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run(argv) == 0
+
+
+@pytest.mark.parametrize("module", ["fockdesk.py", "hermite.py", "jacobi.py"])
+def test_no_linalg_or_array_matmul_in_source(module):
+    # what the monkeypatched run cannot see: no numpy.linalg name at all, and
+    # every @ in the Fock desk applies one of its operator objects (gather
+    # tables and fiber Hamiltonians), never a BLAS product of arrays
+    import ast
+    tree = ast.parse((Path(pfwcl.__file__).parent / module).read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not any("linalg" in str(name) for name in names)
+    left = [node.left for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+    assert all(isinstance(x, ast.Name) and x.id in {"kA", "abs_kA", "twice_S"} for x in left)
 
 
 def numpy_after(argv) -> list:
@@ -623,6 +676,8 @@ def test_no_subcommand_loads_numpy_random_or_polynomial(tmp_path, argv):
     assert not loaded & {"numpy.random", "numpy.polynomial"}
     # both pipelines read their normal modes from one solver
     assert ("pfwcl.normalmodes" in loaded) == (argv[0] in ("wiener-hopf", "fock"))
+    # the small symmetric eigenproblems of fock and hermite-check
+    assert ("pfwcl.jacobi" in loaded) == (argv[0] in ("hermite-check", "fock"))
     # wiener-hopf reads its targets from the realization: no t-quadrature
     assert ("pfwcl.energy" in loaded) == (argv[0] == "energy")
 

@@ -328,6 +328,22 @@ class TestGroundState:
         assert 0.0 <= lam <= 1e-12
         assert np.linalg.norm(H @ vec) <= 1e-9
 
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_non_finite_product_names_stage(self, monkeypatch, k):
+        # an operator that turns NaN after k products: the projected matrix of
+        # that step holds it, and the solve stops there, naming its stage
+        real, products = fockdesk.FiberHamiltonian.__matmul__, []
+
+        def spoiled(H, v):
+            products.append(None)
+            return real(H, v) * (math.nan if len(products) > k else 1.0)
+
+        monkeypatch.setattr(fockdesk.FiberHamiltonian, "__matmul__", spoiled)
+        ops = build_operators(build_basis(TWO_MODE, 20))
+        with pytest.raises(NumericalError, match=r"eigensolver failed at step \d+: .*non-finite"):
+            ground_state(fiber_hamiltonian(ops, 1.0, 0.2, 1.0))
+        assert len(products) <= k + 1
+
 
 class TestWorkCounts:
     """Regression on work, not time, on the dim-1953 two-mode model: the
