@@ -7,6 +7,7 @@ Submodules:
 - ``cutoff``: the d=3 sharp-cutoff asymptotics E(Lambda)
 - ``wienerhopf``: truncated Wiener-Hopf determinants, u_T, vacuum amplitudes
 - ``normalmodes``: the normal modes that ``wienerhopf`` and ``fockdesk`` share
+- ``jacobi``: the small symmetric eigensolver of ``fockdesk`` and ``hermite``
 - ``hermite``: generalized Hermite polynomials and their generating operator
 - ``fockdesk``: Fock space, fiber Hamiltonians, weak-coupling and semigroup studies
 - ``errors``: the exception types shared across the package

@@ -82,19 +82,24 @@ def _dest(option: str, kwargs: dict) -> str:
     return kwargs.get("dest", option.lstrip("-").replace("-", "_"))
 
 
+def _formats(subcommand: str) -> tuple:       # its output formats, default first
+    return ("json",) if subcommand == "hermite-check" else ("csv", "json")
+
+
 def _resolve(args) -> dict:
     """Merge file config and CLI flags into the fully-resolved run config.
 
     The subcommand's params in ``COMMANDS`` name the keys it accepts.  Each
-    value, from its flag, else the config, else the declared default, goes
-    through the param's one converter and is written back converted, so the
-    echo is the same typed config whichever way a value came in.
+    value (and the seed), from its flag, else the config, else the default, goes
+    through one converter and is written back converted, so the echo is the
+    same typed config whichever way a value came in.
     """
     cfg = _load_config(args.config) if args.config else {}
     if cfg.get("subcommand", args.subcommand) != args.subcommand:
         raise ConfigError(
             f"config is for subcommand {cfg['subcommand']!r}, not {args.subcommand!r}")
     params = dict(cfg.get("params", {}))
+    formats = _formats(args.subcommand)
     spec = {_dest(option, kwargs): (option, convert, default)
             for option, kwargs, convert, default in COMMANDS[args.subcommand][2]}
     unknown = set(params) - set(spec)
@@ -104,11 +109,17 @@ def _resolve(args) -> dict:
         "subcommand": args.subcommand,
         "measure": cfg.get("measure"),
         "params": params,
-        "format": args.format or cfg.get("format", "csv"),
+        "format": args.format or cfg.get("format", formats[0]),
         "seed": args.seed if args.seed is not None else cfg.get("seed", 0),
     }
-    if resolved["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {resolved['format']!r}")
+    if resolved["format"] not in formats:
+        raise ConfigError(f"format must be {' or '.join(formats)}, got {resolved['format']!r}")
+    try:
+        resolved["seed"] = seed = _integer(resolved["seed"])
+    except (TypeError, ValueError):
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {resolved['seed']!r}")
     for key, (option, convert, default) in spec.items():
         value = getattr(args, key)
         if value is None:
@@ -354,16 +365,9 @@ def _cmd_fock(args) -> int:
 
 def _cmd_hermite_check(args) -> int:
     resolved = _resolve(args)
-    seed = resolved["seed"]
-    try:
-        seed = _integer(seed)
-        if seed < 0:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}") from None
     from .hermite import invariant_suite
 
-    checks = invariant_suite(seed)
+    checks = invariant_suite(resolved["seed"])
     all_pass = all(c["passed"] for c in checks)
     report = {"config": resolved, "checks": checks, "passed": all_pass}
     with _output(args) as out:
@@ -420,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default="-",
                         help="output path; '-' writes data to stdout (default)")
         sp.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default csv)")
-        sp.add_argument("--seed", type=int, default=None,
+                        help=f"output format (default {_formats(name)[0]})")
+        sp.add_argument("--seed", default=None,
                         help="seed for randomized checks")
         for option, kwargs, _, _ in flags:
             sp.add_argument(option, **kwargs)

@@ -440,23 +440,21 @@ def _bessel_coefficients(z: float) -> np.ndarray:
     """(2 - delta_k0) e^{-z} I_k(z) for k = 0 .. d - 1, where past order d - 1
     every term stays below BESSEL_TAIL.
 
-    Miller's backward recurrence (DLMF 3.6(iii)): from y_{N+1} = 0, y_N = 1,
+    Miller's backward recurrence (DLMF 3.6(iii)): from y_{N+1} = 0, y_N = 1 at
+    N = ``_miller_start(z)``, past which the Debye exponent is < 2 log BESSEL_TAIL,
     y_{k-1} = (2k / z) y_k + y_{k+1} falls onto the minimal solution, and
-    e^{-z}(I_0 + 2 sum I_k) = 1 fixes its scale.  The start N is the order
-    whose Debye exponent reaches BESSEL_TAIL^2, so the start's error is far
-    below the tail.  The recurrence runs in 34-digit decimals: in 34 digits
-    its rounding over the N steps stays far below one rounding of the final
-    double, and the range needs no rescaling.
+    e^{-z}(I_0 + 2 sum I_k) = 1 fixes its scale.  The recurrence runs in 34-digit
+    decimals: their rounding over the N steps stays far below one rounding of
+    the final double, and y_0, which grows like (2 / z)^N N!, needs no rescaling.
     """
     import decimal                 # only the --T semigroup series loads it
 
     if z == 0.0:
         return np.ones(1)
-    n = _miller_start(z)
     with decimal.localcontext(decimal.Context(prec=34)):
         scale = 2 / decimal.Decimal(z)
         y = [decimal.Decimal(0), decimal.Decimal(1)]          # y_{N+1}, y_N
-        for k in range(n, 0, -1):
+        for k in range(_miller_start(z), 0, -1):
             y.append(k * scale * y[-1] + y[-2])
         y = y[:0:-1]                                          # y_0 .. y_N
         norm = y[0] + 2 * sum(y[1:])
@@ -467,19 +465,14 @@ def _bessel_coefficients(z: float) -> np.ndarray:
 
 
 def _miller_start(z: float) -> int:
-    """First order k past which the Debye exponent of e^{-z} I_k(z) is below
-    2 log BESSEL_TAIL."""
-    def exponent(k):
-        return math.hypot(k, z) - z - k * math.asinh(k / z)
-
-    target = 2.0 * math.log(BESSEL_TAIL)
-    lo, hi = 0.0, 1.0
-    while exponent(hi) > target:
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1.0:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if exponent(mid) > target else (lo, mid)
-    return math.ceil(hi) + 1
+    """k = L + sqrt(L^2 + 2 L z), L = -2 log BESSEL_TAIL, rounded up, plus one:
+    past it the Debye exponent phi(k) = sqrt(k^2 + z^2) - z - k asinh t of
+    e^{-z} I_k(z), t = k / z, is below -L.  For f(t) = phi / z + t^2 / (2 (1 + t)),
+    f(0) = 0 and f' = -g with g(t) = asinh t - (1 - (1 + t)^-2) / 2; g(0) = 0 and
+    g' = (1 + t^2)^-1/2 - (1 + t)^-3 >= 0.  So g >= 0, f <= 0 and
+    phi(k) <= -k^2 / (2 (k + z)), which is -L at k = L + sqrt(L^2 + 2 L z)."""
+    L = -2.0 * math.log(BESSEL_TAIL)
+    return math.ceil(L + math.sqrt(L * L + 2.0 * L * z)) + 1
 
 
 def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float) -> list[dict]:
@@ -525,8 +518,7 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
     with lam0 the lowest eigenvalue of H (``ground_state(H)`` unless given) and
     delta = b / d^2 (b the half-width of the interval, d the degree of the T
     series), so the Ritz value's error and the rounding of the scaled H at its
-    end stay inside.  With S = (c - H) / b, c the
-    centre,
+    end stay inside.  With S = (c - H) / b, c the centre,
 
         exp(-m T (H - shift)) = exp(m T (shift - low)) sum_k (2 - delta_k0) ive_k(m beta) T_k(S),
 
@@ -545,8 +537,8 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
     if exponent > _LOG_MAX:
         raise NumericalError(
             f"semigroup: exp(T (kappa^2 E_disc - E_0)) = exp({exponent:.6g}) overflows")
-    twice_S = (replace(H, scale=-2.0 / half, shift=(top + low) / half) if half > 0.0
-               else replace(H, scale=-1.0, shift=0.5 * (top + low)))
+    # a point interval (half = 0) has a degree-0 series, which never applies 2 S
+    twice_S = replace(H, scale=-2.0 / half, shift=(top + low) / half) if half > 0.0 else None
 
     def series(m, level):
         coeffs = math.exp(m * exponent - level) * _bessel_coefficients(m * T * half)

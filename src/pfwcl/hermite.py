@@ -114,11 +114,11 @@ def generating_operator_residual(S: np.ndarray, a: float, x: float,
                                  phi: np.ndarray, N: int) -> float:
     """Euclidean norm of sum_{n<=N} H_n(a,x) S^n phi / n! - exp(-a(S^2-2xS)) phi.
 
-    S must be real symmetric; the target side is evaluated through the
-    eigendecomposition of S by ``jacobi_eigh``, so for finite matrices the
-    residual decays to round-off once N clears the series' turning point.  The
-    series runs as sum_n psi_n v_n with v_n = (sqrt(2a) S)^n phi / sqrt(n!).
-    Every product is an ``einsum`` in numpy's own loops: no LAPACK or BLAS call.
+    S must be symmetric to 1e-12 max|S|; both sides use its symmetric part (the
+    target through ``jacobi_eigh``, which reads one triangle), so the residual
+    decays to round-off once N clears the series' turning point.  The series runs as
+    sum_n psi_n v_n with v_n = (sqrt(2a) S)^n phi / sqrt(n!).  Every product is an
+    ``einsum`` in numpy's own loops: no LAPACK or BLAS call.
     """
     _check_args(0, a)
     S = np.asarray(S, dtype=float)
@@ -129,6 +129,7 @@ def generating_operator_residual(S: np.ndarray, a: float, x: float,
         raise ValueError(f"phi has shape {phi.shape}, expected ({S.shape[0]},)")
     if not np.allclose(S, S.T, atol=1e-12 * max(1.0, float(np.abs(S).max()))):
         raise ValueError("S must be symmetric")
+    S = 0.5 * (S + S.T)
 
     values, vectors = jacobi_eigh(S.tolist())
     lam, Vt = np.array(values), np.array(vectors)       # row i: the vector of lam_i

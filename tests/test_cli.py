@@ -345,7 +345,7 @@ class TestHermiteCheck:
             check("bound_grid", None, None),
             check("recurrence_vs_explicit", 0.0, 1e-12),
             check("generating_operator_residual", operator_residual, 1e-10)],
-            "config": {"format": "csv", "measure": None, "params": {}, "seed": seed,
+            "config": {"format": "json", "measure": None, "params": {}, "seed": seed,
                        "subcommand": "hermite-check"},
             "passed": True}
         assert run(["hermite-check", "--seed", str(seed)]) == 0
@@ -536,6 +536,7 @@ def test_help_loads_no_numpy(argv):
     (FOCK_ARGS + ["--config", "{ntot_frac}"], "params.ntot"),
     (["cutoff-scan", "--lambda", "inf"], "params.lambdas"),
     (["hermite-check", "--seed", "-1"], "seed must be"),
+    (["validate", "--config", "{cfg}", "--seed", "abc"], "seed must be"),
     (["wiener-hopf", "--config", "{cfg}"], "needs --T or --T-ladder"),
     (["energy", "--config", "{cfg}", "--kappa", "nan"], "params.kappa"),
     (["wiener-hopf", "--config", "{cfg}", "--T", "inf"], "params.T"),
@@ -562,8 +563,8 @@ def test_help_loads_no_numpy(argv):
      "params.modes"),
     (["fock", "--modes", "1e-200:1", "--ntot", "4", "--kappa-list", "1", "--p-list", "0"],
      "params.modes"),
-], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed", "wh_no_horizon",
-        "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
+], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed",
+        "validate_seed_flag_abc", "wh_no_horizon", "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
         "energy_kappa_squared_inf", "wh_kappa_squared_inf", "fock_kappa_squared_inf",
         "validate_tiny_lambda", "validate_tiny_first_radius", "fock_modes_one_field",
         "fock_modes_four_fields", "fock_modes_empty", "fock_kappa_list_empty",
@@ -596,8 +597,12 @@ def test_params_error_loads_no_numpy(tmp_path, argv, field):
      "config is for subcommand 'energy', not 'wiener-hopf'"),
     (["wiener-hopf", "--T", "5"], '{"format": "xml"}', "format must be csv or json, got 'xml'"),
     (["fock"], '{"params": {}}', "fock needs --modes or params.modes"),
+    (["validate"], '{"seed": "abc"}', "seed must be a nonnegative integer, got 'abc'"),
+    (["hermite-check", "--format", "csv"], "{}", "format must be json, got 'csv'"),
+    (["hermite-check"], '{"format": "csv"}', "format must be json, got 'csv'"),
 ], ids=["unreadable", "invalid_json", "not_an_object", "params_not_an_object",
-        "other_subcommand", "format_xml", "missing_required_param"])
+        "other_subcommand", "format_xml", "missing_required_param", "validate_seed_abc",
+        "hermite_format_csv_flag", "hermite_format_csv_config"])
 def test_config_refusal_loads_no_numpy(tmp_path, argv, config, message):
     # a config the driver cannot use exits 2 naming the problem, before a
     # handler imports a numeric module; a directory stands for an unreadable file
@@ -942,6 +947,13 @@ def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
     cfg = write_config(tmp_path, "seed.json", {"seed": seed})
     assert run(["hermite-check", "--config", cfg]) == 2
     assert "configuration error: seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_config_seed_echoes_as_an_integer(tmp_path, capsys):
+    # every subcommand converts its seed once: a config seed of 3.0 echoes 3
+    cfg = write_config(tmp_path, "seed.json", {"measure": PM_MEASURE, "seed": 3.0})
+    assert run(["validate", "--config", cfg]) == 0
+    assert '"seed":3,' in capsys.readouterr().out.splitlines()[0]
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -490,6 +490,40 @@ class TestBesselCoefficients:
     def test_zero_argument(self):
         assert fockdesk._bessel_coefficients(0.0).tolist() == [1.0]
 
+    @staticmethod
+    def _debye_start(z):
+        """The first order past which the Debye exponent of e^-z I_k(z) is below
+        2 log BESSEL_TAIL, by doubling and bisection: the oracle of the closed
+        form, which bounds that exponent from above."""
+        def exponent(k):
+            return math.hypot(k, z) - z - k * math.asinh(k / z)
+
+        target = 2.0 * math.log(fockdesk.BESSEL_TAIL)
+        lo, hi = 0.0, 1.0
+        while exponent(hi) > target:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1.0:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if exponent(mid) > target else (lo, mid)
+        return math.ceil(hi) + 1
+
+    def test_closed_form_start_is_past_the_debye_root(self):
+        for k in range(-800, 1001):
+            z = 10.0 ** (k / 100)
+            assert fockdesk._miller_start(z) >= self._debye_start(z), z
+
+    # the series of the bench's fock --T jobs at seeds 1-3 take z = 515.2 .. 2353.2
+    BENCH_Z = [515.2, 631.5, 957.8, 1134.7, 1263.0, 1497.3, 2269.4, 2353.2]
+
+    @pytest.mark.parametrize("z", Z + BENCH_Z)
+    def test_start_leaves_coefficients_bitwise_equal(self, monkeypatch, z):
+        # a later start only adds recurrence steps whose error has died out
+        # long before order d
+        closed_form = fockdesk._bessel_coefficients(z)
+        monkeypatch.setattr(fockdesk, "_miller_start", self._debye_start)
+        debye = fockdesk._bessel_coefficients(z)
+        assert closed_form.tobytes() == debye.tobytes()
+
 
 class TestBogoliubov:
     def test_single_atom(self):
