@@ -13,16 +13,16 @@ flag dest is its config ``params`` key, and one converter serves flag text and
 config value alike, so a refusal names ``params.<key>`` and the echo is the
 same typed config either way.  A process loads only its subcommand's numeric
 modules: ``validate`` loads ``formfactor`` and ``quadrature``, ``cutoff-scan``
-``cutoff`` and ``quadrature``, both on the standard library; ``energy`` adds
-``energy``, ``wiener-hopf`` ``wienerhopf`` and ``normalmodes``, ``fock`` loads
-``fockdesk`` and ``normalmodes``, and ``hermite-check`` ``hermite``.  So
-``--help``, the params and measure checks, ``validate`` and ``cutoff-scan``
-load no numpy: ``energy`` and ``wiener-hopf`` build their measure before they
-import it, so a bad measure exits 2 without it and the memory that compiling
-and building the measure used is free again when numpy loads.
-The others run on numpy alone, and none loads ``numpy.random`` or
-``numpy.polynomial``: seeded draws come from the standard library's ``random``
-and Gauss-Legendre rules from ``quadrature``.
+``cutoff`` and ``quadrature``, ``hermite-check`` ``hermite`` and ``jacobi``, all
+on the standard library; ``energy`` adds ``energy``, ``wiener-hopf``
+``wienerhopf`` and ``normalmodes``, and ``fock`` loads ``fockdesk``,
+``normalmodes`` and ``jacobi``.  numpy loads only for these three, which sum over
+a measure's rule or a Fock basis, and never for ``--help`` or a params or measure
+refusal: ``energy`` and ``wiener-hopf`` build their measure before they import
+it, so the memory that compiling and building it used is free again when numpy
+loads.  None loads ``numpy.random`` or ``numpy.polynomial``: seeded draws come
+from the standard library's ``random`` and Gauss-Legendre rules from
+``quadrature``.
 """
 
 from __future__ import annotations

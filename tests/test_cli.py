@@ -332,11 +332,10 @@ class TestHermiteCheck:
         assert all(json.loads(report)["passed"] is True for _, report in first)
 
     @pytest.mark.parametrize("seed, operator_residual", [
-        (0, 1.691889065950833e-16), (3, 6.12040337055751e-16)])
+        (0, 1.8479487364755596e-16), (3, 6.075000622166257e-16)])
     def test_report_bytes_pinned(self, capsys, seed, operator_residual):
-        # the bytes the suite printed before it moved from the driver into
-        # hermite.py; the two residuals are round-off of numpy's exp and of
-        # the Jacobi eigensolver (x86-64), which no BLAS thread count moves
+        # the report's bytes; the two operator residuals are round-off of the
+        # Jacobi eigensolver and of math.exp (x86-64), and no numpy loads
         def check(name, value, threshold):
             return {"name": name, "passed": True, "threshold": threshold, "value": value}
 
@@ -397,14 +396,12 @@ class TestDeterminism:
         outs = [run_python(["-m", "pfwcl.cli", *self.SEMIGROUP]) for _ in range(2)]
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("argv", [ITERATIVE_SCAN, SEMIGROUP, SMALL_SEMIGROUP,
-                                      ["hermite-check", "--seed", "3"]],
-                             ids=["scan_4186", "T_1", "T_1_dim_45", "hermite_check"])
+    @pytest.mark.parametrize("argv", [ITERATIVE_SCAN, SEMIGROUP, SMALL_SEMIGROUP],
+                             ids=["scan_4186", "T_1", "T_1_dim_45"])
     def test_fock_bytes_independent_of_blas_threads(self, argv):
         # the eigensolver reduces in numpy's own loops at every dimension and
-        # solves its 3 x 3 projected problem in Python floats, as hermite-check
-        # its 8 x 8 one: neither calls LAPACK or BLAS, so one thread and the
-        # default agree byte for byte
+        # solves its 3 x 3 projected problem in Python floats: it calls no
+        # LAPACK or BLAS, so one thread and the default agree byte for byte
         one = run_python(["-m", "pfwcl.cli", *argv], threads=ONE_THREAD)
         assert one == run_python(["-m", "pfwcl.cli", *argv])
         assert one.count(b"\n") >= 3
@@ -481,11 +478,10 @@ def test_non_finite_eigensolver_exits_three(capsys, monkeypatch):
     ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20", "--kappa-list", "1,2",
      "--p-list", "0,0.2"],
     ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20", "--kappa-list", "1,2",
-     "--p-list", "0.2", "--T", "1"],
-    ["hermite-check", "--seed", "3"]], ids=["fock_scan", "fock_T_1", "hermite_check"])
+     "--p-list", "0.2", "--T", "1"]], ids=["fock_scan", "fock_T_1"])
 def test_fock_and_hermite_check_call_no_lapack(argv, monkeypatch, capsys):
-    # the 3 x 3 Rayleigh-Ritz problems and the 8 x 8 generating operator are
-    # solved by the Jacobi method in Python floats
+    # the 3 x 3 Rayleigh-Ritz problems are solved by the Jacobi method in
+    # Python floats; hermite-check loads no numpy at all (STDLIB_RUNS)
     import numpy as np
 
     def refuse(*args, **kwargs):
@@ -652,6 +648,10 @@ def test_hermite_check_loads_no_spectral_module():
     assert "dataclasses" not in loaded
 
 
+def test_hermite_check_loads_no_numpy():
+    assert numpy_after(["hermite-check", "--seed", "3"])[:2] == [0, False]
+
+
 @pytest.mark.parametrize("argv", [["--help"]] + [[sub, "--help"] for sub in (
     "validate", "energy", "cutoff-scan", "wiener-hopf", "fock", "hermite-check")],
     ids=lambda argv: argv[0])
@@ -701,8 +701,10 @@ STDLIB_PROFILES = {
                   "points": [[0.25, 0.0], [0.7, 0.9], [1.3, 0.4], [1.8, 0.0]]},
     "point_masses": {"type": "point_masses", "atoms": [[1.0, 3.0], [2.5, 0.7]]},
 }
+#: runs of the subcommands on the standard library: validate, cutoff-scan and hermite-check
 STDLIB_RUNS = [["validate", "--config", kind] for kind in STDLIB_PROFILES] + [
-    ["cutoff-scan", "--lambda", "0.5,1,10,1e4"]]
+    ["cutoff-scan", "--lambda", "0.5,1,10,1e4"],
+    ["hermite-check", "--seed", "0"], ["hermite-check", "--seed", "3"]]
 
 
 def stdlib_argv(tmp_path, argv) -> list:
@@ -714,10 +716,11 @@ def stdlib_argv(tmp_path, argv) -> list:
 
 @pytest.mark.parametrize("argv", STDLIB_RUNS, ids=lambda argv: argv[0] + "-" + argv[-1])
 def test_validate_and_cutoff_scan_load_no_numpy(tmp_path, argv):
-    # the radial rule, its moments, the quadrature and the E(Lambda) integrand
-    # run on the standard library
+    # the radial rule, its moments, the quadrature, the E(Lambda) integrand and
+    # the Hermite suite run on the standard library
     loaded = loaded_modules(stdlib_argv(tmp_path, argv))
-    assert "pfwcl.quadrature" in loaded and "numpy" not in loaded
+    assert "numpy" not in loaded
+    assert ("pfwcl.quadrature" in loaded) == (argv[0] != "hermite-check")
     assert ("dataclasses" in loaded) == (argv[0] == "validate")
 
 

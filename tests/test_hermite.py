@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import random
@@ -95,12 +96,11 @@ class TestEvaluation:
         # psi_n = H_n(a, x) / (a^{n/2} sqrt(2^n n!)) = H_n(1, sqrt(a) x) / sqrt(2^n n!);
         # the unnormalized H_n/n! underflows to 0 at n = 400
         mpmath = pytest.importorskip("mpmath")
-        xs = np.array([-4.1, -0.7, 0.0, 0.3, 2.6, 5.0])
         for a in (0.5, 3.0):
-            psi = _normalized(a, xs, n)[n]
-            for x, value in zip(xs, psi):
+            for x in (-4.1, -0.7, 0.0, 0.3, 2.6, 5.0):
+                value = _normalized(a, x, n)[n]
                 with mpmath.workdps(30):
-                    exact = float(mpmath.hermite(n, mpmath.sqrt(a) * float(x))
+                    exact = float(mpmath.hermite(n, mpmath.sqrt(a) * x)
                                   / mpmath.sqrt(2**n * mpmath.factorial(n)))
                 assert abs(value - exact) <= 1e-10 * math.exp(0.5 * a * x * x)
 
@@ -128,20 +128,33 @@ class TestBound:
         assert bound_check(0, 2.0, 1.5)
 
     def test_full_grid(self):
-        # the array call must agree elementwise with the scalar calls
         xs = np.arange(-5.0, 5.0 + 1e-9, 0.1)
-        for n in range(41):
-            for a in (0.25, 1.0, 4.0):
-                scalar = [bound_check(n, a, float(x)) for x in xs]
-                assert all(scalar)
-                assert list(bound_check(n, a, xs)) == scalar
+        assert all(bound_check(n, a, float(x))
+                   for n in range(41) for a in (0.25, 1.0, 4.0) for x in xs)
+
+    def test_suite_grid_is_numpy_arange(self):
+        # x_k = -5.0 + k * delta with delta = (-5.0 + 0.1) - (-5.0), as numpy
+        # fills it; -5.0 + 0.1 * k differs in the last bit at 99 of the 101 points
+        xs = [x for n, a, x, _ in hermite_module._bound_grid() if n == 0 and a == 0.25]
+        assert xs == np.arange(-5.0, 5.0 + 1e-9, 0.1).tolist()
+        assert sum(x != -5.0 + 0.1 * k for k, x in enumerate(xs)) == 99
+
+    def test_suite_grid_agrees_with_bound_check(self):
+        # one psi_0 .. psi_40 recurrence per (a, x) gives what bound_check's own
+        # recurrence to degree n gives, at every (n, a, x) of the grid
+        xs = np.arange(-5.0, 5.0 + 1e-9, 0.1).tolist()
+        grid = list(hermite_module._bound_grid())
+        assert sorted((n, a, x) for n, a, x, _ in grid) == sorted(
+            itertools.product(range(41), (0.25, 1.0, 4.0), xs))
+        assert all(ok == bound_check(n, a, x) for n, a, x, ok in grid)
 
     def test_zero_value_without_divide_warning(self):
-        # H_1(a, 0) = H_3(a, 0) = 0
+        # H_1(a, 0) = H_3(a, 0) = 0, whose log is -inf: no warning, no math
+        # domain error
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert bound_check(1, 1.0, 0.0)
-            assert bound_check(3, 2.0, np.array([0.0, 1.0])).all()
+            assert bound_check(3, 2.0, 0.0) and bound_check(3, 2.0, 1.0)
 
     def test_small_case_by_hand(self):
         # |H_1(1,1)| = 2 <= sqrt(2) e^{1/2} ~ 2.33
@@ -187,20 +200,41 @@ class TestGeneratingOperator:
         envelope = tail * float(np.linalg.norm(phi))
         assert generating_operator_residual(S, a, x, phi, N) <= envelope + 1e-12
 
-    def test_asymmetry_within_the_check_stays_round_off(self):
-        # the S and phi hermite-check draws for seed 3, with 5e-13 added to
-        # S[0, 1]: S passes the 1e-12 symmetry check, and both sides use its
-        # symmetric part, so the residual stays at round-off (6.9e-16, 5.6e-16
-        # unperturbed).  With the series on S and the target on one triangle
-        # of it, it read 5.8e-14.
+    @staticmethod
+    def seed_3_draws():
+        """The S and phi that hermite-check draws for seed 3."""
         draw = random.Random(3).random
         raw = np.array([draw() - 0.5 for _ in range(64)]).reshape(8, 8)
         S = 0.5 * (raw + raw.T)
         values = np.linalg.eigvalsh(S)
         S *= 2.0 / max(-values[0], values[-1])
-        phi = np.array([draw() - 0.5 for _ in range(8)])
+        return S, np.array([draw() - 0.5 for _ in range(8)])
+
+    def test_asymmetry_within_the_check_stays_round_off(self):
+        # 5e-13 added to S[0, 1]: S passes the 1e-12 symmetry check, and both
+        # sides use its symmetric part, so the residual stays at round-off
+        # (6.5e-16, 5.6e-16 unperturbed).  With the series on S and the target
+        # on one triangle of it, it read 5.8e-14.
+        S, phi = self.seed_3_draws()
         S[0, 1] += 5e-13
         assert generating_operator_residual(S, 0.25, 0.4, phi, 80) <= 2e-15
+
+    def test_asymmetry_past_the_check_is_refused(self):
+        # |S_ij - S_ji| <= 1e-12 max(1, max|S|), with no relative term: an
+        # asymmetry of 1e-9 max|S| is refused, as is 1e-6 relative on a 2 x 2
+        S, phi = self.seed_3_draws()
+        S[0, 1] += 1e-9 * np.abs(S).max()
+        with pytest.raises(ValueError, match="symmetric"):
+            generating_operator_residual(S, 0.25, 0.4, phi, 80)
+        with pytest.raises(ValueError, match="symmetric"):
+            generating_operator_residual(0.5 * np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]),
+                                         0.25, 0.4, [1.0, 0.0], 20)
+
+    def test_lists_and_arrays_agree(self):
+        # S and phi may be any (nested) sequences of floats
+        S, phi = self.seed_3_draws()
+        assert generating_operator_residual(S.tolist(), 0.25, 0.4, phi.tolist(), 80) == \
+            generating_operator_residual(S, 0.25, 0.4, phi, 80)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
