@@ -12,17 +12,17 @@ Each subcommand is declared once, in ``COMMANDS``, with its params: a param's
 flag dest is its config ``params`` key, and one converter serves flag text and
 config value alike, so a refusal names ``params.<key>`` and the echo is the
 same typed config either way.  A process loads only its subcommand's numeric
-modules: ``validate`` loads ``formfactor`` and ``quadrature``, ``cutoff-scan``
-``cutoff`` and ``quadrature``, ``hermite-check`` ``hermite`` and ``jacobi``, all
-on the standard library; ``energy`` adds ``energy``, ``wiener-hopf``
-``wienerhopf`` and ``normalmodes``, and ``fock`` loads ``fockdesk``,
-``normalmodes`` and ``jacobi``.  numpy loads only for these three, which sum over
-a measure's rule or a Fock basis, and never for ``--help`` or a params or measure
-refusal: ``energy`` and ``wiener-hopf`` build their measure before they import
-it, so the memory that compiling and building it used is free again when numpy
-loads.  None loads ``numpy.random`` or ``numpy.polynomial``: seeded draws come
-from the standard library's ``random`` and Gauss-Legendre rules from
-``quadrature``.
+modules: ``validate`` loads ``formfactor`` and ``quadrature``, ``energy`` adds
+``energy``, ``cutoff-scan`` loads ``cutoff`` and ``quadrature``, and
+``hermite-check`` ``hermite`` and ``jacobi``, all on the standard library;
+``wiener-hopf`` adds ``wienerhopf`` and ``normalmodes`` to ``formfactor``, and
+``fock`` loads ``fockdesk``, ``normalmodes`` and ``jacobi``.  numpy loads only
+for these two, which factor kernels or apply operators over a measure's rule or
+a Fock basis, and never for ``--help`` or a params or measure refusal:
+``wiener-hopf`` builds its measure before it imports numpy, so the memory that
+compiling and building it used is free again when numpy loads.  None loads
+``numpy.random`` or ``numpy.polynomial``: seeded draws come from the standard
+library's ``random`` and Gauss-Legendre rules from ``quadrature``.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def _cmd_validate(args) -> int:
 def _cmd_energy(args) -> int:
     resolved = _resolve(args)
     kappa, p = resolved["params"]["kappa"], resolved["params"]["p"]
-    ff = _measure_or_fail(resolved)     # on the standard library, before numpy loads
+    ff = _measure_or_fail(resolved)     # the whole run is on the standard library
     from .energy import dipole_dispersion, ground_energy
 
     result = ground_energy(ff)

@@ -131,6 +131,30 @@ class TestEnergy:
             values.append(float(dict(zip(header.split(","), row.split(",")))["log_spectral"]))
         assert values[1] == pytest.approx(1e300 * values[0], rel=1e-15, abs=0)
 
+    def test_large_sharp_d4_measure_exits_zero(self, tmp_path, capsys):
+        # integrated in t itself, not at its own scale, it exhausts the panel budget
+        cfg = write_config(tmp_path, "big.json", {
+            "measure": {"dimension": 4, "profile": {"type": "sharp", "lambda": 1e4}}})
+        assert run(["energy", "--config", cfg]) == 0
+        assert capsys.readouterr().err.startswith("energy: calE=384749436.958 ")
+
+    @pytest.mark.parametrize("spoil, message", [
+        ("MAX_PANELS", "panel budget 4 exhausted"),
+        ("_g", "integrand returned non-finite values")], ids=["budget", "nan"])
+    def test_quadrature_failure_exits_three(self, tmp_path, capsys, monkeypatch, spoil,
+                                            message):
+        # the sharp d = 4 lambda = 1e4 quadratures refine beyond 4 panels
+        from pfwcl import energy, quadrature
+        if spoil == "MAX_PANELS":
+            monkeypatch.setattr(quadrature, "MAX_PANELS", 4)
+        else:
+            monkeypatch.setattr(energy, "_g", lambda r2, w, t2: math.nan)
+        cfg = write_config(tmp_path, "big.json", {
+            "measure": {"dimension": 4, "profile": {"type": "sharp", "lambda": 1e4}}})
+        assert run(["energy", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"energy: numerical failure: {message}")
+
     def test_divergent_measure_exits_two_naming_condition(self, tmp_path, capsys):
         bad = write_config(tmp_path, "bad.json", {
             "measure": {"dimension": 2, "profile": {"type": "sharp", "lambda": 1.0}}})
@@ -479,9 +503,9 @@ def test_non_finite_eigensolver_exits_three(capsys, monkeypatch):
      "--p-list", "0,0.2"],
     ["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20", "--kappa-list", "1,2",
      "--p-list", "0.2", "--T", "1"]], ids=["fock_scan", "fock_T_1"])
-def test_fock_and_hermite_check_call_no_lapack(argv, monkeypatch, capsys):
+def test_fock_calls_no_lapack(argv, monkeypatch, capsys):
     # the 3 x 3 Rayleigh-Ritz problems are solved by the Jacobi method in
-    # Python floats; hermite-check loads no numpy at all (STDLIB_RUNS)
+    # Python floats
     import numpy as np
 
     def refuse(*args, **kwargs):
@@ -652,6 +676,12 @@ def test_hermite_check_loads_no_numpy():
     assert numpy_after(["hermite-check", "--seed", "3"])[:2] == [0, False]
 
 
+def test_energy_loads_no_numpy(tmp_path):
+    # the t-integrands sum the radial rule's floats
+    cfg = write_config(tmp_path, "gauss.json", {"measure": GAUSSIAN_MEASURE})
+    assert numpy_after(["energy", "--config", cfg, "--kappa", "2", "--p", "0.5"])[:2] == [0, False]
+
+
 @pytest.mark.parametrize("argv", [["--help"]] + [[sub, "--help"] for sub in (
     "validate", "energy", "cutoff-scan", "wiener-hopf", "fock", "hermite-check")],
     ids=lambda argv: argv[0])
@@ -701,8 +731,10 @@ STDLIB_PROFILES = {
                   "points": [[0.25, 0.0], [0.7, 0.9], [1.3, 0.4], [1.8, 0.0]]},
     "point_masses": {"type": "point_masses", "atoms": [[1.0, 3.0], [2.5, 0.7]]},
 }
-#: runs of the subcommands on the standard library: validate, cutoff-scan and hermite-check
-STDLIB_RUNS = [["validate", "--config", kind] for kind in STDLIB_PROFILES] + [
+#: runs of the subcommands on the standard library: validate, energy, cutoff-scan
+#: and hermite-check
+STDLIB_RUNS = [[sub, "--config", kind] for sub in ("validate", "energy")
+               for kind in STDLIB_PROFILES] + [
     ["cutoff-scan", "--lambda", "0.5,1,10,1e4"],
     ["hermite-check", "--seed", "0"], ["hermite-check", "--seed", "3"]]
 
@@ -716,12 +748,12 @@ def stdlib_argv(tmp_path, argv) -> list:
 
 @pytest.mark.parametrize("argv", STDLIB_RUNS, ids=lambda argv: argv[0] + "-" + argv[-1])
 def test_validate_and_cutoff_scan_load_no_numpy(tmp_path, argv):
-    # the radial rule, its moments, the quadrature, the E(Lambda) integrand and
-    # the Hermite suite run on the standard library
+    # the radial rule, its moments, the quadrature, the t- and E(Lambda)
+    # integrands and the Hermite suite run on the standard library
     loaded = loaded_modules(stdlib_argv(tmp_path, argv))
     assert "numpy" not in loaded
     assert ("pfwcl.quadrature" in loaded) == (argv[0] != "hermite-check")
-    assert ("dataclasses" in loaded) == (argv[0] == "validate")
+    assert ("dataclasses" in loaded) == (argv[0] in ("validate", "energy"))
 
 
 @pytest.mark.parametrize("argv", STDLIB_RUNS, ids=lambda argv: argv[0] + "-" + argv[-1])

@@ -1,14 +1,15 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from pfwcl.cutoff import cutoff_energy_3d, cutoff_split_I1_I2
-from pfwcl.energy import (G_function, SpectralFunctions, dipole_dispersion,
+from pfwcl.energy import (EnergyResult, G_function, SpectralFunctions, dipole_dispersion,
                           dispersion_parts, ground_energy, log_spectral_energy)
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
-                              moment_report)
+                              SharpCutoff, moment_report)
 from pfwcl.quadrature import adaptive_quad
 
 NULL = RadialMeasure(3, PointMasses([]))
@@ -130,8 +131,9 @@ class TestLogSpectral:
             base = log_spectral_energy(ff, 1.0)
             for kappa in (2.0, 3.0):
                 sf = SpectralFunctions(ff, kappa=kappa)
-                half, _ = adaptive_quad(lambda ts: np.log1p(kappa**2 * sf.rho_hat(ts)),
-                                        0.0, math.inf, abs_tol=1e-14)
+                half, _ = adaptive_quad(
+                    lambda ts: [math.log1p(kappa**2 * v) for v in sf.rho_hat(ts)],
+                    0.0, math.inf, abs_tol=1e-14)
                 assert half / math.pi == pytest.approx(kappa**2 * base, rel=1e-10)
 
     @pytest.mark.parametrize("kappa", [1e3, 1e6, 1e20, 1e100])
@@ -178,6 +180,60 @@ class TestOtherMeasures:
         assert abs(res.log_spectral - 0.5 * res.calE) <= 1e-9
         base = log_spectral_energy(g4, 1.0)
         assert log_spectral_energy(g4, 2.0) == pytest.approx(4 * base, rel=1e-10)
+
+
+# calE of each measure's own radial rule at 30 digits, from
+#
+#     def rule_calE(ff):            # about 30 s per measure
+#         with mpmath.workdps(30):
+#             r, w = ff._float_rule
+#             r2, W = [mpmath.mpf(x) ** 2 for x in r], [mpmath.mpf(x) for x in w]
+#
+#             def G(t):
+#                 q = [b / (a + t * t) for a, b in zip(r2, W)]
+#                 return (t * t * mpmath.fsum(x / (a + t * t) for x, a in zip(q, r2))
+#                         / (1 + mpmath.fsum(q)))
+#
+#             points = ([0] + [mpmath.mpf(max(r)) * mpmath.mpf(10) ** k for k in range(-6, 4)]
+#                       + [mpmath.inf])
+#             return ff.dimension / mpmath.pi * mpmath.quad(G, points)
+RULE_CALE = {
+    ("sharp", 4, 1e4): 384749436.95862755103,
+    ("sharp", 3, 1e5): 79160064.163532236503,
+    ("sharp", 4, 1e3): 3846098.5933477369604,
+    ("sharp", 4, 1e-3): 4.9347937341434213388e-9,
+    ("gaussian", 3, 1e3): 89885.944014218887143,
+    ("gaussian", 4, 1e-3): 6.5600213153169626574e-9,
+}
+
+
+class TestOwnScale:
+    @pytest.mark.parametrize("kind, d, scale", list(RULE_CALE),
+                             ids=lambda v: f"{v:g}" if isinstance(v, float) else str(v))
+    def test_estimate_bounds_error_against_rule_value(self, kind, d, scale):
+        # integrated in t itself instead, d = 4 lambda = 1e4 exhausts the
+        # panel budget, and d = 4 lambda = 1e3 errs by 2.7e-4 against an
+        # estimate of 6.4e-5 (d = 3 lambda = 1e5: 0.16 against 0.054)
+        profile = SharpCutoff(scale) if kind == "sharp" else GaussianProfile(scale)
+        res = ground_energy(RadialMeasure(d, profile))
+        ref = RULE_CALE[kind, d, scale]
+        assert abs(res.calE - ref) <= res.estimated_abs_error
+        assert abs(res.log_spectral - 2.0 / d * ref) <= res.estimated_abs_error
+
+    @pytest.mark.parametrize("k", [-20, -7, -1, 1, 5, 20])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # atoms (2^k omega, 4^k W) move the own scale by exactly 2^k, so the
+        # quadratures see the same floats and every output scales by 2^k
+        rng = random.Random(k)
+        for _ in range(40):
+            atoms = [(10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-3, 3))
+                     for _ in range(rng.randint(1, 4))]
+            base = ground_energy(RadialMeasure(3, PointMasses(atoms)))
+            scaled = ground_energy(RadialMeasure(3, PointMasses(
+                [(math.ldexp(omega, k), math.ldexp(w, 2 * k)) for omega, w in atoms])))
+            assert scaled == EnergyResult(math.ldexp(base.calE, k),
+                                          math.ldexp(base.log_spectral, k),
+                                          math.ldexp(base.estimated_abs_error, k))
 
 
 class TestDipoleDispersion:

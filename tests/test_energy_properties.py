@@ -24,6 +24,9 @@ def log_uniform(lo, hi):
 @settings(max_examples=25, deadline=None, database=None)
 @given(omega=log_uniform(1e-2, 1e2), W=log_uniform(1e-3, 1e3))
 @example(omega=2.527646432826397, W=0.28141327879927447)   # error 2.85 ulp of calE
+# 3.59 ulp above calE with the non-power-of-two scale c = sqrt(M_1 / M_-1),
+# whose substitution rounds; 0.59 ulp with c a power of two
+@example(omega=2.3896414849181706, W=2.2828886964862014)
 def test_error_estimate_bounds_single_atom_error(omega, W):
     result = ground_energy(RadialMeasure(3, PointMasses([(omega, W)])))
     with mpmath.workdps(40):

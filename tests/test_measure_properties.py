@@ -60,7 +60,7 @@ def test_log_spectral_is_two_over_d_times_calE(ff):
 def test_G_nonnegative_and_even(ff, t):
     t = np.array(t)
     g = G_function(ff, t)
-    assert np.all(g >= 0.0)
+    assert min(g) >= 0.0
     assert np.array_equal(G_function(ff, -t), g)
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pfwcl.energy import SpectralFunctions
+from pfwcl.energy import G_function, SpectralFunctions, dispersion_parts
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
                               SharpCutoff, Tabulated, moment)
 from pfwcl.wienerhopf import realization
@@ -162,11 +162,17 @@ def test_gaussian_rho_hat_closed_form(gauss1, t):
 
 
 def test_spectral_functions_broadcast(gauss1):
+    # a float gives a float, a 1-D sequence (a numpy array too) a list
     sf = SpectralFunctions(gauss1, kappa=1.5)
-    ts = np.array([[0.0, 0.5], [2.0, -3.0]])
-    assert sf.rho(ts).shape == (2, 2)
-    assert sf.rho_hat(ts)[1, 1] == pytest.approx(sf.rho_hat(-3.0), rel=1e-15)
-    assert sf.rho(ts)[1, 0] == pytest.approx(sf.rho(2.0), rel=1e-15)
+    for f in (sf.rho, sf.rho_hat, lambda t: G_function(gauss1, t)):
+        assert type(f(2.0)) is float and type(f(np.float64(2.0))) is float
+        values = f(np.array([0.0, 0.5, 2.0, -3.0]))
+        assert type(values) is list and len(values) == 4
+        assert values[2] == pytest.approx(f(2.0), rel=1e-15)
+        assert values[3] == pytest.approx(f(-3.0), rel=1e-15)
+        assert f([]) == []
+    num, den = dispersion_parts(gauss1, [0.5, 2.0])
+    assert (num[1], den[1]) == dispersion_parts(gauss1, 2.0)
 
 
 # -- the Wiener-Hopf kernel of the state-space realization ---------------------
@@ -191,5 +197,5 @@ def test_continuum_kernel_exactly_symmetric(ff_name, request):
     t = np.linspace(0.0, 4.0, 41)
     K = realized_rho(ff, 1.3, t[:, None] - t[None, :])
     assert np.array_equal(K, K.T)
-    exact = SpectralFunctions(ff, 1.3).rho(t[:, None] - t[None, :])
+    exact = np.vectorize(SpectralFunctions(ff, 1.3).rho)(t[:, None] - t[None, :])
     assert np.max(np.abs(K - exact)) <= 1e-14 * exact[0, 0]

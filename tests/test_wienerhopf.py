@@ -46,7 +46,7 @@ def nystrom(ff, kappa, T, panels):
     x, w = np.polynomial.legendre.leggauss(8)
     h = T / panels
     sf = SpectralFunctions(ff, kappa)
-    rho = np.array([sf.rho((m + 0.5 * (x[:, None] - x[None, :])) * h)
+    rho = np.array([np.vectorize(sf.rho)((m + 0.5 * (x[:, None] - x[None, :])) * h)
                     for m in range(1 - panels, panels)])
     p = np.arange(panels)
     M = rho[p[:, None] - p[None, :] + panels - 1].transpose(0, 2, 1, 3).reshape(8 * panels, -1)
