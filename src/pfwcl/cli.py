@@ -22,7 +22,12 @@ a Fock basis, and never for ``--help`` or a params or measure refusal:
 ``wiener-hopf`` builds its measure before it imports numpy, so the memory that
 compiling and building it used is free again when numpy loads.  None loads
 ``numpy.random`` or ``numpy.polynomial``: seeded draws come from the standard
-library's ``random`` and Gauss-Legendre rules from ``quadrature``.
+library's ``random`` and Gauss-Legendre rules from ``quadrature``.  Only
+``wiener-hopf`` and ``fock``, whose numeric modules declare dataclasses, load
+``dataclasses`` and the ``inspect``, ``ast``, ``dis`` and ``tokenize`` it
+imports.  A launch whose first argument names a subcommand builds only that
+subparser; its usage line still names every subcommand, so help and errors
+print what the full parser prints.
 """
 
 from __future__ import annotations
@@ -270,14 +275,13 @@ def _write_rows(args, resolved: dict, columns, rows) -> None:
 
 def _cmd_validate(args) -> int:
     resolved = _resolve(args)
-    import dataclasses                      # only here: it loads inspect and ast
     from .formfactor import moment_report
 
     ff = _measure_or_fail(resolved)
     report = moment_report(ff)
     # construction refuses a measure with M_{+1}, M_{-1} or M_{-2} infinite,
     # so every measure that gets here passes the integrability conditions
-    row = {**dataclasses.asdict(report), "assumptions_pass": True, "failures": ""}
+    row = {**report._asdict(), "assumptions_pass": True, "failures": ""}
     _write_rows(args, resolved, list(row), [row])
     print(f"validate: m_eff={report.m_eff:.12g} ir_regular={report.ir_regular} "
           "assumptions=pass", file=sys.stderr)
@@ -412,13 +416,23 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``pfwcl`` parser; given ``only``, with that one subparser.
+
+    The one-subparser parser names every subcommand in its usage line, so it
+    prints what the full parser prints for any command line that starts with
+    ``only``.
+    """
     parser = argparse.ArgumentParser(
         prog="pfwcl",
         description="Spectral quantities of the Pauli-Fierz model in its "
                     "weak-coupling scaling: reproducible batch computations.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
+    # a metavar would rename the action in the full parser's own errors
+    # ("argument subcommand: invalid choice"), which the fast path never meets
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in COMMANDS if only is None else (only,):
+        _, help_text, flags = COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON run configuration")
         sp.add_argument("--output", default="-",
@@ -440,7 +454,10 @@ def _numerical_errors() -> tuple:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a process runs one subcommand, so it builds only that subparser
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return COMMANDS[args.subcommand][0](args)
     except _numerical_errors() as exc:

@@ -22,6 +22,15 @@ tau and t.  A point-mass measure is its own rule: r = omega_j, w = W_j.
 
 The mass shift is delta_m = polarization_factor * M_{-2} and the effective
 mass m_eff = 1 + delta_m.  A measure is infrared regular iff M_{-3} < inf.
+The four moments are summed once per measure, when its construction checks
+them, and ``moment_report`` reads them from there.
+
+The profiles and the measure are immutable records (``_Record``, equal and
+hashed by class and fields) and the moment report is a named tuple, so no
+class here needs ``dataclasses``.  The subcommands that load this module on
+the standard library, ``validate`` (with ``quadrature`` and ``errors``) and
+``energy`` (with ``energy`` too), load neither ``dataclasses`` nor the
+``inspect``, ``ast``, ``dis`` and ``tokenize`` that its import pulls in.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import bisect
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -50,36 +59,64 @@ GAUSSIAN_TAIL_PANELS = 12
 MIN_SEGMENT_PANELS = 4
 
 
-@dataclass(frozen=True)
-class SharpCutoff:
+class _Record:
+    """An immutable value: ``__init__`` sets the ``_fields`` (through ``vars``),
+    after which none can be assigned; equal to, and hashed as, a record of its
+    own class with equal fields."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class SharpCutoff(_Record):
     """phi(r) = 1 for r <= lam, 0 beyond (ultraviolet cutoff indicator)."""
-    lam: float
+    _fields = ("lam",)
     discrete = False
     nonzero_at_origin = True
 
-    def __post_init__(self):
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise MeasureError(f"sharp cutoff needs lambda > 0, got {self.lam}")
-        _check_origin_edge(self.lam, "profile.lambda")
+    def __init__(self, lam: float):
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise MeasureError(f"sharp cutoff needs lambda > 0, got {lam}")
+        _check_origin_edge(lam, "profile.lambda")
+        vars(self).update(lam=lam)
 
 
-@dataclass(frozen=True)
-class GaussianProfile:
+class GaussianProfile(_Record):
     """phi(r) = exp(-r^2 / (2 sigma^2))."""
-    sigma: float
+    _fields = ("sigma",)
     discrete = False
     nonzero_at_origin = True
 
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise MeasureError(f"gaussian profile needs sigma > 0, got {self.sigma}")
-        _check_origin_edge(self.sigma, "profile.sigma")
+    def __init__(self, sigma: float):
+        if not (sigma > 0.0 and math.isfinite(sigma)):
+            raise MeasureError(f"gaussian profile needs sigma > 0, got {sigma}")
+        _check_origin_edge(sigma, "profile.sigma")
+        vars(self).update(sigma=sigma)
 
 
-@dataclass(frozen=True)
-class PointMasses:
+class PointMasses(_Record):
     """Atoms (omega_j, W_j); weights carry the (d-1)/d polarization factor."""
-    atoms: tuple[tuple[float, float], ...]
+    _fields = ("atoms",)
     discrete = True
     nonzero_at_origin = False
 
@@ -90,14 +127,12 @@ class PointMasses:
                 raise MeasureError(f"atom frequency must be positive, got {omega}")
             if not (weight > 0.0 and math.isfinite(weight)):
                 raise MeasureError(f"atom weight must be positive, got {weight}")
-        object.__setattr__(self, "atoms", normalized)
+        vars(self).update(atoms=normalized)
 
 
-@dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Record):
     """Piecewise-linear phi(r) through (r_i, phi_i); zero outside [r_0, r_last]."""
-    radii: tuple[float, ...]
-    values: tuple[float, ...]
+    _fields = ("radii", "values")
     discrete = False
 
     def __init__(self, points: Sequence[Sequence[float]]):
@@ -117,8 +152,7 @@ class Tabulated:
             _check_origin_edge(radii[1], "profile.points[1] radius")
         if any(b / a == math.inf for a, b in zip(radii, radii[1:]) if a > 0.0):
             raise MeasureError(f"profile.points radii overflow r_(i+1) / r_i, got {list(radii)}")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
+        vars(self).update(radii=radii, values=values)
 
     def __call__(self, r: float) -> float:
         """phi(r), as ``numpy.interp(r, radii, values, left=0, right=0)``."""
@@ -143,24 +177,19 @@ def _check_origin_edge(b: float, field: str) -> None:
 Profile = Union[SharpCutoff, GaussianProfile, PointMasses, Tabulated]
 
 
-@dataclass(frozen=True)
-class RadialMeasure:
+class RadialMeasure(_Record):
     """A rotation-invariant form-factor measure in d spatial dimensions."""
+    _fields = ("dimension", "profile", "polarization_factor")
 
-    dimension: int
-    profile: Profile
-    polarization_factor: float = field(init=False)
-
-    def __post_init__(self):
-        d = self.dimension
+    def __init__(self, dimension: int, profile: Profile):
+        d = dimension
         if not (isinstance(d, numbers.Real) and math.isfinite(d) and int(d) == d and d >= 2):
             raise MeasureError(f"dimension must be an integer >= 2, got {d}")
-        object.__setattr__(self, "dimension", int(self.dimension))
-        if not isinstance(self.profile, (SharpCutoff, GaussianProfile, PointMasses, Tabulated)):
-            raise MeasureError(f"unknown profile type {type(self.profile).__name__}")
+        if not isinstance(profile, (SharpCutoff, GaussianProfile, PointMasses, Tabulated)):
+            raise MeasureError(f"unknown profile type {type(profile).__name__}")
         # a discrete measure has the polarization factor absorbed into its weights
-        pol = 1.0 if self.is_discrete else (self.dimension - 1) / self.dimension
-        object.__setattr__(self, "polarization_factor", pol)
+        pol = 1.0 if profile.discrete else (int(d) - 1) / int(d)
+        vars(self).update(dimension=int(d), profile=profile, polarization_factor=pol)
         _check_square_integrability(self)
 
     @property
@@ -182,6 +211,14 @@ class RadialMeasure:
         r, w = (np.array(part, dtype=float) for part in self._float_rule)
         r.flags.writeable = w.flags.writeable = False
         return r, w
+
+    @cached_property
+    def _moments(self) -> MomentReport:
+        """``moment_report``, summed once: construction checks its moments."""
+        m_p1, m_m1, m_m2, m_m3 = (moment(self, s) for s in (1, -1, -2, -3))
+        delta_m = self.polarization_factor * m_m2
+        return MomentReport(m_plus1=m_p1, m_minus1=m_m1, m_minus2=m_m2, m_minus3=m_m3,
+                            ir_regular=math.isfinite(m_m3), delta_m=delta_m, m_eff=1.0 + delta_m)
 
     @cached_property
     def _float_rule(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -258,28 +295,16 @@ def moment(ff: RadialMeasure, s: int) -> float:
     return _or_inf(math.fsum, terms) / ff.polarization_factor
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    m_plus1: float
-    m_minus1: float
-    m_minus2: float
-    m_minus3: float
-    ir_regular: bool
-    delta_m: float
-    m_eff: float
+MomentReport = namedtuple("MomentReport", ("m_plus1", "m_minus1", "m_minus2", "m_minus3",
+                                           "ir_regular", "delta_m", "m_eff"))
 
 
 def moment_report(ff: RadialMeasure) -> MomentReport:
-    """Evaluate the four standing moments, delta_m, m_eff and the IR flag."""
-    m_p1 = moment(ff, 1)
-    m_m1 = moment(ff, -1)
-    m_m2 = moment(ff, -2)
-    m_m3 = moment(ff, -3)
-    delta_m = ff.polarization_factor * m_m2
-    return MomentReport(
-        m_plus1=m_p1, m_minus1=m_m1, m_minus2=m_m2, m_minus3=m_m3,
-        ir_regular=math.isfinite(m_m3),
-        delta_m=delta_m, m_eff=1.0 + delta_m)
+    """The four standing moments, delta_m, m_eff and the IR flag.
+
+    Summed once per measure, when its construction checks them.
+    """
+    return ff._moments
 
 
 _ASSUMPTION_LABELS = {
@@ -302,7 +327,8 @@ def _check_square_integrability(ff: RadialMeasure) -> None:
         reasons = "; ".join(_ASSUMPTION_LABELS[s] for s in bad)
         raise MeasureError(
             f"form factor violates the standing integrability conditions: {reasons}")
-    moments = {s: moment(ff, s) for s in (1, -1, -2)}
+    report = ff._moments
+    moments = {1: report.m_plus1, -1: report.m_minus1, -2: report.m_minus2}
     bad = [s for s, m in moments.items() if not math.isfinite(m)]
     if bad:
         raise MeasureError(f"profile moments M_s, s in {bad}, must be finite, but they "

@@ -10,7 +10,7 @@ import pytest
 
 import pfwcl
 
-from pfwcl.cli import run
+from pfwcl.cli import COMMANDS, build_parser, run
 
 PM_MEASURE = {"dimension": 3,
               "profile": {"type": "point_masses",
@@ -119,6 +119,24 @@ class TestEnergy:
         assert run(["energy", "--config", cfg, "--kappa", "2", "--p", "1"]) == 0
         assert len(calls) == 1
         assert "dispersion(p=1.0,kappa=2.0)=2.125 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure", [PM_MEASURE, {"dimension": 3, "profile": {
+        "type": "gaussian", "sigma": 1.0}}], ids=["atom", "gaussian"])
+    def test_each_moment_summed_once_per_run(self, tmp_path, monkeypatch, measure):
+        # construction's integrability check and the dispersion's moment report
+        # read one report, so each standing moment is one pass over the rule
+        from pfwcl import formfactor
+        orders = []
+
+        def spy(ff, s):
+            orders.append(s)
+            return real(ff, s)
+
+        real = formfactor.moment
+        monkeypatch.setattr(formfactor, "moment", spy)
+        cfg = write_config(tmp_path, "m.json", {"measure": measure})
+        assert run(["energy", "--config", cfg, "--p", "1", "--output", os.devnull]) == 0
+        assert sorted(orders) == [-3, -2, -1, 1]
 
     def test_log_spectral_at_large_kappa(self, tmp_path):
         # kappa^2 times the kappa = 1 integral: at 1e150 the row read 0
@@ -651,6 +669,8 @@ def loaded_modules(argv) -> set:
 
 
 SPECTRAL_MODULES = {"pfwcl.cutoff", "pfwcl.energy", "pfwcl.formfactor", "pfwcl.quadrature"}
+#: dataclasses and the modules its import loads that nothing else here needs
+DATACLASS_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 @pytest.mark.parametrize("horizon", [[], ["--T", "1"]], ids=["scan", "T_1"])
@@ -686,9 +706,40 @@ def test_energy_loads_no_numpy(tmp_path):
     "validate", "energy", "cutoff-scan", "wiener-hopf", "fock", "hermite-check")],
     ids=lambda argv: argv[0])
 def test_help_loads_no_dataclasses(argv):
-    # only validate's moment report needs dataclasses, which loads inspect,
-    # ast, dis and tokenize
+    # dataclasses loads inspect, ast, dis and tokenize; among the subcommands
+    # only wiener-hopf and fock, whose numeric modules declare dataclasses, need it
     assert "dataclasses" not in loaded_modules(argv)
+
+
+def parse_outcome(parse, argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of a parse that ends in ``SystemExit``."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "energy"]]
+                         + [[sub, "--help"] for sub in COMMANDS]
+                         + [[sub, "--bogus"] for sub in COMMANDS]
+                         + [["energy", "--format", "xml"], ["fock", "--ntot"]],
+                         ids=lambda argv: " ".join(argv) or "no-subcommand")
+def test_one_subparser_prints_what_the_full_parser_prints(argv, capsys):
+    # run builds only the named subcommand's subparser: its help, usage and
+    # errors are the full parser's bytes and exit codes
+    full = parse_outcome(lambda a: build_parser().parse_args(a), argv, capsys)
+    assert parse_outcome(run, argv, capsys) == full
+
+
+def test_run_builds_only_its_subparser(monkeypatch):
+    from pfwcl import cli
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or real(only))
+    assert run(["cutoff-scan", "--lambda", "1", "--output", os.devnull]) == 0
+    with pytest.raises(SystemExit):
+        run(["bogus"])
+    assert built == ["cutoff-scan", None]
 
 
 GAUSSIAN_MEASURE = {"dimension": 3, "profile": {"type": "gaussian", "sigma": 1.0}}
@@ -753,7 +804,9 @@ def test_validate_and_cutoff_scan_load_no_numpy(tmp_path, argv):
     loaded = loaded_modules(stdlib_argv(tmp_path, argv))
     assert "numpy" not in loaded
     assert ("pfwcl.quadrature" in loaded) == (argv[0] != "hermite-check")
-    assert ("dataclasses" in loaded) == (argv[0] in ("validate", "energy"))
+    # the measures, moment reports and energy results are plain classes and
+    # named tuples: nothing loads dataclasses or the modules it imports
+    assert not loaded & DATACLASS_MODULES
 
 
 @pytest.mark.parametrize("argv", STDLIB_RUNS, ids=lambda argv: argv[0] + "-" + argv[-1])

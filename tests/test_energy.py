@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from pfwcl import energy
 from pfwcl.cutoff import cutoff_energy_3d, cutoff_split_I1_I2
 from pfwcl.energy import (EnergyResult, G_function, SpectralFunctions, dipole_dispersion,
                           dispersion_parts, ground_energy, log_spectral_energy)
@@ -234,6 +235,72 @@ class TestOwnScale:
             assert scaled == EnergyResult(math.ldexp(base.calE, k),
                                           math.ldexp(base.log_spectral, k),
                                           math.ldexp(base.estimated_abs_error, k))
+
+
+def spy_kept(monkeypatch) -> list:
+    """[(rule size, kept size)] of every ``energy._kept`` call from here on."""
+    calls = []
+
+    def spy(rule, s2, power):
+        kept = real(rule, s2, power)
+        calls.append((len(rule[1]), len(kept[0])))
+        return kept
+
+    real = energy._kept
+    monkeypatch.setattr(energy, "_kept", spy)
+    return calls
+
+
+class TestCut:
+    @pytest.mark.parametrize("kind, d, scale", list(RULE_CALE),
+                             ids=lambda v: f"{v:g}" if isinstance(v, float) else str(v))
+    def test_dropped_nodes_move_each_sum_by_at_most_the_unit_roundoff(self, kind, d, scale):
+        # sum q = sum w/(r^2+s^2) (power 1) and s^2 sum q/(r^2+s^2) (power 2),
+        # each summed exactly from the kernel's float terms: what the cut drops
+        # is at most 2^-53 of what it keeps, so trimmed and full agree to 2^-52
+        profile = SharpCutoff(scale) if kind == "sharp" else GaussianProfile(scale)
+        rule = energy._own_rule(RadialMeasure(d, profile))
+        _, r2, w, _ = rule
+        rng = random.Random(f"{kind}{d}{scale}")
+        dropped_any = False
+        for _ in range(300):
+            s2 = 10.0 ** rng.uniform(-12.0, 12.0)
+            q = [wk / (rk + s2) for rk, wk in zip(r2, w)]
+            for power, terms in ((1, q), (2, [s2 * qk / (rk + s2) for qk, rk in zip(q, r2)])):
+                j = len(r2) - len(energy._kept(rule, s2, power)[0])
+                full, kept, dropped = (math.fsum(terms), math.fsum(terms[j:]),
+                                       math.fsum(terms[:j]))
+                assert dropped <= 2.0 ** -53 * kept * (1.0 + 1e-12)
+                assert abs(full - kept) <= 2.0 ** -52 * full
+                dropped_any |= j > 0
+        assert dropped_any
+
+    def test_ground_energy_sums_under_30_percent_of_the_rule(self, monkeypatch):
+        # sharp d = 3, lambda = 1: most of the 820 nodes are the origin grading,
+        # which the cut drops at every quadrature point but the smallest s
+        calls = spy_kept(monkeypatch)
+        ground_energy(RadialMeasure(3, SharpCutoff(1.0)))
+        assert sum(kept for _, kept in calls) <= 0.3 * sum(size for size, _ in calls)
+        assert {size for size, _ in calls} == {820}
+
+    @pytest.mark.parametrize("k", [-20, -7, 5, 20])
+    def test_power_of_two_scaling_is_exact_where_the_cut_drops_atoms(self, k, monkeypatch):
+        # atoms at 1e-3 and 1e-2 of the frequencies with 1e-24 of the weight add
+        # less than 2^-53 of the sums at most s; the cut sees the same floats
+        # at 2^k omega, so it keeps the same atoms and the outputs scale by 2^k
+        calls = spy_kept(monkeypatch)
+        rng = random.Random(k)
+        for _ in range(10):
+            atoms = [(10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-3, 3))
+                     for _ in range(rng.randint(1, 3))]
+            atoms += [(omega * f, w * 1e-24) for omega, w in atoms for f in (1e-3, 1e-2)]
+            base = ground_energy(RadialMeasure(3, PointMasses(atoms)))
+            scaled = ground_energy(RadialMeasure(3, PointMasses(
+                [(math.ldexp(omega, k), math.ldexp(w, 2 * k)) for omega, w in atoms])))
+            assert scaled == EnergyResult(math.ldexp(base.calE, k),
+                                          math.ldexp(base.log_spectral, k),
+                                          math.ldexp(base.estimated_abs_error, k))
+        assert any(kept < size for size, kept in calls)
 
 
 class TestDipoleDispersion:
