@@ -5,8 +5,12 @@ Exit codes: 0 success, 2 configuration error (bad flags, config or arguments),
 closed early (``| head``) is no failure: ``main`` points it at the null device,
 so the final flush stays silent, and exits 0 unless ``run`` returned 2 or 3.
 Data goes to stdout only with ``--output -``; diagnostics always go to stderr.
-Identical config (and seed) yields byte-identical output: floats are printed
-with 17 significant digits and the resolved config is echoed into the header.
+Identical config (and seed) yields byte-identical output on one Python minor
+version: floats are printed with 17 significant digits and the resolved config
+is echoed into the header.  From 3.12 on the built-in ``sum`` of floats is
+compensated (Neumaier summation), so ``energy``'s kernel rounds differently
+there than on 3.10 and 3.11.  ``energy`` and ``wiener-hopf`` refuse a row with
+an infinite or NaN cell (exit 3, naming the column).
 
 Each subcommand is declared once, in ``COMMANDS``, with its params: a param's
 flag dest is its config ``params`` key, and one converter serves flag text and
@@ -235,6 +239,15 @@ def _measure_or_fail(resolved: dict):
     return measure_from_json(resolved["measure"])
 
 
+def _finite_row(row: dict) -> dict:
+    """``row``, or a NumericalError naming its non-finite columns (JSON has no
+    inf or nan, and a CSV row with them is no result either)."""
+    bad = [f"{c} = {v}" for c, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise NumericalError("non-finite output: " + ", ".join(bad))
+    return row
+
+
 @contextlib.contextmanager
 def _output(args):
     """The data stream: stdout for ``--output -``, else the named file."""
@@ -298,7 +311,7 @@ def _cmd_energy(args) -> int:
     ls = kappa * kappa * result.log_spectral     # = log_spectral_energy(ff, kappa)
     disp = dipole_dispersion(ff, kappa, p, cal_e=result.calE)
     row = {"kappa": kappa, "p": p, "calE": result.calE, "log_spectral": ls}
-    _write_rows(args, resolved, list(row), [row])
+    _write_rows(args, resolved, list(row), [_finite_row(row)])
     print(f"energy: calE={result.calE:.12g} log_spectral={ls:.12g} "
           f"dispersion(p={p},kappa={kappa})={disp:.12g} "
           f"quad_err~{result.estimated_abs_error:.1e}", file=sys.stderr)
@@ -329,8 +342,8 @@ def _cmd_wiener_hopf(args) -> int:
     ff = _measure_or_fail(resolved)     # on the standard library, before numpy loads
     from . import wienerhopf
 
-    rows = wienerhopf.ak_convergence_report(ff, params["kappa"],
-                                            params.get("T_ladder") or [params["T"]])
+    rows = [_finite_row(row) for row in wienerhopf.ak_convergence_report(
+        ff, params["kappa"], params.get("T_ladder") or [params["T"]])]
     _write_rows(args, resolved, ["T", "n", "logdet_per_T", "ak_target", "ak_dev", "ak_B",
                                  "disc_err", "mass_fn", "mass_target", "mass_dev"], rows)
     p = params["p"]

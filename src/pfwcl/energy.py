@@ -23,20 +23,20 @@ is an exact identity and is computed independently as a cross-check.  Its
 left side is exactly kappa^2 times its kappa = 1 value, so one kappa = 1
 quadrature serves every kappa.
 
-Each spectral function is one sum over the measure's radial rule in Python
-floats (``RadialMeasure._float_rule``): it takes a float t and returns a
-float, or a 1-D sequence of t and returns a list.  The terms run through
-``map`` over C functions into the built-in ``sum``, so no Python function runs
-per node and no numpy loads.  The outer integrals run on ``adaptive_quad``,
-fold onto [0, inf) by evenness and integrate in s = t / c at the measure's own
-scale c = 2^round(log2(M_1 / M_{-1}) / 2): G(c s) and rho_hat_1(c s) are the
-same sums on the rule (r / c, w / c^2), whose features sit near s = 1, where
-the tan map resolves them.  As c is a power of two the substitution adds no
-rounding, and atoms (2^k omega, 4^k W) give exactly 2^k times the calE,
-log_spectral and error estimate of (omega, W).
+Each spectral function is one sum over the measure's radial rule
+(``RadialMeasure.rule``) at one float t, in Python floats: the terms run
+through ``map`` over C functions into the built-in ``sum``, so no Python
+function runs per node and no numpy loads.  The outer integrals run on
+``adaptive_quad``, fold onto [0, inf) by evenness and integrate in s = t / c at
+the measure's own scale c = 2^round(log2(M_1 / M_{-1}) / 2), read from
+``moment_report``: G(c s) and rho_hat_1(c s) are the same sums on the rule
+(r / c, w / c^2), whose features sit near s = 1, where the tan map resolves
+them.  As c is a power of two the substitution adds no rounding, and atoms
+(2^k omega, 4^k W) give exactly 2^k times the calE, log_spectral and error
+estimate of (omega, W).
 
-The two t-integrands sum only the nodes that can move them.  The own-scale
-rule is sorted by r once, with the prefix sums P_j of its weights.  At s, the
+The two t-integrands sum only the nodes that can move them.  The rule is sorted
+by r; ``_own_rule`` adds the prefix sums P_j of its weights.  At s, the
 nodes below j add at most P_j / s^2 to sum w/(r^2+s^2) and to
 s^2 sum w/(r^2+s^2)^2, and the rest at least (P_K - P_j) x / s^2 and
 (P_K - P_j) x^2 / s^2, x = s^2/(r_max^2+s^2).  Each integrand bisects P for
@@ -44,8 +44,8 @@ the largest j whose dropped bound is at most 2^-53 times its kept bound, so
 the cut moves its exact sum by at most the unit roundoff 2^-53 relative; G's
 two sums share its numerator's cut, the stricter one.  What it drops is
 mostly the rule's grading toward the origin: on sharp d = 3, lambda = 1
-``ground_energy`` sums 24 % of the node terms.  ``G_function``, ``dispersion_parts`` and ``SpectralFunctions``
-sum every node.
+``ground_energy`` sums 24 % of the node terms.  ``G_function``,
+``dispersion_parts`` and ``SpectralFunctions`` sum every node.
 The d = 3 cutoff energy E(Lambda) needs no measure and lives in ``cutoff``.
 """
 
@@ -61,27 +61,6 @@ from .formfactor import RadialMeasure, _Record, _effective_component_count, mome
 from .quadrature import adaptive_quad
 
 
-def _each(f, t):
-    """f(t) at a float t, or the list of f over a 1-D sequence t."""
-    try:
-        ts = iter(t)
-    except TypeError:
-        return f(float(t))
-    return [f(float(x)) for x in ts]
-
-
-def measure_integral(ff: RadialMeasure, weight, t):
-    """pf * int weight(omega, t) |phi(k)|^2 dk at a float t, or over a sequence.
-
-    A sum over the measure's radial rule: ``weight(r, t)`` gets the rule's
-    radii and one float t and returns the weight at every radius as an
-    iterable, a chain of ``map`` over C functions, so the sum calls no
-    Python function per node.
-    """
-    r, w = ff._float_rule
-    return _each(lambda x: sum(map(mul, w, weight(r, x)), 0.0), t)
-
-
 class SpectralFunctions(_Record):
     """Evaluator for rho and rho-hat at a fixed coupling scale kappa."""
     _fields = ("ff", "kappa")
@@ -91,15 +70,17 @@ class SpectralFunctions(_Record):
             raise ValueError(f"kappa must be a nonnegative real, got {kappa}")
         vars(self).update(ff=ff, kappa=kappa)
 
-    def rho(self, t):
-        k2 = self.kappa**2     # exp(-|t| k2 r) / (2 r)
-        return measure_integral(self.ff, lambda r, t: map(
-            truediv, map(math.exp, map(mul, r, repeat(-abs(t) * k2))), map(add, r, r)), t)
+    def rho(self, t: float) -> float:
+        r, w = self.ff.rule
+        k2 = self.kappa**2     # w exp(-|t| k2 r) / (2 r)
+        return sum(map(mul, w, map(truediv, map(math.exp, map(mul, r, repeat(-abs(t) * k2))),
+                                   map(add, r, r))), 0.0)
 
-    def rho_hat(self, t):
-        k2 = self.kappa**2     # k2 / (k2^2 r^2 + t^2)
-        return measure_integral(self.ff, lambda r, t: map(truediv, repeat(k2), map(
-            add, map(mul, map(mul, r, repeat(k2 * k2)), r), repeat(t * t))), t)
+    def rho_hat(self, t: float) -> float:
+        r, w = self.ff.rule
+        k2 = self.kappa**2     # w k2 / (k2^2 r^2 + t^2)
+        return sum(map(mul, w, map(truediv, repeat(k2), map(
+            add, map(mul, map(mul, r, repeat(k2 * k2)), r), repeat(t * t)))), 0.0)
 
 
 def _parts(r2, w, t2):
@@ -114,24 +95,16 @@ def _g(r2, w, t2):
     return num / (1.0 + den)
 
 
-def dispersion_parts(ff: RadialMeasure, t):
-    """The two integrals entering G: (pf*||t phi/(t^2+w^2)||^2, pf*||phi/sqrt(t^2+w^2)||^2).
-
-    A pair of floats at a float t, a pair of lists over a sequence t.
-    """
-    r, w = ff._float_rule
-    r2 = list(map(mul, r, r))
-    parts = _each(lambda x: _parts(r2, w, x * x), t)
-    if isinstance(parts, tuple):
-        return parts
-    return [num for num, _ in parts], [den for _, den in parts]
+def dispersion_parts(ff: RadialMeasure, t: float) -> tuple[float, float]:
+    """The two integrals entering G: (pf*||t phi/(t^2+w^2)||^2, pf*||phi/sqrt(t^2+w^2)||^2)."""
+    r, w = ff.rule
+    return _parts(list(map(mul, r, r)), w, t * t)
 
 
-def G_function(ff: RadialMeasure, t):
+def G_function(ff: RadialMeasure, t: float) -> float:
     """G(t) >= 0, even, with G(0) = 0 for measures without a zero-frequency atom."""
-    r, w = ff._float_rule
-    r2 = list(map(mul, r, r))
-    return _each(lambda x: _g(r2, w, x * x), t)
+    num, den = dispersion_parts(ff, t)
+    return num / (1.0 + den)
 
 
 #: floor of ``estimated_abs_error`` in units in the last place of calE, for the
@@ -149,17 +122,17 @@ EnergyResult = namedtuple("EnergyResult", ("calE", "log_spectral", "estimated_ab
 
 def _own_rule(ff: RadialMeasure) -> tuple[float, list, list, list]:
     """(c, (r/c)^2, w/c^2, P): the rule at the measure's own scale c, sorted
-    by r, with the prefix sums P_j = w_0 + ... + w_{j-1} of its weights.
+    by r as the rule is, with the prefix sums P_j = w_0 + ... + w_{j-1} of its
+    weights.
 
     c = 2^round(log2(M_1 / M_{-1}) / 2), halves rounded up, is 2 to the
     exponent of frexp(M_1 / M_{-1}) halved, so 4^k M_1 / M_{-1} gives 2^k c
-    exactly; 1 for a rule without weight or a ratio past a double.
+    exactly; 1 for a measure without weight or a ratio past a double.
     """
-    r, w = ff._float_rule
-    m_plus, m_minus = sum(map(mul, w, r), 0.0), sum(map(truediv, w, r), 0.0)
-    weighted = m_plus > 0.0 and m_minus > 0.0
-    c = math.ldexp(1.0, math.frexp(m_plus / m_minus)[1] // 2) if weighted else 1.0
-    r, w = zip(*sorted(zip(r, w))) if r else (r, w)
+    rep = moment_report(ff)
+    weighted = rep.m_plus1 > 0.0 and rep.m_minus1 > 0.0
+    c = math.ldexp(1.0, math.frexp(rep.m_plus1 / rep.m_minus1)[1] // 2) if weighted else 1.0
+    r, w = ff.rule
     rho = list(map(mul, r, repeat(1.0 / c)))
     w = list(map(mul, w, repeat(1.0 / (c * c))))
     return c, list(map(mul, rho, rho)), w, [0.0, *accumulate(w)]

@@ -10,15 +10,17 @@ with S_{d-1} = 2 pi^{d/2} / Gamma(d/2).  Discrete measures are lists of atoms
 (omega_j, W_j) whose weights already absorb the transversal polarization
 average (d-1)/d, so M_s = sum_j W_j omega_j^s directly.
 
-Every radial integral runs on one rule per measure, in floats (``rule()``):
-nodes r_k and weights w_k = pf * S_{d-1} * phi(r_k)^2 r_k^{d-1} * (panel
-weight), so that pf * int f(omega) |phi|^2 dk = sum_k w_k f(r_k).  Continuum
+Every radial integral runs on one rule per measure (``rule``), a cached pair
+of float tuples sorted by r that every pipeline reads: nodes r_k and weights
+w_k = pf * S_{d-1} * phi(r_k)^2 r_k^{d-1} * (panel weight), so that
+pf * int f(omega) |phi|^2 dk = sum_k w_k f(r_k).  Continuum
 profiles get order-20 Gauss-Legendre panels on [0, lambda] (sharp cutoff), on
 [0, sigma] plus 12 equal panels on [sigma, 9 sigma] (gaussian), and on every
 segment of a tabulated profile.  Neighbouring panel edges are at most a factor
 4 apart, and a segment at the origin is graded down to 4^-40 of its length,
 which resolves the peaks of e^{-tau r} and 1/(t^2 + r^2) near r = 0 for every
-tau and t.  A point-mass measure is its own rule: r = omega_j, w = W_j.
+tau and t.  A point-mass measure is its own rule: r = omega_j, w = W_j, the
+atoms sorted by (omega_j, W_j).
 
 The mass shift is delta_m = polarization_factor * M_{-2} and the effective
 mass m_eff = 1 + delta_m.  A measure is infrared regular iff M_{-3} < inf.
@@ -200,18 +202,6 @@ class RadialMeasure(_Record):
         d = self.dimension
         return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
-    def rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_float_rule`` as read-only numpy arrays (r_k, w_k): w @ f(r)."""
-        return self._rule
-
-    @cached_property
-    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        import numpy as np
-
-        r, w = (np.array(part, dtype=float) for part in self._float_rule)
-        r.flags.writeable = w.flags.writeable = False
-        return r, w
-
     @cached_property
     def _moments(self) -> MomentReport:
         """``moment_report``, summed once: construction checks its moments."""
@@ -221,11 +211,13 @@ class RadialMeasure(_Record):
                             ir_regular=math.isfinite(m_m3), delta_m=delta_m, m_eff=1.0 + delta_m)
 
     @cached_property
-    def _float_rule(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(r_k, w_k) with pf * int f(omega) |phi|^2 dk = sum_k w_k f(r_k), in floats."""
+    def rule(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(r_k, w_k) with pf * int f(omega) |phi|^2 dk = sum_k w_k f(r_k), in
+        floats, sorted by r: atoms by (omega, W), and panel nodes ascend."""
         p = self.profile
         if isinstance(p, PointMasses):
-            return tuple(a[0] for a in p.atoms), tuple(a[1] for a in p.atoms)
+            atoms = sorted(p.atoms)
+            return tuple(a[0] for a in atoms), tuple(a[1] for a in atoms)
         # consecutive segments share an edge, so one edge list holds their panels
         if isinstance(p, SharpCutoff):
             edges, phi2 = _panel_edges(0.0, p.lam), lambda r: 1.0
@@ -291,7 +283,7 @@ def moment(ff: RadialMeasure, s: int) -> float:
     if _origin_exponent_divergent(ff, s):
         return math.inf
     # a zero weight (phi = 0, or underflow) against an overflowing r^s is no term
-    terms = (wk * _or_inf(pow, rk, s) for rk, wk in zip(*ff._float_rule) if wk != 0.0)
+    terms = (wk * _or_inf(pow, rk, s) for rk, wk in zip(*ff.rule) if wk != 0.0)
     return _or_inf(math.fsum, terms) / ff.polarization_factor
 
 
@@ -350,7 +342,7 @@ def _underflow_bound(ff: RadialMeasure, s: int) -> float:
     at every node (sharp and gaussian): a weight below the normal range hides
     a term below float_info.min r^s, a term below it at most float_info.min."""
     tiny, bounds = sys.float_info.min, []
-    for rk, wk in zip(*ff._float_rule):
+    for rk, wk in zip(*ff.rule):
         rs = _or_inf(pow, rk, s)
         if wk < tiny or wk * rs < tiny:
             bounds.append(tiny * max(1.0, rs))

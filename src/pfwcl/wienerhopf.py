@@ -5,8 +5,10 @@ over the measure's radial rule.  In x = kappa^2 t, 1 + kappa^2 C_T is 1 + K_S
 on [0, S], S = kappa^2 T, with kernel rho_1(x) = sum_j g_j^2 exp(-lam_j |x|):
 the covariance of y = g.z for the stationary state dz = -diag(lam) z dx + dw,
 Cov z = I.  So one realization (lam, g) per measure serves every kappa and T.
-A point-mass rule, equal frequencies merged, is its own realization; a continuum
-rule (A = -diag(r), b = sqrt(w/(2r))) is cut by balanced truncation (Moore 1981)
+Every rule passes through ``normalmodes.merged``, which sums the weights of
+equal frequencies and drops w = 0 nodes.  A point-mass rule is then its own
+realization; a continuum rule (A = -diag(r), b = sqrt(w/(2r))), whose nodes are
+distinct already, is cut by balanced truncation (Moore 1981)
 to the states whose Hankel singular value exceeds TRUNCATION_TOL of the largest.
 Its K-node stage (a pivoted Cholesky of the gramian, classical Gram-Schmidt
 twice on the factor, the projections of A and b) runs in numpy's own loops, and
@@ -153,8 +155,7 @@ def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
 @lru_cache(maxsize=32)
 def realization(ff: RadialMeasure) -> StateSpace:
     """The measure's state-space realization, shared by every kappa and T."""
-    r, w = merged(zip(*ff.rule())) if ff.is_discrete else ff.rule()
-    r, w = r[w > 0.0], w[w > 0.0]
+    r, w = merged(zip(*ff.rule))
     if ff.is_discrete or not len(r):
         return StateSpace(r, np.sqrt(w / (2.0 * r)))
     return _balanced_truncation(r, w)

@@ -16,6 +16,10 @@ PM_MEASURE = {"dimension": 3,
               "profile": {"type": "point_masses",
                           "atoms": [{"omega": 1.0, "weight": 3.0}]}}
 
+#: kappa = 1e154 keeps kappa^2 = 1e308 finite, but not kappa^2 times this
+#: measure's rates, which no JSON or CSV cell can hold
+SHARP_100 = {"dimension": 3, "profile": {"type": "sharp", "lambda": 100.0}}
+
 FOCK_ARGS = ["fock", "--modes", "1:3:0", "--kappa-list", "1", "--p-list", "0"]
 #: a complete fock params object, which a test's params update and its flags override
 FOCK_PARAMS = {"modes": [[1, 3, 0]], "ntot": 4, "kappa_list": [1], "p_list": [0]}
@@ -156,6 +160,14 @@ class TestEnergy:
         assert run(["energy", "--config", cfg]) == 0
         assert capsys.readouterr().err.startswith("energy: calE=384749436.958 ")
 
+    def test_non_finite_column_exits_three(self, tmp_path, capsys):
+        # the row read "log_spectral": Infinity, which is no JSON, and exited 0
+        cfg = write_config(tmp_path, "sharp.json", {"measure": SHARP_100})
+        assert run(["energy", "--config", cfg, "--kappa", "1e154", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "energy: numerical failure: non-finite output: log_spectral = inf\n"
+
     @pytest.mark.parametrize("spoil, message", [
         ("MAX_PANELS", "panel budget 4 exhausted"),
         ("_g", "integrand returned non-finite values")], ids=["budget", "nan"])
@@ -238,6 +250,17 @@ class TestWienerHopf:
     def test_requires_horizon(self, tmp_path):
         cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
         assert run(["wiener-hopf", "--config", cfg]) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_columns_exit_three(self, tmp_path, capsys):
+        # the row read inf in three columns and nan in ak_dev, and exited 0
+        cfg = write_config(tmp_path, "sharp.json", {"measure": SHARP_100})
+        assert run(["wiener-hopf", "--config", cfg, "--kappa", "1e154", "--T", "1",
+                    "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("wiener-hopf: numerical failure: non-finite output: logdet_per_T = inf, "
+                       "ak_dev = nan, ak_target = inf, disc_err = inf\n")
 
 
 class TestFock:

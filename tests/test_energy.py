@@ -1,5 +1,6 @@
 import math
 import random
+from operator import mul, truediv
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from pfwcl import energy
 from pfwcl.cutoff import cutoff_energy_3d, cutoff_split_I1_I2
 from pfwcl.energy import (EnergyResult, G_function, SpectralFunctions, dipole_dispersion,
                           dispersion_parts, ground_energy, log_spectral_energy)
-from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
-                              SharpCutoff, moment_report)
+from pfwcl.errors import MeasureError
+from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure, SharpCutoff,
+                              Tabulated, moment_report)
 from pfwcl.quadrature import adaptive_quad
 
 NULL = RadialMeasure(3, PointMasses([]))
@@ -133,7 +135,7 @@ class TestLogSpectral:
             for kappa in (2.0, 3.0):
                 sf = SpectralFunctions(ff, kappa=kappa)
                 half, _ = adaptive_quad(
-                    lambda ts: [math.log1p(kappa**2 * v) for v in sf.rho_hat(ts)],
+                    lambda ts: [math.log1p(kappa**2 * sf.rho_hat(t)) for t in ts],
                     0.0, math.inf, abs_tol=1e-14)
                 assert half / math.pi == pytest.approx(kappa**2 * base, rel=1e-10)
 
@@ -169,7 +171,6 @@ class TestLogSpectral:
 
 class TestOtherMeasures:
     def test_tabulated_bump_identity(self):
-        from pfwcl.formfactor import Tabulated
         tab = RadialMeasure(3, Tabulated([(0.5, 0.0), (1.0, 1.0), (1.5, 0.0)]))
         res = ground_energy(tab)
         assert res.calE > 0
@@ -187,7 +188,7 @@ class TestOtherMeasures:
 #
 #     def rule_calE(ff):            # about 30 s per measure
 #         with mpmath.workdps(30):
-#             r, w = ff._float_rule
+#             r, w = ff.rule
 #             r2, W = [mpmath.mpf(x) ** 2 for x in r], [mpmath.mpf(x) for x in w]
 #
 #             def G(t):
@@ -208,7 +209,45 @@ RULE_CALE = {
 }
 
 
+def random_measure(rng: random.Random) -> RadialMeasure:
+    """A seeded sharp, gaussian, tabulated or point-mass measure in d = 2 ... 5;
+    a MeasureError where d = 2 meets phi(0) != 0 (M_{-2} diverges)."""
+    d, kind, scale = rng.randint(2, 5), rng.randrange(4), 10.0 ** rng.uniform(-20.0, 20.0)
+    if kind == 0:
+        return RadialMeasure(d, SharpCutoff(scale))
+    if kind == 1:
+        return RadialMeasure(d, GaussianProfile(scale))
+    if kind == 2:
+        radii = [0.0 if rng.random() < 0.5 else scale * rng.uniform(0.1, 1.0)]
+        for _ in range(rng.randint(1, 5)):
+            radii.append(radii[-1] + scale * rng.uniform(0.1, 1.0))
+        return RadialMeasure(d, Tabulated([(r, rng.uniform(0.0, 1.0)) for r in radii]))
+    return RadialMeasure(d, PointMasses([
+        (scale * 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-10.0, 10.0))
+        for _ in range(rng.randint(1, 5))]))
+
+
 class TestOwnScale:
+    def test_scale_from_the_cached_moments_is_the_old_rule_sums(self):
+        # c was once 2^(frexp(sum w r / sum w / r)[1] // 2), summed on the rule
+        # in the atoms' given order; it now reads M_1 / M_{-1} from
+        # moment_report (fsum, divided by pf) and must be the same power of two
+        rng, checked, kinds = random.Random(3000), 0, set()
+        while checked < 3000:
+            try:
+                ff = random_measure(rng)
+            except MeasureError:
+                continue
+            p = ff.profile
+            r, w = zip(*p.atoms) if isinstance(p, PointMasses) else ff.rule
+            m_plus, m_minus = sum(map(mul, w, r), 0.0), sum(map(truediv, w, r), 0.0)
+            old = (math.ldexp(1.0, math.frexp(m_plus / m_minus)[1] // 2)
+                   if m_plus > 0.0 and m_minus > 0.0 else 1.0)
+            assert energy._own_rule(ff)[0] == old, ff
+            checked += 1
+            kinds.add((type(p), ff.dimension))
+        assert len(kinds) == 4 * 4 - 2      # sharp and gaussian refuse d = 2
+
     @pytest.mark.parametrize("kind, d, scale", list(RULE_CALE),
                              ids=lambda v: f"{v:g}" if isinstance(v, float) else str(v))
     def test_estimate_bounds_error_against_rule_value(self, kind, d, scale):

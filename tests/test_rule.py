@@ -1,7 +1,7 @@
 """The discrete radial rule against closed forms.
 
 Every integral against a form-factor measure is a sum over
-``RadialMeasure.rule()``; these oracles pin the moments, rho, rho_hat and the
+``RadialMeasure.rule``; these oracles pin the moments, rho, rho_hat and the
 Wiener-Hopf kernel realized from it to near machine precision.
 """
 
@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pfwcl.energy import G_function, SpectralFunctions, dispersion_parts
+from pfwcl.energy import SpectralFunctions
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
                               SharpCutoff, Tabulated, moment)
 from pfwcl.wienerhopf import realization
@@ -94,14 +94,29 @@ def test_divergent_moments_are_inf(name, d, s):
 
 
 def test_rule_is_cached_and_read_only(gauss1):
-    r, w = gauss1.rule()
-    assert gauss1.rule()[0] is r
-    assert not r.flags.writeable and not w.flags.writeable
+    r, w = gauss1.rule
+    assert gauss1.rule[0] is r
+    assert type(r) is tuple and type(w) is tuple
 
 
 def test_point_masses_are_their_own_rule():
-    r, w = RadialMeasure(3, PointMasses([(1.0, 3.0), (2.0, 0.5)])).rule()
-    assert r.tolist() == [1.0, 2.0] and w.tolist() == [3.0, 0.5]
+    # sorted by (omega, W), in whatever order the atoms come
+    atoms = [(2.0, 0.5), (1.0, 3.0)]
+    for order in (atoms, atoms[::-1]):
+        assert RadialMeasure(3, PointMasses(order)).rule == ((1.0, 2.0), (3.0, 0.5))
+    tied = [(1.0, 2.0), (0.5, 4.0), (1.0, 1.0), (0.5, 3.0)]
+    assert RadialMeasure(3, PointMasses(tied)).rule == ((0.5, 0.5, 1.0, 1.0),
+                                                        (3.0, 4.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_rule_is_sorted_by_r(name, d):
+    # energy._kept bisects the prefix sums of the weights in this order;
+    # panel nodes ascend strictly, so the realization's merge keeps every node
+    r, w = RadialMeasure(d, PROFILES[name]).rule
+    assert len(r) == len(w) > 0
+    assert all(a < b for a, b in zip(r, r[1:]))
 
 
 # -- rho and rho_hat (d = 3, kappa = 1, pf * S_2 = 8 pi / 3) ------------------
@@ -159,20 +174,6 @@ def test_gaussian_rho_closed_form(gauss1, tau):
 @pytest.mark.parametrize("t", TS)
 def test_gaussian_rho_hat_closed_form(gauss1, t):
     assert rel_err(SpectralFunctions(gauss1).rho_hat(t), gaussian_rho_hat(t)) <= 1e-13
-
-
-def test_spectral_functions_broadcast(gauss1):
-    # a float gives a float, a 1-D sequence (a numpy array too) a list
-    sf = SpectralFunctions(gauss1, kappa=1.5)
-    for f in (sf.rho, sf.rho_hat, lambda t: G_function(gauss1, t)):
-        assert type(f(2.0)) is float and type(f(np.float64(2.0))) is float
-        values = f(np.array([0.0, 0.5, 2.0, -3.0]))
-        assert type(values) is list and len(values) == 4
-        assert values[2] == pytest.approx(f(2.0), rel=1e-15)
-        assert values[3] == pytest.approx(f(-3.0), rel=1e-15)
-        assert f([]) == []
-    num, den = dispersion_parts(gauss1, [0.5, 2.0])
-    assert (num[1], den[1]) == dispersion_parts(gauss1, 2.0)
 
 
 # -- the Wiener-Hopf kernel of the state-space realization ---------------------

@@ -116,7 +116,7 @@ class TestGrid:
         # the realized kernel is even and reproduces the rule's rho
         tau = np.array([0.0, 1e-3, 0.1, 1.0, 7.5, 80.0])
         for ff in (pm_atom, gauss1, cutoff1):
-            rho = SpectralFunctions(ff, 1.3).rho(tau)
+            rho = np.array([SpectralFunctions(ff, 1.3).rho(t) for t in tau])
             assert np.array_equal(realized_rho(ff, 1.3, tau), realized_rho(ff, 1.3, -tau))
             assert np.max(np.abs(realized_rho(ff, 1.3, tau) - rho)) <= 1e-14 * rho[0]
 
@@ -128,7 +128,7 @@ class TestGrid:
         for ff in (gauss1, cutoff1, TABULATED):
             ss = realization(ff)
             assert np.all(ss.lam > 0.0)
-            r, w = (a.astype(np.longdouble) for a in ff.rule())
+            r, w = (np.array(a, dtype=np.longdouble) for a in ff.rule)
             lam, g = ss.lam.astype(np.longdouble), ss.g.astype(np.longdouble)
             exact = w @ (1.0 / (r[:, None] ** 2 + t ** 2))
             realized = (2.0 * lam * g ** 2) @ (1.0 / (lam[:, None] ** 2 + t ** 2))
@@ -293,10 +293,27 @@ class TestBalancedTruncation:
             return np.linalg.svd(a, *args, **kwargs)
 
         monkeypatch.setattr(wienerhopf, "svd", spy)
-        r, w = ff.rule()
+        r, w = map(np.array, ff.rule)
         n = len(wienerhopf._balanced_truncation(r, w).lam)
         [(rows, cols)] = shapes
         assert rows == cols and n <= rows < len(r) // 10
+
+    @pytest.mark.parametrize("profile, zeros", [
+        (SharpCutoff(1.0), False), (GaussianProfile(1.0), False),
+        (Tabulated([(0.5, 0.0), (1.0, 1.0), (1.5, 0.0)]), False),
+        (Tabulated([(0.0, 1.0), (1.0, 0.0), (2.0, 0.0), (3.0, 1.0)]), True)],
+        ids=["sharp", "gaussian", "tabulated", "tabulated_zero_segment"])
+    def test_merge_changes_no_continuum_realization(self, profile, zeros):
+        # realization passes every rule through normalmodes.merged: on the
+        # distinct nodes of a continuum rule it only drops the w = 0 ones, so
+        # the states are bit for bit those of the raw rule without them
+        ff = RadialMeasure(3, profile)
+        r, w = map(np.array, ff.rule)
+        keep = w > 0.0
+        assert keep.all() != zeros
+        ss, raw = realization(ff), wienerhopf._balanced_truncation(r[keep], w[keep])
+        assert np.array_equal(ss.lam, raw.lam) and np.array_equal(ss.g, raw.g)
+        assert (ss.tail, ss.mass) == (raw.tail, raw.mass)
 
     def test_vanishing_column_is_numerical_error(self, cutoff1, monkeypatch):
         einsum = np.einsum
@@ -306,7 +323,7 @@ class TestBalancedTruncation:
 
         monkeypatch.setattr(np, "einsum", null_norm)
         with pytest.raises(NumericalError, match="balanced truncation: Gram-Schmidt column 0"):
-            wienerhopf._balanced_truncation(*cutoff1.rule())
+            wienerhopf._balanced_truncation(*map(np.array, cutoff1.rule))
 
 
 class TestUT:
