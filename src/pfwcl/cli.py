@@ -9,8 +9,8 @@ Identical config (and seed) yields byte-identical output on one Python minor
 version: floats are printed with 17 significant digits and the resolved config
 is echoed into the header.  From 3.12 on the built-in ``sum`` of floats is
 compensated (Neumaier summation), so ``energy``'s kernel rounds differently
-there than on 3.10 and 3.11.  ``energy`` and ``wiener-hopf`` refuse a row with
-an infinite or NaN cell (exit 3, naming the column).
+there than on 3.10 and 3.11.  ``energy``, ``cutoff-scan`` and ``wiener-hopf``
+refuse a row with an infinite or NaN cell (exit 3, naming the column).
 
 Each subcommand is declared once, in ``COMMANDS``, with its params: a param's
 flag dest is its config ``params`` key, and one converter serves flag text and
@@ -28,10 +28,11 @@ compiling and building it used is free again when numpy loads.  None loads
 ``numpy.random`` or ``numpy.polynomial``: seeded draws come from the standard
 library's ``random`` and Gauss-Legendre rules from ``quadrature``.  Only
 ``wiener-hopf`` and ``fock``, whose numeric modules declare dataclasses, load
-``dataclasses`` and the ``inspect``, ``ast``, ``dis`` and ``tokenize`` it
-imports.  A launch whose first argument names a subcommand builds only that
-subparser; its usage line still names every subcommand, so help and errors
-print what the full parser prints.
+``dataclasses``; numpy has loaded the ``inspect``, ``ast``, ``dis`` and
+``tokenize`` it imports, so it adds only itself and ``copy``.  A launch whose
+first argument names a subcommand builds only that subparser; its usage line
+still names every subcommand, so help and errors print what the full parser
+prints.
 """
 
 from __future__ import annotations
@@ -324,10 +325,13 @@ def _cmd_cutoff_scan(args) -> int:
 
     def rows():
         for lam in resolved["params"]["lambdas"]:
-            e = cutoff_energy_3d(lam)
-            i1, i2 = cutoff_split_I1_I2(lam) if lam > 1.0 else (None, None)
-            yield {"lambda": lam, "kappa": 1.0, "p": 0.0, "calE": e,
-                   "E_over_lambda_1p5": e / lam**1.5, "I1": i1, "I2": i2}
+            try:
+                e = cutoff_energy_3d(lam)
+                i1, i2 = cutoff_split_I1_I2(lam) if lam > 1.0 else (None, None)
+            except ArithmeticError as exc:      # the integrand divides by zero
+                raise NumericalError(f"cutoff quadrature at Lambda = {lam}: {exc}") from exc
+            yield _finite_row({"lambda": lam, "kappa": 1.0, "p": 0.0, "calE": e,
+                               "E_over_lambda_1p5": e / lam**1.5, "I1": i1, "I2": i2})
 
     _write_rows(args, resolved, ["lambda", "kappa", "p", "calE",
                                  "E_over_lambda_1p5", "I1", "I2"], rows())
@@ -337,8 +341,9 @@ def _cmd_cutoff_scan(args) -> int:
 def _cmd_wiener_hopf(args) -> int:
     resolved = _resolve(args)
     params = resolved["params"]
-    if "T" not in params and "T_ladder" not in params:
-        raise ConfigError("wiener-hopf needs --T or --T-ladder")
+    if ("T" in params) == ("T_ladder" in params):
+        raise ConfigError("wiener-hopf needs --T or --T-ladder"
+                          + (", not both" if "T" in params else ""))
     ff = _measure_or_fail(resolved)     # on the standard library, before numpy loads
     from . import wienerhopf
 
@@ -463,7 +468,7 @@ def _numerical_errors() -> tuple:
     """Exit-3 exceptions; numpy's LinAlgError (a ValueError) once numpy is loaded."""
     numpy = sys.modules.get("numpy")
     lapack = () if numpy is None else (numpy.linalg.LinAlgError,)
-    return (QuadratureError, NumericalError, OverflowError, *lapack)
+    return (QuadratureError, NumericalError, ArithmeticError, *lapack)
 
 
 def run(argv=None) -> int:

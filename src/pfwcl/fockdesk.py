@@ -36,6 +36,7 @@ so the ``fock`` output bytes do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -98,7 +99,8 @@ class FockBasis:
     States are ordered by total occupation, then by n_0 descending, then n_1
     descending, and so on.  In terms of the tail sums s_j = n_j + ... + n_{M-1}
     that is the lexicographic order of (s_0, ..., s_{M-1}), and the position of
-    n is its combinatorial-number-system rank sum_j C(s_j + M - 1 - j, M - j).
+    n is its combinatorial-number-system rank sum_j C(s_j + M - 1 - j, M - j),
+    which ``rank`` computes.
     """
 
     modes: tuple[Mode, ...]
@@ -118,15 +120,9 @@ class FockBasis:
 
     def rank(self, occupations: np.ndarray) -> np.ndarray:
         """Positions of the basis states given as rows of ``occupations``
-        (each row must lie in the basis; ``position`` checks one)."""
+        (each row must lie in the basis; nothing checks it)."""
         tails = np.cumsum(occupations[..., ::-1], axis=-1)[..., ::-1]
         return self._rank_terms[np.arange(len(self.modes)), tails].sum(axis=-1)
-
-    def position(self, occupation) -> int:
-        occ = np.asarray(occupation, dtype=np.int64)
-        if occ.shape != (len(self.modes),) or occ.min() < 0 or occ.sum() > self.n_tot:
-            raise KeyError(tuple(occupation))
-        return int(self.rank(occ))
 
     @cached_property
     def ladders(self) -> tuple[np.ndarray, np.ndarray]:
@@ -170,30 +166,12 @@ class GatherOperator:
         return np.einsum("rd,rd->d", self.weights, np.take(v, self.index))
 
 
-def _tail_sums(M: int, n_tot: int) -> np.ndarray:
-    """Every n_tot >= s_0 >= s_1 >= ... >= s_{M-1} >= 0, in lexicographic order.
-
-    Built one coordinate at a time: each row of level j - 1 gets the children
-    s_j = 0 .. s_{j-1}.  Each level stores only its values and parent rows,
-    and the columns are read back along the parent chain, so the work is
-    O(M dim) for any number of modes.
-    """
-    values, parents = [np.arange(n_tot + 1)], []
-    for _ in range(1, M):
-        counts = values[-1] + 1
-        parents.append(np.repeat(np.arange(counts.size), counts))
-        values.append(np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts))
-    tails = np.empty((values[-1].size, M), dtype=np.int64)
-    row = np.arange(values[-1].size)
-    for j in range(M - 1, -1, -1):
-        tails[:, j] = values[j][row]
-        row = parents[j - 1][row] if j else row
-    return tails
-
-
 def build_basis(modes, n_tot: int) -> FockBasis:
     """Enumerate multi-indices with total occupation <= n_tot.
 
+    The tail sums n_tot >= s_0 >= ... >= s_{M-1} >= 0 are the size-M multisets
+    of {n_tot, ..., 0}: ``itertools.combinations_with_replacement`` lists them
+    in descending lexicographic order, so the reversed list is the basis order.
     The dimension is C(M + n_tot, M); a hard guard rejects requests past
     200000 states before any enumeration happens.
     """
@@ -207,7 +185,9 @@ def build_basis(modes, n_tot: int) -> FockBasis:
     if dim > BASIS_SIZE_GUARD:
         raise BasisSizeError(
             f"basis would hold {dim} states, over the {BASIS_SIZE_GUARD} guard")
-    states = _tail_sums(M, n_tot)
+    tails = itertools.combinations_with_replacement(range(n_tot, -1, -1), M)
+    states = np.fromiter(itertools.chain.from_iterable(tails), np.int64,
+                         count=dim * M).reshape(dim, M)[::-1].copy()
     states[:, :-1] -= states[:, 1:]          # n_j = s_j - s_{j+1}
     return FockBasis(modes=modes, n_tot=n_tot, states=states)
 

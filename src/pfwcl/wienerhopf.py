@@ -272,6 +272,9 @@ def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list) -> list[dict]
         raise ValueError("T_list must be increasing")
     ss = realization(ff)
     ak_target = kappa * kappa * ss.asymptote[0] if len(ss.lam) else 0.0
+    if not math.isfinite(ak_target * T_list[-1]):
+        raise NumericalError(f"ak_target * T = {ak_target * T_list[-1]} at T = {T_list[-1]}, "
+                             f"kappa = {kappa}: the log-det overflows a double")
     mass_target = 1.0 / moment_report(ff).m_eff
     fixed = {"n": len(ss.lam), "ak_target": ak_target, "mass_target": mass_target,
              "ak_B": ss.asymptote[1] if len(ss.lam) and kappa > 0.0 else 0.0,

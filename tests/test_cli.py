@@ -185,6 +185,15 @@ class TestEnergy:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"energy: numerical failure: {message}")
 
+    def test_arithmetic_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        # OverflowError exited 3, but its sibling ZeroDivisionError ended in a traceback
+        from pfwcl import energy
+        monkeypatch.setattr(energy, "_g", lambda r2, w, t2: 1.0 / 0.0)
+        cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
+        assert run(["energy", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "energy: numerical failure: float division by zero\n"
+
     def test_divergent_measure_exits_two_naming_condition(self, tmp_path, capsys):
         bad = write_config(tmp_path, "bad.json", {
             "measure": {"dimension": 2, "profile": {"type": "sharp", "lambda": 1.0}}})
@@ -225,6 +234,24 @@ class TestCutoffScan:
     def test_nonpositive_lambda_rejected(self, tmp_path):
         assert run(["cutoff-scan", "--lambda", "0,-3"]) == 2
 
+    def test_non_finite_energy_exits_three(self, capsys):
+        # 4 Lambda^2 overflows: the row read inf in two columns and exited 0
+        assert run(["cutoff-scan", "--lambda", "1e154"]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == ["lambda,kappa,p,calE,E_over_lambda_1p5,I1,I2"]
+        assert err == ("cutoff-scan: numerical failure: non-finite output: "
+                       "calE = inf, E_over_lambda_1p5 = inf\n")
+
+    def test_integrand_division_by_zero_exits_three(self, capsys):
+        # the integrand's denominator underflows to 0: a ZeroDivisionError
+        # traceback and exit 1; the rows of smaller Lambda are already written
+        assert run(["cutoff-scan", "--lambda", "1e2,1e250"]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[2].startswith("100,1,0,")
+        assert len(out.splitlines()) == 3
+        assert err == ("cutoff-scan: numerical failure: cutoff quadrature at "
+                       "Lambda = 1e+250: float division by zero\n")
+
 
 class TestWienerHopf:
     def test_ladder_columns(self, tmp_path):
@@ -251,7 +278,6 @@ class TestWienerHopf:
         cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
         assert run(["wiener-hopf", "--config", cfg]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_columns_exit_three(self, tmp_path, capsys):
         # the row read inf in three columns and nan in ak_dev, and exited 0
         cfg = write_config(tmp_path, "sharp.json", {"measure": SHARP_100})
@@ -259,8 +285,20 @@ class TestWienerHopf:
                     "--format", "json"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("wiener-hopf: numerical failure: non-finite output: logdet_per_T = inf, "
-                       "ak_dev = nan, ak_target = inf, disc_err = inf\n")
+        assert err == ("wiener-hopf: numerical failure: ak_target * T = inf at T = 1.0, "
+                       "kappa = 1e+154: the log-det overflows a double\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_horizon_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        # the log-det and u_T solve ran, and warned of overflow, before the row check
+        from pfwcl import wienerhopf
+        monkeypatch.setattr(wienerhopf, "log_det", None)
+        monkeypatch.setattr(wienerhopf, "mass_functional", None)
+        cfg = write_config(tmp_path, "sharp.json", {"measure": SHARP_100})
+        assert run(["wiener-hopf", "--config", cfg, "--kappa", "1e153", "--T", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "the log-det overflows a double" in err
 
 
 class TestFock:
@@ -599,6 +637,9 @@ def test_help_loads_no_numpy(argv):
     (["hermite-check", "--seed", "-1"], "seed must be"),
     (["validate", "--config", "{cfg}", "--seed", "abc"], "seed must be"),
     (["wiener-hopf", "--config", "{cfg}"], "needs --T or --T-ladder"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--T-ladder", "10,20"],
+     "needs --T or --T-ladder, not both"),
+    (["wiener-hopf", "--config", "{both_horizons}"], "needs --T or --T-ladder, not both"),
     (["energy", "--config", "{cfg}", "--kappa", "nan"], "params.kappa"),
     (["wiener-hopf", "--config", "{cfg}", "--T", "inf"], "params.T"),
     (["wiener-hopf", "--config", "{cfg}", "--T-ladder", "10,5"], "params.T_ladder"),
@@ -625,7 +666,8 @@ def test_help_loads_no_numpy(argv):
     (["fock", "--modes", "1e-200:1", "--ntot", "4", "--kappa-list", "1", "--p-list", "0"],
      "params.modes"),
 ], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed",
-        "validate_seed_flag_abc", "wh_no_horizon", "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
+        "validate_seed_flag_abc", "wh_no_horizon", "wh_T_and_ladder_flags",
+        "wh_T_and_ladder_config", "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
         "energy_kappa_squared_inf", "wh_kappa_squared_inf", "fock_kappa_squared_inf",
         "validate_tiny_lambda", "validate_tiny_first_radius", "fock_modes_one_field",
         "fock_modes_four_fields", "fock_modes_empty", "fock_kappa_list_empty",
@@ -642,6 +684,8 @@ def test_params_error_loads_no_numpy(tmp_path, argv, field):
         ("kappa_list_scalar", {"kappa_list": 3}))}
     paths = {"cfg": write_config(tmp_path, "pm.json", {"measure": PM_MEASURE}),
              "ntot_frac": write_config(tmp_path, "ntot.json", {"params": {"ntot": 3.7}}),
+             "both_horizons": write_config(tmp_path, "both.json", {
+                 "measure": PM_MEASURE, "params": {"T": 5, "T_ladder": [10, 20]}}),
              **{key: write_config(tmp_path, f"{key}.json", cfg) for key, cfg in fock.items()},
              **non_finite_configs(tmp_path)}
     code, numpy, out, err = numpy_after([arg.format(**paths) for arg in argv])
