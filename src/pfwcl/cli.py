@@ -372,13 +372,12 @@ def _cmd_fock(args) -> int:
     from . import fockdesk
 
     basis = fockdesk.build_basis(params["modes"], params["ntot"])
-    ops = fockdesk.build_operators(basis)
-    rows = fockdesk.wcl_scan(ops, params["kappa_list"], params["p_list"], eps)
+    rows = fockdesk.wcl_scan(basis, params["kappa_list"], params["p_list"], eps)
     if T is not None:
         for row in rows:
             # the row's E_p is the ground energy of the semigroup's H_kappa(p, 1)
             row["semigroup_res"] = fockdesk.semigroup_wcl_residual(
-                ops, row["kappa"], row["p"], T, lam0=row["E_p"])
+                basis, row["kappa"], row["p"], T, lam0=row["E_p"])
     _write_rows(args, resolved, ["kappa", "p", "epsilon", "E_p", "E_0", "gap",
                                  "target", "gap_dev", "E0_dev", "semigroup_res",
                                  "top_shell"], rows)

@@ -20,15 +20,21 @@ rank-one Bogoliubov value (1/2) sum_i (mu_i - omega_i) with mu_i^2 the
 eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j), from the secular-equation
 solver the Wiener-Hopf realization shares (``normalmodes``).
 
-No operator is stored as a matrix.  A alone is a gather table over the basis
-ranks, and H_kappa(p, eps) applies B = p - eps P_f - kappa A twice.  Every
+``build_basis`` returns the one Fock-space object, ``FockBasis``.  It carries
+the operators, each built on first read: H_f and P_f as diagonals, A as a
+gather table over the basis ranks, and the Bogoliubov ground vector.  No
+operator is stored as a matrix: H_kappa(p, eps) applies B = p - eps P_f - kappa A
+twice, and ``fiber_hamiltonian`` refuses a (kappa, p) at which H's row-sum
+bound is not a finite double.  Every
 ground state, at every dimension, comes from ``ground_state``: one locally
 optimal conjugate-gradient solver (``_lobpcg``) from a seeded start vector,
 preconditioned by the inverse of H's exact diagonal, with a residual check.
 The semigroup exp(-T(H - c)) acts on vectors as a Chebyshev series with
 modified Bessel coefficients (the Chebyshev propagator of Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 1984), and the same solver finds the semigroup's operator
-norm, so no dimension has a dense-size cliff.  The module needs numpy only,
+norm, so no dimension has a dense-size cliff.  A horizon whose series would
+start Miller's recurrence past SERIES_ORDER_GUARD is refused before any
+coefficient is computed.  The module needs numpy only,
 and not ``numpy.random``.  Every reduction runs in numpy's own loops and the
 3 x 3 projected problems in Python floats (``jacobi``): no LAPACK or BLAS call,
 so the ``fock`` output bytes do not depend on the BLAS thread count.
@@ -49,6 +55,9 @@ from .jacobi import jacobi_eigh
 from .normalmodes import merged, secular_roots
 
 BASIS_SIZE_GUARD = 200_000
+#: the semigroup refuses a horizon whose Bessel series would start Miller's
+#: recurrence past this order (the long-horizon tests reach 23,710)
+SERIES_ORDER_GUARD = 2**17
 EIGEN_RESIDUAL_TOL = 1e-9
 EIGEN_MAX_STEPS = 3000
 #: ground states stop at a residual of _ROUNDING_FLOOR eps_mach ||H||, the level
@@ -93,8 +102,28 @@ def as_modes(modes) -> tuple[Mode, ...]:
 
 
 @dataclass(frozen=True, eq=False)
+class GatherOperator:
+    """A sparse matrix with R entries per row: row i holds weights[r, i] in
+    column index[r, i] (zero weights pad short rows), so that
+    M v = sum_r weights[r] v[index[r]], one gather and one reduction."""
+
+    index: np.ndarray = field(repr=False)      # (R, dim) int
+    weights: np.ndarray = field(repr=False)    # (R, dim) float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.index.shape[1], self.index.shape[1]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """M v for a vector v; the R terms are added in row order."""
+        return np.einsum("rd,rd->d", self.weights, np.take(v, self.index))
+
+
+@dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation-number basis {n : sum n_j <= N_tot} with a total order.
+    """Occupation-number basis {n : sum n_j <= N_tot} with a total order, and
+    the operators on it, each built on first read (the scan never reads the
+    ground vector).
 
     States are ordered by total occupation, then by n_0 descending, then n_1
     descending, and so on.  In terms of the tail sums s_j = n_j + ... + n_{M-1}
@@ -143,27 +172,33 @@ class FockBasis:
                 factor[row, inside] = np.sqrt(self.states[inside, j] + max(step, 0))
         return index, factor
 
+    def _diagonal(self, values) -> np.ndarray:
+        """sum_j values[j] n_j on every state."""
+        return (self.states.astype(float) * np.array(values)).sum(axis=1)
 
-@dataclass(frozen=True, eq=False)
-class GatherOperator:
-    """A sparse matrix with R entries per row: row i holds weights[r, i] in
-    column index[r, i] (zero weights pad short rows), so that
-    M v = sum_r weights[r] v[index[r]], one gather and one reduction."""
+    @cached_property
+    def Hf(self) -> np.ndarray:
+        return self._diagonal([m.omega for m in self.modes])
 
-    index: np.ndarray = field(repr=False)      # (R, dim) int
-    weights: np.ndarray = field(repr=False)    # (R, dim) float
+    @cached_property
+    def Pf(self) -> np.ndarray:
+        return self._diagonal([m.momentum for m in self.modes])
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.index.shape[1], self.index.shape[1]
+    @cached_property
+    def A(self) -> GatherOperator:
+        """A = sum_j (g_j / sqrt(2)) (a_j^T + a_j): the ladder table with rows
+        2j and 2j + 1 scaled by g_j / sqrt(2)."""
+        index, factor = self.ladders
+        c = np.array([m.coupling / math.sqrt(2.0) for m in self.modes])
+        return GatherOperator(index, np.repeat(c, 2)[:, None] * factor)
 
-    @property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.weights))
+    def m_eff(self) -> float:
+        return 1.0 + math.fsum(m.weight / m.omega**2 for m in self.modes)
 
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """M v for a vector v; the R terms are added in row order."""
-        return np.einsum("rd,rd->d", self.weights, np.take(v, self.index))
+    @cached_property
+    def ground_vector(self) -> np.ndarray:
+        """Ground eigenvector of (1/2) A^2 + H_f (kappa-independent)."""
+        return ground_state(fiber_hamiltonian(self, 1.0, 0.0, 0.0))[1]
 
 
 def build_basis(modes, n_tot: int) -> FockBasis:
@@ -193,47 +228,11 @@ def build_basis(modes, n_tot: int) -> FockBasis:
 
 
 @dataclass(frozen=True, eq=False)
-class FiberOperators:
-    """H_f and P_f as diagonals and A as a gather table on a FockBasis; the
-    ground vector is built on first read (the scan never reads it)."""
-
-    basis: FockBasis
-    Hf: np.ndarray = field(repr=False)     # diagonal of H_f
-    Pf: np.ndarray = field(repr=False)     # diagonal of P_f
-    A: GatherOperator = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    def m_eff(self) -> float:
-        return 1.0 + math.fsum(m.weight / m.omega**2 for m in self.basis.modes)
-
-    @cached_property
-    def ground_vector(self) -> np.ndarray:
-        """Ground eigenvector of (1/2) A^2 + H_f (kappa-independent)."""
-        return ground_state(fiber_hamiltonian(self, 1.0, 0.0, 0.0))[1]
-
-
-def build_operators(basis: FockBasis) -> FiberOperators:
-    """H_f, P_f, and A = sum_j (g_j / sqrt(2)) (a_j^T + a_j): the ladder table
-    with rows 2j and 2j + 1 scaled by g_j / sqrt(2)."""
-    occ = basis.states.astype(float)
-    omegas = np.array([m.omega for m in basis.modes])
-    qs = np.array([m.momentum for m in basis.modes])
-    c = np.array([m.coupling / math.sqrt(2.0) for m in basis.modes])
-    index, factor = basis.ladders
-    return FiberOperators(basis=basis, Hf=(occ * omegas).sum(axis=1),
-                          Pf=(occ * qs).sum(axis=1),
-                          A=GatherOperator(index, np.repeat(c, 2)[:, None] * factor))
-
-
-@dataclass(frozen=True, eq=False)
 class FiberHamiltonian:
     """scale H_kappa(p, eps) + shift, applied matrix-free:
     H v = (1/2) B (B v) + kappa^2 H_f v with B = p - eps P_f - kappa A."""
 
-    ops: FiberOperators
+    basis: FockBasis
     kappa: float
     p: float
     eps: float
@@ -242,14 +241,14 @@ class FiberHamiltonian:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.ops.dim, self.ops.dim
+        return self.basis.dim, self.basis.dim
 
     @cached_property
     def _parts(self):
         """The diagonal of B, kappa A, and the diagonal part scale kappa^2 H_f + shift."""
-        diag = self.scale * self.kappa**2 * self.ops.Hf + self.shift
-        kA = GatherOperator(self.ops.A.index, self.kappa * self.ops.A.weights)
-        return self.p - self.eps * self.ops.Pf, kA, diag
+        diag = self.scale * self.kappa**2 * self.basis.Hf + self.shift
+        kA = GatherOperator(self.basis.A.index, self.kappa * self.basis.A.weights)
+        return self.p - self.eps * self.basis.Pf, kA, diag
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         D, kA, diag = self._parts
@@ -272,10 +271,10 @@ class FiberHamiltonian:
         D, kA, _ = self._parts
         absD, abs_kA = np.abs(D), GatherOperator(kA.index, np.abs(kA.weights))
         row = absD + abs_kA.weights.sum(axis=0)             # |B| 1
-        return float(np.max(0.5 * (absD * row + abs_kA @ row) + self.kappa**2 * self.ops.Hf))
+        return float(np.max(0.5 * (absD * row + abs_kA @ row) + self.kappa**2 * self.basis.Hf))
 
 
-def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,
+def fiber_hamiltonian(basis: FockBasis, kappa: float, p: float,
                       eps: float) -> FiberHamiltonian:
     """H_kappa(p, eps) = (1/2)(p - eps P_f - kappa A)^2 + kappa^2 H_f."""
     if not 0.0 <= eps <= 1.0:
@@ -283,7 +282,12 @@ def fiber_hamiltonian(ops: FiberOperators, kappa: float, p: float,
     for name, value in (("kappa", kappa), ("p", p)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    return FiberHamiltonian(ops, kappa, p, eps)
+    H = FiberHamiltonian(basis, kappa, p, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = H.row_sum_bound()
+    if not math.isfinite(bound):
+        raise ValueError(f"H_kappa(p) overflows a double at kappa = {kappa}, p = {p}")
+    return H
 
 
 @lru_cache(maxsize=None)
@@ -455,7 +459,7 @@ def _miller_start(z: float) -> int:
     return math.ceil(L + math.sqrt(L * L + 2.0 * L * z)) + 1
 
 
-def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float) -> list[dict]:
+def wcl_scan(basis: FockBasis, kappa_list, p_list, eps: float) -> list[dict]:
     """Rows of the weak-coupling gap study E_kappa(p) - E_kappa(0).
 
     The gap target is p^2 / (2 m_eff_disc); E0_dev compares E_kappa(0)
@@ -468,15 +472,15 @@ def wcl_scan(ops: FiberOperators, kappa_list, p_list, eps: float) -> list[dict]:
     p_list = list(p_list)
     if not kappa_list or not p_list:
         raise ValueError("kappa_list and p_list must be nonempty")
-    reference_energy = bogoliubov_energy(ops.basis.modes)
-    m_disc = ops.m_eff()
-    top = ops.basis.states.sum(axis=1) == ops.basis.n_tot
+    reference_energy = bogoliubov_energy(basis.modes)
+    m_disc = basis.m_eff()
+    top = basis.states.sum(axis=1) == basis.n_tot
     rows = []
     for kappa in kappa_list:
-        e0, v0 = ground_state(fiber_hamiltonian(ops, kappa, 0.0, eps))
+        e0, v0 = ground_state(fiber_hamiltonian(basis, kappa, 0.0, eps))
         for p in p_list:
             ep, vp = (e0, v0) if p == 0.0 else ground_state(
-                fiber_hamiltonian(ops, kappa, p, eps))
+                fiber_hamiltonian(basis, kappa, p, eps))
             gap = ep - e0
             target = p * p / (2.0 * m_disc)
             rows.append({
@@ -505,12 +509,19 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
     beta = T b, summed until ive_k(m beta) < BESSEL_TAIL (degree about
     8.5 sqrt(m beta) for large beta, so the cost grows as sqrt(T)).  Rounding
     costs about m beta eps_mach relative to the largest term.  Raises
-    NumericalError when exp(T (shift - low)) overflows.
+    NumericalError when exp(T (shift - low)) overflows, or, before any
+    coefficient is summed, when the series at 2 T half would start Miller's
+    recurrence past SERIES_ORDER_GUARD.
     """
     if lam0 is None:
         lam0 = ground_state(H)[0]
     top = max(H.row_sum_bound(), lam0)       # a rounding-level inversion at H = c 1
     half = 0.5 * (top - lam0)
+    z = 2.0 * T * half                       # about the largest Bessel argument below
+    order = _miller_start(z) if math.isfinite(z) else math.inf
+    if order > SERIES_ORDER_GUARD:
+        raise NumericalError(f"semigroup: at T = {T} the Bessel series would start at "
+                             f"order {order:.3g}, past the {SERIES_ORDER_GUARD} guard")
     low = lam0 - half / len(_bessel_coefficients(T * half)) ** 2
     half = 0.5 * (top - low)
     exponent = T * (shift - low)
@@ -528,13 +539,13 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
     return exponent, series
 
 
-def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
+def semigroup_wcl_residual(basis: FockBasis, kappa: float, p: float,
                            T: float, lam0: float | None = None) -> float:
     """Operator norm of X = exp(-T(H_kappa(p) - kappa^2 E_disc))
     - P_g exp(-T (p - P_f)^2 / (2 m_eff_disc)).
 
     E_disc is the Bogoliubov value and P_g projects on the cached
-    ``ops.ground_vector``.  With E the semigroup, g that vector and f = g
+    ``basis.ground_vector``.  With E the semigroup, g that vector and f = g
     exp(-T (p - P_f)^2 / (2 m_eff)), X = E - g f^T, and ||X||^2 is the largest
     eigenvalue of
 
@@ -555,11 +566,11 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"the semigroup needs a finite T >= 0, got {T}")
-    exponent, series = _semigroup_action(fiber_hamiltonian(ops, kappa, p, eps=1.0), T,
-                                         kappa**2 * bogoliubov_energy(ops.basis.modes),
+    exponent, series = _semigroup_action(fiber_hamiltonian(basis, kappa, p, eps=1.0), T,
+                                         kappa**2 * bogoliubov_energy(basis.modes),
                                          lam0)
-    g = ops.ground_vector
-    decay = -T * (p - ops.Pf) ** 2 / (2.0 * ops.m_eff())
+    g = basis.ground_vector
+    decay = -T * (p - basis.Pf) ** 2 / (2.0 * basis.m_eff())
     with np.errstate(divide="ignore"):
         level = max(exponent, float(np.max(np.log(np.abs(g)) + decay)))
     level = 0.0 if SMALL_NORM_LEVEL <= level <= -SMALL_NORM_LEVEL else level
@@ -574,6 +585,6 @@ def semigroup_wcl_residual(ops: FiberOperators, kappa: float, p: float,
         out -= (_dot(Ef, v) - ff * gv) * g
         return -out
 
-    u = _lobpcg(minus_XXt, _start_vector(ops.dim), None, EIGEN_RESIDUAL_TOL, 0.0,
+    u = _lobpcg(minus_XXt, _start_vector(basis.dim), None, EIGEN_RESIDUAL_TOL, 0.0,
                 "semigroup operator norm")[0]
     return math.exp(level) * _norm(heat(u) - _dot(g, u) * f)      # ||X^T u||

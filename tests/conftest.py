@@ -26,16 +26,15 @@ def gauss1():
 
 
 @pytest.fixture(scope="session")
-def two_mode_ops():
-    basis = fockdesk.build_basis(TWO_MODE, TWO_MODE_NTOT)
-    return fockdesk.build_operators(basis)
+def two_mode_basis():
+    return fockdesk.build_basis(TWO_MODE, TWO_MODE_NTOT)
 
 
 @pytest.fixture(scope="session")
-def two_mode_scan_eps1(two_mode_ops):
-    return fockdesk.wcl_scan(two_mode_ops, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 1.0)
+def two_mode_scan_eps1(two_mode_basis):
+    return fockdesk.wcl_scan(two_mode_basis, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 1.0)
 
 
 @pytest.fixture(scope="session")
-def two_mode_scan_eps0(two_mode_ops):
-    return fockdesk.wcl_scan(two_mode_ops, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 0.0)
+def two_mode_scan_eps0(two_mode_basis):
+    return fockdesk.wcl_scan(two_mode_basis, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 0.0)

@@ -29,8 +29,8 @@ def test_criterion_1_five_way_energy_agreement(pm_atom):
     a = ground_energy(pm_atom).calE
     b = 0.5 * log_spectral_energy(pm_atom, 1.0)
     c = fockdesk.bogoliubov_energy([(1.0, 3.0)])
-    ops = fockdesk.build_operators(fockdesk.build_basis([(1.0, 3.0, 0.0)], 60))
-    d = fockdesk.ground_state(fockdesk.fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
+    basis = fockdesk.build_basis([(1.0, 3.0, 0.0)], 60)
+    d = fockdesk.ground_state(fockdesk.fiber_hamiltonian(basis, 1.0, 0.0, 0.0))[0]
     e = wienerhopf.log_det(pm_atom, 1.0, 40.0) / 40.0
     elapsed = time.time() - t0
 
@@ -105,9 +105,9 @@ def test_criterion_6_wcl_effective_mass_trend(two_mode_scan_eps1,
            + f"; dipole-row spread {spread:.2e}")
 
 
-def test_criterion_7_semigroup_residual_trend(two_mode_ops):
+def test_criterion_7_semigroup_residual_trend(two_mode_basis):
     t0 = time.time()
-    res = [fockdesk.semigroup_wcl_residual(two_mode_ops, kappa, 0.2, 1.0)
+    res = [fockdesk.semigroup_wcl_residual(two_mode_basis, kappa, 0.2, 1.0)
            for kappa in (1.0, 2.0, 4.0)]
     elapsed = time.time() - t0
     ok = res[0] > res[1] > res[2] and elapsed < 300.0

@@ -359,7 +359,7 @@ class TestFock:
 
     def test_semigroup_reuses_scan_energy(self, monkeypatch, capsys):
         # the benchmark's semigroup job: dim 1953, two kappa, one p.  The scan
-        # solves E_0 and E_p per kappa, ops.ground_vector is solved once, and
+        # solves E_0 and E_p per kappa, basis.ground_vector is solved once, and
         # each semigroup row takes the bottom of its Chebyshev interval from
         # the row's E_p: 5 solves, where solving it again made 7
         from pfwcl import fockdesk
@@ -373,9 +373,9 @@ class TestFock:
         lines = capsys.readouterr().out.splitlines()
         rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
         # the same bytes as a residual that solves its own ground state
-        ops = fockdesk.build_operators(fockdesk.build_basis(modes, 61))
+        basis = fockdesk.build_basis(modes, 61)
         assert [r["semigroup_res"] for r in rows] == [
-            fmt(fockdesk.semigroup_wcl_residual(ops, kappa, p, T)) for kappa in kappas]
+            fmt(fockdesk.semigroup_wcl_residual(basis, kappa, p, T)) for kappa in kappas]
 
     @pytest.mark.parametrize("T", ["nan", "-1", "inf"])
     def test_bad_horizon_exits_before_scan(self, T, monkeypatch, capsys):
@@ -398,6 +398,31 @@ class TestFock:
         out, err = capsys.readouterr()
         assert out == "" and field in err
         assert built == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_hamiltonian_exits_two(self, capsys):
+        # the basis is built, then H_kappa(p) at p = 1e200 is refused: no numpy
+        # overflow warning, no eigensolver failure, one stderr line
+        assert run(["fock", "--modes", "1:1:0.5", "--ntot", "2", "--kappa-list", "1",
+                    "--p-list", "1e200", "--output", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "p = 1e+200" in err
+
+    def test_unreachable_horizon_exits_three(self, monkeypatch, capsys):
+        # T = 1e300 hung in Miller's recurrence; now the semigroup refuses it
+        # before any Bessel coefficient
+        from pfwcl import fockdesk
+
+        def refuse(z):
+            raise AssertionError(f"Bessel coefficients summed at z = {z}")
+
+        monkeypatch.setattr(fockdesk, "_bessel_coefficients", refuse)
+        assert run(["fock", "--modes", "1:1:0.5", "--ntot", "2", "--kappa-list", "1",
+                    "--p-list", "0.2", "--T", "1e300", "--output", "-"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "semigroup: at T = 1e+300" in err
 
     @pytest.mark.parametrize("eps", ["0", "0.5"])
     def test_horizon_needs_full_fiber(self, eps, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from pfwcl import fockdesk
 from pfwcl.energy import ground_energy as continuum_ground_energy
 from pfwcl.energy import log_spectral_energy
 from pfwcl.errors import BasisSizeError, NumericalError
-from pfwcl.fockdesk import (bogoliubov_energy, build_basis, build_operators,
-                            fiber_hamiltonian, ground_state, semigroup_wcl_residual,
-                            wcl_scan)
+from pfwcl.fockdesk import (bogoliubov_energy, build_basis, fiber_hamiltonian,
+                            ground_state, semigroup_wcl_residual, wcl_scan)
 from pfwcl.formfactor import PointMasses, RadialMeasure
 from pfwcl.wienerhopf import log_det, mass_functional, vacuum_rate
 
@@ -100,14 +100,14 @@ class TestBasis:
 
     @pytest.mark.parametrize("n_tot", [8, 30, 61])
     def test_operators_byte_equal_to_loop_construction(self, n_tot):
-        ops = build_operators(build_basis(TWO_MODE, n_tot))
+        basis = build_basis(TWO_MODE, n_tot)
         reference = _loop_operators(TWO_MODE, n_tot)
         for name in ("Hf", "Pf", "A"):
-            got, want = getattr(ops, name), reference[name]
+            got, want = getattr(basis, name), reference[name]
             got = dense(got) if name == "A" else got
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-        # nnz counts the stored nonzeros of A, as a sparse matrix would
-        assert ops.A.nnz == np.count_nonzero(reference["A"])
+        # the gather table stores the nonzeros of A, as a sparse matrix would
+        assert np.count_nonzero(basis.A.weights) == np.count_nonzero(reference["A"])
 
     def test_ccr_on_interior(self):
         basis = build_basis([(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)], 6)
@@ -125,71 +125,80 @@ class TestBasis:
 
 class TestOperators:
     def test_hermitian_and_diagonal_structure(self):
-        ops = build_operators(build_basis([(1.0, 1.0, 0.5), (2.0, 2.0, -0.5)], 5))
-        A = dense(ops.A)
+        basis = build_basis([(1.0, 1.0, 0.5), (2.0, 2.0, -0.5)], 5)
+        A = dense(basis.A)
         assert np.array_equal(A, A.T)
         assert np.count_nonzero(np.diag(A)) == 0
         # H_f and P_f are stored as their diagonals
-        occ = ops.basis.states
-        assert ops.Hf.shape == ops.Pf.shape == (ops.dim,)
-        assert np.allclose(ops.Hf, occ @ np.array([1.0, 2.0]))
-        assert np.allclose(ops.Pf, occ @ np.array([0.5, -0.5]))
+        occ = basis.states
+        assert basis.Hf.shape == basis.Pf.shape == (basis.dim,)
+        assert np.allclose(basis.Hf, occ @ np.array([1.0, 2.0]))
+        assert np.allclose(basis.Pf, occ @ np.array([0.5, -0.5]))
 
-    def test_gather_sums_rows_in_order(self, two_mode_ops):
+    def test_gather_sums_rows_in_order(self, two_mode_basis):
         # A v adds its R gathered terms in row order, the order the fock output
         # bytes rest on; the loop construction above applies A to unit vectors
         # only, where every order gives the same bytes
-        A = two_mode_ops.A
-        assert two_mode_ops.dim == 1953
-        v = np.random.default_rng(7).standard_normal(two_mode_ops.dim)
+        A = two_mode_basis.A
+        assert two_mode_basis.dim == 1953
+        v = np.random.default_rng(7).standard_normal(two_mode_basis.dim)
         expected = (np.take(v, A.index) * A.weights).sum(axis=0)
         assert (A @ v).tobytes() == expected.tobytes()
 
     def test_fiber_hamiltonian_symmetric(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.2)], 8))
-        H = dense(fiber_hamiltonian(ops, 2.0, 0.3, 0.7))
+        basis = build_basis([(1.0, 3.0, 0.2)], 8)
+        H = dense(fiber_hamiltonian(basis, 2.0, 0.3, 0.7))
         assert np.allclose(H, H.T, atol=1e-13)
 
     def test_kappa_zero_is_diagonal_kinetic(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.4), (2.0, 1.0, -0.3)], 6))
+        basis = build_basis([(1.0, 3.0, 0.4), (2.0, 1.0, -0.3)], 6)
         p, eps = 0.7, 1.0
-        H = dense(fiber_hamiltonian(ops, 0.0, p, eps))
-        occ = ops.basis.states
+        H = dense(fiber_hamiltonian(basis, 0.0, p, eps))
+        occ = basis.states
         q = occ @ np.array([0.4, -0.3])
         expected = 0.5 * (p - eps * q) ** 2
         assert np.allclose(H, np.diag(expected), atol=1e-14)
-        assert ground_state(fiber_hamiltonian(ops, 0.0, p, eps))[0] == pytest.approx(
+        assert ground_state(fiber_hamiltonian(basis, 0.0, p, eps))[0] == pytest.approx(
             float(expected.min()), abs=1e-12)
 
     def test_eps_irrelevant_when_momenta_vanish(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.0), (2.0, 1.0, 0.0)], 6))
-        h0 = dense(fiber_hamiltonian(ops, 1.5, 0.4, 0.0))
-        h1 = dense(fiber_hamiltonian(ops, 1.5, 0.4, 1.0))
+        basis = build_basis([(1.0, 3.0, 0.0), (2.0, 1.0, 0.0)], 6)
+        h0 = dense(fiber_hamiltonian(basis, 1.5, 0.4, 0.0))
+        h1 = dense(fiber_hamiltonian(basis, 1.5, 0.4, 1.0))
         assert np.array_equal(h0, h1)
 
     def test_eps_out_of_range(self):
-        ops = build_operators(build_basis([(1.0, 1.0, 0.0)], 4))
+        basis = build_basis([(1.0, 1.0, 0.0)], 4)
         with pytest.raises(ValueError):
-            fiber_hamiltonian(ops, 1.0, 0.0, 1.5)
+            fiber_hamiltonian(basis, 1.0, 0.0, 1.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa, p", [(1.0, 1e200), (1e154, 0.0)])
+    def test_overflowing_hamiltonian_refused(self, kappa, p):
+        # (1/2) p^2 or kappa^2 H_f past the double range: a ValueError naming
+        # both, where the eigensolver warned of overflow and then failed
+        basis = build_basis([(1.0, 1.0, 0.5)], 2)
+        with pytest.raises(ValueError, match=re.escape(f"kappa = {kappa}, p = {p}")):
+            fiber_hamiltonian(basis, kappa, p, 1.0)
 
 
 class TestGroundEnergy:
     def test_single_mode_oscillator(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.0)], 60))
-        e = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
+        basis = build_basis([(1.0, 3.0, 0.0)], 60)
+        e = ground_state(fiber_hamiltonian(basis, 1.0, 0.0, 0.0))[0]
         assert e == pytest.approx(0.5, abs=1e-6)
 
     def test_dense_matches_bogoliubov(self):
         # dim 1326
         modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
-        ops = build_operators(build_basis(modes, 50))
-        lam = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
+        basis = build_basis(modes, 50)
+        lam = ground_state(fiber_hamiltonian(basis, 1.0, 0.0, 0.0))[0]
         assert lam == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
 
     def test_dense_branch_matches_bogoliubov(self):
         modes = [(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)]
-        ops = build_operators(build_basis(modes, 16))     # dim 153
-        lam = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
+        basis = build_basis(modes, 16)     # dim 153
+        lam = ground_state(fiber_hamiltonian(basis, 1.0, 0.0, 0.0))[0]
         assert lam == pytest.approx(bogoliubov_energy(modes), abs=1e-6)
 
 
@@ -202,9 +211,9 @@ class TestGroundState:
         pytest.param([(1.0, 1.0, 0.6), (2.0, 0.0, -0.6)], 12, id="zero_weight_12"),  # dim 91
     ])
     def test_matches_dense_eigh(self, modes, n_tot):
-        ops = build_operators(build_basis(modes, n_tot))
+        basis = build_basis(modes, n_tot)
         for kappa, p in ((0.0, 0.3), (1.0, 0.0), (4.0, 0.2)):
-            H = fiber_hamiltonian(ops, kappa, p, 1.0)
+            H = fiber_hamiltonian(basis, kappa, p, 1.0)
             lam, vec = ground_state(H)
             exact = np.linalg.eigvalsh(dense(H))[0]
             assert abs(lam - exact) <= 1e-11 * max(1.0, abs(exact))
@@ -213,8 +222,8 @@ class TestGroundState:
             assert ground_state(H)[0] == lam
 
     def test_ground_vector_computed_once(self, monkeypatch):
-        ops = build_operators(build_basis(TWO_MODE, 8))
-        projector = fiber_hamiltonian(ops, 1.0, 0.0, 0.0)
+        basis = build_basis(TWO_MODE, 8)
+        projector = fiber_hamiltonian(basis, 1.0, 0.0, 0.0)
         solved = []
         real = fockdesk.ground_state
 
@@ -226,23 +235,23 @@ class TestGroundState:
 
         monkeypatch.setattr(fockdesk, "ground_state", counted)
         for kappa in (1.0, 2.0):
-            semigroup_wcl_residual(ops, kappa, 0.2, 1.0)
+            semigroup_wcl_residual(basis, kappa, 0.2, 1.0)
         # the projector's matrix is solved once; each call solves its own H
         # for the bottom of the Chebyshev interval
         assert solved == ["lambda_0", "P_g", "lambda_0"]
-        assert ops.ground_vector is ops.ground_vector
+        assert basis.ground_vector is basis.ground_vector
 
 
     def test_far_from_bogoliubov_vector(self):
         # two identical modes at kappa = 0.5, p = 6: the ground state is nearly
-        # orthogonal to the Bogoliubov vector ops.ground_vector (overlap 1.8e-6).
+        # orthogonal to the Bogoliubov vector basis.ground_vector (overlap 1.8e-6).
         # This case is why the solver starts from the seeded random vector and
         # not warm from ground_vector.
-        ops = build_operators(build_basis([(1.0, 1.0, 0.6)] * 2, 30))
-        assert ops.dim == 496
-        H = fiber_hamiltonian(ops, 0.5, 6.0, 1.0)
+        basis = build_basis([(1.0, 1.0, 0.6)] * 2, 30)
+        assert basis.dim == 496
+        H = fiber_hamiltonian(basis, 0.5, 6.0, 1.0)
         vals, vecs = np.linalg.eigh(dense(H))
-        assert abs(vecs[:, 0] @ ops.ground_vector) < 1e-5
+        assert abs(vecs[:, 0] @ basis.ground_vector) < 1e-5
         lam, vec = ground_state(H)
         assert abs(lam - vals[0]) <= 1e-11 * max(1.0, abs(vals[0]))
         assert abs(vec @ vecs[:, 0]) == pytest.approx(1.0, abs=1e-9)
@@ -251,27 +260,27 @@ class TestGroundState:
     def test_multiple_of_identity_above_dense_limit(self):
         # dim 231, kappa = 0, no mode momenta: H = p^2/2 times 1, so the start
         # vector is an eigenvector and the solver stops at its first test
-        ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 20))
+        basis = build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 20)
         for p in (0.0, 0.3):
-            lam, vec = ground_state(fiber_hamiltonian(ops, 0.0, p, 0.0))
+            lam, vec = ground_state(fiber_hamiltonian(basis, 0.0, p, 0.0))
             assert lam == pytest.approx(p * p / 2, abs=1e-15)
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
 
     def test_diagonal_matches_dense(self):
         # the closed form sum_r weights[r]^2 for (A^2)_ii, on both fibers
-        ops = build_operators(build_basis(TWO_MODE, 12))
+        basis = build_basis(TWO_MODE, 12)
         for kappa, p, eps in ((0.0, 0.3, 1.0), (1.0, 0.0, 0.0), (2.5, 0.7, 1.0)):
-            H = fiber_hamiltonian(ops, kappa, p, eps)
+            H = fiber_hamiltonian(basis, kappa, p, eps)
             np.testing.assert_allclose(H.diagonal(), np.diag(dense(H)), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0, 4.0, 8.0])
     @pytest.mark.parametrize("p_over_kappa", [0.0, 0.2])
-    def test_dipole_scaling_oracle(self, two_mode_ops, kappa, p_over_kappa):
+    def test_dipole_scaling_oracle(self, two_mode_basis, kappa, p_over_kappa):
         # (1/2)(p - kappa A)^2 + kappa^2 H_f = kappa^2 [(1/2)(p/kappa - A)^2 + H_f]
         # in the truncated space, so E_kappa(p, 0) = kappa^2 E_1(p/kappa, 0)
         # exactly; dim 1953
-        lam = ground_state(fiber_hamiltonian(two_mode_ops, kappa, p_over_kappa * kappa, 0.0))[0]
-        unit = ground_state(fiber_hamiltonian(two_mode_ops, 1.0, p_over_kappa, 0.0))[0]
+        lam = ground_state(fiber_hamiltonian(two_mode_basis, kappa, p_over_kappa * kappa, 0.0))[0]
+        unit = ground_state(fiber_hamiltonian(two_mode_basis, 1.0, p_over_kappa, 0.0))[0]
         assert lam == pytest.approx(kappa**2 * unit, rel=1e-13, abs=0)
 
     def test_weak_regime_sweep(self, monkeypatch):
@@ -279,8 +288,8 @@ class TestGroundState:
         # clustered (1.744, 1.801, 1.861, ... at kappa = 0.5, p = 6) while the
         # diagonal is at least 3.68 there, the weakest case for the Jacobi
         # preconditioner (645 H applications, against 291 for plain Lanczos)
-        ops = build_operators(build_basis([(1.0, 1.0, 0.6)] * 2, 30))
-        assert ops.dim == 496
+        basis = build_basis([(1.0, 1.0, 0.6)] * 2, 30)
+        assert basis.dim == 496
         applied = []
         real = fockdesk.FiberHamiltonian.__matmul__
 
@@ -290,11 +299,11 @@ class TestGroundState:
 
         monkeypatch.setattr(fockdesk.FiberHamiltonian, "__matmul__", counted)
         for kappa, p, eps in itertools.product((0.25, 0.5, 4.0), (0.0, 3.0, 6.0), (0.0, 1.0)):
-            H = fiber_hamiltonian(ops, kappa, p, eps)
+            H = fiber_hamiltonian(basis, kappa, p, eps)
             applied.clear()
             lam = ground_state(H)[0]
             assert len(applied) <= fockdesk.EIGEN_MAX_STEPS // 2
-            matrix = np.column_stack([real(H, e) for e in np.eye(ops.dim)])
+            matrix = np.column_stack([real(H, e) for e in np.eye(basis.dim)])
             exact = np.linalg.eigvalsh(matrix)[0]
             assert abs(lam - exact) <= 1e-11 * max(1.0, abs(exact))
 
@@ -313,8 +322,8 @@ class TestGroundState:
     def test_zero_on_the_diagonal(self):
         # kappa = 0, p = q_0: H = (1/2) q_0^2 (1 - n_0 + n_1)^2 is diagonal with
         # exact zeros where n_0 - n_1 = 1; the preconditioner uses 1 there
-        ops = build_operators(build_basis(TWO_MODE, 20))
-        H = fiber_hamiltonian(ops, 0.0, 0.6, 1.0)
+        basis = build_basis(TWO_MODE, 20)
+        H = fiber_hamiltonian(basis, 0.0, 0.6, 1.0)
         assert np.count_nonzero(H.diagonal() == 0.0) > 0
         lam, vec = ground_state(H)
         assert 0.0 <= lam <= 1e-12
@@ -331,9 +340,9 @@ class TestGroundState:
             return real(H, v) * (math.nan if len(products) > k else 1.0)
 
         monkeypatch.setattr(fockdesk.FiberHamiltonian, "__matmul__", spoiled)
-        ops = build_operators(build_basis(TWO_MODE, 20))
+        basis = build_basis(TWO_MODE, 20)
         with pytest.raises(NumericalError, match=r"eigensolver failed at step \d+: .*non-finite"):
-            ground_state(fiber_hamiltonian(ops, 1.0, 0.2, 1.0))
+            ground_state(fiber_hamiltonian(basis, 1.0, 0.2, 1.0))
         assert len(products) <= k + 1
 
 
@@ -383,11 +392,11 @@ class TestWorkCounts:
         monkeypatch.setattr(fockdesk, "_lobpcg", solve(fockdesk._lobpcg))
         return counts
 
-    def test_scan_is_all_iterative(self, two_mode_ops, monkeypatch):
+    def test_scan_is_all_iterative(self, two_mode_basis, monkeypatch):
         runs = []
         for _ in range(2):
-            counts = self._count(monkeypatch, two_mode_ops.dim)
-            wcl_scan(two_mode_ops, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 1.0)
+            counts = self._count(monkeypatch, two_mode_basis.dim)
+            wcl_scan(two_mode_basis, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 1.0)
             monkeypatch.undo()
             runs.append(counts)
         assert runs[0] == runs[1]
@@ -398,16 +407,16 @@ class TestWorkCounts:
         assert max(counts["solves"]) <= 60
         assert sum(counts["solves"]) == counts["H"]
 
-    def test_semigroup_series_terms_no_dense(self, two_mode_ops, monkeypatch):
+    def test_semigroup_series_terms_no_dense(self, two_mode_basis, monkeypatch):
         # one solve for the bottom of the Chebyshev interval, then the norm:
         # E f once (degree d), one E^2 series (degree about sqrt(2) d) per
         # H application of the unpreconditioned solve on -X X^T, and E u once
         # for ||X^T u||; no dim x dim eigh or SVD
-        two_mode_ops.ground_vector   # the cached kappa-independent projector
+        two_mode_basis.ground_vector   # the cached kappa-independent projector
         runs = []
         for _ in range(2):
-            counts = self._count(monkeypatch, two_mode_ops.dim)
-            semigroup_wcl_residual(two_mode_ops, 1.0, 0.2, 1.0)
+            counts = self._count(monkeypatch, two_mode_basis.dim)
+            semigroup_wcl_residual(two_mode_basis, 1.0, 0.2, 1.0)
             monkeypatch.undo()
             runs.append(counts)
         assert runs[0] == runs[1]
@@ -565,8 +574,8 @@ class TestBogoliubov:
         atoms = [(1.0, 1.0), (2.0, 2.0)]
         modes = [(w, W, 0.0) for w, W in atoms]
         bogo = bogoliubov_energy(atoms)
-        ops = build_operators(build_basis(modes, 40))
-        lam = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 0.0))[0]
+        basis = build_basis(modes, 40)
+        lam = ground_state(fiber_hamiltonian(basis, 1.0, 0.0, 0.0))[0]
         assert lam == pytest.approx(bogo, abs=1e-6)
         measure = RadialMeasure(3, PointMasses(atoms))
         cont = continuum_ground_energy(measure).calE
@@ -587,57 +596,57 @@ class TestDipoleVacuumAmplitude:
               (1.0, 0.2, 10.0), (4.0, 0.2, 1.0)]
 
     @staticmethod
-    def _fock_log_amplitude(ops, kappa, p, T):
+    def _fock_log_amplitude(basis, kappa, p, T):
         exponent, series = fockdesk._semigroup_action(
-            fiber_hamiltonian(ops, kappa, p, 0.0), T, 0.0)
-        vacuum = np.zeros(ops.dim)
-        vacuum[ops.basis.rank(np.zeros(len(ops.basis.modes), dtype=np.int64))] = 1.0
+            fiber_hamiltonian(basis, kappa, p, 0.0), T, 0.0)
+        vacuum = np.zeros(basis.dim)
+        vacuum[basis.rank(np.zeros(len(basis.modes), dtype=np.int64))] = 1.0
         return math.log(series(1, exponent)(vacuum)[0]) + exponent
 
     @pytest.mark.parametrize("n_tot, dim", [(20, 231), (40, 861), (61, 1953)])
     @pytest.mark.parametrize("kappa, p, T", POINTS)
     def test_matches_wiener_hopf(self, n_tot, dim, kappa, p, T):
-        ops = build_operators(build_basis(TWO_MODE, n_tot))
-        assert ops.dim == dim
+        basis = build_basis(TWO_MODE, n_tot)
+        assert basis.dim == dim
         measure = RadialMeasure(3, PointMasses([(w, W) for w, W, _ in TWO_MODE]))
         exact = -T * vacuum_rate(measure, p, log_det(measure, kappa, T) / T,
                                  mass_functional(measure, kappa, T))
-        got = self._fock_log_amplitude(ops, kappa, p, T)
+        got = self._fock_log_amplitude(basis, kappa, p, T)
         assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 class TestScan:
     def test_zero_momentum_row(self):
-        ops = build_operators(build_basis([(1.0, 3.0, 0.3)], 12))
-        rows = wcl_scan(ops, [2.0], [0.0], 1.0)
+        basis = build_basis([(1.0, 3.0, 0.3)], 12)
+        rows = wcl_scan(basis, [2.0], [0.0], 1.0)
         assert rows[0]["gap"] == 0.0
         assert rows[0]["gap_dev"] == 0.0
 
     def test_dipole_rows_kappa_independent(self):
         modes = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
-        ops = build_operators(build_basis(modes, 30))
-        rows = wcl_scan(ops, [1.0, 2.0, 4.0], [0.2], 0.0)
+        basis = build_basis(modes, 30)
+        rows = wcl_scan(basis, [1.0, 2.0, 4.0], [0.2], 0.0)
         gaps = [r["gap"] for r in rows]
         assert max(gaps) - min(gaps) <= 1e-8
         # dipole structure: gap = p^2/(2 m_eff_disc) up to truncation error
         assert gaps[0] == pytest.approx(0.2**2 / (2 * 2.5), abs=1e-7)
 
     def test_empty_lists_rejected(self):
-        ops = build_operators(build_basis([(1.0, 1.0, 0.0)], 4))
+        basis = build_basis([(1.0, 1.0, 0.0)], 4)
         with pytest.raises(ValueError):
-            wcl_scan(ops, [], [0.1], 0.0)
+            wcl_scan(basis, [], [0.1], 0.0)
 
     def test_top_shell_weight(self):
         # the ground vector's weight on sum n = N_tot, from the dense eigenvector
-        ops = build_operators(build_basis(TWO_MODE, 10))
-        rows = wcl_scan(ops, [1.0, 4.0], [0.0, 0.2], 1.0)
-        top = ops.basis.states.sum(axis=1) == 10
+        basis = build_basis(TWO_MODE, 10)
+        rows = wcl_scan(basis, [1.0, 4.0], [0.0, 0.2], 1.0)
+        top = basis.states.sum(axis=1) == 10
         for row in rows:
-            H = dense(fiber_hamiltonian(ops, row["kappa"], row["p"], 1.0))
+            H = dense(fiber_hamiltonian(basis, row["kappa"], row["p"], 1.0))
             vec = np.linalg.eigh(H)[1][:, 0]
             assert row["top_shell"] == pytest.approx(np.sum(vec[top] ** 2), rel=1e-8)
         # a truncation indicator: it falls as the truncation grows
-        finer = wcl_scan(build_operators(build_basis(TWO_MODE, 20)), [1.0, 4.0],
+        finer = wcl_scan(build_basis(TWO_MODE, 20), [1.0, 4.0],
                          [0.0, 0.2], 1.0)
         for coarse, fine in zip(rows, finer):
             assert 0.0 < fine["top_shell"] < 1e-3 * coarse["top_shell"] < 1e-6
@@ -650,8 +659,8 @@ class TestDiamagnetic:
     def test_scan_rows(self, n_tot, kappa, p_list):
         # E_kappa(0) <= E_kappa(p) on the wcl_scan rows, up to truncation and
         # eigensolver slack; at p = 0 the row reuses E_0, so the gap is exactly 0
-        ops = build_operators(build_basis([(1.0, 3.0, 0.6)], n_tot))
-        for row in wcl_scan(ops, [kappa], p_list, 1.0):
+        basis = build_basis([(1.0, 3.0, 0.6)], n_tot)
+        for row in wcl_scan(basis, [kappa], p_list, 1.0):
             if row["p"] == 0.0:
                 assert row["gap"] == 0.0
             else:
@@ -660,13 +669,13 @@ class TestDiamagnetic:
 
 class TestSemigroup:
     def test_time_zero_projector_defect(self):
-        ops = build_operators(build_basis([(1.0, 1.0, 0.3), (2.0, 2.0, -0.3)], 8))
-        res = semigroup_wcl_residual(ops, 1.0, 0.0, 0.0)
+        basis = build_basis([(1.0, 1.0, 0.3), (2.0, 2.0, -0.3)], 8)
+        res = semigroup_wcl_residual(basis, 1.0, 0.0, 0.0)
         assert res == pytest.approx(1.0, abs=1e-10)  # ||I - P_g||
 
     def test_null_coupling_reported(self):
-        ops = build_operators(build_basis([(1.0, 0.0, 0.3), (2.0, 0.0, -0.3)], 6))
-        res = semigroup_wcl_residual(ops, 1.0, 0.2, 1.0)
+        basis = build_basis([(1.0, 0.0, 0.3), (2.0, 0.0, -0.3)], 6)
+        res = semigroup_wcl_residual(basis, 1.0, 0.2, 1.0)
         assert 0.0 <= res <= 1.0
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
@@ -675,33 +684,33 @@ class TestSemigroup:
         # (at kappa = 0 a multiple of 1, a zero-width interval), E_disc = 0,
         # m_eff = 1 and P_g is the vacuum, so the residual is the largest
         # non-vacuum entry exp(-T (p^2/2 + kappa^2 omega_min))
-        ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 4))
+        basis = build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 4)
         p, T = 0.5, 2.0
-        assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
+        assert semigroup_wcl_residual(basis, kappa, p, T) == pytest.approx(
             math.exp(-T * (p * p / 2 + kappa**2)), rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_uncoupled_closed_form_above_dense_limit(self, kappa):
         # the same at dim 231: at kappa = 0 the Chebyshev interval has zero
         # width, and X X^T = exp(-T p^2) (1 - P_vac)
-        ops = build_operators(build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 20))
+        basis = build_basis([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)], 20)
         p, T = 0.5, 2.0
-        assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
+        assert semigroup_wcl_residual(basis, kappa, p, T) == pytest.approx(
             math.exp(-T * (p * p / 2 + kappa**2)), rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [1.0, 4.0])
     def test_matches_dense_reference(self, kappa):
         # the full-decomposition formula: both eigh's, dense P_g, full SVD
-        ops = build_operators(build_basis(TWO_MODE, 20))
+        basis = build_basis(TWO_MODE, 20)
         p, T = 0.2, 1.0
-        lam, Q = np.linalg.eigh(dense(fiber_hamiltonian(ops, kappa, p, 1.0)))
+        lam, Q = np.linalg.eigh(dense(fiber_hamiltonian(basis, kappa, p, 1.0)))
         shift = kappa**2 * bogoliubov_energy(TWO_MODE)
         left = (Q * np.exp(np.clip(-T * (lam - shift), -745.0, 50.0))) @ Q.T
-        g = np.linalg.eigh(dense(fiber_hamiltonian(ops, 1.0, 0.0, 0.0)))[1][:, 0]
-        free = np.exp(np.clip(-T * (p - ops.Pf) ** 2 / (2.0 * ops.m_eff()),
+        g = np.linalg.eigh(dense(fiber_hamiltonian(basis, 1.0, 0.0, 0.0)))[1][:, 0]
+        free = np.exp(np.clip(-T * (p - basis.Pf) ** 2 / (2.0 * basis.m_eff()),
                               -745.0, 50.0))
         reference = np.linalg.norm(left - np.outer(g, g) * free[None, :], 2)
-        assert semigroup_wcl_residual(ops, kappa, p, T) == pytest.approx(
+        assert semigroup_wcl_residual(basis, kappa, p, T) == pytest.approx(
             reference, rel=1e-12)
 
     def test_norm_failure_names_stage(self, monkeypatch):
@@ -713,52 +722,52 @@ class TestSemigroup:
 
         monkeypatch.setattr(fockdesk, "ground_state", dense_ground_state)
         monkeypatch.setattr(fockdesk, "EIGEN_MAX_STEPS", 1)
-        ops = build_operators(build_basis(TWO_MODE, 6))
+        basis = build_basis(TWO_MODE, 6)
         with pytest.raises(NumericalError, match="semigroup operator norm"):
-            semigroup_wcl_residual(ops, 1.0, 0.2, 1.0)
+            semigroup_wcl_residual(basis, 1.0, 0.2, 1.0)
 
     def test_kappa_ladder_small_model(self):
-        ops = build_operators(build_basis([(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)], 20))
-        res = [semigroup_wcl_residual(ops, kap, 0.2, 1.0) for kap in (1.0, 2.0, 4.0)]
+        basis = build_basis([(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)], 20)
+        res = [semigroup_wcl_residual(basis, kap, 0.2, 1.0) for kap in (1.0, 2.0, 4.0)]
         assert res[0] > res[1] > res[2]
 
     def test_matches_mpmath_oracle(self):
         # the same float64 operators, decomposed and exponentiated at 34 digits
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp
-        ops = build_operators(build_basis(TWO_MODE, 6))
-        assert ops.dim == 28
+        basis = build_basis(TWO_MODE, 6)
+        assert basis.dim == 28
         kappa, p, T = 4.0, 0.2, 1.0
         with mp.workdps(34):
             def exact(operator):
                 return mp.matrix([[mp.mpf(float(x)) for x in row] for row in dense(operator)])
 
-            lam, Q = mp.eigsy(exact(fiber_hamiltonian(ops, kappa, p, 1.0)))
+            lam, Q = mp.eigsy(exact(fiber_hamiltonian(basis, kappa, p, 1.0)))
             omega = [mp.mpf(w) for w, _, _ in TWO_MODE]
             root = [mp.sqrt(W) for _, W, _ in TWO_MODE]
             mu = mp.eigsy(mp.diag([w**2 for w in omega])
                           + mp.matrix(root) * mp.matrix(root).T, eigvals_only=True)
             e_disc = mp.fsum(mp.sqrt(m) - w for m, w in zip(mu, omega)) / 2
-            decay = [mp.exp(-T * (lam[i] - kappa**2 * e_disc)) for i in range(ops.dim)]
+            decay = [mp.exp(-T * (lam[i] - kappa**2 * e_disc)) for i in range(basis.dim)]
             semigroup = Q * mp.diag(decay) * Q.T
-            lam_f, Q_f = mp.eigsy(exact(fiber_hamiltonian(ops, 1.0, 0.0, 0.0)))
-            g = Q_f[:, min(range(ops.dim), key=lambda i: lam_f[i])]
+            lam_f, Q_f = mp.eigsy(exact(fiber_hamiltonian(basis, 1.0, 0.0, 0.0)))
+            g = Q_f[:, min(range(basis.dim), key=lambda i: lam_f[i])]
             m_eff = 1 + mp.fsum(mp.mpf(W) / mp.mpf(w)**2 for w, W, _ in TWO_MODE)
             free = [mp.exp(-T * (p - mp.mpf(float(q)))**2 / (2 * m_eff))
-                    for q in ops.Pf]
-            X = semigroup - g * (mp.matrix([g[j] * free[j] for j in range(ops.dim)])).T
+                    for q in basis.Pf]
+            X = semigroup - g * (mp.matrix([g[j] * free[j] for j in range(basis.dim)])).T
             oracle = mp.sqrt(max(mp.eigsy(X.T * X, eigvals_only=True)))
-            got = semigroup_wcl_residual(ops, kappa, p, T)
+            got = semigroup_wcl_residual(basis, kappa, p, T)
             assert abs(got - oracle) <= 1e-12 * oracle
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0])
-    def test_no_dense_cliff(self, two_mode_ops, kappa):
+    def test_no_dense_cliff(self, two_mode_basis, kappa):
         # dim 4186, past the old 2000-state dense limit; N_tot = 61 is already
         # truncation-converged at T = 1, so both sizes give the same residual
-        big = build_operators(build_basis(TWO_MODE, 90))
+        big = build_basis(TWO_MODE, 90)
         assert big.dim == 4186
         res_big = semigroup_wcl_residual(big, kappa, 0.2, 1.0)
-        res_61 = semigroup_wcl_residual(two_mode_ops, kappa, 0.2, 1.0)
+        res_61 = semigroup_wcl_residual(two_mode_basis, kappa, 0.2, 1.0)
         assert res_big == pytest.approx(res_61, rel=1e-11)
 
     @pytest.mark.parametrize("T", [1e4, 4e4, 1e5])
@@ -767,27 +776,39 @@ class TestSemigroup:
         # the semigroup term below e^{-T/50}, so at these T, X = -f g^T to all
         # digits and ||X|| = ||f||.  Past e^-300 the norm is taken on a rescaled X
         # (the unscaled X X^T underflows to the zero operator); e^-1000 at T = 1e5 is 0
-        ops = build_operators(build_basis([(1.0, 1.0, 0.6)], 8))
-        g = ops.ground_vector
-        scaled = np.exp(T / 100 - T * (0.2 - ops.Pf) ** 2 / (2.0 * ops.m_eff()))
+        basis = build_basis([(1.0, 1.0, 0.6)], 8)
+        g = basis.ground_vector
+        scaled = np.exp(T / 100 - T * (0.2 - basis.Pf) ** 2 / (2.0 * basis.m_eff()))
         expected = math.exp(-T / 100) * np.linalg.norm(g * scaled)
-        got = semigroup_wcl_residual(ops, 1.0, 0.2, T)
+        got = semigroup_wcl_residual(basis, 1.0, 0.2, T)
         assert got == pytest.approx(expected, rel=1e-9, abs=0)
         if T == 1e4:
             assert got == pytest.approx(3.692390045532778e-44, rel=1e-12)   # as before
 
     @pytest.mark.parametrize("T", [-1.0, math.inf, math.nan])
     def test_horizon_must_be_finite_nonnegative(self, T):
-        ops = build_operators(build_basis(TWO_MODE, 6))
+        basis = build_basis(TWO_MODE, 6)
         with pytest.raises(ValueError, match="T >= 0"):
-            semigroup_wcl_residual(ops, 1.0, 0.2, T)
+            semigroup_wcl_residual(basis, 1.0, 0.2, T)
 
     def test_overflow_names_stage(self, monkeypatch):
         # kappa^2 E_disc far above the ground energy: exp(T (shift - E_0)) > max float
         monkeypatch.setattr(fockdesk, "bogoliubov_energy", lambda modes: 1e3)
-        ops = build_operators(build_basis(TWO_MODE, 6))
+        basis = build_basis(TWO_MODE, 6)
         with pytest.raises(NumericalError, match="semigroup"):
-            semigroup_wcl_residual(ops, 1.0, 0.2, 1.0)
+            semigroup_wcl_residual(basis, 1.0, 0.2, 1.0)
+
+    @pytest.mark.parametrize("T", [1e300, 1e308])
+    def test_unreachable_horizon_refused_before_series(self, monkeypatch, T):
+        # at T = 1e300 Miller's recurrence would start near order 2e151 and
+        # never return; 2 T half overflows at T = 1e308.  No coefficient is summed
+        def refuse(z):
+            raise AssertionError(f"Bessel coefficients summed at z = {z}")
+
+        monkeypatch.setattr(fockdesk, "_bessel_coefficients", refuse)
+        basis = build_basis([(1.0, 1.0, 0.5)], 2)
+        with pytest.raises(NumericalError, match=re.escape(f"semigroup: at T = {T}")):
+            semigroup_wcl_residual(basis, 1.0, 0.2, T)
 
 
 class TestDeskLimitCheck:
@@ -800,7 +821,7 @@ class TestDeskLimitCheck:
         ref = bogoliubov_energy(modes)
         devs = []
         for n_tot in (2, 4, 8, 16):
-            ops = build_operators(build_basis(modes, n_tot))
-            e0 = ground_state(fiber_hamiltonian(ops, 1.0, 0.0, 1.0))[0]
+            basis = build_basis(modes, n_tot)
+            e0 = ground_state(fiber_hamiltonian(basis, 1.0, 0.0, 1.0))[0]
             devs.append(abs(e0 - ref))
         assert devs[0] > devs[1] >= devs[2] >= devs[3]
