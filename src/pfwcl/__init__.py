@@ -11,6 +11,7 @@ Submodules:
 - ``hermite``: generalized Hermite polynomials and their generating operator
 - ``fockdesk``: Fock space, fiber Hamiltonians, weak-coupling and semigroup studies
 - ``errors``: the exception types shared across the package
+- ``params``: the rules that check run parameters, shared by ``cli`` and the library
 - ``cli``: the ``pfwcl`` command-line driver
 
 Importing the package loads none of them: import names from the submodule

@@ -13,12 +13,14 @@ there than on 3.10 and 3.11.  ``energy``, ``cutoff-scan`` and ``wiener-hopf``
 refuse a row with an infinite or NaN cell (exit 3, naming the column).
 
 Each subcommand is declared once, in ``COMMANDS``, with its params: a param's
-flag dest is its config ``params`` key, and one converter serves flag text and
-config value alike, so a refusal names ``params.<key>`` and the echo is the
-same typed config either way.  A process loads only its subcommand's numeric
-modules: ``validate`` loads ``formfactor`` and ``quadrature``, ``energy`` adds
-``energy``, ``cutoff-scan`` loads ``cutoff`` and ``quadrature``, and
-``hermite-check`` ``hermite`` and ``jacobi``, all on the standard library;
+flag dest is its config ``params`` key, and one rule of ``params`` serves flag
+text and config value alike, so a refusal names ``params.<key>`` and the echo
+is the same typed config either way; the library checks its arguments with the
+same rules.  Besides ``errors`` and ``params`` a process loads only its
+subcommand's numeric modules: ``validate`` loads ``formfactor`` and
+``quadrature``, ``energy`` adds ``energy``, ``cutoff-scan`` loads ``cutoff``
+and ``quadrature``, and ``hermite-check`` ``hermite`` and ``jacobi``, all on
+the standard library;
 ``wiener-hopf`` adds ``wienerhopf`` and ``normalmodes`` to ``formfactor``, and
 ``fock`` loads ``fockdesk``, ``normalmodes`` and ``jacobi``.  numpy loads only
 for these two, which factor kernels or apply operators over a measure's rule or
@@ -45,6 +47,8 @@ import os
 import sys
 
 from .errors import NumericalError, QuadratureError
+from .params import (checked, count, coupling, finite, integer, ladder, list_of, mode,
+                     nonnegative, positive, unit_interval)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,8 +105,8 @@ def _resolve(args) -> dict:
 
     The subcommand's params in ``COMMANDS`` name the keys it accepts.  Each
     value (and the seed), from its flag, else the config, else the default, goes
-    through one converter and is written back converted, so the echo is the
-    same typed config whichever way a value came in.
+    through its rule in ``params`` and is written back converted, so the echo is
+    the same typed config whichever way a value came in.
     """
     cfg = _load_config(args.config) if args.config else {}
     if cfg.get("subcommand", args.subcommand) != args.subcommand:
@@ -125,7 +129,7 @@ def _resolve(args) -> dict:
     if resolved["format"] not in formats:
         raise ConfigError(f"format must be {' or '.join(formats)}, got {resolved['format']!r}")
     try:
-        resolved["seed"] = seed = _integer(resolved["seed"])
+        resolved["seed"] = seed = integer(resolved["seed"])
     except (TypeError, ValueError):
         seed = -1
     if seed < 0:
@@ -139,97 +143,8 @@ def _resolve(args) -> dict:
         if value is None:
             params.pop(key, None)
             continue
-        try:
-            params[key] = convert(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params.{key}: {exc}") from exc
+        params[key] = checked(f"params.{key}", convert, value)
     return resolved
-
-
-def _finite(value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be finite, got {number}")
-    return number
-
-
-def _nonnegative(value) -> float:
-    number = _finite(value)
-    if number < 0.0:
-        raise ValueError(f"must be >= 0, got {number}")
-    return number
-
-
-def _positive(value) -> float:
-    number = _finite(value)
-    if number <= 0.0:
-        raise ValueError(f"must be > 0, got {number}")
-    return number
-
-
-def _coupling(value) -> float:
-    """A kappa: >= 0, with kappa^2 a finite double."""
-    number = _nonnegative(value)
-    if not math.isfinite(number * number):
-        raise ValueError(f"kappa^2 must be finite, got {number}")
-    return number
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _count(value) -> int:
-    number = _integer(value)
-    if number < 1:
-        raise ValueError(f"must be >= 1, got {number}")
-    return number
-
-
-def _unit_interval(value) -> float:
-    number = float(value)
-    if not 0.0 <= number <= 1.0:
-        raise ValueError(f"must lie in [0, 1], got {number}")
-    return number
-
-
-def _list(item):
-    """The converter of comma-separated text or a JSON list, ``item`` applied
-    to each entry; an empty list is refused."""
-    def convert(value) -> list:
-        if isinstance(value, str):
-            value = [token for token in value.split(",") if token.strip()]
-        if not isinstance(value, list):
-            raise TypeError(f"must be a list or comma-separated text, got {value!r}")
-        if not value:
-            raise ValueError("must not be empty")
-        return [item(entry) for entry in value]
-    return convert
-
-
-def _ladder(value) -> list[float]:
-    ladder = _list(_positive)(value)
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"horizons must be increasing, got {ladder}")
-    return ladder
-
-
-def _mode(value) -> tuple[float, float, float]:
-    """A fock mode (omega, W, q) from ``omega:W[:q]`` text or a list of 2-3
-    numbers, q = 0 when absent; the checks of ``fockdesk.Mode``."""
-    fields = value.split(":") if isinstance(value, str) else value
-    if not isinstance(fields, (list, tuple)) or len(fields) not in (2, 3):
-        raise ValueError(f"a mode is omega:W[:q] or [omega, W, q], got {value!r}")
-    omega, weight, q = [_finite(v) for v in fields] + [0.0] * (3 - len(fields))
-    try:
-        ratio = weight / omega**2
-    except (OverflowError, ZeroDivisionError):      # omega^2 overflows or underflows
-        ratio = math.inf
-    if not (omega > 0.0 and weight >= 0.0 and math.isfinite(ratio)):
-        raise ValueError(f"a mode needs omega > 0, W >= 0 and W/omega^2 finite, got {value!r}")
-    return omega, weight, q
 
 
 def _measure_or_fail(resolved: dict):
@@ -408,27 +323,27 @@ def _cmd_hermite_check(args) -> int:
 #: a param without a default: the run needs its flag or config key
 REQUIRED = object()
 
-_KAPPA = ("--kappa", {}, _coupling, 1.0)
-_P = ("--p", {}, _finite, 0.0)
+_KAPPA = ("--kappa", {}, coupling, 1.0)
+_P = ("--p", {}, finite, 0.0)
 
 #: subcommand -> (handler, help, params), in ``--help`` order.  A param is its
-#: option string, argparse keywords, converter and default (a value, REQUIRED,
+#: option string, argparse keywords, rule and default (a value, REQUIRED,
 #: or None: may stay absent); its dest is its config ``params`` key.
 COMMANDS = {
     "validate": (_cmd_validate, "moment report and assumption check", ()),
     "energy": (_cmd_energy, "ground energy and log-spectral value", (_KAPPA, _P)),
     "cutoff-scan": (_cmd_cutoff_scan, "d=3 sharp-cutoff energy asymptotics", (
         ("--lambda", {"dest": "lambdas", "metavar": "LAM",
-                      "help": "comma-separated cutoff values"}, _list(_positive), REQUIRED),)),
+                      "help": "comma-separated cutoff values"}, list_of(positive), REQUIRED),)),
     "wiener-hopf": (_cmd_wiener_hopf, "truncated Wiener-Hopf determinant study", (
-        ("--T", {}, _positive, None), _KAPPA, _P,
-        ("--T-ladder", {"help": "comma-separated increasing horizons"}, _ladder, None))),
+        ("--T", {}, positive, None), _KAPPA, _P,
+        ("--T-ladder", {"help": "comma-separated increasing horizons"}, ladder, None))),
     "fock": (_cmd_fock, "truncated Fock-space weak-coupling scan", (
         ("--modes", {"help": "omega:weight:momentum, comma-separated"},
-         _list(_mode), REQUIRED),
-        ("--ntot", {}, _count, REQUIRED), ("--kappa-list", {}, _list(_coupling), REQUIRED),
-        ("--p-list", {}, _list(_finite), REQUIRED),
-        ("--epsilon", {}, _unit_interval, 1.0), ("--T", {}, _nonnegative, None))),
+         list_of(mode), REQUIRED),
+        ("--ntot", {}, count, REQUIRED), ("--kappa-list", {}, list_of(coupling), REQUIRED),
+        ("--p-list", {}, list_of(finite), REQUIRED),
+        ("--epsilon", {}, unit_interval, 1.0), ("--T", {}, nonnegative, None))),
     "hermite-check": (_cmd_hermite_check, "Hermite-polynomial invariant suite", ()),
 }
 

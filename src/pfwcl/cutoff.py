@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .params import checked, positive
 from .quadrature import adaptive_quad
 
 _SERIES_SWITCH = 1e-3
@@ -52,8 +53,7 @@ def cutoff_energy_3d(lam: float) -> float:
     Lambda^{3/2} with E/Lambda^{3/2} eventually inside
     [sqrt(2 pi/3), sqrt(2 pi)].
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"cutoff Lambda must be positive and finite, got {lam}")
+    lam = checked("Lambda", positive, lam)
     return 4.0 * lam * lam * adaptive_quad(_cutoff_integrand(lam), 0.0, math.inf)[0]
 
 

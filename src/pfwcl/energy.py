@@ -58,6 +58,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, truediv
 
 from .formfactor import RadialMeasure, _Record, _effective_component_count, moment_report
+from .params import checked, coupling, finite
 from .quadrature import adaptive_quad
 
 
@@ -66,9 +67,7 @@ class SpectralFunctions(_Record):
     _fields = ("ff", "kappa")
 
     def __init__(self, ff: RadialMeasure, kappa: float = 1.0):
-        if not (kappa >= 0.0 and math.isfinite(kappa)):
-            raise ValueError(f"kappa must be a nonnegative real, got {kappa}")
-        vars(self).update(ff=ff, kappa=kappa)
+        vars(self).update(ff=ff, kappa=checked("kappa", coupling, kappa))
 
     def rho(self, t: float) -> float:
         r, w = self.ff.rule
@@ -205,6 +204,7 @@ def log_spectral_energy(ff: RadialMeasure, kappa: float) -> float:
     where the quadrature on [0, inf) loses accuracy, then fails, then misses
     it (reading 0) as kappa grows.  It equals (2 kappa^2 / d_eff) * calE.
     """
+    kappa = checked("kappa", coupling, kappa)
     return kappa * kappa * _unit_log_spectral(_own_rule(ff))[0]
 
 
@@ -215,6 +215,7 @@ def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float,
     ``cal_e`` passes a calE already computed by ``ground_energy``.  Note the
     mass term persists at kappa = 0: the value is p^2/(2 m_eff), not p^2/2.
     """
+    kappa, p = checked("kappa", coupling, kappa), checked("p", finite, p)
     rep = moment_report(ff)
     if cal_e is None:
         cal_e = ground_energy(ff).calE

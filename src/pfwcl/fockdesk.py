@@ -20,8 +20,9 @@ rank-one Bogoliubov value (1/2) sum_i (mu_i - omega_i) with mu_i^2 the
 eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j), from the secular-equation
 solver the Wiener-Hopf realization shares (``normalmodes``).
 
-``build_basis`` returns the one Fock-space object, ``FockBasis``.  It carries
-the operators, each built on first read: H_f and P_f as diagonals, A as a
+``build_basis`` checks its modes by the driver's rule (``params.mode``) and
+returns the one Fock-space object, ``FockBasis``.  It carries the operators,
+each built on first read: H_f and P_f as diagonals, A as a
 gather table over the basis ranks, and the Bogoliubov ground vector.  No
 operator is stored as a matrix: H_kappa(p, eps) applies B = p - eps P_f - kappa A
 twice, and ``fiber_hamiltonian`` refuses a (kappa, p) at which H's row-sum
@@ -53,6 +54,8 @@ import numpy as np
 from .errors import BasisSizeError, NumericalError
 from .jacobi import jacobi_eigh
 from .normalmodes import merged, secular_roots
+from .params import (Mode, checked, count, coupling, finite, list_of, mode, nonnegative,
+                     unit_interval)
 
 BASIS_SIZE_GUARD = 200_000
 #: the semigroup refuses a horizon whose Bessel series would start Miller's
@@ -69,36 +72,6 @@ _LOG_MAX = math.log(np.finfo(float).max)
 #: outside exp(+-SMALL_NORM_LEVEL) the entries of X X^T near underflow (or
 #: overflow), so the norm is taken on a rescaled X
 SMALL_NORM_LEVEL = -300.0
-
-
-@dataclass(frozen=True)
-class Mode:
-    omega: float
-    weight: float
-    momentum: float = 0.0
-
-    def __post_init__(self):
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError(f"mode frequency must be positive, got {self.omega}")
-        if not (self.weight >= 0.0 and math.isfinite(self.weight)):
-            raise ValueError(f"mode weight must be nonnegative, got {self.weight}")
-        if not math.isfinite(self.momentum):
-            raise ValueError(f"mode momentum must be finite, got {self.momentum}")
-        try:
-            ratio = self.weight / self.omega**2     # the mode's share of m_eff
-        except (OverflowError, ZeroDivisionError):  # omega^2 overflows or underflows
-            ratio = math.inf
-        if not math.isfinite(ratio):
-            raise ValueError(f"mode W/omega^2 must be a finite double, "
-                             f"got W = {self.weight}, omega = {self.omega}")
-
-    @property
-    def coupling(self) -> float:
-        return math.sqrt(self.weight / self.omega)
-
-
-def as_modes(modes) -> tuple[Mode, ...]:
-    return tuple(m if isinstance(m, Mode) else Mode(*m) for m in modes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +162,7 @@ class FockBasis:
         """A = sum_j (g_j / sqrt(2)) (a_j^T + a_j): the ladder table with rows
         2j and 2j + 1 scaled by g_j / sqrt(2)."""
         index, factor = self.ladders
-        c = np.array([m.coupling / math.sqrt(2.0) for m in self.modes])
+        c = np.array([math.sqrt(m.weight / m.omega) / math.sqrt(2.0) for m in self.modes])
         return GatherOperator(index, np.repeat(c, 2)[:, None] * factor)
 
     def m_eff(self) -> float:
@@ -201,6 +174,10 @@ class FockBasis:
         return ground_state(fiber_hamiltonian(self, 1.0, 0.0, 0.0))[1]
 
 
+def _modes(modes) -> list[Mode]:
+    return checked("modes", list_of(mode), list(modes))
+
+
 def build_basis(modes, n_tot: int) -> FockBasis:
     """Enumerate multi-indices with total occupation <= n_tot.
 
@@ -210,12 +187,8 @@ def build_basis(modes, n_tot: int) -> FockBasis:
     The dimension is C(M + n_tot, M); a hard guard rejects requests past
     200000 states before any enumeration happens.
     """
-    modes = as_modes(modes)
+    modes, n_tot = _modes(modes), checked("n_tot", count, n_tot)
     M = len(modes)
-    if M < 1:
-        raise ValueError("need at least one mode")
-    if n_tot < 1:
-        raise ValueError(f"need n_tot >= 1, got {n_tot}")
     dim = math.comb(M + n_tot, M)
     if dim > BASIS_SIZE_GUARD:
         raise BasisSizeError(
@@ -224,7 +197,7 @@ def build_basis(modes, n_tot: int) -> FockBasis:
     states = np.fromiter(itertools.chain.from_iterable(tails), np.int64,
                          count=dim * M).reshape(dim, M)[::-1].copy()
     states[:, :-1] -= states[:, 1:]          # n_j = s_j - s_{j+1}
-    return FockBasis(modes=modes, n_tot=n_tot, states=states)
+    return FockBasis(modes=tuple(modes), n_tot=n_tot, states=states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,12 +250,8 @@ class FiberHamiltonian:
 def fiber_hamiltonian(basis: FockBasis, kappa: float, p: float,
                       eps: float) -> FiberHamiltonian:
     """H_kappa(p, eps) = (1/2)(p - eps P_f - kappa A)^2 + kappa^2 H_f."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"interpolation parameter must lie in [0, 1], got {eps}")
-    for name, value in (("kappa", kappa), ("p", p)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    H = FiberHamiltonian(basis, kappa, p, eps)
+    H = FiberHamiltonian(basis, checked("kappa", coupling, kappa), checked("p", finite, p),
+                         checked("eps", unit_interval, eps))
     with np.errstate(over="ignore", invalid="ignore"):
         bound = H.row_sum_bound()
     if not math.isfinite(bound):
@@ -401,7 +370,7 @@ def bogoliubov_energy(modes) -> float:
     that the Wiener-Hopf realization shares: nothing cancels, so stiff atoms keep
     full relative accuracy.  The continuum-side counterpart is the energy-module
     ground_energy at the same PointMasses measure."""
-    omega, W = merged((m.omega, m.weight) for m in as_modes(modes))
+    omega, W = merged((m.omega, m.weight) for m in _modes(modes))
     return 0.5 * float(np.sum(secular_roots(omega, W)[1])) if len(omega) else 0.0
 
 
@@ -468,10 +437,8 @@ def wcl_scan(basis: FockBasis, kappa_list, p_list, eps: float) -> list[dict]:
     error).  top_shell is the ground vector's weight on the top shell
     sum n = N_tot: the truncation indicator, small when N_tot is enough.
     """
-    kappa_list = list(kappa_list)
-    p_list = list(p_list)
-    if not kappa_list or not p_list:
-        raise ValueError("kappa_list and p_list must be nonempty")
+    kappa_list = checked("kappa_list", list_of(coupling), list(kappa_list))
+    p_list = checked("p_list", list_of(finite), list(p_list))
     reference_energy = bogoliubov_energy(basis.modes)
     m_disc = basis.m_eff()
     top = basis.states.sum(axis=1) == basis.n_tot
@@ -564,8 +531,7 @@ def semigroup_wcl_residual(basis: FockBasis, kappa: float, p: float,
     larger term scaled to 1, and the norm is scaled back, so a residual below
     the smallest double reads 0.
     """
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"the semigroup needs a finite T >= 0, got {T}")
+    T = checked("T", nonnegative, T)
     exponent, series = _semigroup_action(fiber_hamiltonian(basis, kappa, p, eps=1.0), T,
                                          kappa**2 * bogoliubov_energy(basis.modes),
                                          lam0)

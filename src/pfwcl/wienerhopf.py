@@ -47,6 +47,7 @@ from numpy.linalg import eigh, eigvalsh, solve, svd
 from .errors import NumericalError
 from .formfactor import RadialMeasure, _effective_component_count, moment_report
 from .normalmodes import merged, secular_roots, secular_vectors
+from .params import checked, coupling, ladder, positive
 from .quadrature import gauss_panels
 
 TRUNCATION_TOL = 1e-15
@@ -162,10 +163,10 @@ def realization(ff: RadialMeasure) -> StateSpace:
 
 
 def _horizon(ff: RadialMeasure, kappa: float, T: float) -> tuple[float, StateSpace]:
-    if not (T > 0.0 and math.isfinite(T)):
-        raise ValueError(f"horizon T must be positive, got {T}")
-    if not (kappa >= 0.0 and math.isfinite(kappa)):
-        raise ValueError(f"kappa must be a nonnegative real, got {kappa}")
+    """(S = kappa^2 T, the realization), refusing an S past the doubles."""
+    kappa, T = checked("kappa", coupling, kappa), checked("T", positive, T)
+    if not math.isfinite(kappa * kappa * T):
+        raise ValueError(f"kappa^2 T must be a finite double, got kappa = {kappa}, T = {T}")
     return kappa * kappa * T, realization(ff)
 
 
@@ -265,16 +266,14 @@ def ak_convergence_report(ff: RadialMeasure, kappa: float, T_list) -> list[dict]
     exact for point masses), the constant term ``ak_B`` (T ak_dev -> ak_B), the
     bound ``disc_err`` on the truncation error, the mass functional against
     1/m_eff, and the state count ``n``."""
-    T_list = list(T_list)
-    if not T_list:
-        raise ValueError("T_list must be nonempty")
-    if any(b <= a for a, b in zip(T_list[:-1], T_list[1:])):
-        raise ValueError("T_list must be increasing")
+    T_list = checked("T_list", ladder, list(T_list))
+    kappa = checked("kappa", coupling, kappa)
     ss = realization(ff)
     ak_target = kappa * kappa * ss.asymptote[0] if len(ss.lam) else 0.0
     if not math.isfinite(ak_target * T_list[-1]):
         raise NumericalError(f"ak_target * T = {ak_target * T_list[-1]} at T = {T_list[-1]}, "
                              f"kappa = {kappa}: the log-det overflows a double")
+    _horizon(ff, kappa, T_list[-1])        # the largest S, refused before any solve
     mass_target = 1.0 / moment_report(ff).m_eff
     fixed = {"n": len(ss.lam), "ak_target": ak_target, "mass_target": mass_target,
              "ak_B": ss.asymptote[1] if len(ss.lam) and kappa > 0.0 else 0.0,

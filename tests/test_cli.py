@@ -300,6 +300,21 @@ class TestWienerHopf:
         assert out == ""
         assert err.count("\n") == 1 and "the log-det overflows a double" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_horizon_past_the_doubles_exits_two_before_solving(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # S = kappa^2 T = 1e309: four numpy warnings, then exit 3 on a NaN u_T residual
+        from pfwcl import wienerhopf
+        monkeypatch.setattr(wienerhopf, "log_det", None)
+        monkeypatch.setattr(wienerhopf, "mass_functional", None)
+        cfg = write_config(tmp_path, "weak.json", {"measure": {"dimension": 3, "profile": {
+            "type": "point_masses", "atoms": [{"omega": 1000.0, "weight": 1e-3}]}}})
+        assert run(["wiener-hopf", "--config", cfg, "--kappa", "1e154", "--T", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("wiener-hopf: configuration error: kappa^2 T must be a finite double, "
+                       "got kappa = 1e+154, T = 10.0\n")
+
 
 class TestFock:
     def test_scan_columns(self, tmp_path):
@@ -565,7 +580,7 @@ def test_cli_import_skips_scipy():
             "import pfwcl.wienerhopf, pfwcl.fockdesk, pfwcl.hermite; "
             "print(json.dumps([driver, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
     driver, scipy = json.loads(run_python(["-c", code]))
-    assert driver == ["pfwcl", "pfwcl.cli", "pfwcl.errors"]
+    assert driver == ["pfwcl", "pfwcl.cli", "pfwcl.errors", "pfwcl.params"]
     assert scipy == []
 
 
