@@ -48,7 +48,7 @@ import sys
 
 from .errors import NumericalError, QuadratureError
 from .params import (checked, count, coupling, finite, integer, ladder, list_of, mode,
-                     nonnegative, positive, unit_interval)
+                     momentum, nonnegative, positive, unit_interval)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -324,7 +324,7 @@ def _cmd_hermite_check(args) -> int:
 REQUIRED = object()
 
 _KAPPA = ("--kappa", {}, coupling, 1.0)
-_P = ("--p", {}, finite, 0.0)
+_P = ("--p", {}, momentum, 0.0)
 
 #: subcommand -> (handler, help, params), in ``--help`` order.  A param is its
 #: option string, argparse keywords, rule and default (a value, REQUIRED,

@@ -58,7 +58,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, truediv
 
 from .formfactor import RadialMeasure, _Record, _effective_component_count, moment_report
-from .params import checked, coupling, finite
+from .params import checked, coupling, momentum
 from .quadrature import adaptive_quad
 
 
@@ -77,9 +77,11 @@ class SpectralFunctions(_Record):
 
     def rho_hat(self, t: float) -> float:
         r, w = self.ff.rule
-        k2 = self.kappa**2     # w k2 / (k2^2 r^2 + t^2)
-        return sum(map(mul, w, map(truediv, repeat(k2), map(
-            add, map(mul, map(mul, r, repeat(k2 * k2)), r), repeat(t * t)))), 0.0)
+        k2 = self.kappa**2     # w / (k2 r^2 + t^2 / k2): no k2^2 to overflow
+        if k2 == 0.0:          # the kappa -> 0 limit, 0 at t != 0
+            return 0.0 / (t * t)
+        return sum(map(truediv, w, map(add, map(mul, map(mul, r, repeat(k2)), r),
+                                       repeat(t * t / k2))), 0.0)
 
 
 def _parts(r2, w, t2):
@@ -215,7 +217,7 @@ def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float,
     ``cal_e`` passes a calE already computed by ``ground_energy``.  Note the
     mass term persists at kappa = 0: the value is p^2/(2 m_eff), not p^2/2.
     """
-    kappa, p = checked("kappa", coupling, kappa), checked("p", finite, p)
+    kappa, p = checked("kappa", coupling, kappa), checked("p", momentum, p)
     rep = moment_report(ff)
     if cal_e is None:
         cal_e = ground_energy(ff).calE

@@ -393,25 +393,23 @@ def _bessel_coefficients(z: float) -> np.ndarray:
     """(2 - delta_k0) e^{-z} I_k(z) for k = 0 .. d - 1, where past order d - 1
     every term stays below BESSEL_TAIL.
 
-    Miller's backward recurrence (DLMF 3.6(iii)): from y_{N+1} = 0, y_N = 1 at
-    N = ``_miller_start(z)``, past which the Debye exponent is < 2 log BESSEL_TAIL,
-    y_{k-1} = (2k / z) y_k + y_{k+1} falls onto the minimal solution, and
-    e^{-z}(I_0 + 2 sum I_k) = 1 fixes its scale.  The recurrence runs in 34-digit
-    decimals: their rounding over the N steps stays far below one rounding of
-    the final double, and y_0, which grows like (2 / z)^N N!, needs no rescaling.
+    Miller's backward recurrence (DLMF 3.6(iii)) on the ratios rho_k = I_k / I_{k-1}
+    (Gautschi, SIAM Rev. 9, 1967): from rho_{N+1} = 0 at N = ``_miller_start(z)``,
+    past which the Debye exponent is < 2 log BESSEL_TAIL, rho_k = 1 / (2k / z + rho_{k+1})
+    falls onto the minimal solution, whose running product is I_k / I_0, and
+    e^{-z}(I_0 + 2 sum I_k) = 1 fixes its scale.  Every ratio lies in [0, 1], so
+    nothing overflows in doubles, and each step damps the error it inherits.
     """
-    import decimal                 # only the --T semigroup series loads it
-
     if z == 0.0:
         return np.ones(1)
-    with decimal.localcontext(decimal.Context(prec=34)):
-        scale = 2 / decimal.Decimal(z)
-        y = [decimal.Decimal(0), decimal.Decimal(1)]          # y_{N+1}, y_N
-        for k in range(_miller_start(z), 0, -1):
-            y.append(k * scale * y[-1] + y[-2])
-        y = y[:0:-1]                                          # y_0 .. y_N
-        norm = y[0] + 2 * sum(y[1:])
-        c = np.array([float(x / norm) for x in y])
+    n = _miller_start(z)
+    c = np.empty(n + 1)
+    c[0], rho = 1.0, 0.0                                      # I_0 / I_0, rho_{N+1}
+    for k in range(n, 0, -1):
+        rho = 1.0 / (2.0 * k / z + rho)
+        c[k] = rho
+    np.cumprod(c, out=c)                                      # I_k / I_0
+    c /= c[0] + 2.0 * math.fsum(c[1:])
     c = c[:np.flatnonzero(np.abs(c) > BESSEL_TAIL)[-1] + 1]
     c[1:] *= 2.0
     return c

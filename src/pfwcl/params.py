@@ -54,6 +54,14 @@ def coupling(value) -> float:
     return number
 
 
+def momentum(value) -> float:
+    """A p: finite, with p^2 a finite double."""
+    number = finite(value)
+    if not math.isfinite(number * number):
+        raise ValueError(f"p^2 must be finite, got {number}")
+    return number
+
+
 def integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")

@@ -687,6 +687,8 @@ def test_help_loads_no_numpy(argv):
     (["energy", "--config", "{cfg}", "--kappa", "1e200"], "params.kappa"),
     (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--kappa", "1e200"], "params.kappa"),
     (FOCK_ARGS + ["--ntot", "4", "--kappa-list", "1,1e200"], "params.kappa_list"),
+    (["energy", "--config", "{cfg}", "--p", "1e200"], "params.p"),
+    (["wiener-hopf", "--config", "{cfg}", "--T", "5", "--p", "1e200"], "params.p"),
     (["validate", "--config", "{tiny_lambda}"], "profile.lambda"),
     (["validate", "--config", "{tiny_first_radius}"], "profile.points"),
     (["fock", "--config", "{modes_one_field}"], "params.modes"),
@@ -709,6 +711,7 @@ def test_help_loads_no_numpy(argv):
         "validate_seed_flag_abc", "wh_no_horizon", "wh_T_and_ladder_flags",
         "wh_T_and_ladder_config", "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
         "energy_kappa_squared_inf", "wh_kappa_squared_inf", "fock_kappa_squared_inf",
+        "energy_p_squared_inf", "wh_p_squared_inf",
         "validate_tiny_lambda", "validate_tiny_first_radius", "fock_modes_one_field",
         "fock_modes_four_fields", "fock_modes_empty", "fock_kappa_list_empty",
         "fock_kappa_list_scalar", "validate_lambda_1e-100", "validate_lambda_1e-120",
@@ -783,12 +786,12 @@ DATACLASS_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 @pytest.mark.parametrize("horizon", [[], ["--T", "1"]], ids=["scan", "T_1"])
 def test_fock_loads_only_the_fock_desk(horizon):
     # the start vector comes from the standard library, not numpy.random, and
-    # only the semigroup's Bessel coefficients need decimal
+    # the semigroup's Bessel coefficients run in doubles, without decimal
     loaded = loaded_modules(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "20",
                              "--kappa-list", "1", "--p-list", "0.2", *horizon])
     assert {"pfwcl.fockdesk", "pfwcl.normalmodes"} <= loaded
     assert not loaded & {"numpy.random", "pfwcl.hermite", *SPECTRAL_MODULES}
-    assert ("decimal" in loaded) == bool(horizon)
+    assert "decimal" not in loaded
 
 
 def test_hermite_check_loads_no_spectral_module():

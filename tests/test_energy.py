@@ -36,6 +36,27 @@ class TestSpectralFunctions:
         assert sf.rho_hat(1.0) == pytest.approx(1.5, rel=1e-15)
         assert sf.rho_hat(-1.0) == sf.rho_hat(1.0)
 
+    @pytest.mark.parametrize("kappa", [1e80, 1e100])
+    def test_rho_hat_past_kappa4_overflow(self, pm_atom, kappa):
+        # kappa^4 overflows past kappa ~ 1.2e77; kappa^2 and t^2 / kappa^2 do not
+        sf = SpectralFunctions(pm_atom, kappa)
+        assert sf.rho_hat(1.0) == pytest.approx(3.0 / (kappa**2 + kappa**-2), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 7.0, 1e70])
+    def test_rho_hat_keeps_the_kappa4_form(self, pm_atom, cutoff1, kappa):
+        # within 4 ulp of sum w kappa^2 / (kappa^4 r^2 + t^2), in that form's order
+        k2 = kappa**2
+        for measure in (pm_atom, cutoff1):
+            sf = SpectralFunctions(measure, kappa)
+            r, w = measure.rule
+            for t in (0.0, 0.3, 1.0, 2.5, 1e3, 1e70):
+                kappa4_form = sum((wi * (k2 / (ri * (k2 * k2) * ri + t * t))
+                                   for ri, wi in zip(r, w)), 0.0)
+                assert abs(sf.rho_hat(t) - kappa4_form) <= 4 * math.ulp(kappa4_form), t
+
+    def test_rho_hat_at_zero_coupling(self, pm_atom):
+        assert SpectralFunctions(pm_atom, 0.0).rho_hat(1.0) == 0.0
+
     def test_rho_hat_cutoff_closed_form(self, cutoff1):
         # analytic radial integral:
         # (8 pi / 3) [Lam - (t/k^2) arctan(k^2 Lam / t)] / k^2

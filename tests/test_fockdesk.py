@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,7 +480,7 @@ class TestBesselCoefficients:
         coeffs = fockdesk._bessel_coefficients(z)
         assert abs(math.fsum(coeffs) - 1.0) <= self._sum_tolerance(coeffs)
 
-    @pytest.mark.parametrize("z", Z, ids=[f"{z}-I" for z in Z])     # I: e^-z I_k(z)
+    @pytest.mark.parametrize("z", Z + [1e6], ids=[f"{z}-I" for z in Z + [1e6]])  # I: e^-z I_k(z)
     def test_matches_scipy(self, z):
         # scipy is a test-only cross-check; its own error grows with z
         special = pytest.importorskip("scipy.special")
@@ -492,6 +493,27 @@ class TestBesselCoefficients:
 
     def test_zero_argument(self):
         assert fockdesk._bessel_coefficients(0.0).tolist() == [1.0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [1e-300, 5e-324])
+    def test_tiny_argument(self, z):
+        # 2k / z overflows and the ratios underflow to 0: I_0 alone
+        assert fockdesk._bessel_coefficients(z).tolist() == [1.0]
+
+    @pytest.mark.parametrize("z, degree", [(515.2, 192), (2353.2, 403), (1e4, 821),
+                                           (1e6, 7915)])
+    def test_degree(self, z, degree):
+        assert len(fockdesk._bessel_coefficients(z)) == degree
+
+    def test_memory_at_a_long_horizon(self):
+        # the ratios and their products share one array of N + 1 doubles
+        tracemalloc.start()
+        try:
+            fockdesk._bessel_coefficients(1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
     @staticmethod
     def _debye_start(z):

@@ -34,6 +34,8 @@ CALLS = {
                             "kappa: kappa^2 must be finite, got 1e+200"),
     "log_det_S_inf": (lambda: wienerhopf.log_det(WEAK_ATOM, 1e154, 1e10),
                       "kappa^2 T must be a finite double, got kappa = 1e+154, T = 10000000000.0"),
+    "dispersion_p_squared_inf": (lambda: dipole_dispersion(WEAK_ATOM, 1.0, 1e200),
+                                 "p: p^2 must be finite, got 1e+200"),
     # a bare TypeError from math.comb
     "build_basis_ntot_2.5": (lambda: build_basis([(1.0, 1.0, 0.5)], 2.5),
                              "n_tot: must be an integer, got 2.5"),
