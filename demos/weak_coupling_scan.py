@@ -13,12 +13,13 @@ effective mass m_eff = 1 + 1 + 1/2 = 2.5.  Along kappa = 1, 2, 4, 8:
 - the semigroup distance to P_g exp(-T (p - P_f)^2 / (2 m_eff)) shrinks along
   these rungs and levels off near 0.033 at larger kappa.
 
-One ``build_basis`` call gives the basis with its operators, and the scan
-and the semigroup residual both take it.  Smaller N_tot keeps this demo
-quick; the acceptance suite runs dim 1953.
+One ``build_basis`` call gives the basis with its operators.  The full
+coupling scan takes the horizon T = 1, so its rows also carry the semigroup
+residual, taken from each row's own E_p: one ground-state solve (P_g's) beyond
+the scan's.  Smaller N_tot keeps this demo quick; the acceptance suite runs dim 1953.
 """
 
-from pfwcl.fockdesk import build_basis, semigroup_wcl_residual, wcl_scan
+from pfwcl.fockdesk import build_basis, wcl_scan
 
 modes = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 basis = build_basis(modes, 30)
@@ -27,7 +28,8 @@ print(f"basis dimension {basis.dim}, m_eff_disc = {basis.m_eff()}\n")
 p = 0.2
 target = p * p / (2.0 * basis.m_eff())
 print(f"full coupling (eps=1), p={p}; gap target p^2/(2 m_eff) = {target}")
-for row in wcl_scan(basis, [1.0, 2.0, 4.0, 8.0], [p], 1.0):
+full = wcl_scan(basis, [1.0, 2.0, 4.0, 8.0], [p], 1.0, T=1.0)
+for row in full:
     print(f"  kappa={row['kappa']:3.0f}: gap={row['gap']:.8f} "
           f"|gap-target|={abs(row['gap_dev']):.2e}  E0_dev={row['E0_dev']:+.2e}")
 
@@ -36,6 +38,5 @@ for row in wcl_scan(basis, [1.0, 4.0], [p], 0.0):
     print(f"  kappa={row['kappa']:3.0f}: gap={row['gap']:.12f}")
 
 print("\nsemigroup residual at T=1 (operator norm):")
-for kappa in (1.0, 2.0, 4.0):
-    res = semigroup_wcl_residual(basis, kappa, p, 1.0)
-    print(f"  kappa={kappa:3.0f}: {res:.4f}")
+for row in full:
+    print(f"  kappa={row['kappa']:3.0f}: {row['semigroup_res']:.4f}")

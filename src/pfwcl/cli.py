@@ -16,11 +16,12 @@ Each subcommand is declared once, in ``COMMANDS``, with its params: a param's
 flag dest is its config ``params`` key, and one rule of ``params`` serves flag
 text and config value alike, so a refusal names ``params.<key>`` and the echo
 is the same typed config either way; the library checks its arguments with the
-same rules.  Besides ``errors`` and ``params`` a process loads only its
-subcommand's numeric modules: ``validate`` loads ``formfactor`` and
-``quadrature``, ``energy`` adds ``energy``, ``cutoff-scan`` loads ``cutoff``
-and ``quadrature``, and ``hermite-check`` ``hermite`` and ``jacobi``, all on
-the standard library;
+same rules, and ``fock`` applies ``full_fiber`` (``T`` needs ``epsilon = 1``)
+before numpy loads.  A handler writes the rows the library returns.  Besides
+``errors`` and ``params`` a process loads only its subcommand's numeric
+modules: ``validate`` loads ``formfactor`` and ``quadrature``, ``energy`` adds
+``energy``, ``cutoff-scan`` loads ``cutoff`` and ``quadrature``, and
+``hermite-check`` ``hermite`` and ``jacobi``, all on the standard library;
 ``wiener-hopf`` adds ``wienerhopf`` and ``normalmodes`` to ``formfactor``, and
 ``fock`` loads ``fockdesk``, ``normalmodes`` and ``jacobi``.  numpy loads only
 for these two, which factor kernels or apply operators over a measure's rule or
@@ -47,8 +48,8 @@ import os
 import sys
 
 from .errors import NumericalError, QuadratureError
-from .params import (checked, count, coupling, finite, integer, ladder, list_of, mode,
-                     momentum, nonnegative, positive, unit_interval)
+from .params import (checked, count, coupling, finite, full_fiber, integer, ladder, list_of,
+                     mode, momentum, nonnegative, positive, unit_interval)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,11 +222,10 @@ def _cmd_energy(args) -> int:
     resolved = _resolve(args)
     kappa, p = resolved["params"]["kappa"], resolved["params"]["p"]
     ff = _measure_or_fail(resolved)     # the whole run is on the standard library
-    from .energy import dipole_dispersion, ground_energy
+    from .energy import dipole_dispersion, ground_energy, log_spectral_energy
 
     result = ground_energy(ff)
-    ls = kappa * kappa * result.log_spectral     # = log_spectral_energy(ff, kappa)
-    disp = dipole_dispersion(ff, kappa, p, cal_e=result.calE)
+    ls, disp = log_spectral_energy(ff, kappa), dipole_dispersion(ff, kappa, p)
     row = {"kappa": kappa, "p": p, "calE": result.calE, "log_spectral": ls}
     _write_rows(args, resolved, list(row), [_finite_row(row)])
     print(f"energy: calE={result.calE:.12g} log_spectral={ls:.12g} "
@@ -280,22 +280,14 @@ def _cmd_wiener_hopf(args) -> int:
 def _cmd_fock(args) -> int:
     resolved = _resolve(args)
     params = resolved["params"]
-    T, eps = params.get("T"), params["epsilon"]
-    if T is not None and eps != 1.0:
-        raise ConfigError(f"params.epsilon: T needs epsilon = 1 (the semigroup residual "
-                          f"is taken on the full fiber), got {eps!r}")
+    if "T" in params:
+        checked("params.epsilon", full_fiber, params["epsilon"])
     from . import fockdesk
 
     basis = fockdesk.build_basis(params["modes"], params["ntot"])
-    rows = fockdesk.wcl_scan(basis, params["kappa_list"], params["p_list"], eps)
-    if T is not None:
-        for row in rows:
-            # the row's E_p is the ground energy of the semigroup's H_kappa(p, 1)
-            row["semigroup_res"] = fockdesk.semigroup_wcl_residual(
-                basis, row["kappa"], row["p"], T, lam0=row["E_p"])
-    _write_rows(args, resolved, ["kappa", "p", "epsilon", "E_p", "E_0", "gap",
-                                 "target", "gap_dev", "E0_dev", "semigroup_res",
-                                 "top_shell"], rows)
+    rows = fockdesk.wcl_scan(basis, params["kappa_list"], params["p_list"],
+                             params["epsilon"], params.get("T"))
+    _write_rows(args, resolved, list(rows[0]), rows)
     return EXIT_OK
 
 
@@ -378,7 +370,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _numerical_errors() -> tuple:
+def _numerical_failures() -> tuple:
     """Exit-3 exceptions; numpy's LinAlgError (a ValueError) once numpy is loaded."""
     numpy = sys.modules.get("numpy")
     lapack = () if numpy is None else (numpy.linalg.LinAlgError,)
@@ -392,7 +384,7 @@ def run(argv=None) -> int:
     args = build_parser(only).parse_args(argv)
     try:
         return COMMANDS[args.subcommand][0](args)
-    except _numerical_errors() as exc:
+    except _numerical_failures() as exc:
         print(f"{args.subcommand}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

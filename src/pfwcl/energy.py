@@ -21,7 +21,7 @@ Bogoliubov oracles directly comparable).  The log-spectral pipeline
 
 is an exact identity and is computed independently as a cross-check.  Its
 left side is exactly kappa^2 times its kappa = 1 value, so one kappa = 1
-quadrature serves every kappa.
+quadrature, kept with calE per measure, serves every kappa.
 
 Each spectral function is one sum over the measure's radial rule
 (``RadialMeasure.rule``) at one float t, in Python floats: the terms run
@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul, truediv
 
@@ -78,8 +79,8 @@ class SpectralFunctions(_Record):
     def rho_hat(self, t: float) -> float:
         r, w = self.ff.rule
         k2 = self.kappa**2     # w / (k2 r^2 + t^2 / k2): no k2^2 to overflow
-        if k2 == 0.0:          # the kappa -> 0 limit, 0 at t != 0
-            return 0.0 / (t * t)
+        if k2 == 0.0:          # the kappa -> 0 limit: inf at t = 0, else 0
+            return 0.0 / abs(t) if t else math.inf
         return sum(map(truediv, w, map(add, map(mul, map(mul, r, repeat(k2)), r),
                                        repeat(t * t / k2))), 0.0)
 
@@ -166,21 +167,9 @@ def ground_energy(ff: RadialMeasure) -> EnergyResult:
 
     ``log_spectral`` holds the independently computed value
     (1/2 pi) int log(1 + rho_hat_1(t)) dt, which must equal
-    (2/d_eff) * calE up to the reported error.
+    (2/d_eff) * calE up to the reported error.  Computed once per measure.
     """
-    d_eff = _effective_component_count(ff)
-    rule = _own_rule(ff)
-    c = rule[0]
-    # both sums of G share the cut of its numerator, the stricter one
-    i_g, err_g = _even_line(lambda ss: [_g(*_kept(rule, s2, 2), s2) for s2 in map(mul, ss, ss)])
-    cal_e = d_eff / (2.0 * math.pi) * i_g * c
-    log_spectral, err_log = _unit_log_spectral(rule)
-
-    propagated = d_eff / (2.0 * math.pi) * err_g * c + err_log
-    residual = abs(log_spectral - (2.0 / d_eff) * cal_e)
-    floor = ROUNDING_FLOOR_ULPS * math.ulp(cal_e)
-    return EnergyResult(calE=cal_e, log_spectral=log_spectral,
-                        estimated_abs_error=max(propagated, residual, floor))
+    return _ground(ff)
 
 
 def _rho_hat_1(r2: list, w: list, s2: float) -> float:
@@ -188,37 +177,40 @@ def _rho_hat_1(r2: list, w: list, s2: float) -> float:
     return sum(map(truediv, w, map(add, r2, repeat(s2))), 0.0)
 
 
-def _unit_log_spectral(rule: tuple) -> tuple[float, float]:
-    """((1/2 pi) int_R log(1 + rho_hat_1(t)) dt, its error estimate), from
-    ``_own_rule``'s (c, (r/c)^2, w/c^2, P)."""
+@lru_cache(maxsize=32)
+def _ground(ff: RadialMeasure) -> EnergyResult:
+    """``ground_energy``, both quadratures in s = t / c on ``_own_rule``."""
+    d_eff = _effective_component_count(ff)
+    rule = _own_rule(ff)
     c = rule[0]
-    val, err = _even_line(lambda ss: [math.log1p(_rho_hat_1(*_kept(rule, s2, 1), s2))
-                                      for s2 in map(mul, ss, ss)])
-    return val / (2.0 * math.pi) * c, err / (2.0 * math.pi) * c
+    # both sums of G share the cut of its numerator, the stricter one
+    i_g, err_g = _even_line(lambda ss: [_g(*_kept(rule, s2, 2), s2) for s2 in map(mul, ss, ss)])
+    i_log, err_log = _even_line(lambda ss: [math.log1p(_rho_hat_1(*_kept(rule, s2, 1), s2))
+                                            for s2 in map(mul, ss, ss)])
+    cal_e = d_eff / (2.0 * math.pi) * i_g * c
+    log_spectral = i_log / (2.0 * math.pi) * c
+    propagated = d_eff / (2.0 * math.pi) * err_g * c + err_log / (2.0 * math.pi) * c
+    residual = abs(log_spectral - (2.0 / d_eff) * cal_e)
+    floor = ROUNDING_FLOOR_ULPS * math.ulp(cal_e)
+    return EnergyResult(calE=cal_e, log_spectral=log_spectral,
+                        estimated_abs_error=max(propagated, residual, floor))
 
 
 def log_spectral_energy(ff: RadialMeasure, kappa: float) -> float:
     """(1/2 pi) int_R log(1 + kappa^2 rho_hat_kappa(t)) dt.
 
     This is exactly kappa^2 times the kappa = 1 value (change of variables
-    t -> kappa^2 t), so it is computed as that product, from one kappa = 1
-    quadrature: the integrand at kappa itself spreads out to t ~ kappa^2,
+    t -> kappa^2 t), so it is computed as that product, from ``ground_energy``'s
+    kappa = 1 value: the integrand at kappa itself spreads out to t ~ kappa^2,
     where the quadrature on [0, inf) loses accuracy, then fails, then misses
     it (reading 0) as kappa grows.  It equals (2 kappa^2 / d_eff) * calE.
     """
     kappa = checked("kappa", coupling, kappa)
-    return kappa * kappa * _unit_log_spectral(_own_rule(ff))[0]
+    return kappa * kappa * _ground(ff).log_spectral
 
 
-def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float,
-                      cal_e: float | None = None) -> float:
-    """Bottom of the dipole fiber spectrum: p^2/(2 m_eff) + kappa^2 * calE.
-
-    ``cal_e`` passes a calE already computed by ``ground_energy``.  Note the
-    mass term persists at kappa = 0: the value is p^2/(2 m_eff), not p^2/2.
-    """
+def dipole_dispersion(ff: RadialMeasure, kappa: float, p: float) -> float:
+    """Bottom of the dipole fiber spectrum: p^2/(2 m_eff) + kappa^2 * calE; the
+    mass term persists at kappa = 0, where the value is p^2/(2 m_eff), not p^2/2."""
     kappa, p = checked("kappa", coupling, kappa), checked("p", momentum, p)
-    rep = moment_report(ff)
-    if cal_e is None:
-        cal_e = ground_energy(ff).calE
-    return p * p / (2.0 * rep.m_eff) + kappa * kappa * cal_e
+    return p * p / (2.0 * moment_report(ff).m_eff) + kappa * kappa * _ground(ff).calE

@@ -22,23 +22,22 @@ solver the Wiener-Hopf realization shares (``normalmodes``).
 
 ``build_basis`` checks its modes by the driver's rule (``params.mode``) and
 returns the one Fock-space object, ``FockBasis``.  It carries the operators,
-each built on first read: H_f and P_f as diagonals, A as a
-gather table over the basis ranks, and the Bogoliubov ground vector.  No
-operator is stored as a matrix: H_kappa(p, eps) applies B = p - eps P_f - kappa A
-twice, and ``fiber_hamiltonian`` refuses a (kappa, p) at which H's row-sum
-bound is not a finite double.  Every
-ground state, at every dimension, comes from ``ground_state``: one locally
-optimal conjugate-gradient solver (``_lobpcg``) from a seeded start vector,
-preconditioned by the inverse of H's exact diagonal, with a residual check.
-The semigroup exp(-T(H - c)) acts on vectors as a Chebyshev series with
-modified Bessel coefficients (the Chebyshev propagator of Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 1984), and the same solver finds the semigroup's operator
-norm, so no dimension has a dense-size cliff.  A horizon whose series would
-start Miller's recurrence past SERIES_ORDER_GUARD is refused before any
-coefficient is computed.  The module needs numpy only,
-and not ``numpy.random``.  Every reduction runs in numpy's own loops and the
-3 x 3 projected problems in Python floats (``jacobi``): no LAPACK or BLAS call,
-so the ``fock`` output bytes do not depend on the BLAS thread count.
+each built on first read: H_f and P_f as diagonals, A as a gather table over
+the basis ranks, and the Bogoliubov ground vector.  No operator is stored as a
+matrix: H_kappa(p, eps) applies B = p - eps P_f - kappa A twice, and
+``fiber_hamiltonian`` refuses a (kappa, p) at which H's row-sum bound is not a
+finite double.  Every ground state, at every dimension, comes from
+``ground_state``: one locally optimal conjugate-gradient solver (``_lobpcg``)
+from a seeded start vector, preconditioned by the inverse of H's exact
+diagonal, with a residual check.  The semigroup exp(-T(H - c)) acts on vectors
+as a Chebyshev series with modified Bessel coefficients (the Chebyshev
+propagator of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984), and the same solver
+finds the semigroup's operator norm, so no dimension has a dense-size cliff.  A
+horizon whose series would start Miller's recurrence past SERIES_ORDER_GUARD is
+refused before any coefficient is computed.  The module needs numpy only, and
+not ``numpy.random``.  Every reduction runs in numpy's own loops and the 3 x 3
+projected problems in Python floats (``jacobi``): no LAPACK or BLAS call, so
+the ``fock`` output bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ import numpy as np
 from .errors import BasisSizeError, NumericalError
 from .jacobi import jacobi_eigh
 from .normalmodes import merged, secular_roots
-from .params import (Mode, checked, count, coupling, finite, list_of, mode, nonnegative,
-                     unit_interval)
+from .params import (Mode, checked, count, coupling, finite, full_fiber, list_of, mode,
+                     nonnegative, unit_interval)
 
 BASIS_SIZE_GUARD = 200_000
 #: the semigroup refuses a horizon whose Bessel series would start Miller's
@@ -95,8 +94,7 @@ class GatherOperator:
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """Occupation-number basis {n : sum n_j <= N_tot} with a total order, and
-    the operators on it, each built on first read (the scan never reads the
-    ground vector).
+    the operators on it, each built on first read.
 
     States are ordered by total occupation, then by n_0 descending, then n_1
     descending, and so on.  In terms of the tail sums s_j = n_j + ... + n_{M-1}
@@ -282,7 +280,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _norm(a: np.ndarray) -> float:
-    return math.sqrt(_dot(a, a))
+    square = _dot(a, a)
+    if square == math.inf and (top := float(np.max(np.abs(a)))) < math.inf:
+        return top * math.sqrt(_dot(a / top, a / top))   # entries past about 1e154
+    return math.sqrt(square)
 
 
 def ground_state(H: FiberHamiltonian) -> tuple[float, np.ndarray]:
@@ -426,7 +427,7 @@ def _miller_start(z: float) -> int:
     return math.ceil(L + math.sqrt(L * L + 2.0 * L * z)) + 1
 
 
-def wcl_scan(basis: FockBasis, kappa_list, p_list, eps: float) -> list[dict]:
+def wcl_scan(basis: FockBasis, kappa_list, p_list, eps: float, T=None) -> list[dict]:
     """Rows of the weak-coupling gap study E_kappa(p) - E_kappa(0).
 
     The gap target is p^2 / (2 m_eff_disc); E0_dev compares E_kappa(0)
@@ -434,10 +435,14 @@ def wcl_scan(basis: FockBasis, kappa_list, p_list, eps: float) -> list[dict]:
     energy, so the column isolates weak-coupling error from truncation
     error).  top_shell is the ground vector's weight on the top shell
     sum n = N_tot: the truncation indicator, small when N_tot is enough.
+    A horizon T (eps = 1 only) adds semigroup_res, ``semigroup_wcl_residual``
+    with the row's E_p as its ground energy: one more solve, P_g's, per scan.
     """
     kappa_list = checked("kappa_list", list_of(coupling), list(kappa_list))
     p_list = checked("p_list", list_of(finite), list(p_list))
-    reference_energy = bogoliubov_energy(basis.modes)
+    if T is not None:
+        T, eps = checked("T", nonnegative, T), checked("eps", full_fiber, eps)
+    e_disc = bogoliubov_energy(basis.modes)
     m_disc = basis.m_eff()
     top = basis.states.sum(axis=1) == basis.n_tot
     rows = []
@@ -451,20 +456,21 @@ def wcl_scan(basis: FockBasis, kappa_list, p_list, eps: float) -> list[dict]:
             rows.append({
                 "kappa": kappa, "p": p, "epsilon": eps,
                 "E_p": ep, "E_0": e0, "gap": gap, "target": target,
-                "gap_dev": gap - target,
-                "E0_dev": e0 - kappa**2 * reference_energy,
+                "gap_dev": gap - target, "E0_dev": e0 - kappa**2 * e_disc,
+                "semigroup_res": None if T is None else _semigroup_residual(
+                    basis, kappa, p, T, e_disc, ep),
                 "top_shell": _dot(vp[top], vp[top]),
             })
     return rows
 
 
-def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
+def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0: float):
     """(exponent, series) with series(m, level) the map
     v -> exp(-m T (H - shift) - level) v, m = 1 or 2, matrix-free, and
     exponent = T (shift - low).
 
     The spectrum of H lies in [low, top]: top the row-sum bound, low = lam0 - delta
-    with lam0 the lowest eigenvalue of H (``ground_state(H)`` unless given) and
+    with lam0 the lowest eigenvalue of H (``ground_state(H)[0]``) and
     delta = b / d^2 (b the half-width of the interval, d the degree of the T
     series), so the Ritz value's error and the rounding of the scaled H at its
     end stay inside.  With S = (c - H) / b, c the centre,
@@ -478,8 +484,6 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
     coefficient is summed, when the series at 2 T half would start Miller's
     recurrence past SERIES_ORDER_GUARD.
     """
-    if lam0 is None:
-        lam0 = ground_state(H)[0]
     top = max(H.row_sum_bound(), lam0)       # a rounding-level inversion at H = c 1
     half = 0.5 * (top - lam0)
     z = 2.0 * T * half                       # about the largest Bessel argument below
@@ -504,8 +508,7 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0=None):
     return exponent, series
 
 
-def semigroup_wcl_residual(basis: FockBasis, kappa: float, p: float,
-                           T: float, lam0: float | None = None) -> float:
+def semigroup_wcl_residual(basis: FockBasis, kappa: float, p: float, T: float) -> float:
     """Operator norm of X = exp(-T(H_kappa(p) - kappa^2 E_disc))
     - P_g exp(-T (p - P_f)^2 / (2 m_eff_disc)).
 
@@ -518,21 +521,25 @@ def semigroup_wcl_residual(basis: FockBasis, kappa: float, p: float,
 
     found by ``_lobpcg`` without a preconditioner.  E f is one Chebyshev-Bessel
     series, and each product applies E^2 = exp(-2T(H - c)) as one series
-    (``_semigroup_action``: one ground-state solve of H, then operator products
-    only, relative accuracy about T b eps_mach), so no dim x dim array is
-    formed.  A caller that holds the ground energy of H = H_kappa(p, 1), as a
-    scan row's E_p, passes it as ``lam0`` and saves that solve.  The norm is
-    read as ||X^T u|| at the solver's vector u, one more series: it is
-    stationary at the top singular vector, and unlike the eigenvalue of X X^T
-    it does not square the rounding of E relative to ||X||.  When the larger term is outside
+    (``_semigroup_action``: one ground-state solve of H = H_kappa(p, 1), which a
+    ``wcl_scan`` row reuses, then operator products only, relative accuracy
+    about T b eps_mach), so no dim x dim array is formed.  The norm is read as
+    ||X^T u|| at the solver's vector u, one more series: it is stationary at the
+    top singular vector, and unlike the eigenvalue of X X^T it does not square
+    the rounding of E relative to ||X||.  When the larger term is outside
     exp(+-SMALL_NORM_LEVEL) (long T), the solver runs on exp(-level) X, the
     larger term scaled to 1, and the norm is scaled back, so a residual below
     the smallest double reads 0.
     """
     T = checked("T", nonnegative, T)
+    lam0 = ground_state(fiber_hamiltonian(basis, kappa, p, eps=1.0))[0]
+    return _semigroup_residual(basis, kappa, p, T, bogoliubov_energy(basis.modes), lam0)
+
+
+def _semigroup_residual(basis, kappa, p, T, e_disc, lam0) -> float:
+    """``semigroup_wcl_residual`` given E_disc and lam0, the ground energy of H_kappa(p, 1)."""
     exponent, series = _semigroup_action(fiber_hamiltonian(basis, kappa, p, eps=1.0), T,
-                                         kappa**2 * bogoliubov_energy(basis.modes),
-                                         lam0)
+                                         kappa**2 * e_disc, lam0)
     g = basis.ground_vector
     decay = -T * (p - basis.Pf) ** 2 / (2.0 * basis.m_eff())
     with np.errstate(divide="ignore"):

@@ -82,6 +82,14 @@ def unit_interval(value) -> float:
     return number
 
 
+def full_fiber(value) -> float:
+    """The epsilon of a run with a horizon T: 1, the only fiber the semigroup takes."""
+    if float(value) != 1.0:
+        raise ValueError("T needs epsilon = 1 (the semigroup residual is taken on the full "
+                         f"fiber), got {float(value)!r}")
+    return 1.0
+
+
 def list_of(item):
     """The rule of comma-separated text or a list, ``item`` applied to each
     entry; an empty list is refused."""

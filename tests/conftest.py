@@ -1,6 +1,6 @@
 import pytest
 
-from pfwcl import fockdesk
+from pfwcl import energy, fockdesk
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
                               SharpCutoff)
 
@@ -8,6 +8,14 @@ from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure,
 # fock quantity is truncation-converged, and the ground states are iterative
 TWO_MODE = [(1.0, 1.0, 0.6), (2.0, 2.0, -0.6)]
 TWO_MODE_NTOT = 61
+
+
+@pytest.fixture(autouse=True)
+def fresh_energy_results():
+    """``energy`` keeps one result per measure; each test starts without them,
+    so a test that spoils the quadrature or spies on its integrand sees it run
+    even when an earlier test used an equal measure."""
+    energy._ground.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -109,7 +109,9 @@ class TestEnergy:
         assert float(cells["log_spectral"]) == pytest.approx(4.0, rel=1e-10)
 
     def test_one_ground_energy_per_run(self, tmp_path, capsys, monkeypatch):
-        # the dispersion on stderr, 1/(2 m_eff) + kappa^2 calE, reuses the row's calE
+        # two quadratures, calE and the kappa = 1 log-spectral value: the row's
+        # log_spectral and the dispersion on stderr, 1/(2 m_eff) + kappa^2 calE,
+        # read the measure's one energy result
         from pfwcl import energy
         calls = []
 
@@ -117,11 +119,11 @@ class TestEnergy:
             calls.append(args)
             return real(*args, **kwargs)
 
-        real = energy.ground_energy
-        monkeypatch.setattr(energy, "ground_energy", spy)
+        real = energy.adaptive_quad
+        monkeypatch.setattr(energy, "adaptive_quad", spy)
         cfg = write_config(tmp_path, "pm.json", {"measure": PM_MEASURE})
         assert run(["energy", "--config", cfg, "--kappa", "2", "--p", "1"]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert "dispersion(p=1.0,kappa=2.0)=2.125 " in capsys.readouterr().err
 
     @pytest.mark.parametrize("measure", [PM_MEASURE, {"dimension": 3, "profile": {
@@ -384,11 +386,16 @@ class TestFock:
         assert run(["fock", "--modes", "1:1:0.6,2:2:-0.6", "--ntot", "61",
                     "--kappa-list", "1,2", "--p-list", "0.2", "--T", "1"]) == 0
         assert len(solved) == 5
-        monkeypatch.undo()
         lines = capsys.readouterr().out.splitlines()
         rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
-        # the same bytes as a residual that solves its own ground state
+        # the library's own rows: the same bytes from the same 5 solves
+        solved.clear()
         basis = fockdesk.build_basis(modes, 61)
+        scan = fockdesk.wcl_scan(basis, kappas, [p], 1.0, T=T)
+        assert len(solved) == 5
+        assert [{c: fmt(v) for c, v in row.items()} for row in scan] == rows
+        monkeypatch.undo()
+        # and as a residual that solves its own ground state
         assert [r["semigroup_res"] for r in rows] == [
             fmt(fockdesk.semigroup_wcl_residual(basis, kappa, p, T)) for kappa in kappas]
 
@@ -423,6 +430,28 @@ class TestFock:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and "p = 1e+200" in err
+
+    @pytest.mark.parametrize("mode", ["1:1e300", "1:1e200"])
+    def test_overflowing_squares_stop_the_eigensolver(self, mode, capsys):
+        # g = 1e150 (1e100) puts H's entries near 1e300 (1e200), whose squares
+        # overflow: ||r|| read inf at every step, so the solver ran 3,000 steps
+        # to "no convergence"; now the norm is taken on a rescaled vector, the
+        # solver stops and the residual check refuses
+        assert run(["fock", "--modes", mode, "--ntot", "2", "--kappa-list", "1",
+                    "--p-list", "0", "--output", "-"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "eigensolver residual" in err and "exceeds 1e-09" in err
+
+    @pytest.mark.parametrize("p", ["1e100", "1e150"])
+    def test_large_momentum_converges(self, p, capsys):
+        # E_p = p^2 / 2 to the last bit (the rest is O(p) below it); the
+        # residual's squares overflowed and the solver ran to "no convergence"
+        assert run(["fock", "--modes", "1:1:0.5", "--ntot", "2", "--kappa-list", "1",
+                    "--p-list", p, "--output", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert float(row["E_p"]) == float(p) ** 2 / 2
 
     def test_unreachable_horizon_exits_three(self, monkeypatch, capsys):
         # T = 1e300 hung in Miller's recurrence; now the semigroup refuses it
@@ -707,6 +736,7 @@ def test_help_loads_no_numpy(argv):
      "params.modes"),
     (["fock", "--modes", "1e-200:1", "--ntot", "4", "--kappa-list", "1", "--p-list", "0"],
      "params.modes"),
+    (FOCK_ARGS + ["--ntot", "4", "--epsilon", "0.5", "--T", "1"], "params.epsilon"),
 ], ids=["fock_kappa_nan", "fock_ntot_3.7", "cutoff_inf", "hermite_seed",
         "validate_seed_flag_abc", "wh_no_horizon", "wh_T_and_ladder_flags",
         "wh_T_and_ladder_config", "energy_kappa_nan", "wh_T_inf", "wh_ladder_decreasing", "wh_kappa_negative",
@@ -717,7 +747,7 @@ def test_help_loads_no_numpy(argv):
         "fock_kappa_list_scalar", "validate_lambda_1e-100", "validate_lambda_1e-120",
         "validate_lambda_1e-280", "validate_sigma_1e-100", "energy_tiny_edge",
         "wh_lambda_1e-100", "fock_ntot_0", "fock_omega_0",
-        "fock_omega_squared_underflows"])
+        "fock_omega_squared_underflows", "fock_T_needs_full_fiber"])
 def test_params_error_loads_no_numpy(tmp_path, argv, field):
     # the driver checks its params, and the measure its edges and scale, on the
     # standard library, before a handler imports a numeric module, and writes no row

@@ -57,6 +57,15 @@ class TestSpectralFunctions:
     def test_rho_hat_at_zero_coupling(self, pm_atom):
         assert SpectralFunctions(pm_atom, 0.0).rho_hat(1.0) == 0.0
 
+    @pytest.mark.parametrize("kappa", [0.0, 1e-170])
+    def test_rho_hat_at_zero_coupling_and_time(self, pm_atom, kappa):
+        # kappa^2 is 0 (1e-170 squared underflows): the kappa -> 0 limit, +inf
+        # at t = 0, where a bare ZeroDivisionError was raised, and 0 elsewhere,
+        # also where t^2 underflows
+        sf = SpectralFunctions(pm_atom, kappa)
+        assert sf.rho_hat(0.0) == math.inf
+        assert sf.rho_hat(1.0) == sf.rho_hat(-1e-300) == 0.0
+
     def test_rho_hat_cutoff_closed_form(self, cutoff1):
         # analytic radial integral:
         # (8 pi / 3) [Lam - (t/k^2) arctan(k^2 Lam / t)] / k^2
@@ -168,6 +177,30 @@ class TestLogSpectral:
             unit = ground_energy(ff).log_spectral
             assert log_spectral_energy(ff, kappa) == pytest.approx(
                 kappa**2 * unit, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("profile", [SharpCutoff(1.0), GaussianProfile(1.0),
+                                         PointMasses([(1.0, 3.0)])],
+                             ids=["sharp", "gaussian", "atom"])
+    def test_one_quadrature_pair_serves_every_kappa_and_p(self, monkeypatch, profile):
+        # ground_energy's calE and kappa = 1 log-spectral value are the measure's
+        # two quadratures; the log-spectral energy at any kappa is kappa^2 times
+        # the latter, bit for bit, and the dispersion reads the former
+        ff = RadialMeasure(3, profile)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = energy.adaptive_quad
+        monkeypatch.setattr(energy, "adaptive_quad", spy)
+        result = ground_energy(ff)
+        assert len(calls) == 2
+        for kappa in (0.7, 1.9, 1e100):
+            assert log_spectral_energy(ff, kappa) == kappa * kappa * result.log_spectral
+        m_eff = moment_report(ff).m_eff
+        assert dipole_dispersion(ff, 1.9, 0.5) == 0.25 / (2.0 * m_eff) + 1.9 * 1.9 * result.calE
+        assert ground_energy(ff) is result and len(calls) == 2
 
     def test_log_bound_pointwise(self, cutoff1):
         sf = SpectralFunctions(cutoff1, kappa=2.0)

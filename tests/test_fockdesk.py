@@ -621,8 +621,8 @@ class TestDipoleVacuumAmplitude:
 
     @staticmethod
     def _fock_log_amplitude(basis, kappa, p, T):
-        exponent, series = fockdesk._semigroup_action(
-            fiber_hamiltonian(basis, kappa, p, 0.0), T, 0.0)
+        H = fiber_hamiltonian(basis, kappa, p, 0.0)
+        exponent, series = fockdesk._semigroup_action(H, T, 0.0, ground_state(H)[0])
         vacuum = np.zeros(basis.dim)
         vacuum[basis.rank(np.zeros(len(basis.modes), dtype=np.int64))] = 1.0
         return math.log(series(1, exponent)(vacuum)[0]) + exponent

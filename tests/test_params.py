@@ -49,11 +49,13 @@ CALLS = {
                                "modes: a mode needs omega > 0, W >= 0 and W/omega^2 finite"),
     "wcl_scan_p_nan": (lambda: wcl_scan(BASIS, [1.0], [0.0, math.nan], 1.0),
                        "p_list: must be finite, got nan"),
+    "wcl_scan_T_needs_full_fiber": (lambda: wcl_scan(BASIS, [1.0], [0.2], 0.0, T=1.0),
+                                    "eps: T needs epsilon = 1"),
     "ak_report_decreasing": (lambda: wienerhopf.ak_convergence_report(WEAK_ATOM, 1.0, [2.0, 1.0]),
                              "T_list: horizons must be increasing, got [2.0, 1.0]"),
     "log_spectral_kappa_nan": (lambda: log_spectral_energy(WEAK_ATOM, math.nan),
                                "kappa: must be finite, got nan"),
-    "dispersion_p_inf": (lambda: dipole_dispersion(WEAK_ATOM, 1.0, math.inf, cal_e=1.0),
+    "dispersion_p_inf": (lambda: dipole_dispersion(WEAK_ATOM, 1.0, math.inf),
                          "p: must be finite, got inf"),
     "cutoff_lambda_negative": (lambda: cutoff_energy_3d(-1.0), "Lambda: must be > 0, got -1.0"),
 }
