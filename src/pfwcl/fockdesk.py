@@ -20,24 +20,20 @@ rank-one Bogoliubov value (1/2) sum_i (mu_i - omega_i) with mu_i^2 the
 eigenvalues of diag(omega^2) + v v^T, v_j = sqrt(W_j), from the secular-equation
 solver the Wiener-Hopf realization shares (``normalmodes``).
 
-``build_basis`` checks its modes by the driver's rule (``params.mode``) and
-returns the one Fock-space object, ``FockBasis``.  It carries the operators,
-each built on first read: H_f and P_f as diagonals, A as a gather table over
-the basis ranks, and the Bogoliubov ground vector.  No operator is stored as a
-matrix: H_kappa(p, eps) applies B = p - eps P_f - kappa A twice, and
-``fiber_hamiltonian`` refuses a (kappa, p) at which H's row-sum bound is not a
-finite double.  Every ground state, at every dimension, comes from
-``ground_state``: one locally optimal conjugate-gradient solver (``_lobpcg``)
-from a seeded start vector, preconditioned by the inverse of H's exact
-diagonal, with a residual check.  The semigroup exp(-T(H - c)) acts on vectors
-as a Chebyshev series with modified Bessel coefficients (the Chebyshev
-propagator of Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984), and the same solver
-finds the semigroup's operator norm, so no dimension has a dense-size cliff.  A
-horizon whose series would start Miller's recurrence past SERIES_ORDER_GUARD is
-refused before any coefficient is computed.  The module needs numpy only, and
-not ``numpy.random``.  Every reduction runs in numpy's own loops and the 3 x 3
-projected problems in Python floats (``jacobi``): no LAPACK or BLAS call, so
-the ``fock`` output bytes do not depend on the BLAS thread count.
+``build_basis`` checks its modes (``params.mode``) and returns the one
+Fock-space object, ``FockBasis``, with its operators built on first read: H_f
+and P_f as diagonals, the Bogoliubov ground vector, and A, a gather table over
+the basis ranks and the one stored operator table (the ladder factors it is
+built from are computed on read).  H_kappa(p, eps) applies B = p - eps P_f -
+kappa A twice, kappa as a scalar, so no Hamiltonian copies A.  Every ground
+state comes from ``ground_state``: one locally optimal conjugate-gradient solver
+(``_lobpcg``) from a seeded start vector, preconditioned by the inverse of H's
+exact diagonal, with a residual check.  The semigroup exp(-T(H - c)) acts as a
+Chebyshev series with modified Bessel coefficients (Tal-Ezer & Kosloff, J. Chem.
+Phys. 81, 1984), and the same solver finds its operator norm, so no dimension
+has a dense-size cliff.  The module needs numpy only, not ``numpy.random``, and
+makes no LAPACK or BLAS call (the 3 x 3 projected problems run in Python floats,
+``jacobi``), so the ``fock`` output bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -93,14 +89,14 @@ class GatherOperator:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation-number basis {n : sum n_j <= N_tot} with a total order, and
-    the operators on it, each built on first read.
+    """Occupation-number basis {n : sum n_j <= N_tot} with a total order, and the
+    operators on it, each built on first read.  A is the one stored operator table:
+    the ladder factors it is built from are computed on each read of ``ladders``.
 
-    States are ordered by total occupation, then by n_0 descending, then n_1
-    descending, and so on.  In terms of the tail sums s_j = n_j + ... + n_{M-1}
-    that is the lexicographic order of (s_0, ..., s_{M-1}), and the position of
-    n is its combinatorial-number-system rank sum_j C(s_j + M - 1 - j, M - j),
-    which ``rank`` computes.
+    States are ordered by total occupation, then by n_0 descending, then n_1 descending,
+    and so on.  In terms of the tail sums s_j = n_j + ... + n_{M-1} that is the
+    lexicographic order of (s_0, ..., s_{M-1}), and the position of n is its
+    combinatorial-number-system rank sum_j C(s_j + M - 1 - j, M - j), which ``rank`` computes.
     """
 
     modes: tuple[Mode, ...]
@@ -124,11 +120,11 @@ class FockBasis:
         tails = np.cumsum(occupations[..., ::-1], axis=-1)[..., ::-1]
         return self._rank_terms[np.arange(len(self.modes)), tails].sum(axis=-1)
 
-    @cached_property
+    @property
     def ladders(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gather tables (index, factor) of the ladder operators: row 2j is
-        (a_j^T v)_n = sqrt(n_j) v[rank(n - e_j)], row 2j + 1 is
-        (a_j v)_n = sqrt(n_j + 1) v[rank(n + e_j)].  A state whose neighbour
+        """Gather tables (index, factor) of the ladder operators, computed on
+        each read: row 2j is (a_j^T v)_n = sqrt(n_j) v[rank(n - e_j)], row 2j + 1
+        is (a_j v)_n = sqrt(n_j + 1) v[rank(n + e_j)].  A state whose neighbour
         leaves the basis points at itself with factor 0."""
         M = len(self.modes)
         index = np.tile(np.arange(self.dim), (2 * M, 1))
@@ -157,11 +153,11 @@ class FockBasis:
 
     @cached_property
     def A(self) -> GatherOperator:
-        """A = sum_j (g_j / sqrt(2)) (a_j^T + a_j): the ladder table with rows
-        2j and 2j + 1 scaled by g_j / sqrt(2)."""
+        """A = sum_j (g_j / sqrt(2)) (a_j^T + a_j), the one stored operator table: the
+        ladder table with rows 2j and 2j + 1 scaled by g_j / sqrt(2) >= 0 in place."""
         index, factor = self.ladders
         c = np.array([math.sqrt(m.weight / m.omega) / math.sqrt(2.0) for m in self.modes])
-        return GatherOperator(index, np.repeat(c, 2)[:, None] * factor)
+        return GatherOperator(index, np.multiply(np.repeat(c, 2)[:, None], factor, out=factor))
 
     def m_eff(self) -> float:
         return 1.0 + math.fsum(m.weight / m.omega**2 for m in self.modes)
@@ -200,8 +196,8 @@ def build_basis(modes, n_tot: int) -> FockBasis:
 
 @dataclass(frozen=True, eq=False)
 class FiberHamiltonian:
-    """scale H_kappa(p, eps) + shift, applied matrix-free:
-    H v = (1/2) B (B v) + kappa^2 H_f v with B = p - eps P_f - kappa A."""
+    """scale H_kappa(p, eps) + shift, matrix-free: H v = (1/2) B (B v) + kappa^2 H_f v,
+    B = p - eps P_f - kappa A with kappa a scalar, so every H and ``replace`` shares A."""
 
     basis: FockBasis
     kappa: float
@@ -216,33 +212,38 @@ class FiberHamiltonian:
 
     @cached_property
     def _parts(self):
-        """The diagonal of B, kappa A, and the diagonal part scale kappa^2 H_f + shift."""
+        """The diagonal of B, A, and the diagonal part scale kappa^2 H_f + shift."""
         diag = self.scale * self.kappa**2 * self.basis.Hf + self.shift
-        kA = GatherOperator(self.basis.A.index, self.kappa * self.basis.A.weights)
-        return self.p - self.eps * self.basis.Pf, kA, diag
+        return self.p - self.eps * self.basis.Pf, self.basis.A, diag
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        D, kA, diag = self._parts
-        u = D * v - kA @ v
-        out = D * u - kA @ u
+        D, A, diag = self._parts
+        u = A @ v
+        u *= -self.kappa
+        u += D * v
+        out = A @ u
+        out *= -self.kappa
+        out += D * u
         out *= 0.5 * self.scale
         out += diag * v
         return out
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal of H in closed form: (B^2)_ii = D_i^2 + (kappa A)^2_ii, as A has
+        """The diagonal of H in closed form: (B^2)_ii = D_i^2 + kappa^2 (A^2)_ii, as A has
         a zero diagonal, and (A^2)_ii = sum_k A_ik^2 = sum_r weights[r, i]^2, as A is
         symmetric with one entry per gather row."""
-        D, kA, diag = self._parts
-        return 0.5 * self.scale * (D * D + np.einsum("rd,rd->d", kA.weights, kA.weights)) + diag
+        D, A, diag = self._parts
+        square = np.einsum("rd,rd->d", A.weights, A.weights)            # (A^2)_ii
+        return 0.5 * self.scale * (D * D + self.kappa**2 * square) + diag
 
     def row_sum_bound(self) -> float:
         """Bounds |lambda| for every eigenvalue of H (scale 1, shift 0): the largest row
         sum of (1/2)|B|(|B| 1) + kappa^2 H_f, which dominates that of |H| (Gershgorin)."""
-        D, kA, _ = self._parts
-        absD, abs_kA = np.abs(D), GatherOperator(kA.index, np.abs(kA.weights))
-        row = absD + abs_kA.weights.sum(axis=0)             # |B| 1
-        return float(np.max(0.5 * (absD * row + abs_kA @ row) + self.kappa**2 * self.basis.Hf))
+        D, A, _ = self._parts
+        absD = np.abs(D)
+        row = absD + self.kappa * A.weights.sum(axis=0)     # |B| 1, as kappa A >= 0 entrywise
+        return float(np.max(0.5 * (absD * row + self.kappa * (A @ row))
+                            + self.kappa**2 * self.basis.Hf))
 
 
 def fiber_hamiltonian(basis: FockBasis, kappa: float, p: float,
@@ -268,7 +269,7 @@ def _start_vector(dim: int) -> np.ndarray:
     dimension and read-only, since every solve shares it.
     """
     draw = random.Random(0).random
-    vector = np.array([draw() - 0.5 for _ in range(dim)])
+    vector = np.fromiter((draw() - 0.5 for _ in range(dim)), float, count=dim)
     vector.flags.writeable = False
     return vector
 
@@ -298,9 +299,9 @@ def ground_state(H: FiberHamiltonian) -> tuple[float, np.ndarray]:
     to the Bogoliubov vector (overlap 1.8e-6 for two modes (1, 1, 0.6) at
     kappa = 0.5, p = 6), and a start there would wait for rounding to seed it.
     """
-    diagonal = H.diagonal()
-    # H is positive semidefinite, so a zero diagonal entry is a zero row
-    precondition = 1.0 / np.where(diagonal > 0.0, diagonal, 1.0)
+    precondition = H.diagonal()
+    precondition[~(precondition > 0.0)] = 1.0    # H is PSD: a zero diagonal entry is a zero row
+    np.divide(1.0, precondition, out=precondition)
     v, Hv = _lobpcg(H.__matmul__, _start_vector(H.shape[0]), precondition,
                     _ROUNDING_FLOOR * _EPS, H.row_sum_bound(), "eigensolver")
     lam = _dot(v, Hv)
@@ -313,10 +314,9 @@ def ground_state(H: FiberHamiltonian) -> tuple[float, np.ndarray]:
 
 def _lobpcg(apply, start: np.ndarray, precondition, tol: float, unit: float,
             stage: str) -> tuple[np.ndarray, np.ndarray]:
-    """(x, apply(x)) for the unit vector x of the lowest eigenvalue theta of the
-    symmetric operator ``apply``, by the locally optimal preconditioned
-    conjugate gradient of Knyazev (SIAM J. Sci. Comput. 23, 2001) with one
-    vector.
+    """(x, apply(x)) for the unit vector x of the lowest eigenvalue theta of the symmetric
+    operator ``apply``, by the locally optimal preconditioned conjugate gradient of
+    Knyazev (SIAM J. Sci. Comput. 23, 2001) with one vector.
 
     Each step is a Rayleigh-Ritz on span{x, p, w}: w = T r the preconditioned
     residual r = apply(x) - theta x (T the diagonal ``precondition``, or 1
@@ -356,7 +356,8 @@ def _lobpcg(apply, start: np.ndarray, precondition, tol: float, unit: float,
         except NumericalError as err:
             raise NumericalError(f"{stage} failed at step {step}: {err}") from None
         p[...] = np.einsum("i,ijd->jd", c[1:], work[1:n + 1])
-        x[...] = c[0] * x + p
+        x *= c[0]
+        x += p
         x /= _norm(x[0])
         p -= _dot(x[0], p[0]) * x                # keep p orthogonal to x
         scale = _norm(p[0])
@@ -381,12 +382,12 @@ def _chebyshev_sum(twice_S, coeffs, v) -> np.ndarray:
     out = coeffs[0] * v
     if len(coeffs) > 1:
         prev, cur = v, 0.5 * (twice_S @ v)
-        out += coeffs[1] * cur
+        out += (term := coeffs[1] * cur)         # term: the scratch for c_k y_k
         for c in coeffs[2:]:
             nxt = twice_S @ cur
             nxt -= prev
             prev, cur = cur, nxt
-            out += c * cur
+            out += np.multiply(c, cur, out=term)
     return out
 
 
@@ -514,8 +515,7 @@ def semigroup_wcl_residual(basis: FockBasis, kappa: float, p: float, T: float) -
 
     E_disc is the Bogoliubov value and P_g projects on the cached
     ``basis.ground_vector``.  With E the semigroup, g that vector and f = g
-    exp(-T (p - P_f)^2 / (2 m_eff)), X = E - g f^T, and ||X||^2 is the largest
-    eigenvalue of
+    exp(-T (p - P_f)^2 / (2 m_eff)), X = E - g f^T, and ||X||^2 is the largest eigenvalue of
 
         X X^T = E^2 - (E f) g^T - g (E f)^T + ||f||^2 g g^T,
 

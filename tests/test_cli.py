@@ -676,7 +676,7 @@ def test_no_linalg_or_array_matmul_in_source(module):
     assert not any("linalg" in str(name) for name in names)
     left = [node.left for node in ast.walk(tree)
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
-    assert all(isinstance(x, ast.Name) and x.id in {"kA", "abs_kA", "twice_S"} for x in left)
+    assert all(isinstance(x, ast.Name) and x.id in {"A", "twice_S"} for x in left)
 
 
 def numpy_after(argv) -> list:

@@ -184,6 +184,29 @@ class TestOperators:
         with pytest.raises(ValueError, match=re.escape(f"kappa = {kappa}, p = {p}")):
             fiber_hamiltonian(basis, kappa, p, 1.0)
 
+    @pytest.mark.parametrize("modes, n_tot", [
+        ([(1.0, 1.0, 0.6), (2.0, 0.0, -0.4)], 20),              # dim 231, a W = 0 mode
+        ([(1.0, 3.0, 0.5), (1.7, 0.0, 0.2), (2.5, 0.8, -0.7)], 6),  # dim 84
+    ])
+    @pytest.mark.parametrize("kappa", [0.0, 0.7, 3.0])
+    @pytest.mark.parametrize("p", [-1.5, 0.0, 0.4])
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_row_sum_bound_matches_dense_oracle(self, modes, n_tot, kappa, p, eps):
+        # the bound reads A itself, kappa |A| = |kappa A| since kappa >= 0 and
+        # A >= 0 entrywise: it is the largest row sum of
+        # (1/2)|B|(|B| 1) + kappa^2 H_f with B built densely from unit vectors,
+        # and it bounds every eigenvalue of H
+        basis = build_basis(modes, n_tot)
+        assert basis.dim <= 231
+        H = fiber_hamiltonian(basis, kappa, p, eps)
+        B = np.diag(p - eps * basis.Pf) - kappa * dense(basis.A)
+        absB = np.abs(B)
+        rows = 0.5 * (absB @ (absB @ np.ones(basis.dim))) + kappa**2 * basis.Hf
+        oracle = float(np.max(rows))
+        bound = H.row_sum_bound()
+        assert abs(bound - oracle) <= 4 * np.spacing(oracle)
+        assert bound >= np.max(np.abs(np.linalg.eigvalsh(dense(H))))
+
 
 class TestGroundEnergy:
     def test_single_mode_oscillator(self):
@@ -430,6 +453,34 @@ class TestWorkCounts:
         assert 1.3 * first < squares[0] < 1.5 * first
         # svds on X applied the degree-d series 43 times per call
         assert sum(counts["terms"]) < 0.35 * 43 * first
+
+
+class TestMemory:
+    """Regression on the traced peak of ``build_basis`` + ``wcl_scan``, in
+    dim-vectors of 8 dim bytes: the basis keeps A as its one operator table and
+    every Hamiltonian applies kappa to it as a scalar."""
+
+    @staticmethod
+    def _peak_vectors(n_tot, kappa_list, p_list, T=None):
+        fockdesk._start_vector.cache_clear()     # count the start vector too
+        tracemalloc.start()
+        try:
+            basis = build_basis(TWO_MODE, n_tot)
+            wcl_scan(basis, kappa_list, p_list, 1.0, T=T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * basis.dim)
+
+    def test_lanczos_scan(self):
+        # the bench's dim-4186 model: 41.6 vectors with a kappa A copy per
+        # Hamiltonian and the ladder factors cached beside A; 31.6 without
+        assert self._peak_vectors(90, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2]) <= 34
+
+    def test_semigroup_scan(self):
+        # dim 1953 at T = 1: the semigroup's replace(H, scale, shift) shares A
+        # too (47.3 vectors with the copies, 39.2 without)
+        assert self._peak_vectors(61, [1.0, 2.0], [0.2], T=1.0) <= 41
 
 
 class TestBesselCoefficients:
