@@ -236,9 +236,10 @@ class FiberHamiltonian:
         square = np.einsum("rd,rd->d", A.weights, A.weights)            # (A^2)_ii
         return 0.5 * self.scale * (D * D + self.kappa**2 * square) + diag
 
+    @cached_property
     def row_sum_bound(self) -> float:
-        """Bounds |lambda| for every eigenvalue of H (scale 1, shift 0): the largest row
-        sum of (1/2)|B|(|B| 1) + kappa^2 H_f, which dominates that of |H| (Gershgorin)."""
+        """Bounds |lambda| for every eigenvalue of H (scale 1, shift 0), once per H: the
+        largest row sum of (1/2)|B|(|B| 1) + kappa^2 H_f, above that of |H| (Gershgorin)."""
         D, A, _ = self._parts
         absD = np.abs(D)
         row = absD + self.kappa * A.weights.sum(axis=0)     # |B| 1, as kappa A >= 0 entrywise
@@ -252,7 +253,7 @@ def fiber_hamiltonian(basis: FockBasis, kappa: float, p: float,
     H = FiberHamiltonian(basis, checked("kappa", coupling, kappa), checked("p", finite, p),
                          checked("eps", unit_interval, eps))
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = H.row_sum_bound()
+        bound = H.row_sum_bound
     if not math.isfinite(bound):
         raise ValueError(f"H_kappa(p) overflows a double at kappa = {kappa}, p = {p}")
     return H
@@ -303,7 +304,7 @@ def ground_state(H: FiberHamiltonian) -> tuple[float, np.ndarray]:
     precondition[~(precondition > 0.0)] = 1.0    # H is PSD: a zero diagonal entry is a zero row
     np.divide(1.0, precondition, out=precondition)
     v, Hv = _lobpcg(H.__matmul__, _start_vector(H.shape[0]), precondition,
-                    _ROUNDING_FLOOR * _EPS, H.row_sum_bound(), "eigensolver")
+                    _ROUNDING_FLOOR * _EPS, H.row_sum_bound, "eigensolver")
     lam = _dot(v, Hv)
     residual = _norm(Hv - lam * v)
     if residual > EIGEN_RESIDUAL_TOL * max(1.0, abs(lam)):
@@ -485,7 +486,7 @@ def _semigroup_action(H: FiberHamiltonian, T: float, shift: float, lam0: float):
     coefficient is summed, when the series at 2 T half would start Miller's
     recurrence past SERIES_ORDER_GUARD.
     """
-    top = max(H.row_sum_bound(), lam0)       # a rounding-level inversion at H = c 1
+    top = max(H.row_sum_bound, lam0)         # a rounding-level inversion at H = c 1
     half = 0.5 * (top - lam0)
     z = 2.0 * T * half                       # about the largest Bessel argument below
     order = _miller_start(z) if math.isfinite(z) else math.inf

@@ -107,8 +107,10 @@ def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
     """Reduce A = -diag(r), b = sqrt(w/(2r)) by a pivoted Cholesky of its gramian.
 
     The Schur complement of b_i b_j/(r_i + r_j) after pivot k is again Cauchy,
-    with b_i (r_i - r_k)/(r_i + r_k): O(K) per column, no K x K matrix.  With
-    its r0 columns stacked as the rows of Q, the factor is Q^T R after classical
+    with b_i (r_i - r_k)/(r_i + r_k): O(K) per column, no K x K matrix.  It runs
+    twice: the first pass keeps only the r0 pivots and the residual diagonal, the
+    second writes the same columns, in the same order, as the rows of one r0 x K
+    array Q, so the factor is held once.  It is Q^T R after classical
     Gram-Schmidt applied twice (Giraud, Langou and Rozloznik 2005), so one svd
     of the r0 x r0 R gives its singular values and kept directions V, and A
     and b project to V^T Q diag(r) Q^T V and V^T Q b.  Every contraction over
@@ -117,16 +119,17 @@ def _balanced_truncation(r: np.ndarray, w: np.ndarray) -> StateSpace:
     bytes independent of the BLAS thread count.
     """
     b = np.sqrt(w / (2.0 * r))
-    gen, cols = b.copy(), []
+    gen, pivots = b, []
     diag = gen * gen / (2.0 * r)
     top = float(diag.max())
     while diag.max() > TRUNCATION_TOL * top:
-        k = int(np.argmax(diag))
-        cols.append(gen * (math.sqrt(2.0 * r[k]) * np.sign(gen[k])) / (r + r[k]))
+        pivots.append(k := int(np.argmax(diag)))
         gen = gen * (r - r[k]) / (r + r[k])
         diag = gen * gen / (2.0 * r)
-    Q = np.array(cols)
-    del cols
+    Q, gen = np.empty((len(pivots), len(r))), b
+    for q, k in zip(Q, pivots):                 # the same columns, into one array
+        q[:] = gen * (math.sqrt(2.0 * r[k]) * np.sign(gen[k])) / (r + r[k])
+        gen = gen * (r - r[k]) / (r + r[k])
     R = np.zeros((len(Q), len(Q)))
     for j, q in enumerate(Q):                   # q is row j of Q, updated in place
         for _ in range(2):
@@ -201,19 +204,21 @@ class ResolventSolution:
         return self.u_inf - 2.0 * float(self.a @ (np.expm1(-muS) / muS))
 
 
-def _kernel_applied(ss: StateSpace, u: ResolventSolution, x: np.ndarray) -> np.ndarray:
-    """(K_S u)(x) in closed form."""
-    S, mu, lam = u.S, u.mu, ss.lam[:, None]
-    gap = np.abs(lam - mu)
+def _kernel_applied(ss: StateSpace, u: ResolventSolution):
+    """x -> (K_S u)(x) in closed form at one node x; the (n, n) factors that do
+    not depend on x are formed once."""
+    S, mu, lam, g2 = u.S, u.mu, ss.lam[:, None], ss.g ** 2
+    gap, low, plus = np.abs(lam - mu), np.minimum(lam, mu), lam + mu
+    safe = np.where(gap > 0.0, gap, 1.0)
 
-    def conv(y):  # int_0^S e^{-lam |y - z|} e^{-mu z} dz, axes (y, lam, mu)
-        y = y[:, None, None]
-        left = np.exp(-np.minimum(lam, mu) * y) * np.where(
-            gap * y > 0.0, -np.expm1(-gap * y) / np.where(gap > 0.0, gap, 1.0), y)
-        return left - np.exp(-mu * y) * np.expm1(-(lam + mu) * (S - y)) / (lam + mu)
+    def conv(y):  # int_0^S e^{-lam |y - z|} e^{-mu z} dz, axes (lam, mu)
+        left = np.exp(-low * y) * np.where(gap * y > 0.0, -np.expm1(-gap * y) / safe, y)
+        return left - np.exp(-mu * y) * np.expm1(-plus * (S - y)) / plus
 
-    flat = -(np.expm1(-ss.lam * x[:, None]) + np.expm1(-ss.lam * (S - x[:, None]))) / ss.lam
-    return (u.u_inf * flat + (conv(x) + conv(S - x)) @ u.a) @ ss.g ** 2
+    def applied(x: float) -> float:
+        flat = -(np.expm1(-ss.lam * x) + np.expm1(-ss.lam * (S - x))) / ss.lam
+        return (u.u_inf * flat + (conv(x) + conv(S - x)) @ u.a) @ g2
+    return applied
 
 
 def solve_uT(ff: RadialMeasure, kappa: float, T: float) -> ResolventSolution:
@@ -233,10 +238,10 @@ def solve_uT(ff: RadialMeasure, kappa: float, T: float) -> ResolventSolution:
     u = ResolventSolution(S, u_inf, -c * beta / (1.0 + np.exp(-mu * S)), mu)
     cuts = 10.0 ** np.arange(-2.0, 6.0)
     edges = np.concatenate(([0.0], cuts[cuts < 0.5 * S], [0.5 * S]))
-    # one panel at a time: _kernel_applied holds (nodes, n, n) arrays; np.max,
-    # unlike max, keeps a NaN
-    res = float(np.max([np.max(np.abs(u.at(x) + _kernel_applied(ss, u, x) - 1.0))
-                        for x in np.reshape(gauss_panels(edges, 4)[0], (-1, 4))]))
+    # one node at a time, so no transient is larger than (n, n); np.max, unlike
+    # max, keeps a NaN
+    Ku = _kernel_applied(ss, u)
+    res = float(np.max([abs(u.at(x) + Ku(x) - 1.0) for x in gauss_panels(edges, 4)[0]]))
     if not res <= RESIDUAL_TOL:
         raise NumericalError(f"u_T solve residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return u

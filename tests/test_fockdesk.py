@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ class TestOperators:
         absB = np.abs(B)
         rows = 0.5 * (absB @ (absB @ np.ones(basis.dim))) + kappa**2 * basis.Hf
         oracle = float(np.max(rows))
-        bound = H.row_sum_bound()
+        bound = H.row_sum_bound
         assert abs(bound - oracle) <= 4 * np.spacing(oracle)
         assert bound >= np.max(np.abs(np.linalg.eigvalsh(dense(H))))
 
@@ -453,6 +454,28 @@ class TestWorkCounts:
         assert 1.3 * first < squares[0] < 1.5 * first
         # svds on X applied the degree-d series 43 times per call
         assert sum(counts["terms"]) < 0.35 * 43 * first
+
+    @pytest.mark.parametrize("T, kappas, p_list, bounds, hamiltonians", [
+        (None, [1.0, 2.0, 4.0, 8.0], [0.0, 0.2], 8, 8),
+        (1.0, [1.0, 2.0], [0.2], 7, 5),
+    ])
+    def test_row_sum_bound_once_per_hamiltonian(self, monkeypatch, T, kappas, p_list,
+                                                bounds, hamiltonians):
+        # the overflow check and the solve read one cached bound per Hamiltonian,
+        # where each used to compute its own; with T the semigroup builds its
+        # own H(kappa, p, 1) and the Bogoliubov vector's solve adds H(1, 0, 0)
+        real = fockdesk.FiberHamiltonian.row_sum_bound.func
+        computed = []
+
+        def counted(H):
+            computed.append((H.kappa, H.p, H.eps))
+            return real(H)
+
+        spy = cached_property(counted)
+        spy.__set_name__(fockdesk.FiberHamiltonian, "row_sum_bound")
+        monkeypatch.setattr(fockdesk.FiberHamiltonian, "row_sum_bound", spy)
+        wcl_scan(build_basis(TWO_MODE, 10), kappas, p_list, 1.0, T=T)
+        assert len(computed) == bounds and len(set(computed)) == hamiltonians
 
 
 class TestMemory:

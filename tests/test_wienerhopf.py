@@ -11,11 +11,15 @@ from pfwcl.errors import NumericalError
 from pfwcl.fockdesk import bogoliubov_energy
 from pfwcl.formfactor import (GaussianProfile, PointMasses, RadialMeasure, SharpCutoff,
                               Tabulated)
+from pfwcl.normalmodes import merged
 from pfwcl.wienerhopf import (ak_convergence_report, log_det, mass_functional, realization,
                               solve_uT, vacuum_amplitude)
 
 NULL = RadialMeasure(3, PointMasses([]))
 TABULATED = RadialMeasure(3, Tabulated([(0.5, 0.0), (1.0, 1.0), (1.5, 0.0)]))
+# 200 points, K = 15,920 rule nodes: the K-node stage's largest array is its factor
+TAB200 = RadialMeasure(3, Tabulated([(0.001 + 0.01 * i, 1.0 if 0 < i < 199 else 0.0)
+                                     for i in range(200)]))
 REF_LADDER = [10.0, 20.0, 40.0, 80.0]
 ORACLE_MEASURES = ["pm_atom", "gauss1", "cutoff1", "tabulated", "gauss4"]
 
@@ -280,7 +284,72 @@ class TestNormalModes:
             assert mass_functional(split, 1.0, T) == mass_functional(merged, 1.0, T)
 
 
+def one_pass_truncation(r, w):
+    """The K-node stage as one pass: each Cholesky column appended to a list, the
+    list stacked into Q afterwards; the rest as in ``_balanced_truncation``."""
+    b = np.sqrt(w / (2.0 * r))
+    gen, cols = b.copy(), []
+    diag = gen * gen / (2.0 * r)
+    top = float(diag.max())
+    while diag.max() > wienerhopf.TRUNCATION_TOL * top:
+        k = int(np.argmax(diag))
+        cols.append(gen * (math.sqrt(2.0 * r[k]) * np.sign(gen[k])) / (r + r[k]))
+        gen = gen * (r - r[k]) / (r + r[k])
+        diag = gen * gen / (2.0 * r)
+    Q = np.array(cols)
+    R = np.zeros((len(Q), len(Q)))
+    for j, q in enumerate(Q):
+        for _ in range(2):
+            h = np.einsum("ik,k->i", Q[:j], q)
+            q -= np.einsum("i,ik->k", h, Q[:j])
+            R[:j, j] += h
+        R[j, j] = math.sqrt(float(np.einsum("k,k->", q, q)))
+        q /= R[j, j]
+    Ur, sv, _ = np.linalg.svd(R)
+    keep = sv * sv > wienerhopf.TRUNCATION_TOL * sv[0] ** 2
+    V = Ur[:, keep]
+    QrQ = np.empty((len(Q), len(Q)))
+    for i, q in enumerate(Q):
+        QrQ[i, i:] = QrQ[i:, i] = np.einsum("k,jk->j", q * r, Q[i:])
+    lam, Z = np.linalg.eigh(V.T @ QrQ @ V)
+    g = Z.T @ (V.T @ np.einsum("ik,k->i", Q, b))
+    tail = float(diag.sum() + np.sum(sv[~keep] ** 2)
+                 + len(lam) * np.finfo(float).eps * (g ** 2 @ (1.0 / lam)))
+    return lam, g, tail, max(float(w.sum()), float(2.0 * lam @ g ** 2))
+
+
 class TestBalancedTruncation:
+    @pytest.mark.parametrize("name", ["gauss1", "cutoff1", "tab200"])
+    def test_two_passes_match_one_pass_bit_for_bit(self, name, request):
+        # the second Cholesky pass writes the first pass's columns, in its
+        # order, into one preallocated array: the states are those of the list
+        ff = TAB200 if name == "tab200" else request.getfixturevalue(name)
+        r, w = merged(zip(*ff.rule))
+        ss = wienerhopf._balanced_truncation(r, w)
+        lam, g, tail, mass = one_pass_truncation(r, w)
+        assert np.array_equal(ss.lam, lam) and np.array_equal(ss.g, g)
+        assert (ss.tail, ss.mass) == (tail, mass)
+
+    def test_factor_is_held_once(self, monkeypatch):
+        # the peak stays near the one r0 x K factor (2.15 factors when the
+        # columns were listed and then stacked)
+        ff, orders = TAB200, []
+
+        def spy(a, *args, **kwargs):
+            orders.append(len(a))
+            return np.linalg.svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(wienerhopf, "svd", spy)
+        K = len(merged(zip(*ff.rule))[0])
+        tracemalloc.start()
+        try:
+            realization.__wrapped__(ff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (orders, K) == ([33], 15920)
+        assert peak <= 1.4 * 33 * K * 8
+
     @pytest.mark.parametrize("name", ["gauss1", "cutoff1"])
     def test_svd_sees_only_the_square_factor(self, name, request, monkeypatch):
         # the K-length contractions run in einsum; svd sees only the r0 x r0
@@ -370,8 +439,10 @@ class TestUT:
 
     @pytest.mark.parametrize("T", [20.0, 1e6])
     def test_residual_check_memory_is_per_panel(self, gauss1, T):
-        # the residual holds (4, n, n) arrays one panel at a time, never the
-        # (nodes, n, n) tensor of all panels (6.9 MiB at T = 1e6)
+        # the residual is taken one node at a time, with (n, n) transients and
+        # the node-independent (n, n) factors formed once per solve: never the
+        # (nodes, n, n) tensor of all panels (6.9 MiB at T = 1e6), nor the
+        # (4, n, n) arrays of one panel (0.89 MiB peak)
         ss = realization(gauss1)
         assert len(ss.lam) == 77
         ss.modes              # cached per measure: built before the trace starts
@@ -381,7 +452,23 @@ class TestUT:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 2 ** 20
+        assert peak <= 0.6 * 2 ** 20
+
+    def test_nan_at_one_residual_node_fails_the_check(self, gauss1, monkeypatch):
+        # a NaN at any one node must fail, however the nodes are grouped
+        at, calls = wienerhopf.ResolventSolution.at, []
+
+        def spoiled(self, x):
+            value = np.array(at(self, x))
+            calls.append(x)
+            if len(calls) == 2:
+                value.flat[-1] = np.nan
+            return value
+
+        monkeypatch.setattr(wienerhopf.ResolventSolution, "at", spoiled)
+        with pytest.raises(NumericalError, match="u_T solve residual nan"):
+            solve_uT(gauss1, 1.0, 20.0)
+        assert len(calls) >= 2
 
     @pytest.mark.parametrize("name", ["pm_atom", "gauss1", "cutoff1"])
     def test_no_warning_up_to_S_1e5(self, name, request):
