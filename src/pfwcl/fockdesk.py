@@ -64,9 +64,6 @@ _ROUNDING_FLOOR = 4.0
 _EPS = float(np.finfo(float).eps)
 BESSEL_TAIL = 1e-17        # Chebyshev-Bessel series end where the coefficients fall below
 _LOG_MAX = math.log(np.finfo(float).max)
-#: outside exp(+-SMALL_NORM_LEVEL) the entries of X X^T near underflow (or
-#: overflow), so the norm is taken on a rescaled X
-SMALL_NORM_LEVEL = -300.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,12 +380,12 @@ def _chebyshev_sum(twice_S, coeffs, v) -> np.ndarray:
     out = coeffs[0] * v
     if len(coeffs) > 1:
         prev, cur = v, 0.5 * (twice_S @ v)
-        out += (term := coeffs[1] * cur)         # term: the scratch for c_k y_k
+        out += coeffs[1] * cur
         for c in coeffs[2:]:
             nxt = twice_S @ cur
             nxt -= prev
             prev, cur = cur, nxt
-            out += np.multiply(c, cur, out=term)
+            out += c * cur
     return out
 
 
@@ -527,10 +524,10 @@ def semigroup_wcl_residual(basis: FockBasis, kappa: float, p: float, T: float) -
     about T b eps_mach), so no dim x dim array is formed.  The norm is read as
     ||X^T u|| at the solver's vector u, one more series: it is stationary at the
     top singular vector, and unlike the eigenvalue of X X^T it does not square
-    the rounding of E relative to ||X||.  When the larger term is outside
-    exp(+-SMALL_NORM_LEVEL) (long T), the solver runs on exp(-level) X, the
-    larger term scaled to 1, and the norm is scaled back, so a residual below
-    the smallest double reads 0.
+    the rounding of E relative to ||X||.  The solver runs on exp(-level) X, the
+    larger term scaled to 1, and the norm is scaled back, so X X^T neither
+    underflows nor overflows at long T and a residual below the smallest double
+    reads 0.
     """
     T = checked("T", nonnegative, T)
     lam0 = ground_state(fiber_hamiltonian(basis, kappa, p, eps=1.0))[0]
@@ -545,7 +542,6 @@ def _semigroup_residual(basis, kappa, p, T, e_disc, lam0) -> float:
     decay = -T * (p - basis.Pf) ** 2 / (2.0 * basis.m_eff())
     with np.errstate(divide="ignore"):
         level = max(exponent, float(np.max(np.log(np.abs(g)) + decay)))
-    level = 0.0 if SMALL_NORM_LEVEL <= level <= -SMALL_NORM_LEVEL else level
     f = g * np.exp(decay - level)
     heat, square = series(1, level), series(2, 2.0 * level)
     Ef, ff = heat(f), _dot(f, f)

@@ -502,8 +502,9 @@ class TestMemory:
 
     def test_semigroup_scan(self):
         # dim 1953 at T = 1: the semigroup's replace(H, scale, shift) shares A
-        # too (47.3 vectors with the copies, 39.2 without)
-        assert self._peak_vectors(61, [1.0, 2.0], [0.2], T=1.0) <= 41
+        # too (47.3 vectors with the copies, 39.2 without), and the Chebyshev
+        # sum adds each term as a transient, not into a held scratch (38.2)
+        assert self._peak_vectors(61, [1.0, 2.0], [0.2], T=1.0) <= 38.7
 
 
 class TestBesselCoefficients:
@@ -796,11 +797,18 @@ class TestSemigroup:
         assert semigroup_wcl_residual(basis, kappa, p, T) == pytest.approx(
             math.exp(-T * (p * p / 2 + kappa**2)), rel=1e-12)
 
-    @pytest.mark.parametrize("kappa", [1.0, 4.0])
-    def test_matches_dense_reference(self, kappa):
+    @pytest.mark.parametrize("kappa, T, rel", [
+        pytest.param(1.0, 1.0, 1e-12, id="1.0"),
+        pytest.param(4.0, 1.0, 1e-12, id="4.0"),
+        # the norm is taken on the rescaled X here too, where ||X|| is about
+        # 1.5; the series rounds at about T b eps_mach, so 1e-10
+        pytest.param(1.0, 100.0, 1e-10, id="1.0-T100"),
+        pytest.param(4.0, 100.0, 1e-10, id="4.0-T100"),
+    ])
+    def test_matches_dense_reference(self, kappa, T, rel):
         # the full-decomposition formula: both eigh's, dense P_g, full SVD
         basis = build_basis(TWO_MODE, 20)
-        p, T = 0.2, 1.0
+        p = 0.2
         lam, Q = np.linalg.eigh(dense(fiber_hamiltonian(basis, kappa, p, 1.0)))
         shift = kappa**2 * bogoliubov_energy(TWO_MODE)
         left = (Q * np.exp(np.clip(-T * (lam - shift), -745.0, 50.0))) @ Q.T
@@ -809,7 +817,7 @@ class TestSemigroup:
                               -745.0, 50.0))
         reference = np.linalg.norm(left - np.outer(g, g) * free[None, :], 2)
         assert semigroup_wcl_residual(basis, kappa, p, T) == pytest.approx(
-            reference, rel=1e-12)
+            reference, rel=rel)
 
     def test_norm_failure_names_stage(self, monkeypatch):
         # dim 28: both ground states come from a dense stand-in, so only the
@@ -872,8 +880,8 @@ class TestSemigroup:
     def test_long_horizon_rank_one_limit(self, T):
         # one mode (1, 1, 0.6) at p = 0.2: the free term is at least e^{-T/100} and
         # the semigroup term below e^{-T/50}, so at these T, X = -f g^T to all
-        # digits and ||X|| = ||f||.  Past e^-300 the norm is taken on a rescaled X
-        # (the unscaled X X^T underflows to the zero operator); e^-1000 at T = 1e5 is 0
+        # digits and ||X|| = ||f||.  The norm is taken on a rescaled X (unscaled,
+        # X X^T would underflow to the zero operator); e^-1000 at T = 1e5 is 0
         basis = build_basis([(1.0, 1.0, 0.6)], 8)
         g = basis.ground_vector
         scaled = np.exp(T / 100 - T * (0.2 - basis.Pf) ** 2 / (2.0 * basis.m_eff()))
